@@ -76,15 +76,21 @@ def check_proper(h: DerivedHypergraph, classes: Sequence[Sequence[int]]) -> None
 
 def _greedy_intersecting_set(h: DerivedHypergraph) -> list[int]:
     """A maximal set of pairwise intersecting edges (a clique of conflicts)."""
-    m = len(h.edges)
-    supports = [set(e.support) for e in h.edges]
-    degree = [sum(1 for j in range(m) if j != i and supports[i] & supports[j]) for i in range(m)]
-    order = sorted(range(m), key=lambda i: (-degree[i], h.edges[i].support))
-    clique: list[int] = []
-    for i in order:
-        if all(supports[i] & supports[j] for j in clique):
+    order = _by_conflict_degree(h)
+    if not order:
+        return []
+    clique = [order[0]]
+    common = set(h.conflicts[order[0]])  # edges conflicting with every clique member
+    for i in order[1:]:
+        if i in common:
             clique.append(i)
+            common.intersection_update(h.conflicts[i])
     return clique
+
+
+def _by_conflict_degree(h: DerivedHypergraph) -> list[int]:
+    """Edge indices, most conflicts first, ties by support."""
+    return sorted(range(len(h.edges)), key=lambda i: (-len(h.conflicts[i]), h.edges[i].support))
 
 
 def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
@@ -174,32 +180,20 @@ def make_coloring(
 def color_greedy(h: DerivedHypergraph, order: str = "degree_desc") -> EdgeColoring:
     """First-fit coloring; deterministic given the order choice."""
     m = len(h.edges)
-    supports = [set(e.support) for e in h.edges]
     if order == "input":
         sequence = list(range(m))
     elif order == "degree_desc":
-        degree = [
-            sum(1 for j in range(m) if j != i and supports[i] & supports[j]) for i in range(m)
-        ]
-        sequence = sorted(range(m), key=lambda i: (-degree[i], h.edges[i].support))
+        sequence = _by_conflict_degree(h)
     else:
         raise InvalidInputError(f"unknown greedy order {order!r}")
 
-    class_vertices: list[set[str]] = []
-    classes: list[list[int]] = []
+    colors = [-1] * m
     for index in sequence:
-        placed = False
-        for c in range(len(classes)):
-            if not (class_vertices[c] & supports[index]):
-                classes[c].append(index)
-                class_vertices[c] |= supports[index]
-                placed = True
-                break
-        if not placed:
-            classes.append([index])
-            class_vertices.append(set(supports[index]))
-    for cls in classes:
-        cls.sort()
+        taken = {colors[j] for j in h.conflicts[index]}
+        colors[index] = next(c for c in range(m) if c not in taken)
+    classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for index, color in enumerate(colors):
+        classes[color].append(index)
     return make_coloring(h, classes, method="greedy")
 
 
@@ -334,13 +328,7 @@ def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> Edg
     m = len(h.edges)
     if m == 0:
         return make_coloring(h, (), method="exact")
-    supports = [frozenset(e.support) for e in h.edges]
-    conflicts: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if supports[i] & supports[j]:
-                conflicts[i].append(j)
-                conflicts[j].append(i)
+    conflicts = h.conflicts
 
     lower = combinatorial_lower_bound(h)
     incumbent = color_greedy(h, order="degree_desc")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dualize import Pubo
 from .errors import BudgetExceededError, GateWidthError, InvalidInputError
@@ -63,14 +64,30 @@ class DerivedHypergraph:
             seen.update(edge.support)
         return tuple(sorted(seen))
 
+    @cached_property
+    def conflicts(self) -> tuple[tuple[int, ...], ...]:
+        """For each edge, the sorted indices of the other edges sharing a vertex with it.
+
+        Built from the vertex -> incident-edge map in O(sum of degree^2).
+        """
+        incident: dict[str, list[int]] = {}
+        for index, edge in enumerate(self.edges):
+            for name in edge.support:
+                incident.setdefault(name, []).append(index)
+        return tuple(
+            tuple(sorted({j for name in edge.support for j in incident[name]} - {index}))
+            for index, edge in enumerate(self.edges)
+        )
+
     def is_linear(self) -> bool:
         """True when any two hyperedges share at most one vertex."""
         supports = [set(e.support) for e in self.edges]
-        for i in range(len(supports)):
-            for j in range(i + 1, len(supports)):
-                if len(supports[i] & supports[j]) > 1:
-                    return False
-        return True
+        return all(
+            len(supports[i] & supports[j]) <= 1
+            for i, others in enumerate(self.conflicts)
+            for j in others
+            if j > i
+        )
 
     def uniform_size(self) -> int | None:
         sizes = {len(e.support) for e in self.edges}
@@ -208,10 +225,7 @@ def merge_exact(
         return MergeResult(hypergraph=h, coloring=empty, nodes_explored=0)
 
     supports = [frozenset(e.support) for e in h.edges]
-    conflict_degree = [
-        sum(1 for j in range(m) if j != i and supports[i] & supports[j]) for i in range(m)
-    ]
-    order = sorted(range(m), key=lambda i: (-conflict_degree[i], h.edges[i].support))
+    order = sorted(range(m), key=lambda i: (-len(h.conflicts[i]), h.edges[i].support))
 
     # Incumbent: subset absorption plus greedy coloring. The search only has
     # to beat it, and if it cannot, exhausting the tree certifies optimality.

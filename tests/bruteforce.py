@@ -107,6 +107,25 @@ def chromatic_index_bruteforce(supports) -> int:
     return best
 
 
+def conflicts_pairwise(supports) -> list[list[int]]:
+    """For each support, the indices of the other supports it intersects, pair by pair."""
+    sets = [set(s) for s in supports]
+    return [
+        [j for j in range(len(sets)) if j != i and sets[i] & sets[j]]
+        for i in range(len(sets))
+    ]
+
+
+def is_linear_pairwise(supports) -> bool:
+    """True when no two supports share more than one vertex, pair by pair."""
+    sets = [set(s) for s in supports]
+    return all(
+        len(sets[i] & sets[j]) <= 1
+        for i in range(len(sets))
+        for j in range(i + 1, len(sets))
+    )
+
+
 def random_graph(rng, n: int, p: float) -> InstanceGraph:
     edges = [
         (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p

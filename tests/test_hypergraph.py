@@ -17,7 +17,14 @@ from qaoadepth import (
     pubo_from_polynomial,
 )
 
-from bruteforce import chromatic_index_bruteforce, random_graph, random_polynomial
+from bruteforce import (
+    chromatic_index_bruteforce,
+    conflicts_pairwise,
+    is_linear_pairwise,
+    random_graph,
+    random_hypergraph_supports,
+    random_polynomial,
+)
 
 GENERAL_SUPPORTS_AFTER_ABSORB = {
     ("s1_1", "s1_2"),
@@ -43,6 +50,25 @@ def test_w6_derived_graph_is_the_wheel_itself(w6):
     assert h.max_degree() == 5
     assert h.uniform_size() == 2
     assert h.is_linear()
+
+
+@pytest.mark.parametrize("max_width", [2, 3, 4])
+def test_conflicts_and_linearity_match_the_pairwise_definition(max_width):
+    rng = random.Random(60 + max_width)
+    outcomes = set()
+    for trial in range(150):
+        supports = random_hypergraph_supports(
+            rng, rng.randint(max_width, 9), trial % 13, max_width=max_width
+        )
+        h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+        assert [e.support for e in h.edges] == supports
+        assert [list(c) for c in h.conflicts] == conflicts_pairwise(supports)
+        assert h.is_linear() == is_linear_pairwise(supports)
+        outcomes.add((len(supports) if len(supports) < 2 else 2, h.is_linear()))
+    # empty and single-edge hypergraphs, linear ones and (once edges are wider
+    # than two, so two of them can share two vertices) non-linear ones all occurred
+    expected = {(0, True), (1, True), (2, True)} | ({(2, False)} if max_width > 2 else set())
+    assert outcomes == expected
 
 
 def test_general_example_absorption_leaves_eight_gates(general_problem):
