@@ -177,18 +177,11 @@ def make_coloring(
     )
 
 
-def color_greedy(h: DerivedHypergraph, order: str = "degree_desc") -> EdgeColoring:
-    """First-fit coloring; deterministic given the order choice."""
+def color_greedy(h: DerivedHypergraph) -> EdgeColoring:
+    """First-fit coloring, most conflicting edges first; deterministic."""
     m = len(h.edges)
-    if order == "input":
-        sequence = list(range(m))
-    elif order == "degree_desc":
-        sequence = _by_conflict_degree(h)
-    else:
-        raise InvalidInputError(f"unknown greedy order {order!r}")
-
     colors = [-1] * m
-    for index in sequence:
+    for index in _by_conflict_degree(h):
         taken = {colors[j] for j in h.conflicts[index]}
         colors[index] = next(c for c in range(m) if c not in taken)
     classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
@@ -331,7 +324,7 @@ def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> Edg
     conflicts = h.conflicts
 
     lower = combinatorial_lower_bound(h)
-    incumbent = color_greedy(h, order="degree_desc")
+    incumbent = color_greedy(h)
     if h.uniform_size() == 2:
         # Delta+1 construction is a far better incumbent than first-fit and
         # instantly certifies class-2 graphs whose lower bound is Delta+1.

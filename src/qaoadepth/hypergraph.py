@@ -230,7 +230,7 @@ def merge_exact(
     # Incumbent: subset absorption plus greedy coloring. The search only has
     # to beat it, and if it cannot, exhausting the tree certifies optimality.
     absorbed = absorb_subsets(h, limit)
-    greedy = coloring_mod.color_greedy(absorbed, order="degree_desc")
+    greedy = coloring_mod.color_greedy(absorbed)
     best_count = len(greedy.classes)
     best_solution: list[list[tuple[frozenset, list[int]]]] | None = None
 

@@ -32,7 +32,7 @@ class PipelineResult:
 def _heuristic_coloring(h: DerivedHypergraph) -> EdgeColoring:
     if h.uniform_size() == 2:
         return coloring_mod.color_misra_gries(h)
-    return coloring_mod.color_greedy(h, order="degree_desc")
+    return coloring_mod.color_greedy(h)
 
 
 def run_pipeline(
@@ -87,7 +87,7 @@ def run_pipeline(
     elif method == "misra-gries":
         coloring = coloring_mod.color_misra_gries(h)
     elif method == "greedy":
-        coloring = coloring_mod.color_greedy(h, order="degree_desc")
+        coloring = coloring_mod.color_greedy(h)
     elif method == "merge-exact":
         merged = hypergraph_mod.merge_exact(h, gate_width, budget=budget)
         h = merged.hypergraph

@@ -107,8 +107,7 @@ def test_greedy_on_matchings_and_stars():
     matching = build(pubo_from_polynomial(Polynomial({("a", "b"): 1, ("c", "d"): 1})))
     assert color_greedy(matching).num_colors == 1
     star = star_hypergraph(4)
-    assert color_greedy(star, order="degree_desc").num_colors == 4
-    assert color_greedy(star, order="input").num_colors == 4
+    assert color_greedy(star).num_colors == 4
 
 
 def test_complete_graphs_have_known_chromatic_index():

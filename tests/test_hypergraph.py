@@ -161,7 +161,7 @@ def test_merge_exact_never_beaten_by_absorb_plus_greedy():
         if any(len(e.support) > 3 for e in h.edges):
             continue
         result = merge_exact(h, 3)
-        baseline = color_greedy(absorb_subsets(h, 3), order="degree_desc")
+        baseline = color_greedy(absorb_subsets(h, 3))
         assert result.coloring.num_colors <= baseline.num_colors
 
 
