@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -95,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="json", choices=["json", "dot", "text"],
                        help="output format (default json)")
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        p.add_argument("--seed", type=int, metavar="S",
-                       help="seed for randomized test generators (pipeline itself is deterministic)")
 
     for name, help_text in (
         ("dualize", "emit the penalty-form objective and slack report"),
@@ -159,7 +156,7 @@ def _want_ansi(args) -> bool:
 def _config_snapshot(args) -> dict:
     keys = (
         "command", "problem", "family", "graph", "gate_width", "exact_limit",
-        "budget", "method", "iterations", "format", "seed",
+        "budget", "method", "iterations", "format",
     )
     snapshot = {key: getattr(args, key, None) for key in keys}
     if args.penalty_weight is not None:
@@ -200,8 +197,6 @@ def _depth_summary(result) -> list[str]:
 
 
 def _run(args) -> int:
-    if args.seed is not None:
-        random.seed(args.seed)
     problem = _load_problem(args)
 
     if args.command == "dualize":

@@ -249,17 +249,6 @@ def test_dot_rejected_for_other_commands(capsys, fixture_dir):
     assert "dot" in err
 
 
-def test_seed_flag_is_accepted(capsys, fixture_dir):
-    code, _, _ = run_cli(
-        capsys,
-        "analyze",
-        "--family", "maxcut",
-        "--graph", str(fixture_dir / "w6.dimacs"),
-        "--seed", "7",
-    )
-    assert code == 0
-
-
 def test_merge_exact_method_via_cli(capsys, fixture_dir):
     code, out, _ = run_cli(
         capsys,
