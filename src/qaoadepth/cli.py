@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -115,25 +116,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(args) -> Problem:
+    """The problem from its source, with ``--lambda`` as every constraint's weight."""
     sources = [args.problem is not None, args.family is not None]
     if sum(sources) != 1:
         raise InvalidInputError("exactly one of --problem or --family is required")
     if args.problem is not None:
-        return io_mod.read_problem(args.problem)
-    if args.family == "knapsack":
+        problem = io_mod.read_problem(args.problem)
+    elif args.family == "knapsack":
         if args.values is None or args.weights is None or args.capacity is None:
             raise InvalidInputError("knapsack needs --values, --weights and --capacity")
-        return make_knapsack(
-            args.values, args.weights, args.capacity,
-            lam=args.penalty_weight, preprocess=args.preprocess,
+        problem = make_knapsack(
+            args.values, args.weights, args.capacity, preprocess=args.preprocess
         )
-    if args.graph is None:
+    elif args.graph is None:
         raise InvalidInputError(f"family {args.family!r} needs --graph FILE")
-    graph = io_mod.read_dimacs_graph(args.graph)
-    maker = _GRAPH_FAMILIES[args.family]
-    if args.family == "maxcut":
-        return maker(graph)
-    return maker(graph, lam=args.penalty_weight)
+    else:
+        problem = _GRAPH_FAMILIES[args.family](io_mod.read_dimacs_graph(args.graph))
+    if args.penalty_weight is None:
+        return problem
+    return replace(
+        problem,
+        constraints=tuple(replace(c, weight=args.penalty_weight) for c in problem.constraints),
+    )
 
 
 def _emit(text: str, args) -> None:
@@ -201,9 +205,7 @@ def _run(args) -> int:
 
     if args.command == "dualize":
         _reject_dot(args)
-        pubo = dualize(problem) if args.penalty_weight is None else dualize(
-            _override_weights(problem, args.penalty_weight)
-        )
+        pubo = dualize(problem)
         if args.format == "json":
             _emit(io_mod.dumps({
                 "config": _config_snapshot(args),
@@ -238,7 +240,6 @@ def _run(args) -> int:
             p=args.iterations,
             method=args.method,
             budget=args.budget,
-            lambda_override=args.penalty_weight,
         )
         penalty_check = verify_penalty(result.pubo, result.problem, var_limit=args.var_limit)
         phase_check = check_equivalence(result.schedule, result.pubo, var_limit=args.var_limit)
@@ -275,7 +276,6 @@ def _run(args) -> int:
         p=args.iterations,
         method=args.method,
         budget=args.budget,
-        lambda_override=args.penalty_weight,
     )
 
     if args.command == "graph":
@@ -347,15 +347,6 @@ def _run(args) -> int:
             _emit("\n".join(lines), args)
 
     return 4 if result.budget_exceeded else 0
-
-
-def _override_weights(problem: Problem, weight: Fraction) -> Problem:
-    from dataclasses import replace
-
-    return replace(
-        problem,
-        constraints=tuple(replace(c, weight=weight) for c in problem.constraints),
-    )
 
 
 def main(argv=None) -> int:

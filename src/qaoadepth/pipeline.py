@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import coloring as coloring_mod
 from . import hypergraph as hypergraph_mod
@@ -42,7 +42,6 @@ def run_pipeline(
     p: int = 1,
     method: str = "auto",
     budget: int = DEFAULT_EXACT_BUDGET,
-    lambda_override=None,
 ) -> PipelineResult:
     """Run dualization, gate absorption, coloring, and scheduling.
 
@@ -51,14 +50,6 @@ def run_pipeline(
     heuristic (flagged, not fatal) if the node budget runs out; the explicit
     methods raise instead of falling back.
     """
-    if lambda_override is not None:
-        problem = replace(
-            problem,
-            constraints=tuple(
-                replace(con, weight=lambda_override) for con in problem.constraints
-            ),
-        )
-
     pubo = dualize(problem)
     h = hypergraph_mod.absorb_subsets(hypergraph_mod.build(pubo), gate_width)
     hypergraph_mod.check_gate_width(h, gate_width)

@@ -249,6 +249,25 @@ def test_dot_rejected_for_other_commands(capsys, fixture_dir):
     assert "dot" in err
 
 
+def test_lambda_reaches_problem_and_pubo_in_dualize_and_analyze(capsys, fixture_dir):
+    artifacts = {}
+    for command in ("dualize", "analyze"):
+        code, out, _ = run_cli(
+            capsys,
+            command,
+            "--problem", str(fixture_dir / "general_example.json"),
+            "--gate-width", "3",
+            "--lambda", "7",
+        )
+        assert code == 0
+        artifact = json.loads(out)
+        assert artifact["problem"]["constraints"]
+        assert all(c["lambda"] == 7 for c in artifact["problem"]["constraints"])
+        assert all(r["penalty_weight"] == 7 for r in artifact["pubo"]["dualization"])
+        artifacts[command] = artifact
+    assert artifacts["dualize"]["pubo"] == artifacts["analyze"]["pubo"]
+
+
 def test_merge_exact_method_via_cli(capsys, fixture_dir):
     code, out, _ = run_cli(
         capsys,
