@@ -64,7 +64,7 @@ def test_conflicts_and_linearity_match_the_pairwise_definition(max_width):
         assert [e.support for e in h.edges] == supports
         assert [list(c) for c in h.conflicts] == conflicts_pairwise(supports)
         assert h.is_linear() == is_linear_pairwise(supports)
-        outcomes.add((len(supports) if len(supports) < 2 else 2, h.is_linear()))
+        outcomes.add((min(len(supports), 2), h.is_linear()))
     # empty and single-edge hypergraphs, linear ones and (once edges are wider
     # than two, so two of them can share two vertices) non-linear ones all occurred
     expected = {(0, True), (1, True), (2, True)} | ({(2, False)} if max_width > 2 else set())
