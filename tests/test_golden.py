@@ -1,8 +1,10 @@
-"""Byte gate: CLI artifacts for the committed fixtures match tests/golden/.
+"""Byte gate: CLI output for the committed fixtures matches tests/golden/.
 
-The artifacts record the problem path as given on the command line, so the
+Every subcommand is covered in each output format it supports; the golden
+file's suffix is the format (``.json``, ``.txt`` for text, ``.dot``).  The
+artifacts record the problem path as given on the command line, so the
 commands run from the repository root with relative paths.  An intended
-change to an artifact is made by regenerating its golden file and saying why
+change to an output is made by regenerating its golden file and saying why
 in CHANGES.md.
 """
 
@@ -15,27 +17,57 @@ from qaoadepth.cli import main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
+W6 = ("--family", "maxcut", "--graph", "fixtures/w6.dimacs")
+INDSET_W6 = ("--problem", "fixtures/indset_w6.json")
+GENERAL_W3 = ("--problem", "fixtures/general_example.json", "--gate-width", "3")
+KNAPSACK = (
+    "--family", "knapsack", "--values", "1,2,3", "--weights", "1,2,3",
+    "--capacity", "4", "--preprocess",
+)
+TEXT = ("--format", "text")
+DOT = ("--format", "dot")
+
+#: name -> (expected exit code, command line)
 CASES = {
-    "analyze_maxcut_w6": ("analyze", "--family", "maxcut", "--graph", "fixtures/w6.dimacs"),
-    "analyze_indset_w6": ("analyze", "--problem", "fixtures/indset_w6.json"),
-    "analyze_general_example": (
-        "analyze", "--problem", "fixtures/general_example.json", "--gate-width", "3",
+    "dualize_knapsack": (0, ("dualize", *KNAPSACK)),
+    "dualize_general_example_text": (
+        0, ("dualize", "--problem", "fixtures/general_example.json", *TEXT),
     ),
-    "color_exact_general_example": (
-        "color", "--problem", "fixtures/general_example.json",
-        "--method", "exact", "--gate-width", "3",
-    ),
+    "graph_general_example": (0, ("graph", *GENERAL_W3)),
+    "graph_general_example_text": (0, ("graph", *GENERAL_W3, *TEXT)),
+    "graph_general_example_dot": (0, ("graph", *GENERAL_W3, *DOT)),
+    "color_exact_general_example": (0, ("color", *GENERAL_W3, "--method", "exact")),
     "color_merge_exact_general_example": (
-        "color", "--problem", "fixtures/general_example.json",
-        "--method", "merge-exact", "--gate-width", "3",
+        0, ("color", *GENERAL_W3, "--method", "merge-exact"),
     ),
-    "verify_indset_w6": ("verify", "--problem", "fixtures/indset_w6.json"),
+    "color_maxcut_w6_text": (0, ("color", *W6, *TEXT)),
+    "color_maxcut_w6_dot": (0, ("color", *W6, *DOT)),
+    "schedule_maxcut_w6": (0, ("schedule", *W6, "--iterations", "3")),
+    "schedule_maxcut_w6_text": (0, ("schedule", *W6, "--iterations", "3", *TEXT)),
+    "analyze_maxcut_w6": (0, ("analyze", *W6)),
+    "analyze_indset_w6": (0, ("analyze", *INDSET_W6)),
+    "analyze_indset_w6_text": (0, ("analyze", *INDSET_W6, *TEXT)),
+    "analyze_general_example": (0, ("analyze", *GENERAL_W3)),
+    # The exact search runs out of budget: exit 4 with the heuristic artifact.
+    "analyze_maxcut_petersen_budget": (
+        4, ("analyze", "--family", "maxcut", "--graph", "fixtures/petersen.dimacs",
+            "--budget", "5"),
+    ),
+    "verify_indset_w6": (0, ("verify", *INDSET_W6)),
+    "verify_indset_w6_text": (0, ("verify", *INDSET_W6, *TEXT)),
 }
+
+
+def golden_path(name: str) -> Path:
+    argv = CASES[name][1]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    return GOLDEN_DIR / f"{name}.{'txt' if fmt == 'text' else fmt}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifact_matches_golden(name, capsys, monkeypatch):
+    code, argv = CASES[name]
     monkeypatch.chdir(REPO_ROOT)
-    assert main(list(CASES[name])) == 0
+    assert main(list(argv)) == code
     out = capsys.readouterr().out
-    assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert out == golden_path(name).read_text(encoding="utf-8")
