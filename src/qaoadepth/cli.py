@@ -12,7 +12,8 @@ Subcommands mirror the pipeline stages::
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible constraint, 3 gate
 width violation, 4 exact-search budget exceeded (heuristic results are still
-emitted, flagged as such).
+emitted, flagged as such).  Each error class in :mod:`qaoadepth.errors`
+declares its own code.
 """
 
 from __future__ import annotations
@@ -22,17 +23,12 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from . import io as io_mod
 from .dualize import dualize, verify_penalty
-from .errors import (
-    BudgetExceededError,
-    GateWidthError,
-    InfeasibleConstraintError,
-    InvalidInputError,
-    QaoaDepthError,
-)
+from .errors import InvalidInputError, QaoaDepthError
 from .phasesim import check_equivalence
 from .pipeline import DEFAULT_EXACT_EDGE_LIMIT, run_pipeline
 from .coloring import DEFAULT_EXACT_BUDGET
@@ -141,20 +137,14 @@ def _load_problem(args) -> Problem:
 
 
 def _emit(text: str, args) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _want_ansi(args) -> bool:
-    return (
-        args.format == "text"
-        and args.out is None
-        and sys.stdout.isatty()
-        and not os.environ.get("NO_COLOR")
-    )
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _config_snapshot(args) -> dict:
@@ -168,14 +158,94 @@ def _config_snapshot(args) -> dict:
     return snapshot
 
 
-def _reject_dot(args) -> None:
+def _penalty_oracle(result, args) -> dict:
+    check = verify_penalty(result.pubo, result.problem, var_limit=args.var_limit)
+    return {
+        "passed": check.passed,
+        "detail": check.detail,
+        "optima": [list(bits) for bits in check.constrained_argmin],
+        "variable_order": list(check.variable_order),
+    }
+
+
+def _phase_oracle(result, args) -> dict:
+    check = check_equivalence(result.schedule, result.pubo, var_limit=args.var_limit)
+    return {"passed": check.equivalent, "mismatch": check.mismatch_assignment}
+
+
+#: Each JSON artifact section, built from the run's result and the arguments.
+_SECTIONS = {
+    "problem": lambda r, args: io_mod.problem_to_json(r.problem),
+    "pubo": lambda r, args: io_mod.pubo_to_json(r.pubo),
+    "hypergraph": lambda r, args: io_mod.hypergraph_to_json(r.hypergraph),
+    "coloring": lambda r, args: io_mod.coloring_to_json(r.coloring),
+    "depth": lambda r, args: io_mod.depth_report_to_json(r.report),
+    "schedule": lambda r, args: io_mod.schedule_to_json(r.schedule),
+    "flags": lambda r, args: {
+        "budget_exceeded": r.budget_exceeded,
+        "coloring_exact": r.coloring.method == "exact",
+        "notes": list(r.notes),
+    },
+    "penalty_oracle": _penalty_oracle,
+    "phase_oracle": _phase_oracle,
+}
+
+#: The sections of each subcommand's artifact, inside the {config, tool} envelope.
+_ARTIFACT_SECTIONS = {
+    "dualize": ("problem", "pubo"),
+    "graph": ("hypergraph",),
+    "color": ("hypergraph", "coloring"),
+    "schedule": ("schedule", "depth"),
+    "analyze": ("problem", "pubo", "hypergraph", "coloring", "depth", "schedule", "flags"),
+    "verify": ("penalty_oracle", "phase_oracle"),
+}
+
+
+def _render_dualize(result, args) -> str:
+    lines = [f"penalty objective: {result.pubo.objective}"]
+    for record in result.pubo.dualizations:
+        if record.dropped:
+            lines.append(f"constraint {record.index}: dropped ({record.reason})")
+        else:
+            lines.append(
+                f"constraint {record.index}: slack range {record.slack_range}, "
+                f"{record.bit_count} slack bits {list(record.slack_vars)}, "
+                f"weight {record.weight}"
+            )
+        for note in record.notes:
+            lines.append(f"  note: {note}")
+        if record.expansion_diff is not None and record.expansion_diff.has_differences:
+            lines.append("  reference expansion differs; see the JSON report")
+    return "\n".join(lines) + "\n"
+
+
+def _render_graph(result, args) -> str:
+    h = result.hypergraph
     if args.format == "dot":
-        raise InvalidInputError(
-            f"--format dot applies to 'graph' and 'color' only, not {args.command!r}"
-        )
+        return io_mod.hypergraph_to_dot(h)
+    lines = [f"{len(h.vertices)} vertices, {len(h.edges)} hyperedges, "
+             f"{len(h.singletons)} singleton terms"]
+    lines += ["  {" + ",".join(edge.support) + "}" for edge in h.edges]
+    return "\n".join(lines) + "\n"
 
 
-def _depth_summary(result) -> list[str]:
+def _render_color(result, args) -> str:
+    h, coloring = result.hypergraph, result.coloring
+    if args.format == "dot":
+        return io_mod.hypergraph_to_dot(h, coloring)
+    lines = [f"{coloring.num_colors} color classes ({coloring.method})"]
+    for c, cls in enumerate(coloring.classes):
+        supports = ["{" + ",".join(h.edges[i].support) + "}" for i in cls]
+        lines.append(f"  c{c}: " + " ".join(supports))
+    return "\n".join(lines) + "\n"
+
+
+def _render_schedule(result, args) -> str:
+    ansi = args.out is None and sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+    return io_mod.render_schedule_text(result.schedule, color=ansi)
+
+
+def _render_analyze(result, args) -> str:
     report = result.report
     lines = [
         f"hypergraph: {len(result.hypergraph.edges)} gates over "
@@ -197,42 +267,38 @@ def _depth_summary(result) -> list[str]:
         lines.append(f"note: {note}")
     for note in result.notes:
         lines.append(f"note: {note}")
-    return lines
+    return "\n".join(lines + ["", _render_schedule(result, args)])
+
+
+def _render_verify(result, args) -> str:
+    penalty = _penalty_oracle(result, args)
+    phase = _phase_oracle(result, args)
+    return "penalty oracle: {}\nphase oracle: {}\n".format(
+        "pass" if penalty["passed"] else f"FAIL ({penalty['detail']})",
+        "pass" if phase["passed"] else "FAIL",
+    )
+
+
+#: Text output of each subcommand, and DOT output of the two that have one.
+_RENDERERS = {
+    "dualize": _render_dualize,
+    "graph": _render_graph,
+    "color": _render_color,
+    "schedule": _render_schedule,
+    "analyze": _render_analyze,
+    "verify": _render_verify,
+}
 
 
 def _run(args) -> int:
     problem = _load_problem(args)
-
+    if args.format == "dot" and args.command not in ("graph", "color"):
+        raise InvalidInputError(
+            f"--format dot applies to 'graph' and 'color' only, not {args.command!r}"
+        )
     if args.command == "dualize":
-        _reject_dot(args)
-        pubo = dualize(problem)
-        if args.format == "json":
-            _emit(io_mod.dumps({
-                "config": _config_snapshot(args),
-                "problem": io_mod.problem_to_json(problem),
-                "pubo": io_mod.pubo_to_json(pubo),
-                "tool": {"name": io_mod.TOOL_NAME, "version": __version__},
-            }), args)
-        else:
-            lines = [f"penalty objective: {pubo.objective}"]
-            for record in pubo.dualizations:
-                if record.dropped:
-                    lines.append(f"constraint {record.index}: dropped ({record.reason})")
-                else:
-                    lines.append(
-                        f"constraint {record.index}: slack range {record.slack_range}, "
-                        f"{record.bit_count} slack bits {list(record.slack_vars)}, "
-                        f"weight {record.weight}"
-                    )
-                for note in record.notes:
-                    lines.append(f"  note: {note}")
-                if record.expansion_diff is not None and record.expansion_diff.has_differences:
-                    lines.append("  reference expansion differs; see the JSON report")
-            _emit("\n".join(lines) + "\n", args)
-        return 0
-
-    if args.command == "verify":
-        _reject_dot(args)
+        result = SimpleNamespace(problem=problem, pubo=dualize(problem), budget_exceeded=False)
+    else:
         result = run_pipeline(
             problem,
             gate_width=args.gate_width,
@@ -241,111 +307,16 @@ def _run(args) -> int:
             method=args.method,
             budget=args.budget,
         )
-        penalty_check = verify_penalty(result.pubo, result.problem, var_limit=args.var_limit)
-        phase_check = check_equivalence(result.schedule, result.pubo, var_limit=args.var_limit)
-        payload = {
+    if args.format == "json":
+        artifact = {
             "config": _config_snapshot(args),
-            "penalty_oracle": {
-                "passed": penalty_check.passed,
-                "detail": penalty_check.detail,
-                "optima": [list(bits) for bits in penalty_check.constrained_argmin],
-                "variable_order": list(penalty_check.variable_order),
-            },
-            "phase_oracle": {
-                "passed": phase_check.equivalent,
-                "mismatch": phase_check.mismatch_assignment,
-            },
             "tool": {"name": io_mod.TOOL_NAME, "version": __version__},
         }
-        if args.format == "json":
-            _emit(io_mod.dumps(payload), args)
-        else:
-            _emit(
-                "penalty oracle: {}\nphase oracle: {}\n".format(
-                    "pass" if penalty_check.passed else f"FAIL ({penalty_check.detail})",
-                    "pass" if phase_check.equivalent else "FAIL",
-                ),
-                args,
-            )
-        return 0 if result.budget_exceeded is False else 4
-
-    result = run_pipeline(
-        problem,
-        gate_width=args.gate_width,
-        exact_edge_limit=args.exact_limit,
-        p=args.iterations,
-        method=args.method,
-        budget=args.budget,
-    )
-
-    if args.command == "graph":
-        if args.format == "dot":
-            _emit(io_mod.hypergraph_to_dot(result.hypergraph), args)
-        elif args.format == "json":
-            _emit(io_mod.dumps({
-                "config": _config_snapshot(args),
-                "hypergraph": io_mod.hypergraph_to_json(result.hypergraph),
-                "tool": {"name": io_mod.TOOL_NAME, "version": __version__},
-            }), args)
-        else:
-            h = result.hypergraph
-            lines = [f"{len(h.vertices)} vertices, {len(h.edges)} hyperedges, "
-                     f"{len(h.singletons)} singleton terms"]
-            for edge in h.edges:
-                lines.append("  {" + ",".join(edge.support) + "}")
-            _emit("\n".join(lines) + "\n", args)
-    elif args.command == "color":
-        if args.format == "dot":
-            _emit(io_mod.hypergraph_to_dot(result.hypergraph, result.coloring), args)
-        elif args.format == "json":
-            _emit(io_mod.dumps({
-                "config": _config_snapshot(args),
-                "hypergraph": io_mod.hypergraph_to_json(result.hypergraph),
-                "coloring": io_mod.coloring_to_json(result.coloring),
-                "tool": {"name": io_mod.TOOL_NAME, "version": __version__},
-            }), args)
-        else:
-            lines = [f"{result.coloring.num_colors} color classes ({result.coloring.method})"]
-            for c, cls in enumerate(result.coloring.classes):
-                supports = ["{" + ",".join(result.hypergraph.edges[i].support) + "}" for i in cls]
-                lines.append(f"  c{c}: " + " ".join(supports))
-            _emit("\n".join(lines) + "\n", args)
-    elif args.command == "schedule":
-        _reject_dot(args)
-        if args.format == "json":
-            _emit(io_mod.dumps({
-                "config": _config_snapshot(args),
-                "schedule": io_mod.schedule_to_json(result.schedule),
-                "depth": io_mod.depth_report_to_json(result.report),
-                "tool": {"name": io_mod.TOOL_NAME, "version": __version__},
-            }), args)
-        else:
-            _emit(io_mod.render_schedule_text(result.schedule, color=_want_ansi(args)), args)
-    elif args.command == "analyze":
-        _reject_dot(args)
-        if args.format == "json":
-            artifact = {
-                "tool": {"name": io_mod.TOOL_NAME, "version": __version__},
-                "config": _config_snapshot(args),
-                "problem": io_mod.problem_to_json(result.problem),
-                "pubo": io_mod.pubo_to_json(result.pubo),
-                "hypergraph": io_mod.hypergraph_to_json(result.hypergraph),
-                "coloring": io_mod.coloring_to_json(result.coloring),
-                "depth": io_mod.depth_report_to_json(result.report),
-                "schedule": io_mod.schedule_to_json(result.schedule),
-                "flags": {
-                    "budget_exceeded": result.budget_exceeded,
-                    "coloring_exact": result.coloring.method == "exact",
-                    "notes": list(result.notes),
-                },
-            }
-            _emit(io_mod.dumps(artifact), args)
-        else:
-            lines = _depth_summary(result)
-            lines.append("")
-            lines.append(io_mod.render_schedule_text(result.schedule, color=_want_ansi(args)))
-            _emit("\n".join(lines), args)
-
+        for name in _ARTIFACT_SECTIONS[args.command]:
+            artifact[name] = _SECTIONS[name](result, args)
+        _emit(io_mod.dumps(artifact), args)
+    else:
+        _emit(_RENDERERS[args.command](result, args), args)
     return 4 if result.budget_exceeded else 0
 
 
@@ -354,21 +325,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InfeasibleConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GateWidthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except QaoaDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

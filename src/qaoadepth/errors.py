@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so library code should raise
-the most specific class that applies.
+Each class declares the process exit code the CLI returns for it, so
+library code should raise the most specific class that applies.
 """
 
 
 class QaoaDepthError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class InvalidInputError(QaoaDepthError):
@@ -23,6 +25,8 @@ class MissingAssignmentError(QaoaDepthError):
 
 class InfeasibleConstraintError(QaoaDepthError):
     """A constraint cannot be satisfied by any binary assignment."""
+
+    exit_code = 2
 
     def __init__(self, index: int, minimum, rhs):
         self.index = index
@@ -41,6 +45,8 @@ class GateWidthError(QaoaDepthError):
     performed; re-run with a larger --gate-width if the hardware allows it.
     """
 
+    exit_code = 3
+
     def __init__(self, limit: int, supports):
         self.limit = limit
         self.supports = tuple(supports)
@@ -52,6 +58,8 @@ class GateWidthError(QaoaDepthError):
 
 class BudgetExceededError(QaoaDepthError):
     """An exact search ran out of its node budget before finishing."""
+
+    exit_code = 4
 
     def __init__(self, budget: int, context: str = ""):
         self.budget = budget
