@@ -269,7 +269,7 @@ def merge_exact(
         return MergeResult(
             hypergraph=absorbed,
             coloring=coloring_mod.make_coloring(
-                absorbed, greedy.classes, method="exact"
+                absorbed, greedy.classes, method="exact", lower_bound=best_count
             ),
             nodes_explored=nodes,
         )
@@ -295,6 +295,8 @@ def merge_exact(
     )
     return MergeResult(
         hypergraph=merged_h,
-        coloring=coloring_mod.make_coloring(merged_h, tuple(class_indices), method="exact"),
+        coloring=coloring_mod.make_coloring(
+            merged_h, tuple(class_indices), method="exact", lower_bound=best_count
+        ),
         nodes_explored=nodes,
     )

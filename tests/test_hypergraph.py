@@ -10,12 +10,14 @@ from qaoadepth import (
     absorb_subsets,
     build,
     check_gate_width,
+    color_exact,
     dualize,
     make_maxcut,
     make_maxindset,
     merge_exact,
     pubo_from_polynomial,
 )
+from qaoadepth.io import read_dimacs_graph
 
 from bruteforce import (
     chromatic_index_bruteforce,
@@ -150,6 +152,15 @@ def test_merge_exact_triangle_needs_three_layers():
     assert chromatic_index_bruteforce([e.support for e in h.edges]) == 3
 
 
+def test_merge_exact_reports_its_finished_search_as_the_lower_bound(fixture_dir):
+    petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
+    h = build(dualize(make_maxcut(petersen)))
+    exact = color_exact(h)
+    merged = merge_exact(h, 2).coloring
+    assert (exact.num_colors, exact.lower_bound) == (4, 4)
+    assert (merged.method, merged.num_colors, merged.lower_bound) == ("exact", 4, 4)
+
+
 def test_merge_exact_never_beaten_by_absorb_plus_greedy():
     from qaoadepth import color_greedy
 
@@ -163,6 +174,7 @@ def test_merge_exact_never_beaten_by_absorb_plus_greedy():
         result = merge_exact(h, 3)
         baseline = color_greedy(absorb_subsets(h, 3))
         assert result.coloring.num_colors <= baseline.num_colors
+        assert result.coloring.lower_bound == result.coloring.num_colors
 
 
 def test_merge_exact_budget_exhaustion_signals():
