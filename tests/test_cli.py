@@ -146,6 +146,20 @@ def test_output_file_writing(tmp_path, capsys, fixture_dir):
     assert json.loads(out_path.read_text())["depth"]["structural_depth"] == 7
 
 
+def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, fixture_dir):
+    out_path = tmp_path / "missing" / "artifact.json"
+    code, out, err = run_cli(
+        capsys,
+        "analyze",
+        "--problem", str(fixture_dir / "indset_w6.json"),
+        "--out", str(out_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert "Traceback" not in err
+
+
 def test_exit_code_invalid_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--problem", str(tmp_path / "missing.json"))
     assert code == 1 and "error" in err
@@ -247,6 +261,20 @@ def test_dot_rejected_for_other_commands(capsys, fixture_dir):
     )
     assert code == 1
     assert "dot" in err
+
+
+def test_dot_rejected_before_the_pipeline_runs(capsys, fixture_dir):
+    # At the default gate width this problem fails the pipeline with exit 3;
+    # the format is checked first, so the run stops at invalid input.
+    for command in ("schedule", "analyze", "verify", "dualize"):
+        code, out, err = run_cli(
+            capsys,
+            command,
+            "--problem", str(fixture_dir / "general_example.json"),
+            "--format", "dot",
+        )
+        assert (code, out) == (1, "")
+        assert f"--format dot applies to 'graph' and 'color' only, not '{command}'" in err
 
 
 def test_lambda_reaches_problem_and_pubo_in_dualize_and_analyze(capsys, fixture_dir):

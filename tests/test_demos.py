@@ -1,0 +1,21 @@
+"""Every script under demos/ runs to completion against the sources in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(demo)], cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
