@@ -14,6 +14,7 @@ from qaoadepth import (
     make_tsp,
     make_vertex_cover,
     run_pipeline,
+    with_penalty_weight,
 )
 
 
@@ -40,7 +41,7 @@ def show(title, result):
 wheel = InstanceGraph(
     6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6))
 )
-show("vertex cover on the wheel", run_pipeline(make_vertex_cover(wheel, lam=7)))
+show("vertex cover on the wheel", run_pipeline(with_penalty_weight(make_vertex_cover(wheel), 7)))
 
 show("knapsack, plain capacity slack", run_pipeline(make_knapsack((1, 2, 3), (1, 2, 3), 4)))
 show(

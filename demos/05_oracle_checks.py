@@ -19,12 +19,13 @@ from qaoadepth import (
     schedule,
     simulate_cost_phases,
     verify_penalty,
+    with_penalty_weight,
 )
 
 wheel = InstanceGraph(
     6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6))
 )
-problem = make_maxindset(wheel, lam=2)
+problem = with_penalty_weight(make_maxindset(wheel), 2)
 pubo = dualize(problem)
 
 report = verify_penalty(pubo, problem)

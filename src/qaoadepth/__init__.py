@@ -57,6 +57,7 @@ from .problems import (
     make_sat,
     make_tsp,
     make_vertex_cover,
+    with_penalty_weight,
 )
 from .schedule import (
     CircuitLayer,
@@ -125,4 +126,5 @@ __all__ = [
     "simulate_cost_phases",
     "total_depth",
     "verify_penalty",
+    "with_penalty_weight",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -31,9 +30,11 @@ from .dualize import dualize, verify_penalty
 from .errors import InvalidInputError, QaoaDepthError
 from .phasesim import check_equivalence
 from .pipeline import DEFAULT_EXACT_EDGE_LIMIT, run_pipeline
-from .coloring import DEFAULT_EXACT_BUDGET
+from .hypergraph import DEFAULT_EXACT_BUDGET
 from .poly import EXACT_ENUMERATION_LIMIT
-from .problems import Problem, make_knapsack, make_maxcut, make_maxindset, make_vertex_cover
+from .problems import (
+    Problem, make_knapsack, make_maxcut, make_maxindset, make_vertex_cover, with_penalty_weight,
+)
 
 _GRAPH_FAMILIES = {
     "maxcut": make_maxcut,
@@ -130,10 +131,7 @@ def _load_problem(args) -> Problem:
         problem = _GRAPH_FAMILIES[args.family](io_mod.read_dimacs_graph(args.graph))
     if args.penalty_weight is None:
         return problem
-    return replace(
-        problem,
-        constraints=tuple(replace(c, weight=args.penalty_weight) for c in problem.constraints),
-    )
+    return with_penalty_weight(problem, args.penalty_weight)
 
 
 def _emit(text: str, args) -> None:

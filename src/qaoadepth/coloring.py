@@ -21,11 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceededError, InvalidInputError
-from .hypergraph import DerivedHypergraph
-
-#: Default node budget for the exact coloring search.
-DEFAULT_EXACT_BUDGET = 2_000_000
+from .errors import InvalidInputError
+from .hypergraph import DEFAULT_EXACT_BUDGET, DerivedHypergraph, search_layers
 
 
 @dataclass(frozen=True)
@@ -163,10 +160,14 @@ def make_coloring(
     classes: Sequence[Sequence[int]],
     method: str,
     lower_bound: int | None = None,
+    known_bounds: tuple[int, tuple[BoundRef, ...]] | None = None,
 ) -> EdgeColoring:
-    """Validate and package a coloring, attaching the bound annotations."""
+    """Validate and package a coloring, attaching the bound annotations.
+
+    ``known_bounds`` is :func:`bounds` of ``h`` when the caller already has it.
+    """
     check_proper(h, classes)
-    lower, uppers = bounds(h)
+    lower, uppers = bounds(h) if known_bounds is None else known_bounds
     if lower_bound is not None:
         lower = max(lower, lower_bound)
     return EdgeColoring(
@@ -177,8 +178,8 @@ def make_coloring(
     )
 
 
-def color_greedy(h: DerivedHypergraph) -> EdgeColoring:
-    """First-fit coloring, most conflicting edges first; deterministic."""
+def first_fit_classes(h: DerivedHypergraph) -> list[list[int]]:
+    """First-fit color classes, most conflicting edges first; deterministic."""
     m = len(h.edges)
     colors = [-1] * m
     for index in _by_conflict_degree(h):
@@ -187,7 +188,12 @@ def color_greedy(h: DerivedHypergraph) -> EdgeColoring:
     classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for index, color in enumerate(colors):
         classes[color].append(index)
-    return make_coloring(h, classes, method="greedy")
+    return classes
+
+
+def color_greedy(h: DerivedHypergraph) -> EdgeColoring:
+    """First-fit coloring, most conflicting edges first; deterministic."""
+    return make_coloring(h, first_fit_classes(h), method="greedy")
 
 
 def color_misra_gries(h: DerivedHypergraph) -> EdgeColoring:
@@ -198,10 +204,11 @@ def color_misra_gries(h: DerivedHypergraph) -> EdgeColoring:
                 "misra-gries needs a 2-uniform hypergraph; "
                 f"edge {edge.support} has width {len(edge.support)}"
             )
-    m = len(h.edges)
-    if m == 0:
-        return make_coloring(h, (), method="misra_gries")
+    return make_coloring(h, _misra_gries_classes(h), method="misra_gries")
 
+
+def _misra_gries_classes(h: DerivedHypergraph) -> list[list[int]]:
+    """The color classes of :func:`color_misra_gries`; every edge has width 2."""
     max_degree = h.max_degree()
     palette = range(1, max_degree + 2)
 
@@ -297,90 +304,40 @@ def color_misra_gries(h: DerivedHypergraph) -> EdgeColoring:
 
     colors_used = sorted(set(edge_color.values()))
     index_of = {
-        key(*h.edges[i].support): i for i in range(m)
+        key(*h.edges[i].support): i for i in range(len(h.edges))
     }
     classes = [
         sorted(index_of[k] for k, col in edge_color.items() if col == color)
         for color in colors_used
     ]
-    coloring = make_coloring(h, classes, method="misra_gries")
-    if coloring.num_colors > max_degree + 1:
+    if len(classes) > max_degree + 1:
         raise AssertionError("misra-gries exceeded Delta+1 colors")
-    return coloring
+    return classes
 
 
 def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> EdgeColoring:
     """Exact chromatic index by branch and bound.
 
-    Edges are pre-ordered by conflict degree; a maximal clique of pairwise
-    intersecting edges is pre-colored to break palette symmetry, and branches
-    open a new color only when that could still beat the incumbent.  The
-    exhausted search certifies optimality.  Raises
+    Runs :func:`~qaoadepth.hypergraph.search_layers` with merging off.  A
+    maximal clique of pairwise intersecting edges opens the first layers to
+    break palette symmetry, and the search stops at the combinatorial lower
+    bound.  The exhausted search certifies optimality.  Raises
     :class:`BudgetExceededError` when the node budget runs out.
     """
-    m = len(h.edges)
-    if m == 0:
-        return make_coloring(h, (), method="exact")
-    conflicts = h.conflicts
-
-    lower = combinatorial_lower_bound(h)
-    incumbent = color_greedy(h)
+    known = bounds(h)
+    classes = first_fit_classes(h)
     if h.uniform_size() == 2:
         # Delta+1 construction is a far better incumbent than first-fit and
         # instantly certifies class-2 graphs whose lower bound is Delta+1.
-        constructive = color_misra_gries(h)
-        if constructive.num_colors < incumbent.num_colors:
-            incumbent = constructive
-    best_classes: list[list[int]] = [list(cls) for cls in incumbent.classes]
-    best_count = incumbent.num_colors
-    if best_count == lower:
-        return make_coloring(h, best_classes, method="exact", lower_bound=lower)
-
-    clique = _greedy_intersecting_set(h)
-    colors = [-1] * m
-    for position, edge in enumerate(clique):
-        colors[edge] = position
-    pre_colored = len(clique)
-
-    nodes = 0
-    done = False
-
-    def saturation(edge: int) -> tuple[int, int, int]:
-        neighbor_colors = {colors[j] for j in conflicts[edge] if colors[j] >= 0}
-        return (len(neighbor_colors), len(conflicts[edge]), -edge)
-
-    def dfs(assigned: int, used: int) -> None:
-        nonlocal nodes, best_count, best_classes, done
-        if done:
-            return
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(budget, "exact edge coloring")
-        if used >= best_count:
-            return
-        if assigned == m:
-            best_count = used
-            grouped: list[list[int]] = [[] for _ in range(used)]
-            for index, color in enumerate(colors):
-                grouped[color].append(index)
-            best_classes = grouped
-            if best_count == lower:
-                done = True
-            return
-        candidates = [i for i in range(m) if colors[i] < 0]
-        edge = max(candidates, key=saturation)
-        neighbor_colors = {colors[j] for j in conflicts[edge] if colors[j] >= 0}
-        for color in range(used):
-            if color not in neighbor_colors:
-                colors[edge] = color
-                dfs(assigned + 1, used)
-                colors[edge] = -1
-                if done:
-                    return
-        if used + 1 < best_count:
-            colors[edge] = used
-            dfs(assigned + 1, used + 1)
-            colors[edge] = -1
-
-    dfs(pre_colored, pre_colored)
-    return make_coloring(h, best_classes, method="exact", lower_bound=best_count)
+        constructive = _misra_gries_classes(h)
+        if len(constructive) < len(classes):
+            classes = constructive
+    layers, _ = search_layers(
+        h, limit=0, budget=budget, incumbent=len(classes),
+        seed=_greedy_intersecting_set(h), lower=known[0],
+    )
+    if layers is not None:
+        classes = [sorted(edge for _, edges in layer for edge in edges) for layer in layers]
+    return make_coloring(
+        h, classes, method="exact", lower_bound=len(classes), known_bounds=known
+    )

@@ -14,6 +14,9 @@ Two reductions shrink the gate count under a hardware width limit L:
 * :func:`merge_exact` searches for the depth-optimal joint solution: gates
   may group several monomials whose combined support stays within L, and
   disjoint gates may share a circuit layer.  Branch and bound, exact.
+
+:func:`search_layers` is the one branch-and-bound search: ``merge_exact``
+runs it with the width limit, the exact edge coloring with merging off.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .dualize import Pubo
 from .errors import BudgetExceededError, GateWidthError, InvalidInputError
 from .poly import Polynomial, Support
 
-#: Default node budget for the exact merge search.
-DEFAULT_MERGE_BUDGET = 500_000
+#: Default node budget for the exact searches, :func:`merge_exact` and ``color_exact``.
+DEFAULT_EXACT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -185,12 +189,17 @@ class MergeResult:
     nodes_explored: int
 
 
-def _class_accepts(groups: list[tuple[frozenset, list[int]]], support: frozenset, limit: int):
+#: A circuit layer: its gates, each as (qubits acted on, indices of the edges covered).
+Layer = list[tuple[frozenset, list[int]]]
+
+
+def _class_accepts(groups: Layer, support: frozenset, limit: int) -> Layer | None:
     """Merge plan if `support` joins this class, or None when it would exceed limit.
 
     Edges sharing qubits with existing gates of the class must merge into one
     gate; the merged gate count stays within the width limit or the class is
-    rejected.
+    rejected.  With ``limit=0`` nothing merges: the class accepts `support`
+    only when it shares no qubit with the class.
     """
     overlapping = [g for g in groups if g[0] & support]
     union = frozenset(support)
@@ -198,85 +207,126 @@ def _class_accepts(groups: list[tuple[frozenset, list[int]]], support: frozenset
     for g_union, g_members in overlapping:
         union |= g_union
         members.extend(g_members)
-    if len(union) > limit:
+    if overlapping and len(union) > limit:
         return None
     rest = [g for g in groups if not (g[0] & support)]
     return rest + [(union, members)]
 
 
+def search_layers(
+    h: DerivedHypergraph,
+    limit: int,
+    budget: int,
+    incumbent: int,
+    seed: Sequence[int] = (),
+    lower: int = 0,
+) -> tuple[list[Layer] | None, int]:
+    """Fewest layers covering the edges of ``h``, by branch and bound.
+
+    Each node branches on the unplaced edge with the most distinct layers
+    among its placed conflicting edges (DSATUR, Brelaz 1979), then the most
+    conflicts, then the lowest index.  It tries every layer that accepts the
+    edge through :func:`_class_accepts` with ``limit``, then one new layer
+    when that could still beat the best solution so far.  Only solutions
+    with fewer than ``incumbent`` layers count.  The ``seed`` edges, which
+    must pairwise conflict, open the first layers, one each.  The search
+    stops at a solution with ``lower`` layers.
+
+    Returns the best layers found (None if none beat ``incumbent``) and the
+    number of nodes explored.  Raises :class:`BudgetExceededError` when the
+    node budget runs out.
+    """
+    if incumbent <= lower:
+        return None, 0
+    supports = [frozenset(e.support) for e in h.edges]
+    conflicts = h.conflicts
+    m = len(supports)
+    layer_of = [-1] * m
+    layers: list[Layer] = []
+    for edge in seed:
+        layer_of[edge] = len(layers)
+        layers.append([(supports[edge], [edge])])
+    best: list[Layer] | None = None
+    best_count = incumbent
+    nodes = 0
+
+    def saturation(edge: int) -> tuple[int, int, int]:
+        placed = {layer_of[j] for j in conflicts[edge] if layer_of[j] >= 0}
+        return (len(placed), len(conflicts[edge]), -edge)
+
+    def dfs(placed: int) -> bool:
+        """Extend the partial layers; True once a solution with ``lower`` layers is found."""
+        nonlocal nodes, best, best_count
+        nodes += 1
+        if nodes > budget:
+            what = "exact gate merge" if limit else "exact edge coloring"
+            raise BudgetExceededError(budget, what)
+        if len(layers) >= best_count:
+            return False
+        if placed == m:
+            best, best_count = [list(layer) for layer in layers], len(layers)
+            return best_count <= lower
+        edge = max((i for i in range(m) if layer_of[i] < 0), key=saturation)
+        support = supports[edge]
+        for index in range(len(layers)):
+            merged = _class_accepts(layers[index], support, limit)
+            if merged is None:
+                continue
+            merged[-1][1].append(edge)
+            saved, layers[index] = layers[index], merged
+            layer_of[edge] = index
+            stop = dfs(placed + 1)
+            layers[index] = saved
+            layer_of[edge] = -1
+            if stop:
+                return True
+        if len(layers) + 1 >= best_count:
+            return False
+        layer_of[edge] = len(layers)
+        layers.append([(support, [edge])])
+        stop = dfs(placed + 1)
+        layers.pop()
+        layer_of[edge] = -1
+        return stop
+
+    dfs(len(layers))
+    return best, nodes
+
+
 def merge_exact(
-    h: DerivedHypergraph, limit: int, budget: int = DEFAULT_MERGE_BUDGET
+    h: DerivedHypergraph, limit: int, budget: int = DEFAULT_EXACT_BUDGET
 ) -> MergeResult:
     """Exact minimum-layer merge-and-color by branch and bound.
 
     A circuit layer may hold several gates; monomials that end up in the same
     gate must have a combined support of at most ``limit`` qubits, and gates
     within one layer act on disjoint qubits.  Minimizes the number of layers
-    over all gate groupings simultaneously with the coloring.  Raises
-    :class:`BudgetExceededError` when the node budget runs out; callers then
-    fall back to :func:`absorb_subsets` plus a heuristic coloring.
+    over all gate groupings simultaneously with the coloring, through
+    :func:`search_layers`.  Raises :class:`BudgetExceededError` when the node
+    budget runs out; callers then fall back to :func:`absorb_subsets` plus a
+    heuristic coloring.
     """
     from . import coloring as coloring_mod
 
     check_gate_width(h, limit)
-    m = len(h.edges)
-    if m == 0:
-        empty = coloring_mod.make_coloring(h, (), method="exact")
-        return MergeResult(hypergraph=h, coloring=empty, nodes_explored=0)
-
-    supports = [frozenset(e.support) for e in h.edges]
-    order = sorted(range(m), key=lambda i: (-len(h.conflicts[i]), h.edges[i].support))
-
-    # Incumbent: subset absorption plus greedy coloring. The search only has
-    # to beat it, and if it cannot, exhausting the tree certifies optimality.
+    # Incumbent: subset absorption plus first-fit coloring. The search only
+    # has to beat it, and if it cannot, exhausting the tree certifies optimality.
     absorbed = absorb_subsets(h, limit)
-    greedy = coloring_mod.color_greedy(absorbed)
-    best_count = len(greedy.classes)
-    best_solution: list[list[tuple[frozenset, list[int]]]] | None = None
+    incumbent = coloring_mod.first_fit_classes(absorbed)
+    best, nodes = search_layers(h, limit, budget, len(incumbent))
 
-    classes: list[list[tuple[frozenset, list[int]]]] = []
-    nodes = 0
-
-    def dfs(pos: int) -> None:
-        nonlocal nodes, best_count, best_solution
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(budget, "exact gate merge")
-        if len(classes) >= best_count:
-            return
-        if pos == m:
-            best_count = len(classes)
-            best_solution = [list(groups) for groups in classes]
-            return
-        edge = order[pos]
-        support = supports[edge]
-        for index, groups in enumerate(classes):
-            merged = _class_accepts(groups, support, limit)
-            if merged is not None:
-                merged[-1] = (merged[-1][0], merged[-1][1] + [edge])
-                saved = classes[index]
-                classes[index] = merged
-                dfs(pos + 1)
-                classes[index] = saved
-        if len(classes) + 1 < best_count:
-            classes.append([(support, [edge])])
-            dfs(pos + 1)
-            classes.pop()
-
-    dfs(0)
-
-    if best_solution is None:
+    if best is None:
         return MergeResult(
             hypergraph=absorbed,
             coloring=coloring_mod.make_coloring(
-                absorbed, greedy.classes, method="exact", lower_bound=best_count
+                absorbed, incumbent, method="exact", lower_bound=len(incumbent)
             ),
             nodes_explored=nodes,
         )
 
     gates: list[Hyperedge] = []
     class_indices: list[tuple[int, ...]] = []
-    for groups in best_solution:
+    for groups in best:
         indices = []
         for union, members in sorted(groups, key=lambda g: tuple(sorted(g[0]))):
             monomials: list[tuple[Support, Fraction]] = []
@@ -296,7 +346,7 @@ def merge_exact(
     return MergeResult(
         hypergraph=merged_h,
         coloring=coloring_mod.make_coloring(
-            merged_h, tuple(class_indices), method="exact", lower_bound=best_count
+            merged_h, tuple(class_indices), method="exact", lower_bound=len(best)
         ),
         nodes_explored=nodes,
     )

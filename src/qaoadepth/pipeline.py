@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 from . import coloring as coloring_mod
 from . import hypergraph as hypergraph_mod
-from .coloring import DEFAULT_EXACT_BUDGET, EdgeColoring
+from .coloring import EdgeColoring
 from .dualize import Pubo, dualize
 from .errors import BudgetExceededError, InvalidInputError
-from .hypergraph import DerivedHypergraph
+from .hypergraph import DEFAULT_EXACT_BUDGET, DerivedHypergraph
 from .problems import Problem
 from .schedule import CircuitSchedule, DepthReport, analyze_family, schedule
 

@@ -9,7 +9,7 @@ inputs and tag the result so depth analyzers can recognize the family later.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -201,24 +201,20 @@ def make_maxcut(g: InstanceGraph) -> Problem:
     )
 
 
-def _check_lambda(lam) -> Fraction | None:
-    if lam is None:
-        return None
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise InvalidInputError(f"penalty weight must be positive, got {lam}")
-    return lam
+def with_penalty_weight(problem: Problem, weight) -> Problem:
+    """``problem`` with ``weight`` (``--lambda``) as every constraint's penalty weight."""
+    return replace(
+        problem, constraints=tuple(replace(c, weight=weight) for c in problem.constraints)
+    )
 
 
-def make_maxindset(g: InstanceGraph, lam=None) -> Problem:
+def make_maxindset(g: InstanceGraph) -> Problem:
     """Maximum independent set: max sum(xi) with xi*xj <= 0 per edge."""
-    lam = _check_lambda(lam)
     objective = Polynomial.from_terms(((_vertex_var(i),), 1) for i in range(1, g.n + 1))
     constraints = tuple(
         Constraint(
             lhs=Polynomial({(_vertex_var(u), _vertex_var(v)): 1}),
             rhs=Fraction(0),
-            weight=lam,
             label=f"edge({u},{v})",
         )
         for u, v in g.edges
@@ -233,15 +229,13 @@ def make_maxindset(g: InstanceGraph, lam=None) -> Problem:
     )
 
 
-def make_vertex_cover(g: InstanceGraph, lam=None) -> Problem:
+def make_vertex_cover(g: InstanceGraph) -> Problem:
     """Minimum vertex cover: min sum(xi) with (1-xi)+(1-xj) <= 1 per edge."""
-    lam = _check_lambda(lam)
     objective = Polynomial.from_terms(((_vertex_var(i),), 1) for i in range(1, g.n + 1))
     constraints = tuple(
         Constraint(
             lhs=Polynomial({(): 2, (_vertex_var(u),): -1, (_vertex_var(v),): -1}),
             rhs=Fraction(1),
-            weight=lam,
             label=f"edge({u},{v})",
         )
         for u, v in g.edges
@@ -260,7 +254,6 @@ def make_knapsack(
     values: Sequence,
     weights: Sequence,
     capacity,
-    lam=None,
     preprocess: bool = False,
 ) -> Problem:
     """0/1 knapsack: max sum(vi*xi) subject to sum(wi*xi) <= capacity.
@@ -271,7 +264,6 @@ def make_knapsack(
     leaves room for another item, so optima are unaffected and the slack
     range shrinks from ``capacity`` to ``w_n``.
     """
-    lam = _check_lambda(lam)
     if len(values) != len(weights):
         raise InvalidInputError("values and weights must have equal length")
     n = len(weights)
@@ -302,14 +294,13 @@ def make_knapsack(
             Constraint(
                 lhs=load,
                 rhs=capacity,
-                weight=lam,
                 lower=capacity - w_max,
                 slack_bound=w_max,
                 label="capacity",
             ),
         )
     else:
-        constraints = (Constraint(lhs=load, rhs=capacity, weight=lam, label="capacity"),)
+        constraints = (Constraint(lhs=load, rhs=capacity, label="capacity"),)
 
     return Problem(
         sense=MAXIMIZE,

@@ -107,6 +107,49 @@ def chromatic_index_bruteforce(supports) -> int:
     return best
 
 
+def merge_layers_bruteforce(supports, limit: int) -> int:
+    """Fewest circuit layers when overlapping monomials of a layer merge into one gate.
+
+    Enumerates layer partitions in restricted-growth order, like
+    :func:`chromatic_index_bruteforce`.  A layer is valid when each of its
+    overlap-connected groups of supports (one gate each) spans at most
+    ``limit`` qubits.
+    """
+    supports = [frozenset(s) for s in supports]
+    m = len(supports)
+    best = m
+
+    def valid(layer: list[frozenset]) -> bool:
+        groups: list[set] = []
+        for support in layer:
+            joined = set(support)
+            for group in [g for g in groups if g & support]:
+                joined |= group
+                groups.remove(group)
+            groups.append(joined)
+        return all(len(group) <= limit for group in groups)
+
+    def extend(index: int, layers: list[list[frozenset]]) -> None:
+        nonlocal best
+        if len(layers) >= best:
+            return
+        if index == m:
+            best = len(layers)
+            return
+        support = supports[index]
+        for layer in layers:
+            layer.append(support)
+            if valid(layer):
+                extend(index + 1, layers)
+            layer.pop()
+        layers.append([support])
+        extend(index + 1, layers)
+        layers.pop()
+
+    extend(0, [])
+    return best
+
+
 def conflicts_pairwise(supports) -> list[list[int]]:
     """For each support, the indices of the other supports it intersects, pair by pair."""
     sets = [set(s) for s in supports]

@@ -28,6 +28,7 @@ from qaoadepth import (
     pubo_from_polynomial,
     schedule,
     verify_penalty,
+    with_penalty_weight,
 )
 from qaoadepth.io import read_problem
 
@@ -128,11 +129,13 @@ def test_criterion_4_vizing_property_suite():
 def test_criterion_5_dualization_oracle_suite():
     start = time.perf_counter()
     w6 = InstanceGraph(6, W6_EDGES)
+    path4 = InstanceGraph(4, ((1, 2), (2, 3), (3, 4)))
+    path3 = InstanceGraph(3, ((1, 2), (2, 3)))
     instances = [
-        ("maxindset wheel", make_maxindset(w6, lam=2)),
-        ("maxindset path", make_maxindset(InstanceGraph(4, ((1, 2), (2, 3), (3, 4))), lam=2)),
-        ("vertex cover wheel", make_vertex_cover(w6, lam=7)),  # 6 + 10 slacks = 16 vars
-        ("vertex cover path", make_vertex_cover(InstanceGraph(3, ((1, 2), (2, 3))), lam=4)),
+        ("maxindset wheel", with_penalty_weight(make_maxindset(w6), 2)),
+        ("maxindset path", with_penalty_weight(make_maxindset(path4), 2)),
+        ("vertex cover wheel", with_penalty_weight(make_vertex_cover(w6), 7)),  # 6 + 10 slacks = 16 vars
+        ("vertex cover path", with_penalty_weight(make_vertex_cover(path3), 4)),
         ("knapsack", make_knapsack((1, 2, 3), (1, 2, 3), 4)),
         ("knapsack preprocessed", make_knapsack((1, 2, 3), (1, 2, 3), 4, preprocess=True)),
         ("knapsack uneven", make_knapsack((5, 1, 4, 3), (2, 2, 3, 4), 6)),
@@ -158,10 +161,10 @@ def test_criterion_6_schedule_validity_and_fault_injection(fixture_dir):
     w6 = InstanceGraph(6, W6_EDGES)
     for problem, width in [
         (make_maxcut(w6), 2),
-        (make_maxindset(w6, lam=2), 2),
+        (with_penalty_weight(make_maxindset(w6), 2), 2),
         (read_problem(str(fixture_dir / "general_example.json")), 3),
         (make_knapsack((1, 2, 3), (1, 2, 3), 4), 2),
-        (make_vertex_cover(InstanceGraph(3, ((1, 2), (2, 3))), lam=4), 2),
+        (with_penalty_weight(make_vertex_cover(InstanceGraph(3, ((1, 2), (2, 3)))), 4), 2),
         (make_sat([(1, 2, -3)]), 2),
     ]:
         pubo = dualize(problem)

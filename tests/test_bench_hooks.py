@@ -28,12 +28,16 @@ def test_tracer_records_a_span_for_every_layer(benchtrace, capsys, fixture_dir):
     modules = {name: importlib.import_module(f"qaoadepth.{name}") for name in MODULES}
     tracer = benchtrace.Tracer()
     tracer.install(modules)
+    general = ("--problem", str(fixture_dir / "general_example.json"), "--gate-width", "3")
+    runs = (
+        ("analyze", "--problem", str(fixture_dir / "indset_w6.json")),
+        ("verify", "--problem", str(fixture_dir / "indset_w6.json")),
+        ("analyze", *general, "--method", "exact"),
+        ("analyze", *general, "--method", "merge-exact"),
+    )
     try:
-        for command in ("analyze", "verify"):
-            code = modules["cli"].main(
-                [command, "--problem", str(fixture_dir / "indset_w6.json")]
-            )
-            assert code == 0
+        for argv in runs:
+            assert modules["cli"].main(list(argv)) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -46,4 +50,8 @@ def test_tracer_records_a_span_for_every_layer(benchtrace, capsys, fixture_dir):
         "phasesim.check_equivalence",
         "io.write",
         "schedule.schedule",
+        "coloring.exact",
+        "hypergraph.merge_exact",
     }
+    merges = [span for span in tracer.spans if span.name == "hypergraph.merge_exact"]
+    assert merges and all(span.counts["nodes"] > 0 for span in merges)

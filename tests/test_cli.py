@@ -296,6 +296,19 @@ def test_lambda_reaches_problem_and_pubo_in_dualize_and_analyze(capsys, fixture_
     assert artifacts["dualize"]["pubo"] == artifacts["analyze"]["pubo"]
 
 
+def test_nonpositive_lambda_is_invalid_input(capsys, fixture_dir):
+    for weight in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys,
+            "dualize",
+            "--family", "maxindset",
+            "--graph", str(fixture_dir / "w6.dimacs"),
+            "--lambda", weight,
+        )
+        assert (code, out) == (1, "")
+        assert "penalty weight must be positive" in err
+
+
 def test_merge_exact_method_via_cli(capsys, fixture_dir):
     code, out, _ = run_cli(
         capsys,

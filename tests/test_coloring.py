@@ -15,8 +15,10 @@ from qaoadepth import (
     color_misra_gries,
     dualize,
     make_maxcut,
+    merge_exact,
     pubo_from_polynomial,
 )
+from qaoadepth import coloring as coloring_mod
 from qaoadepth.coloring import check_proper, make_coloring
 
 from bruteforce import (
@@ -55,6 +57,8 @@ def test_exact_general_example_needs_seven_colors(general_problem):
 def test_exact_empty_and_single_edge():
     empty = build(pubo_from_polynomial(Polynomial.zero()))
     assert color_exact(empty).num_colors == 0
+    merged = merge_exact(empty, 2)
+    assert (merged.coloring.num_colors, merged.coloring.lower_bound) == (0, 0)
     single = build(pubo_from_polynomial(Polynomial({("a", "b"): 1})))
     coloring = color_exact(single)
     assert coloring.num_colors == 1
@@ -65,6 +69,23 @@ def test_exact_budget_exhaustion_signals():
     g = random_graph(random.Random(3), 9, 0.7)
     with pytest.raises(BudgetExceededError):
         color_exact(graph_hypergraph(g), budget=2)
+
+
+def test_exact_searches_compute_the_bounds_once(w6, monkeypatch):
+    calls = {"bounds": 0, "combinatorial_lower_bound": 0}
+    for name in calls:
+        original = getattr(coloring_mod, name)
+
+        def counted(h, name=name, original=original):
+            calls[name] += 1
+            return original(h)
+
+        monkeypatch.setattr(coloring_mod, name, counted)
+    h = graph_hypergraph(w6)
+    for search in (color_exact, lambda h: merge_exact(h, 2)):
+        calls.update(bounds=0, combinatorial_lower_bound=0)
+        search(h)
+        assert calls == {"bounds": 1, "combinatorial_lower_bound": 1}
 
 
 def test_misra_gries_w6(w6):
@@ -137,7 +158,7 @@ def test_exact_agrees_with_partition_enumeration_on_hypergraphs():
     rng = random.Random(59)
     for _ in range(30):
         supports = random_hypergraph_supports(
-            rng, rng.randint(3, 6), rng.randint(1, 7)
+            rng, rng.randint(3, 6), rng.randint(1, 7), max_width=4
         )
         poly = Polynomial.from_terms((s, 1) for s in supports)
         h = build(pubo_from_polynomial(poly))

@@ -19,6 +19,7 @@ from qaoadepth import (
     make_maxindset,
     make_vertex_cover,
     verify_penalty,
+    with_penalty_weight,
 )
 from qaoadepth.poly import assignments
 
@@ -69,7 +70,7 @@ REFERENCE_EXPANSION = Polynomial(
 
 
 def test_maxindset_constraints_need_no_slack_bits(w6):
-    pubo = dualize(make_maxindset(w6, lam=2))
+    pubo = dualize(with_penalty_weight(make_maxindset(w6), 2))
     assert all(rec.slack_range == 0 and rec.bit_count == 0 for rec in pubo.dualizations)
     assert pubo.slack_names() == ()
     # min form: -sum(x) + lambda * sum over edges of x_i x_j
@@ -139,7 +140,7 @@ def test_dualizer_reports_reference_divergence(general_problem):
 
 
 def test_vertex_cover_edge_penalty_vanishes_exactly_on_covers():
-    problem = make_vertex_cover(InstanceGraph(2, ((1, 2),)), lam=5)
+    problem = with_penalty_weight(make_vertex_cover(InstanceGraph(2, ((1, 2),))), 5)
     pubo = dualize(problem)
     record = pubo.dualizations[0]
     assert record.slack_range == 1 and record.bit_count == 1
@@ -218,7 +219,7 @@ def test_dualize_is_deterministic(general_problem):
 
 
 def test_slack_variables_are_constraint_private():
-    problem = make_vertex_cover(InstanceGraph(3, ((1, 2), (2, 3))), lam=2)
+    problem = with_penalty_weight(make_vertex_cover(InstanceGraph(3, ((1, 2), (2, 3)))), 2)
     pubo = dualize(problem)
     seen: set[str] = set()
     for record in pubo.dualizations:
@@ -298,7 +299,7 @@ def test_default_weight_applied_when_lambda_missing(general_problem):
 
 
 def test_verify_penalty_w6_maxindset(w6):
-    problem = make_maxindset(w6, lam=2)
+    problem = with_penalty_weight(make_maxindset(w6), 2)
     report = verify_penalty(dualize(problem), problem)
     assert report.passed
     # maximum independent sets of the wheel: two nonadjacent rim vertices
@@ -334,7 +335,7 @@ def test_verify_penalty_detects_a_broken_pubo(general_problem):
 
 
 def test_verify_penalty_respects_variable_limit(w6):
-    problem = make_maxindset(w6, lam=2)
+    problem = with_penalty_weight(make_maxindset(w6), 2)
     with pytest.raises(InvalidInputError):
         verify_penalty(dualize(problem), problem, var_limit=3)
 
@@ -343,7 +344,7 @@ def test_verify_penalty_agrees_with_bruteforce_on_random_covers():
     rng = random.Random(37)
     for _ in range(5):
         g = random_graph(rng, rng.randint(2, 5), 0.6)
-        problem = make_vertex_cover(g, lam=Fraction(g.n + 1))
+        problem = with_penalty_weight(make_vertex_cover(g), Fraction(g.n + 1))
         report = verify_penalty(dualize(problem), problem)
         assert report.passed
         assert report.constrained_argmin == tuple(sorted(constrained_argmin(problem)))

@@ -16,6 +16,7 @@ from qaoadepth import (
     make_maxindset,
     merge_exact,
     pubo_from_polynomial,
+    with_penalty_weight,
 )
 from qaoadepth.io import read_dimacs_graph
 
@@ -23,6 +24,7 @@ from bruteforce import (
     chromatic_index_bruteforce,
     conflicts_pairwise,
     is_linear_pairwise,
+    merge_layers_bruteforce,
     random_graph,
     random_hypergraph_supports,
     random_polynomial,
@@ -123,7 +125,7 @@ def test_zero_polynomial_gives_empty_hypergraph():
 
 def test_duplicate_supports_merge_at_build_time(w6):
     # objective and penalty touch the same pairs: still one gate per pair
-    pubo = dualize(make_maxindset(w6, lam=2))
+    pubo = dualize(with_penalty_weight(make_maxindset(w6), 2))
     h = build(pubo)
     assert len(h.edges) == 10
     assert h.total_polynomial() == pubo.objective
@@ -175,6 +177,19 @@ def test_merge_exact_never_beaten_by_absorb_plus_greedy():
         baseline = color_greedy(absorb_subsets(h, 3))
         assert result.coloring.num_colors <= baseline.num_colors
         assert result.coloring.lower_bound == result.coloring.num_colors
+
+
+def test_merge_exact_agrees_with_layer_partition_enumeration():
+    rng = random.Random(61)
+    for _ in range(200):
+        limit = rng.randint(2, 4)
+        supports = random_hypergraph_supports(
+            rng, rng.randint(3, 7), rng.randint(1, 8), max_width=limit
+        )
+        h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+        assert merge_exact(h, limit).coloring.num_colors == merge_layers_bruteforce(
+            supports, limit
+        )
 
 
 def test_merge_exact_budget_exhaustion_signals():

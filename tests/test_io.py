@@ -16,6 +16,7 @@ from qaoadepth import (
     make_tsp,
     make_vertex_cover,
     schedule,
+    with_penalty_weight,
 )
 from qaoadepth.io import (
     dumps,
@@ -45,8 +46,8 @@ def test_roundtrip_all_families(w6):
     triangle = InstanceGraph(3, ((1, 2), (1, 3), (2, 3)), weights=(1, 2, 3))
     problems = [
         make_maxcut(w6),
-        make_maxindset(w6, lam=2),
-        make_vertex_cover(w6, lam=3),
+        with_penalty_weight(make_maxindset(w6), 2),
+        with_penalty_weight(make_vertex_cover(w6), 3),
         make_knapsack((1, 2, 3), (1, 2, 3), 4),
         make_knapsack((1, 2, 3), (1, 2, 3), 4, preprocess=True),
         make_tsp(triangle),

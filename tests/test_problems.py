@@ -18,6 +18,7 @@ from qaoadepth import (
     make_sat,
     make_tsp,
     make_vertex_cover,
+    with_penalty_weight,
 )
 
 from bruteforce import cut_size, independent_sets, random_graph
@@ -98,7 +99,7 @@ def test_maxindset_single_vertex():
 
 
 def test_maxindset_triangle_has_three_pairwise_constraints():
-    problem = make_maxindset(InstanceGraph(3, ((1, 2), (1, 3), (2, 3))), lam=2)
+    problem = with_penalty_weight(make_maxindset(InstanceGraph(3, ((1, 2), (1, 3), (2, 3)))), 2)
     assert len(problem.constraints) == 3
     for con in problem.constraints:
         assert con.rhs == 0
@@ -106,16 +107,11 @@ def test_maxindset_triangle_has_three_pairwise_constraints():
         assert con.weight == 2
 
 
-def test_maxindset_rejects_nonpositive_lambda():
-    with pytest.raises(InvalidInputError):
-        make_maxindset(InstanceGraph(2, ((1, 2),)), lam=0)
-
-
 def test_maxindset_pubo_minimum_is_max_independent_set():
     rng = random.Random(29)
     for _ in range(6):
         g = random_graph(rng, rng.randint(2, 6), 0.5)
-        problem = make_maxindset(g, lam=2)
+        problem = with_penalty_weight(make_maxindset(g), 2)
         pubo = dualize(problem)
         sets = independent_sets(g.n, g.edges)
         alpha = max(sum(bits) for bits in sets)
@@ -135,7 +131,7 @@ def test_maxindset_pubo_minimum_is_max_independent_set():
 
 
 def test_vertex_cover_single_edge_constraint_form():
-    problem = make_vertex_cover(InstanceGraph(2, ((1, 2),)), lam=3)
+    problem = with_penalty_weight(make_vertex_cover(InstanceGraph(2, ((1, 2),))), 3)
     con = problem.constraints[0]
     assert con.lhs == Polynomial({(): 2, ("x1",): -1, ("x2",): -1})
     assert con.rhs == 1
@@ -280,7 +276,7 @@ def test_problem_rejects_predeclared_slack_variables():
 
 
 def test_normalized_negates_maximization():
-    problem = make_maxindset(InstanceGraph(2, ()), lam=1)
+    problem = make_maxindset(InstanceGraph(2, ()))
     normalized = problem.normalized()
     assert normalized.sense == "min"
     assert normalized.objective == -problem.objective

@@ -24,6 +24,7 @@ from qaoadepth import (
     run_pipeline,
     schedule,
     total_depth,
+    with_penalty_weight,
 )
 from qaoadepth.coloring import EdgeColoring
 
@@ -198,7 +199,7 @@ def test_sat_single_clause_degree_is_five():
 
 
 def test_vertex_cover_formula_is_quoted_not_guessed(w6):
-    problem = make_vertex_cover(w6, lam=2)
+    problem = with_penalty_weight(make_vertex_cover(w6), 2)
     result = run_pipeline(problem)
     report = result.report
     assert report.family_bound.formula == "2*chi(G) + 1"
