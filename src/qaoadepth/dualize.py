@@ -97,9 +97,6 @@ class Pubo:
     def slack_names(self) -> tuple[str, ...]:
         return tuple(name for name, var in self.variables.items() if var.is_slack)
 
-    def original_names(self) -> tuple[str, ...]:
-        return tuple(name for name, var in self.variables.items() if not var.is_slack)
-
 
 def _fresh_slack_name(base: str, taken: set[str]) -> str:
     name = base

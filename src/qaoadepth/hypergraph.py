@@ -21,7 +21,7 @@ runs it with the width limit, the exact edge coloring with merging off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -52,34 +52,29 @@ class DerivedHypergraph:
     singletons: tuple[tuple[str, Fraction], ...]
     constant: Fraction = Fraction(0)
 
-    def vertex_degrees(self) -> dict[str, int]:
-        degree = {v: 0 for v in self.vertices}
-        for edge in self.edges:
+    @cached_property
+    def incident(self) -> dict[str, tuple[int, ...]]:
+        """For each touched vertex, the ascending indices of the edges acting on it."""
+        incident: dict[str, list[int]] = {}
+        for index, edge in enumerate(self.edges):
             for name in edge.support:
-                degree[name] += 1
-        return degree
+                incident.setdefault(name, []).append(index)
+        return {name: tuple(edges) for name, edges in incident.items()}
 
     def max_degree(self) -> int:
-        return max(self.vertex_degrees().values(), default=0)
+        return max(map(len, self.incident.values()), default=0)
 
     def touched_vertices(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for edge in self.edges:
-            seen.update(edge.support)
-        return tuple(sorted(seen))
+        return tuple(sorted(self.incident))
 
     @cached_property
     def conflicts(self) -> tuple[tuple[int, ...], ...]:
         """For each edge, the sorted indices of the other edges sharing a vertex with it.
 
-        Built from the vertex -> incident-edge map in O(sum of degree^2).
+        Built from :attr:`incident` in O(sum of degree^2).
         """
-        incident: dict[str, list[int]] = {}
-        for index, edge in enumerate(self.edges):
-            for name in edge.support:
-                incident.setdefault(name, []).append(index)
         return tuple(
-            tuple(sorted({j for name in edge.support for j in incident[name]} - {index}))
+            tuple(sorted({j for name in edge.support for j in self.incident[name]} - {index}))
             for index, edge in enumerate(self.edges)
         )
 
@@ -174,12 +169,7 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
         for index in kept
     ]
     new_edges.sort(key=lambda e: e.support)
-    return DerivedHypergraph(
-        vertices=h.vertices,
-        edges=tuple(new_edges),
-        singletons=h.singletons,
-        constant=h.constant,
-    )
+    return replace(h, edges=tuple(new_edges))
 
 
 @dataclass(frozen=True)
@@ -241,18 +231,30 @@ def search_layers(
     supports = [frozenset(e.support) for e in h.edges]
     conflicts = h.conflicts
     m = len(supports)
-    layer_of = [-1] * m
+    # score[i] = saturation * m + rank of (conflict degree, -i), kept up to
+    # date as edges come and go; a placed edge's score is m * (m + 1) lower,
+    # so the branching edge is the one with the highest score.
+    score = [0] * m
+    for rank, edge in enumerate(sorted(range(m), key=lambda i: (len(conflicts[i]), -i))):
+        score[edge] = rank
+    # in_layer[i][k]: placed edges conflicting with edge i that sit in layer k
+    in_layer: list[dict[int, int]] = [{} for _ in range(m)]
     layers: list[Layer] = []
-    for edge in seed:
-        layer_of[edge] = len(layers)
-        layers.append([(supports[edge], [edge])])
     best: list[Layer] | None = None
     best_count = incumbent
     nodes = 0
 
-    def saturation(edge: int) -> tuple[int, int, int]:
-        placed = {layer_of[j] for j in conflicts[edge] if layer_of[j] >= 0}
-        return (len(placed), len(conflicts[edge]), -edge)
+    def place(edge: int, index: int, step: int) -> None:
+        """Put ``edge`` into layer ``index`` (step 1) or take it out again (step -1)."""
+        score[edge] -= step * m * (m + 1)
+        for j in conflicts[edge]:
+            count = in_layer[j][index] = in_layer[j].get(index, 0) + step
+            if count == (step == 1):  # the first in, or the last out
+                score[j] += step * m
+
+    for edge in seed:
+        place(edge, len(layers), 1)
+        layers.append([(supports[edge], [edge])])
 
     def dfs(placed: int) -> bool:
         """Extend the partial layers; True once a solution with ``lower`` layers is found."""
@@ -266,7 +268,7 @@ def search_layers(
         if placed == m:
             best, best_count = [list(layer) for layer in layers], len(layers)
             return best_count <= lower
-        edge = max((i for i in range(m) if layer_of[i] < 0), key=saturation)
+        edge = max(range(m), key=score.__getitem__)
         support = supports[edge]
         for index in range(len(layers)):
             merged = _class_accepts(layers[index], support, limit)
@@ -274,23 +276,42 @@ def search_layers(
                 continue
             merged[-1][1].append(edge)
             saved, layers[index] = layers[index], merged
-            layer_of[edge] = index
+            place(edge, index, 1)
             stop = dfs(placed + 1)
+            place(edge, index, -1)
             layers[index] = saved
-            layer_of[edge] = -1
             if stop:
                 return True
         if len(layers) + 1 >= best_count:
             return False
-        layer_of[edge] = len(layers)
+        place(edge, len(layers), 1)
         layers.append([(support, [edge])])
         stop = dfs(placed + 1)
         layers.pop()
-        layer_of[edge] = -1
+        place(edge, len(layers), -1)
         return stop
 
     dfs(len(layers))
     return best, nodes
+
+
+def _merge_lower_bound(h: DerivedHypergraph, limit: int) -> int:
+    """Most edges at one vertex that no two of can share a layer.
+
+    Edges meeting at a vertex share a layer only inside one gate, so two
+    whose union is wider than ``limit`` need layers of their own.  Picked
+    greedily at each vertex, widest first; with ``limit=0`` this is the
+    maximum degree.
+    """
+    supports = [frozenset(e.support) for e in h.edges]
+    best = 0
+    for edges in h.incident.values():
+        apart: list[frozenset] = []
+        for edge in sorted(edges, key=lambda i: -len(supports[i])):
+            if all(len(supports[edge] | other) > limit for other in apart):
+                apart.append(supports[edge])
+        best = max(best, len(apart))
+    return best
 
 
 def merge_exact(
@@ -313,40 +334,26 @@ def merge_exact(
     # has to beat it, and if it cannot, exhausting the tree certifies optimality.
     absorbed = absorb_subsets(h, limit)
     incumbent = coloring_mod.first_fit_classes(absorbed)
-    best, nodes = search_layers(h, limit, budget, len(incumbent))
-
-    if best is None:
-        return MergeResult(
-            hypergraph=absorbed,
-            coloring=coloring_mod.make_coloring(
-                absorbed, incumbent, method="exact", lower_bound=len(incumbent)
-            ),
-            nodes_explored=nodes,
-        )
-
-    gates: list[Hyperedge] = []
-    class_indices: list[tuple[int, ...]] = []
-    for groups in best:
-        indices = []
-        for union, members in sorted(groups, key=lambda g: tuple(sorted(g[0]))):
-            monomials: list[tuple[Support, Fraction]] = []
-            for member in members:
-                monomials.extend(h.edges[member].monomials)
-            gates.append(
-                Hyperedge(support=tuple(sorted(union)), monomials=tuple(sorted(monomials)))
-            )
-            indices.append(len(gates) - 1)
-        class_indices.append(tuple(indices))
-    merged_h = DerivedHypergraph(
-        vertices=h.vertices,
-        edges=tuple(gates),
-        singletons=h.singletons,
-        constant=h.constant,
+    best, nodes = search_layers(
+        h, limit, budget, len(incumbent), lower=_merge_lower_bound(h, limit)
     )
+
+    merged, classes = absorbed, incumbent
+    if best is not None:
+        gates: list[Hyperedge] = []
+        classes = []
+        for groups in best:
+            classes.append(range(len(gates), len(gates) + len(groups)))
+            for union, members in sorted(groups, key=lambda g: sorted(g[0])):
+                monomials = [term for member in members for term in h.edges[member].monomials]
+                gates.append(
+                    Hyperedge(support=tuple(sorted(union)), monomials=tuple(sorted(monomials)))
+                )
+        merged = replace(h, edges=tuple(gates))
     return MergeResult(
-        hypergraph=merged_h,
+        hypergraph=merged,
         coloring=coloring_mod.make_coloring(
-            merged_h, tuple(class_indices), method="exact", lower_bound=len(best)
+            merged, classes, method="exact", lower_bound=len(classes)
         ),
         nodes_explored=nodes,
     )

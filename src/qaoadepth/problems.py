@@ -99,9 +99,6 @@ class Problem:
                     f"slack variable {var.name!r} may not appear before dualization"
                 )
 
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(self.variables)
-
     def normalized(self) -> "Problem":
         """Equivalent minimization problem (objective negated for max)."""
         if self.sense == MINIMIZE:

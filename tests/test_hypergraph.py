@@ -163,6 +163,18 @@ def test_merge_exact_reports_its_finished_search_as_the_lower_bound(fixture_dir)
     assert (merged.method, merged.num_colors, merged.lower_bound) == ("exact", 4, 4)
 
 
+def test_merge_exact_certifies_from_its_lower_bound_without_searching():
+    # Three 3-qubit gates on qubit a: no two fit one 3-qubit gate, so each
+    # needs a layer of its own, and first fit already uses three.
+    poly = Polynomial({("a", "b", "c"): 1, ("a", "d", "e"): 1, ("a", "f", "g"): 1})
+    h = build(pubo_from_polynomial(poly))
+    result = merge_exact(h, 3, budget=1)
+    assert (result.coloring.num_colors, result.coloring.lower_bound) == (3, 3)
+    assert result.nodes_explored == 0
+    # At width 5 two of them merge into one gate and the bound no longer settles it.
+    assert merge_exact(h, 5).coloring.num_colors == 2
+
+
 def test_merge_exact_never_beaten_by_absorb_plus_greedy():
     from qaoadepth import color_greedy
 
@@ -190,6 +202,25 @@ def test_merge_exact_agrees_with_layer_partition_enumeration():
         assert merge_exact(h, limit).coloring.num_colors == merge_layers_bruteforce(
             supports, limit
         )
+
+
+def test_merge_exact_node_counts_are_pinned():
+    # The branching order decides how many nodes a search takes, and with it
+    # which searches fit their budget, while every layer count stays the
+    # same.  These counts come from the DSATUR order as first written, which
+    # rescanned every unplaced edge's conflicts at every node; a search that
+    # keeps the saturation up to date incrementally must branch the same way.
+    rng = random.Random(71)
+    counts = []
+    for _ in range(40):
+        limit = rng.randint(2, 4)
+        supports = random_hypergraph_supports(
+            rng, rng.randint(4, 8), rng.randint(6, 14), max_width=limit
+        )
+        h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+        counts.append(merge_exact(h, limit).nodes_explored)
+    assert sum(counts) == 271
+    assert counts[:8] == [0, 0, 0, 0, 5, 15, 35, 0]
 
 
 def test_merge_exact_budget_exhaustion_signals():
