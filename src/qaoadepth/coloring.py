@@ -71,31 +71,12 @@ def check_proper(h: DerivedHypergraph, classes: Sequence[Sequence[int]]) -> None
         raise InvalidInputError("coloring does not cover every edge exactly once")
 
 
-def _greedy_intersecting_set(h: DerivedHypergraph) -> list[int]:
-    """A maximal set of pairwise intersecting edges (a clique of conflicts)."""
-    order = _by_conflict_degree(h)
-    if not order:
-        return []
-    clique = [order[0]]
-    common = set(h.conflicts[order[0]])  # edges conflicting with every clique member
-    for i in order[1:]:
-        if i in common:
-            clique.append(i)
-            common.intersection_update(h.conflicts[i])
-    return clique
-
-
-def _by_conflict_degree(h: DerivedHypergraph) -> list[int]:
-    """Edge indices, most conflicts first, ties by support."""
-    return sorted(range(len(h.edges)), key=lambda i: (-len(h.conflicts[i]), h.edges[i].support))
-
-
 def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
     """Valid lower bound: max vertex degree, a conflict clique, and a counting bound."""
     m = len(h.edges)
     if m == 0:
         return 0
-    bound = max(h.max_degree(), len(_greedy_intersecting_set(h)))
+    bound = max(h.max_degree(), len(h.conflict_clique))
     touched = len(h.touched_vertices())
     min_size = min(len(e.support) for e in h.edges)
     max_matching = touched // min_size  # no class can pack more disjoint edges
@@ -182,7 +163,7 @@ def first_fit_classes(h: DerivedHypergraph) -> list[list[int]]:
     """First-fit color classes, most conflicting edges first; deterministic."""
     m = len(h.edges)
     colors = [-1] * m
-    for index in _by_conflict_degree(h):
+    for index in h.by_conflict_degree:
         taken = {colors[j] for j in h.conflicts[index]}
         colors[index] = next(c for c in range(m) if c not in taken)
     classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
@@ -334,7 +315,7 @@ def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> Edg
             classes = constructive
     layers, _ = search_layers(
         h, limit=0, budget=budget, incumbent=len(classes),
-        seed=_greedy_intersecting_set(h), lower=known[0],
+        seed=h.conflict_clique, lower=known[0],
     )
     if layers is not None:
         classes = [sorted(edge for _, edges in layer for edge in edges) for layer in layers]

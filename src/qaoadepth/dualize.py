@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Container
 
 from .errors import InfeasibleConstraintError, InvalidInputError
 from .poly import EXACT_ENUMERATION_LIMIT, Polynomial, Support
@@ -98,7 +99,7 @@ class Pubo:
         return tuple(name for name, var in self.variables.items() if var.is_slack)
 
 
-def _fresh_slack_name(base: str, taken: set[str]) -> str:
+def _fresh_slack_name(base: str, taken: Container[str]) -> str:
     name = base
     while name in taken:
         name = "_" + name
@@ -120,29 +121,30 @@ def _slack_bits(slack_range: Fraction) -> tuple[int, list[str]]:
     return span.bit_length(), notes
 
 
-def dualize(problem: Problem, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> Pubo:
+def dualize(problem: Problem) -> Pubo:
     """Fold every constraint into the objective as a squared slack penalty.
 
     Redundant constraints (upper bound of lhs already within rhs) are dropped
     and flagged instead of wasting slack qubits.  Raises
     :class:`InfeasibleConstraintError` when a constraint provably has no
-    satisfying assignment.
+    satisfying assignment.  The penalties are summed into one coefficient
+    dict, so the objective is canonicalised once, not once per constraint.
     """
     normalized = problem.normalized()
-    objective = normalized.objective
+    coefficients: dict[Support, Fraction] = dict(normalized.objective.terms())
     variables: dict[str, Var] = dict(normalized.variables)
     default_weight: Fraction | None = None
     records: list[ConstraintDualization] = []
 
     for index, con in enumerate(normalized.constraints, start=1):
         notes: list[str] = []
-        cube_min, min_exact = con.lhs.minimum_over_cube(exact_limit)
+        cube_min, min_exact = con.lhs.minimum_over_cube()
         if not min_exact:
             notes.append("interval bound used for the cube minimum (support too large)")
         if cube_min > con.rhs:
             raise InfeasibleConstraintError(index, cube_min, con.rhs)
 
-        cube_max, _ = con.lhs.maximum_over_cube(exact_limit)
+        cube_max, _ = con.lhs.maximum_over_cube()
         if cube_max <= con.rhs and con.lower is None:
             records.append(
                 ConstraintDualization(
@@ -175,14 +177,11 @@ def dualize(problem: Problem, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> Pub
         notes.extend(range_notes)
 
         slack_names: list[str] = []
-        slack_poly = Polynomial.zero()
-        taken = set(variables)
         for j in range(1, bit_count + 1):
-            name = _fresh_slack_name(f"s{index}_{j}", taken)
-            taken.add(name)
+            name = _fresh_slack_name(f"s{index}_{j}", variables)
             slack_names.append(name)
             variables[name] = Var(name, slack_of=(index, j))
-            slack_poly = slack_poly + Polynomial({(name,): Fraction(2) ** (j - 1)})
+        slack_poly = Polynomial({(name,): 2**j for j, name in enumerate(slack_names)})
 
         weight = con.weight
         if weight is None:
@@ -192,7 +191,8 @@ def dualize(problem: Problem, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> Pub
 
         square = (con.lhs + slack_poly - Polynomial.constant(con.rhs)).square()
         penalty = square * weight
-        objective = objective + penalty
+        for support, coeff in penalty.terms():
+            coefficients[support] = coefficients.get(support, 0) + coeff
 
         diff = None
         if con.reference_expansion is not None:
@@ -216,7 +216,7 @@ def dualize(problem: Problem, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> Pub
         )
 
     return Pubo(
-        objective=objective,
+        objective=Polynomial._from_canonical(coefficients),
         variables=variables,
         dualizations=tuple(records),
         original_sense=problem.sense,

@@ -78,6 +78,34 @@ class DerivedHypergraph:
             for index, edge in enumerate(self.edges)
         )
 
+    @cached_property
+    def by_conflict_degree(self) -> tuple[int, ...]:
+        """Edge indices, most conflicts first, ties by support."""
+        return tuple(
+            sorted(
+                range(len(self.edges)),
+                key=lambda i: (-len(self.conflicts[i]), self.edges[i].support),
+            )
+        )
+
+    @cached_property
+    def conflict_clique(self) -> tuple[int, ...]:
+        """A maximal set of pairwise intersecting edges, picked greedily.
+
+        Edges are tried in :attr:`by_conflict_degree` order.  The clique
+        bounds the chromatic index below and opens the exact coloring's layers.
+        """
+        order = self.by_conflict_degree
+        if not order:
+            return ()
+        clique = [order[0]]
+        common = set(self.conflicts[order[0]])  # edges conflicting with every clique member
+        for i in order[1:]:
+            if i in common:
+                clique.append(i)
+                common.intersection_update(self.conflicts[i])
+        return tuple(clique)
+
     def is_linear(self) -> bool:
         """True when any two hyperedges share at most one vertex."""
         supports = [set(e.support) for e in self.edges]
@@ -142,31 +170,38 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     """
     if limit < 2:
         raise InvalidInputError(f"gate width limit must be >= 2, got {limit}")
-    order = sorted(range(len(h.edges)), key=lambda i: (-len(h.edges[i].support), h.edges[i].support))
-    kept: list[int] = []
-    absorbed_monomials: dict[int, list[tuple[Support, Fraction]]] = {}
-    for index in order:
+
+    def rank(i: int) -> tuple[int, Support]:
+        """Widest first, ties by support: the order edges are visited and hosts preferred."""
+        return (-len(h.edges[i].support), h.edges[i].support)
+
+    kept: dict[int, list[tuple[Support, Fraction]]] = {}  # kept edge -> monomials it covers
+    for index in sorted(range(len(h.edges)), key=rank):
         edge = h.edges[index]
-        support = set(edge.support)
+        width = len(edge.support)
         host = None
-        if len(edge.support) < limit:
-            for candidate in kept:
-                cand_edge = h.edges[candidate]
-                if len(cand_edge.support) <= limit and support < set(cand_edge.support):
-                    host = candidate
-                    break
+        if width < limit:
+            # A host contains the whole support, so it is incident to its rarest vertex.
+            support = set(edge.support)
+            rarest = min(edge.support, key=lambda name: len(h.incident[name]))
+            host = min(
+                (
+                    c for c in h.incident[rarest]
+                    if c in kept
+                    and width < len(h.edges[c].support) <= limit
+                    and support.issubset(h.edges[c].support)
+                ),
+                key=rank,
+                default=None,
+            )
         if host is None:
-            kept.append(index)
-            absorbed_monomials[index] = list(edge.monomials)
+            kept[index] = list(edge.monomials)
         else:
-            absorbed_monomials[host].extend(edge.monomials)
+            kept[host].extend(edge.monomials)
 
     new_edges = [
-        Hyperedge(
-            support=h.edges[index].support,
-            monomials=tuple(sorted(absorbed_monomials[index])),
-        )
-        for index in kept
+        Hyperedge(support=h.edges[index].support, monomials=tuple(sorted(monomials)))
+        for index, monomials in kept.items()
     ]
     new_edges.sort(key=lambda e: e.support)
     return replace(h, edges=tuple(new_edges))

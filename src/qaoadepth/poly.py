@@ -22,8 +22,9 @@ from .errors import MissingAssignmentError
 
 Support = tuple[str, ...]
 
-#: Exhaustive enumeration over the binary cube is used below this many
-#: variables; 2**20 evaluations complete in well under a second.
+#: Exhaustive enumeration over the binary cube is used for a nonlinear
+#: polynomial of at most this many variables; 2**20 evaluations complete in
+#: well under a second.
 EXACT_ENUMERATION_LIMIT = 20
 
 
@@ -65,6 +66,17 @@ class Polynomial:
         self._terms = {k: canonical[k] for k in sorted(canonical)}
         self._hash: int | None = None
 
+    @classmethod
+    def _from_canonical(cls, terms: dict[Support, Fraction]) -> "Polynomial":
+        """Wrap a dict already keyed by canonical supports with Fraction values.
+
+        Sorts the keys and drops zero terms; the terms are not re-validated.
+        """
+        poly = cls.__new__(cls)
+        poly._terms = {k: terms[k] for k in sorted(terms) if terms[k]}
+        poly._hash = None
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -86,7 +98,7 @@ class Polynomial:
         for variables, coeff in pairs:
             key = _canonical_support(variables)
             acc[key] = acc.get(key, Fraction(0)) + _coerce(coeff)
-        return cls(acc)
+        return cls._from_canonical(acc)
 
     # -- inspection --------------------------------------------------------
 
@@ -128,12 +140,12 @@ class Polynomial:
         acc = dict(self._terms)
         for support, coeff in other._terms.items():
             acc[support] = acc.get(support, Fraction(0)) + coeff
-        return Polynomial(acc)
+        return Polynomial._from_canonical(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({s: -c for s, c in self._terms.items()})
+        return Polynomial._from_canonical({s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = _as_polynomial(other)
@@ -152,7 +164,7 @@ class Polynomial:
             scalar = _coerce(other)
             if scalar == 0:
                 return Polynomial()
-            return Polynomial({s: c * scalar for s, c in self._terms.items()})
+            return Polynomial._from_canonical({s: c * scalar for s, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         acc: dict[Support, Fraction] = {}
@@ -162,7 +174,7 @@ class Polynomial:
                 # x*x = x on {0,1}: the product support is the union.
                 key = tuple(sorted(set_a.union(sb)))
                 acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return Polynomial(acc)
+        return Polynomial._from_canonical(acc)
 
     __rmul__ = __mul__
 
@@ -221,27 +233,31 @@ class Polynomial:
         return values
 
     def minimum_over_cube(self, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> tuple[Fraction, bool]:
-        """Minimum over all binary assignments.
+        """Minimum over all binary assignments, and whether it is exact.
 
-        Exhaustive (and exact) when at most ``exact_limit`` variables occur;
-        otherwise returns the interval lower bound sum(min(0, coeff)), which
-        never exceeds the true minimum.
+        Exact in closed form for degree <= 1: the constant plus
+        sum(min(0, coeff)) over the variables, each set on its own.  A
+        nonlinear polynomial is enumerated when at most ``exact_limit``
+        variables occur; otherwise the interval lower bound
+        sum(min(0, coeff)) is returned, which never exceeds the true minimum.
         """
-        if exact_limit < 0:
-            raise ValueError("exact_limit must be >= 0")
-        if len(self.variables()) <= exact_limit:
-            return Fraction(min(self.values_over_cube(), default=0)), True
-        bound = sum((min(Fraction(0), c) for c in self._terms.values()), Fraction(0))
-        return bound, False
+        return self._cube_extreme(min, exact_limit)
 
     def maximum_over_cube(self, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> tuple[Fraction, bool]:
-        """Maximum over all binary assignments; interval fallback mirrors the minimum."""
+        """Maximum over all binary assignments; mirrors :meth:`minimum_over_cube`."""
+        return self._cube_extreme(max, exact_limit)
+
+    def _cube_extreme(self, pick, exact_limit: int) -> tuple[Fraction, bool]:
         if exact_limit < 0:
             raise ValueError("exact_limit must be >= 0")
+        zero = Fraction(0)
+        if self.degree() <= 1:
+            return self.constant_term + sum(
+                (pick(zero, c) for s, c in self._terms.items() if s), zero
+            ), True
         if len(self.variables()) <= exact_limit:
-            return Fraction(max(self.values_over_cube(), default=0)), True
-        bound = sum((max(Fraction(0), c) for c in self._terms.values()), Fraction(0))
-        return bound, False
+            return Fraction(pick(self.values_over_cube())), True
+        return sum((pick(zero, c) for c in self._terms.values()), zero), False
 
     # -- dunder plumbing -----------------------------------------------------
 

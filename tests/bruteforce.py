@@ -7,9 +7,10 @@ evaluation, no shared code paths with the algorithms under test.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
-from qaoadepth import InstanceGraph, Polynomial, Problem
+from qaoadepth import DerivedHypergraph, Hyperedge, InstanceGraph, Polynomial, Problem, Pubo
 
 
 def cut_size(edges, bits) -> int:
@@ -167,6 +168,56 @@ def is_linear_pairwise(supports) -> bool:
         for i in range(len(sets))
         for j in range(i + 1, len(sets))
     )
+
+
+def absorb_subsets_scan(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
+    """Subset absorption that scans every kept edge for a host, pair by pair.
+
+    Edges are visited widest first, ties by support; each narrower than
+    ``limit`` joins the earliest kept edge of width <= ``limit`` that strictly
+    contains it.
+    """
+    order = sorted(range(len(h.edges)), key=lambda i: (-len(h.edges[i].support), h.edges[i].support))
+    kept: list[int] = []
+    monomials: dict[int, list] = {}
+    for index in order:
+        edge = h.edges[index]
+        host = None
+        if len(edge.support) < limit:
+            for candidate in kept:
+                wider = h.edges[candidate].support
+                if len(wider) <= limit and set(edge.support) < set(wider):
+                    host = candidate
+                    break
+        if host is None:
+            kept.append(index)
+            monomials[index] = list(edge.monomials)
+        else:
+            monomials[host].extend(edge.monomials)
+    edges = [
+        Hyperedge(support=h.edges[index].support, monomials=tuple(sorted(monomials[index])))
+        for index in kept
+    ]
+    return replace(h, edges=tuple(sorted(edges, key=lambda e: e.support)))
+
+
+def penalty_fold(problem: Problem, pubo: Pubo) -> Polynomial:
+    """The penalty form rebuilt one constraint at a time: objective + sum of weight * square.
+
+    Uses only public :class:`Polynomial` operations.  The slack names and
+    weights are the ones ``pubo``'s records chose; each square is rebuilt
+    from its constraint.
+    """
+    normalized = problem.normalized()
+    objective = normalized.objective
+    for con, record in zip(normalized.constraints, pubo.dualizations, strict=True):
+        if record.dropped:
+            continue
+        slack = Polynomial.zero()
+        for j, name in enumerate(record.slack_vars):
+            slack = slack + 2**j * Polynomial.variable(name)
+        objective = objective + (con.lhs + slack - con.rhs).square() * record.weight
+    return objective
 
 
 def random_graph(rng, n: int, p: float) -> InstanceGraph:

@@ -36,11 +36,15 @@ def test_tracer_records_a_span_for_every_layer(benchtrace, capsys, fixture_dir):
         ("analyze", *general, "--method", "merge-exact"),
     )
     try:
-        for argv in runs:
+        assert modules["cli"].main(list(runs[0])) == 0
+        penalty_run = {span.name for span in tracer.spans}
+        for argv in runs[1:]:
             assert modules["cli"].main(list(argv)) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    # The penalty form of indset_w6 squares each edge constraint and bounds its lhs.
+    assert penalty_run >= {"poly.square", "poly.cube_min"}
     recorded = {span.name for span in tracer.spans}
     assert recorded >= {
         "cli.main",

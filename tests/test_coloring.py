@@ -4,6 +4,7 @@ import pytest
 
 from qaoadepth import (
     BudgetExceededError,
+    DerivedHypergraph,
     InstanceGraph,
     InvalidInputError,
     Polynomial,
@@ -20,6 +21,7 @@ from qaoadepth import (
 )
 from qaoadepth import coloring as coloring_mod
 from qaoadepth.coloring import check_proper, make_coloring
+from qaoadepth.io import read_dimacs_graph
 
 from bruteforce import (
     chromatic_index_bruteforce,
@@ -71,21 +73,26 @@ def test_exact_budget_exhaustion_signals():
         color_exact(graph_hypergraph(g), budget=2)
 
 
-def test_exact_searches_compute_the_bounds_once(w6, monkeypatch):
-    calls = {"bounds": 0, "combinatorial_lower_bound": 0}
-    for name in calls:
-        original = getattr(coloring_mod, name)
+def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
+    calls = {"bounds": 0, "combinatorial_lower_bound": 0, "conflict_clique": 0}
 
-        def counted(h, name=name, original=original):
+    def counting(name, original):
+        def counted(h):
             calls[name] += 1
             return original(h)
 
-        monkeypatch.setattr(coloring_mod, name, counted)
-    h = graph_hypergraph(w6)
-    for search in (color_exact, lambda h: merge_exact(h, 2)):
-        calls.update(bounds=0, combinatorial_lower_bound=0)
-        search(h)
-        assert calls == {"bounds": 1, "combinatorial_lower_bound": 1}
+        return counted
+
+    for name in ("bounds", "combinatorial_lower_bound"):
+        monkeypatch.setattr(coloring_mod, name, counting(name, getattr(coloring_mod, name)))
+    clique = DerivedHypergraph.conflict_clique
+    monkeypatch.setattr(clique, "func", counting("conflict_clique", clique.func))
+    petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
+    for graph in (w6, petersen):
+        for search in (color_exact, lambda h: merge_exact(h, 2)):
+            calls.update(dict.fromkeys(calls, 0))
+            search(graph_hypergraph(graph))
+            assert calls == dict.fromkeys(calls, 1)
 
 
 def test_misra_gries_w6(w6):

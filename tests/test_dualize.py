@@ -23,7 +23,13 @@ from qaoadepth import (
 )
 from qaoadepth.poly import assignments
 
-from bruteforce import constrained_argmin, evaluate_terms, random_graph
+from bruteforce import (
+    constrained_argmin,
+    evaluate_terms,
+    penalty_fold,
+    random_graph,
+    random_polynomial,
+)
 
 W6_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6))
 
@@ -206,6 +212,60 @@ def test_slack_coefficients_cover_every_integer_in_range():
             for combo in itertools.product((0, 1), repeat=bits)
         }
         assert set(range(feas + 1)) <= reachable
+
+
+def random_constraint(rng, names):
+    """A feasible linear or quadratic constraint, sometimes two-sided, rational or weighted."""
+    kind = rng.choice(("linear", "rational", "quadratic"))
+    if kind == "quadratic":
+        lhs = random_polynomial(rng, names, max_terms=5, max_width=2)
+    else:
+        den = 1 if kind == "linear" else rng.randint(2, 4)
+        lhs = Polynomial.from_terms(
+            [((), Fraction(rng.randint(-3, 3), den))]
+            + [((name,), Fraction(rng.randint(-4, 4), den)) for name in names]
+        )
+    low, _ = lhs.minimum_over_cube()
+    high, _ = lhs.maximum_over_cube()
+    rhs = low + (high - low) * Fraction(rng.randint(0, 4), 4)
+    return Constraint(
+        lhs=lhs,
+        rhs=rhs,
+        lower=rhs - rng.randint(1, 3) if rng.random() < 0.3 else None,
+        weight=Fraction(rng.randint(1, 6), rng.randint(1, 3)) if rng.random() < 0.5 else None,
+        slack_bound=rng.randint(0, 3) if rng.random() < 0.15 else None,
+    )
+
+
+def test_one_pass_objective_equals_the_per_constraint_fold():
+    rng = random.Random(101)
+    folded = 0
+    for _ in range(200):
+        names = [f"x{i}" for i in range(1, rng.randint(2, 6))]
+        problem = Problem(
+            sense=rng.choice(("min", "max")),
+            objective=random_polynomial(rng, names, max_terms=5),
+            constraints=tuple(random_constraint(rng, names) for _ in range(rng.randint(1, 4))),
+            variables={name: Var(name) for name in names},
+        )
+        pubo = dualize(problem)
+        reference = penalty_fold(problem, pubo)
+        assert list(pubo.objective.terms()) == list(reference.terms())
+        assert all(type(coeff) is Fraction for _, coeff in pubo.objective.terms())
+        folded += sum(not record.dropped for record in pubo.dualizations)
+    assert folded >= 300
+
+
+def test_wide_linear_constraint_gets_an_exact_cube_minimum(monkeypatch):
+    def no_enumeration(self, order=None):
+        raise AssertionError("values_over_cube called for a linear lhs")
+
+    monkeypatch.setattr(Polynomial, "values_over_cube", no_enumeration)
+    problem = make_knapsack(list(range(1, 26)), list(range(1, 26)), capacity=30)
+    record = dualize(problem).dualizations[0]
+    assert len(problem.constraints[0].lhs.variables()) == 25
+    assert (record.cube_min, record.cube_min_exact) == (0, True)
+    assert not any("interval bound" in note for note in record.notes)
 
 
 def test_dualize_is_deterministic(general_problem):

@@ -21,6 +21,7 @@ from qaoadepth import (
 from qaoadepth.io import read_dimacs_graph
 
 from bruteforce import (
+    absorb_subsets_scan,
     chromatic_index_bruteforce,
     conflicts_pairwise,
     is_linear_pairwise,
@@ -116,6 +117,21 @@ def test_absorption_never_widens_or_grows():
             assert len(absorbed.edges) <= len(h.edges)
             assert {e.support for e in absorbed.edges} <= {e.support for e in h.edges}
             assert absorbed.total_polynomial() == h.total_polynomial()
+
+
+def test_absorption_through_the_vertex_index_matches_the_scan():
+    rng = random.Random(43)
+    absorbed = 0
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        supports = random_hypergraph_supports(rng, n, rng.randint(1, 14), max_width=4)
+        poly = Polynomial.from_terms((s, rng.choice((-2, -1, 1, 3))) for s in supports)
+        h = build(pubo_from_polynomial(poly))
+        for limit in (2, 3, 4, 5):
+            result = absorb_subsets(h, limit)
+            assert result == absorb_subsets_scan(h, limit)
+            absorbed += len(h.edges) - len(result.edges)
+    assert absorbed > 300
 
 
 def test_zero_polynomial_gives_empty_hypergraph():

@@ -94,12 +94,51 @@ def test_minimum_over_cube_constant():
 
 def test_minimum_over_cube_interval_fallback_is_lower_bound():
     rng = random.Random(7)
+    seen = set()
     for _ in range(50):
         names = [f"x{i}" for i in range(1, rng.randint(2, 7))]
         p = random_polynomial(rng, names)
         bound, exact = p.minimum_over_cube(exact_limit=0)
-        assert not exact or len(p.variables()) == 0
-        assert bound <= exhaustive_minimum(p)
+        assert exact == (p.degree() <= 1)
+        if exact:
+            assert bound == exhaustive_minimum(p)
+        else:
+            assert bound <= exhaustive_minimum(p)
+        seen.add(exact)
+    assert seen == {True, False}
+
+
+def random_linear(rng, n):
+    """Nonzero constant plus n signed, sometimes rational, variable terms."""
+    terms = [((), Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)))]
+    for i in range(1, n + 1):
+        terms.append(((f"x{i}",), Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+    return Polynomial.from_terms(terms)
+
+
+def test_linear_cube_extremes_are_exact_in_closed_form():
+    rng = random.Random(23)
+    for _ in range(100):
+        p = random_linear(rng, rng.randint(0, 8))
+        assert p.degree() <= 1 and p.constant_term != 0
+        assert p.minimum_over_cube() == (exhaustive_minimum(p), True)
+        assert p.maximum_over_cube() == (-exhaustive_minimum(-p), True)
+        assert p.minimum_over_cube(exact_limit=0) == p.minimum_over_cube()
+
+
+def test_wide_linear_lhs_is_bounded_without_enumeration(monkeypatch):
+    def no_enumeration(self, order=None):
+        raise AssertionError("values_over_cube called for a linear polynomial")
+
+    monkeypatch.setattr(Polynomial, "values_over_cube", no_enumeration)
+    p = Polynomial.from_terms(
+        [((), 3)] + [((f"x{i}",), Fraction(2 * i - 27, 4)) for i in range(1, 26)]
+    )
+    assert len(p.variables()) == 25
+    low = 3 + sum(Fraction(2 * i - 27, 4) for i in range(1, 14))
+    high = 3 + sum(Fraction(2 * i - 27, 4) for i in range(14, 26))
+    assert p.minimum_over_cube() == (low, True)
+    assert p.maximum_over_cube() == (high, True)
 
 
 def test_maximum_over_cube_interval_fallback_is_upper_bound():
