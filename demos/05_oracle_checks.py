@@ -1,10 +1,11 @@
-"""The two exhaustive correctness oracles, including fault injection.
+"""The two correctness oracles, including fault injection.
 
 1. Penalty oracle: enumerating every assignment shows the penalty form has
    the same optima as the constrained original.
-2. Phase oracle: because all cost gates are diagonal, summing each gate's
-   polynomial per basis state must reproduce the objective exactly; a
-   duplicated or dropped gate shows up as the first mismatching basis state.
+2. Phase oracle: because all cost gates are diagonal, the sum of the gate
+   polynomials is each basis state's phase, and it must equal the objective
+   (minus its constant) coefficient by coefficient; a duplicated or dropped
+   gate shows up as the first mismatching basis state.
 """
 
 from dataclasses import replace
@@ -17,7 +18,6 @@ from qaoadepth import (
     dualize,
     make_maxindset,
     schedule,
-    simulate_cost_phases,
     verify_penalty,
     with_penalty_weight,
 )
@@ -38,10 +38,13 @@ print()
 
 h = build(pubo)
 sched = schedule(h, color_exact(h))
-table = simulate_cost_phases(sched)
-print(f"phase table covers {len(table.values)} basis states; sample entries:")
-for z in (0, 5, 63):
-    print(f"  z={z:2d} phase {table.values[z]} (units of gamma)")
+covered = sched.covered_polynomial()
+target = pubo.objective - pubo.objective.constant_term
+print(f"gates cover {covered.num_terms()} monomials; the objective has "
+      f"{target.num_terms()} besides its constant {pubo.objective.constant_term}")
+print(f"  {'monomial':8s} {'gates':>5s} {'objective':>9s}   (units of gamma)")
+for support, coeff in covered.terms():
+    print(f"  {'*'.join(support):8s} {str(coeff):>5s} {str(target.coefficient(support)):>9s}")
 print()
 
 honest = check_equivalence(sched, pubo)

@@ -43,9 +43,9 @@ from .hypergraph import (
     check_gate_width,
     merge_exact,
 )
-from .phasesim import EquivalenceReport, PhaseTable, check_equivalence, simulate_cost_phases
+from .phasesim import EquivalenceReport, check_equivalence
 from .pipeline import PipelineResult, run_pipeline
-from .poly import Polynomial, assignments
+from .poly import Polynomial
 from .problems import (
     Constraint,
     InstanceGraph,
@@ -94,7 +94,6 @@ __all__ = [
     "MergeResult",
     "MissingAssignmentError",
     "PenaltyVerification",
-    "PhaseTable",
     "PipelineResult",
     "Polynomial",
     "Problem",
@@ -103,7 +102,6 @@ __all__ = [
     "Var",
     "absorb_subsets",
     "analyze_family",
-    "assignments",
     "bounds",
     "build",
     "check_equivalence",
@@ -123,7 +121,6 @@ __all__ = [
     "pubo_from_polynomial",
     "run_pipeline",
     "schedule",
-    "simulate_cost_phases",
     "total_depth",
     "verify_penalty",
     "with_penalty_weight",

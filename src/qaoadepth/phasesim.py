@@ -2,11 +2,14 @@
 
 Every cost gate is diagonal in the computational basis, so one iteration of
 the cost part of a schedule multiplies basis state |z> by a phase whose
-exponent is (gamma times) the sum of all gate polynomials at z.  Tabulating
-that exponent for every z and comparing it against the penalty objective
-checks, exactly and without tolerances, that the schedule covers every
-monomial exactly once.  Mixer layers are skipped: the check targets cost
-coverage, not QAOA dynamics.
+exponent is (gamma times) the sum of all gate polynomials at z.  That sum is
+a multilinear polynomial, and a multilinear polynomial over {0,1}^n has
+exactly one coefficient form, so the phase equals the penalty objective on
+every basis state exactly when the two polynomials agree term by term.  The
+check therefore compares coefficients: exact, O(terms), and without a
+variable limit.  It confirms that the schedule covers every monomial exactly
+once.  Mixer layers are skipped: the check targets cost coverage, not QAOA
+dynamics.
 """
 
 from __future__ import annotations
@@ -15,38 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualize import Pubo
-from .errors import InvalidInputError
-from .poly import EXACT_ENUMERATION_LIMIT, Polynomial
+from .poly import Polynomial
 from .schedule import CircuitSchedule
-
-
-@dataclass(frozen=True)
-class PhaseTable:
-    """Accumulated phase exponent per basis state, in units of gamma.
-
-    Entry ``values[z]`` belongs to the assignment where variable
-    ``variables[i]`` equals bit i of z.
-    """
-
-    variables: tuple[str, ...]
-    values: tuple[Fraction, ...]
-
-    def assignment(self, z: int) -> dict[str, int]:
-        return {name: (z >> i) & 1 for i, name in enumerate(self.variables)}
-
-
-def simulate_cost_phases(
-    sched: CircuitSchedule, var_limit: int = EXACT_ENUMERATION_LIMIT
-) -> PhaseTable:
-    """Accumulate the per-basis-state phase of all cost and singleton layers."""
-    variables = sched.variables
-    if len(variables) > var_limit:
-        raise InvalidInputError(
-            f"phase table needs {len(variables)} variables but the limit is {var_limit}"
-        )
-    total = sched.covered_polynomial()
-    values = total.values_over_cube(variables)
-    return PhaseTable(variables=variables, values=tuple(Fraction(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -63,23 +36,33 @@ class EquivalenceReport:
         return self.phase - self.expected
 
 
-def check_equivalence(
-    sched: CircuitSchedule, pubo: Pubo, var_limit: int = EXACT_ENUMERATION_LIMIT
-) -> EquivalenceReport:
-    """Phase table equals the penalty objective (minus its constant) everywhere.
+def check_equivalence(sched: CircuitSchedule, pubo: Pubo) -> EquivalenceReport:
+    """The schedule's phase equals the penalty objective (minus its constant) everywhere.
 
     The constant term contributes only a global phase, so gates never carry
-    it.  Reports the first mismatching assignment when the check fails.
+    it.  When the check fails, reports the first mismatching assignment in
+    bitmask order, where variable ``sched.variables[i]`` is bit i.  That is
+    the smallest mask among the supports of the difference: at any smaller
+    mask every subset has a smaller mask still, so the difference vanishes
+    there, and at that mask it equals the nonzero coefficient.  Raises
+    ``ValueError`` when a gate or the objective uses a variable outside
+    ``sched.variables``.
     """
-    table = simulate_cost_phases(sched, var_limit)
+    covered = sched.covered_polynomial()
     target = pubo.objective - Polynomial.constant(pubo.objective.constant_term)
-    expected = target.values_over_cube(table.variables)
-    for z, phase in enumerate(table.values):
-        if phase != expected[z]:
-            return EquivalenceReport(
-                equivalent=False,
-                mismatch_assignment=table.assignment(z),
-                phase=phase,
-                expected=Fraction(expected[z]),
-            )
-    return EquivalenceReport(equivalent=True)
+    position = {name: i for i, name in enumerate(sched.variables)}
+    for poly in (covered, target):
+        missing = set(poly.variables()) - position.keys()
+        if missing:
+            raise ValueError(f"order does not cover variables: {sorted(missing)}")
+    diff = covered - target
+    if diff.is_zero():
+        return EquivalenceReport(equivalent=True)
+    z = min(sum(1 << position[name] for name in support) for support in diff.supports())
+    assignment = {name: (z >> i) & 1 for i, name in enumerate(sched.variables)}
+    return EquivalenceReport(
+        equivalent=False,
+        mismatch_assignment=assignment,
+        phase=covered.evaluate(assignment),
+        expected=target.evaluate(assignment),
+    )

@@ -14,7 +14,6 @@ equality rather than tolerances.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -179,7 +178,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def square(self) -> "Polynomial":
-        return self * self
+        """``self * self``, with each cross term computed once and doubled."""
+        items = list(self._terms.items())
+        acc: dict[Support, Fraction] = {}
+        for i, (sa, ca) in enumerate(items):
+            acc[sa] = acc.get(sa, Fraction(0)) + ca * ca
+            set_a = set(sa)
+            twice = 2 * ca
+            for sb, cb in items[i + 1:]:
+                key = tuple(sorted(set_a.union(sb)))
+                acc[key] = acc.get(key, Fraction(0)) + twice * cb
+        return Polynomial._from_canonical(acc)
 
     # -- evaluation and bounds ----------------------------------------------
 
@@ -303,10 +312,3 @@ def _as_polynomial(value):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Polynomial.constant(value)
     return NotImplemented
-
-
-def assignments(names: Iterable[str]) -> Iterator[dict[str, int]]:
-    """All {0,1} assignments of the given variables, in binary counting order."""
-    names = list(names)
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        yield dict(zip(names, bits))

@@ -10,7 +10,23 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from qaoadepth import DerivedHypergraph, Hyperedge, InstanceGraph, Polynomial, Problem, Pubo
+from qaoadepth import (
+    CircuitSchedule,
+    DerivedHypergraph,
+    EquivalenceReport,
+    Hyperedge,
+    InstanceGraph,
+    Polynomial,
+    Problem,
+    Pubo,
+)
+
+
+def assignments(names):
+    """All {0,1} assignments of the given variables, in binary counting order."""
+    names = list(names)
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        yield dict(zip(names, bits))
 
 
 def cut_size(edges, bits) -> int:
@@ -246,3 +262,34 @@ def random_polynomial(rng, names, max_terms: int = 8, max_width: int = 3) -> Pol
         support = tuple(rng.sample(list(names), width))
         terms.append((support, rng.randint(-5, 5)))
     return Polynomial.from_terms(terms)
+
+
+def phase_table(sched: CircuitSchedule) -> list:
+    """Accumulated phase exponent of every basis state, in units of gamma.
+
+    Entry z belongs to the assignment where ``sched.variables[i]`` is bit i
+    of z.  Sums the cost and singleton gates' polynomials over the whole
+    cube, 2**n entries.
+    """
+    return sched.covered_polynomial().values_over_cube(sched.variables)
+
+
+def phase_table_reference(sched: CircuitSchedule, pubo: Pubo) -> EquivalenceReport:
+    """The phase oracle by tables: compare the phase and the objective state by state.
+
+    The objective's constant is only a global phase, so it is left out.
+    Reports the first mismatching basis state in bitmask order.
+    """
+    variables = sched.variables
+    phases = phase_table(sched)
+    target = pubo.objective - Polynomial.constant(pubo.objective.constant_term)
+    expected = target.values_over_cube(variables)
+    for z, phase in enumerate(phases):
+        if phase != expected[z]:
+            return EquivalenceReport(
+                equivalent=False,
+                mismatch_assignment={name: (z >> i) & 1 for i, name in enumerate(variables)},
+                phase=Fraction(phase),
+                expected=Fraction(expected[z]),
+            )
+    return EquivalenceReport(equivalent=True)

@@ -21,9 +21,9 @@ from qaoadepth import (
     verify_penalty,
     with_penalty_weight,
 )
-from qaoadepth.poly import assignments
 
 from bruteforce import (
+    assignments,
     constrained_argmin,
     evaluate_terms,
     penalty_fold,

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qaoadepth import MissingAssignmentError, Polynomial, assignments
+from qaoadepth import MissingAssignmentError, Polynomial
 
-from bruteforce import evaluate_terms, exhaustive_minimum, random_polynomial
+from bruteforce import assignments, evaluate_terms, exhaustive_minimum, random_polynomial
 
 
 def var(name):
@@ -58,6 +58,18 @@ def test_square_affine():
     assert p.square() == expected
     for assignment in assignments(("x1", "x2")):
         assert expected.evaluate(assignment) == p.evaluate(assignment) ** 2
+
+
+def test_square_matches_self_times_self():
+    rng = random.Random(23)
+    names = ["x1", "x2", "x3", "x4", "x5"]
+    for _ in range(300):
+        terms = [((), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))]
+        for _ in range(rng.randint(0, 8)):
+            support = rng.sample(names, rng.randint(1, 3))
+            terms.append((support, Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+        p = Polynomial.from_terms(terms)
+        assert list(p.square().terms()) == list((p * p).terms())
 
 
 def test_evaluate_cut_indicator():
