@@ -192,108 +192,77 @@ def _misra_gries_classes(h: DerivedHypergraph) -> list[list[int]]:
     """The color classes of :func:`color_misra_gries`; every edge has width 2."""
     max_degree = h.max_degree()
     palette = range(1, max_degree + 2)
+    ends = [edge.support for edge in h.edges]
+    color = [0] * len(ends)  # 0 while uncolored
+    at: dict[str, dict[int, int]] = {v: {} for v in h.incident}  # vertex -> {color: edge}
 
-    incident: dict[str, dict[int, str]] = {}  # vertex -> {color: other endpoint}
-    edge_color: dict[tuple[str, str], int] = {}
+    def other(e: int, v: str) -> str:
+        a, b = ends[e]
+        return b if a == v else a
 
-    def key(a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
+    def paint(e: int, c: int) -> None:
+        """Recolor edge e with c, or uncolor it when c is 0."""
+        a, b = ends[e]
+        if color[e]:
+            del at[a][color[e]], at[b][color[e]]
+        color[e] = c
+        if c:
+            at[a][c] = at[b][c] = e
+
+    def repaint(edges: list[int], colors: list[int]) -> None:
+        # Uncolor first: recoloring in place would transiently give two
+        # incident edges the same color and corrupt the bookkeeping.
+        for e in edges:
+            paint(e, 0)
+        for e, c in zip(edges, colors):
+            paint(e, c)
 
     def free_color(v: str) -> int:
-        used = incident.get(v, {})
-        for color in palette:
-            if color not in used:
-                return color
+        used = at[v]
+        for c in palette:
+            if c not in used:
+                return c
         raise AssertionError(f"no free color at {v}; palette too small")
 
-    def assign(a: str, b: str, color: int) -> None:
-        k = key(a, b)
-        old = edge_color.get(k)
-        if old is not None:
-            del incident[a][old]
-            del incident[b][old]
-        edge_color[k] = color
-        incident.setdefault(a, {})[color] = b
-        incident.setdefault(b, {})[color] = a
-
-    def unassign(a: str, b: str) -> None:
-        k = key(a, b)
-        old = edge_color.pop(k)
-        del incident[a][old]
-        del incident[b][old]
-
-    for edge in h.edges:
-        u, v = edge.support
+    for e, (u, v) in enumerate(ends):
         # Shortcut: a color free at both endpoints colors the edge directly.
-        shared = next(
-            (col for col in palette
-             if col not in incident.get(u, {}) and col not in incident.get(v, {})),
-            None,
-        )
+        shared = next((c for c in palette if c not in at[u] and c not in at[v]), None)
         if shared is not None:
-            assign(u, v, shared)
+            paint(e, shared)
             continue
-        # Maximal fan of u starting at v: each next edge's color is free at
-        # the previous fan vertex.
-        fan = [v]
-        in_fan = {v}
+        # Maximal fan of u starting at e: each next edge's color is free at
+        # the far end of the previous fan edge.
+        fan = [e]
+        around = sorted(at[u].items())
         while True:
-            last = fan[-1]
-            extension = None
-            for color, w in sorted(incident.get(u, {}).items()):
-                if w not in in_fan and color not in incident.get(last, {}):
-                    extension = w
-                    break
+            tip = at[other(fan[-1], u)]
+            extension = next((f for c, f in around if f not in fan and c not in tip), None)
             if extension is None:
                 break
             fan.append(extension)
-            in_fan.add(extension)
 
         c = free_color(u)
-        d = free_color(fan[-1])
-
+        d = free_color(other(fan[-1], u))
         if c != d:
             # Invert the maximal path from u alternating colors d, c.
-            # Unassign first: flipping in place would transiently give two
-            # incident edges the same color and corrupt the bookkeeping.
-            path = []
-            current, color = u, d
-            while color in incident.get(current, {}):
-                nxt = incident[current][color]
-                path.append((current, nxt, color))
-                current = nxt
-                color = c if color == d else d
-            for a, b, _ in path:
-                unassign(a, b)
-            for a, b, color in path:
-                assign(a, b, d if color == c else c)
+            path, x, k = [], u, d
+            while k in at[x]:
+                path.append(at[x][k])
+                x = other(path[-1], x)
+                k = c if k == d else d
+            repaint(path, [c if color[f] == d else d for f in path])
 
-        # d is now free at u; find the first fan vertex where d is free and
-        # rotate the fan prefix onto it.
-        pivot = None
-        for index, w in enumerate(fan):
-            if d not in incident.get(w, {}):
-                pivot = index
-                break
+        # d is now free at u; find the first fan edge whose far end has d
+        # free and rotate the fan prefix onto it.
+        pivot = next((i for i, f in enumerate(fan) if d not in at[other(f, u)]), None)
         if pivot is None:
-            raise AssertionError("no fan vertex with the free color; fan invariant broken")
-        for i in range(pivot):
-            shifted = edge_color[key(u, fan[i + 1])]
-            unassign(u, fan[i + 1])
-            assign(u, fan[i], shifted)
-        assign(u, fan[pivot], d)
+            raise AssertionError("no fan edge with the free color; fan invariant broken")
+        repaint(fan[:pivot + 1], [color[f] for f in fan[1:pivot + 1]] + [d])
 
-    colors_used = sorted(set(edge_color.values()))
-    index_of = {
-        key(*h.edges[i].support): i for i in range(len(h.edges))
-    }
-    classes = [
-        sorted(index_of[k] for k, col in edge_color.items() if col == color)
-        for color in colors_used
-    ]
-    if len(classes) > max_degree + 1:
-        raise AssertionError("misra-gries exceeded Delta+1 colors")
-    return classes
+    classes: list[list[int]] = [[] for _ in range(max_degree + 2)]
+    for e, c in enumerate(color):
+        classes[c].append(e)
+    return [cls for cls in classes if cls]
 
 
 def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> EdgeColoring:

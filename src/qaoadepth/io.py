@@ -88,11 +88,13 @@ def _jsonify(value):
 # -- polynomials -------------------------------------------------------------
 
 
+def _terms_to_json(pairs) -> list[dict]:
+    """``{"vars", "coeff"}`` records of (support, coefficient) pairs, in the given order."""
+    return [{"vars": list(s), "coeff": rational_to_json(c)} for s, c in pairs]
+
+
 def polynomial_to_json(p: Polynomial) -> list[dict]:
-    return [
-        {"vars": list(support), "coeff": rational_to_json(coeff)}
-        for support, coeff in p.terms()
-    ]
+    return _terms_to_json(p.terms())
 
 
 def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
@@ -315,6 +317,11 @@ _DOT_PALETTE = (
 )
 
 
+def _dot_quote(text: str) -> str:
+    """A quoted DOT string with backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def hypergraph_to_dot(h: DerivedHypergraph, coloring: EdgeColoring | None = None) -> str:
     """Graphviz rendering; hyperedges wider than 2 become labeled box nodes."""
     color_of = coloring.color_of() if coloring is not None else {}
@@ -327,18 +334,18 @@ def hypergraph_to_dot(h: DerivedHypergraph, coloring: EdgeColoring | None = None
 
     lines = ["graph interactions {", "  node [shape=circle];"]
     for name in h.vertices:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_quote(name)};")
     box = 0
     for index, edge in enumerate(h.edges):
         if len(edge.support) == 2:
-            u, v = edge.support
-            lines.append(f'  "{u}" -- "{v}"{attrs(index)};')
+            u, v = map(_dot_quote, edge.support)
+            lines.append(f"  {u} -- {v}{attrs(index)};")
         else:
             aux = f"gate{box}"
             box += 1
-            lines.append(f'  "{aux}" [shape=box, label="{",".join(edge.support)}"];')
+            lines.append(f'  "{aux}" [shape=box, label={_dot_quote(",".join(edge.support))}];')
             for name in edge.support:
-                lines.append(f'  "{aux}" -- "{name}"{attrs(index)};')
+                lines.append(f'  "{aux}" -- {_dot_quote(name)}{attrs(index)};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -347,15 +354,10 @@ def hypergraph_to_dot(h: DerivedHypergraph, coloring: EdgeColoring | None = None
 
 
 def expansion_diff_to_json(diff: ExpansionDiff) -> dict:
-    def pack(pairs):
-        return [
-            {"vars": list(s), "coeff": rational_to_json(c)} for s, c in sorted(pairs)
-        ]
-
     return {
         "has_differences": diff.has_differences,
-        "missing_in_reference": pack(diff.missing_in_reference),
-        "unexpected_in_reference": pack(diff.unexpected_in_reference),
+        "missing_in_reference": _terms_to_json(sorted(diff.missing_in_reference)),
+        "unexpected_in_reference": _terms_to_json(sorted(diff.unexpected_in_reference)),
         "coefficient_mismatches": [
             {
                 "vars": list(s),
@@ -447,9 +449,7 @@ def schedule_to_json(sched: CircuitSchedule) -> dict:
         for gate in layer.gates:
             entry: dict[str, Any] = {"qubits": list(gate.qubits)}
             if gate.kind != "mixer":
-                entry["terms"] = [
-                    {"vars": list(s), "coeff": rational_to_json(c)} for s, c in gate.terms
-                ]
+                entry["terms"] = _terms_to_json(gate.terms)
             gates.append(entry)
         layers.append({"kind": layer.kind, "angle": angle, "gates": gates})
     return {

@@ -53,16 +53,7 @@ class Polynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Iterable[str], object] | None = None):
-        canonical: dict[Support, Fraction] = {}
-        if terms:
-            for support, coeff in terms.items():
-                key = _canonical_support(support)
-                value = canonical.get(key, Fraction(0)) + _coerce(coeff)
-                if value == 0:
-                    canonical.pop(key, None)
-                else:
-                    canonical[key] = value
-        self._terms = {k: canonical[k] for k in sorted(canonical)}
+        self._terms = Polynomial.from_terms(terms.items() if terms else ())._terms
         self._hash: int | None = None
 
     @classmethod
@@ -241,30 +232,29 @@ class Polynomial:
                     values[z] += values[z ^ bit]
         return values
 
-    def minimum_over_cube(self, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> tuple[Fraction, bool]:
+    def minimum_over_cube(self) -> tuple[Fraction, bool]:
         """Minimum over all binary assignments, and whether it is exact.
 
         Exact in closed form for degree <= 1: the constant plus
         sum(min(0, coeff)) over the variables, each set on its own.  A
-        nonlinear polynomial is enumerated when at most ``exact_limit``
-        variables occur; otherwise the interval lower bound
-        sum(min(0, coeff)) is returned, which never exceeds the true minimum.
+        nonlinear polynomial is enumerated when at most
+        ``EXACT_ENUMERATION_LIMIT`` variables occur; otherwise the interval
+        lower bound sum(min(0, coeff)) is returned, which never exceeds the
+        true minimum.
         """
-        return self._cube_extreme(min, exact_limit)
+        return self._cube_extreme(min)
 
-    def maximum_over_cube(self, exact_limit: int = EXACT_ENUMERATION_LIMIT) -> tuple[Fraction, bool]:
+    def maximum_over_cube(self) -> tuple[Fraction, bool]:
         """Maximum over all binary assignments; mirrors :meth:`minimum_over_cube`."""
-        return self._cube_extreme(max, exact_limit)
+        return self._cube_extreme(max)
 
-    def _cube_extreme(self, pick, exact_limit: int) -> tuple[Fraction, bool]:
-        if exact_limit < 0:
-            raise ValueError("exact_limit must be >= 0")
+    def _cube_extreme(self, pick) -> tuple[Fraction, bool]:
         zero = Fraction(0)
         if self.degree() <= 1:
             return self.constant_term + sum(
                 (pick(zero, c) for s, c in self._terms.items() if s), zero
             ), True
-        if len(self.variables()) <= exact_limit:
+        if len(self.variables()) <= EXACT_ENUMERATION_LIMIT:
             return Fraction(pick(self.values_over_cube())), True
         return sum((pick(zero, c) for c in self._terms.values()), zero), False
 

@@ -263,6 +263,8 @@ def make_knapsack(
     """
     if len(values) != len(weights):
         raise InvalidInputError("values and weights must have equal length")
+    if not weights:
+        raise InvalidInputError("knapsack needs at least one item")
     n = len(weights)
     weights = [Fraction(w) for w in weights]
     values = [Fraction(v) for v in values]

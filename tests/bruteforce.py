@@ -167,6 +167,119 @@ def merge_layers_bruteforce(supports, limit: int) -> int:
     return best
 
 
+def misra_gries_reference(h: DerivedHypergraph) -> list[list[int]]:
+    """Misra-Gries Delta+1 classes on vertex names, kept as the identity reference.
+
+    Two synchronised maps (vertex -> color -> other endpoint, and sorted name
+    pair -> color); the same tie-breaks as ``coloring._misra_gries_classes``,
+    which must return identical classes.  Every edge has width 2.
+    """
+    max_degree = h.max_degree()
+    palette = range(1, max_degree + 2)
+
+    incident: dict[str, dict[int, str]] = {}  # vertex -> {color: other endpoint}
+    edge_color: dict[tuple[str, str], int] = {}
+
+    def key(a: str, b: str) -> tuple[str, str]:
+        return (a, b) if a <= b else (b, a)
+
+    def free_color(v: str) -> int:
+        used = incident.get(v, {})
+        for color in palette:
+            if color not in used:
+                return color
+        raise AssertionError(f"no free color at {v}; palette too small")
+
+    def assign(a: str, b: str, color: int) -> None:
+        k = key(a, b)
+        old = edge_color.get(k)
+        if old is not None:
+            del incident[a][old]
+            del incident[b][old]
+        edge_color[k] = color
+        incident.setdefault(a, {})[color] = b
+        incident.setdefault(b, {})[color] = a
+
+    def unassign(a: str, b: str) -> None:
+        k = key(a, b)
+        old = edge_color.pop(k)
+        del incident[a][old]
+        del incident[b][old]
+
+    for edge in h.edges:
+        u, v = edge.support
+        # Shortcut: a color free at both endpoints colors the edge directly.
+        shared = next(
+            (col for col in palette
+             if col not in incident.get(u, {}) and col not in incident.get(v, {})),
+            None,
+        )
+        if shared is not None:
+            assign(u, v, shared)
+            continue
+        # Maximal fan of u starting at v: each next edge's color is free at
+        # the previous fan vertex.
+        fan = [v]
+        in_fan = {v}
+        while True:
+            last = fan[-1]
+            extension = None
+            for color, w in sorted(incident.get(u, {}).items()):
+                if w not in in_fan and color not in incident.get(last, {}):
+                    extension = w
+                    break
+            if extension is None:
+                break
+            fan.append(extension)
+            in_fan.add(extension)
+
+        c = free_color(u)
+        d = free_color(fan[-1])
+
+        if c != d:
+            # Invert the maximal path from u alternating colors d, c.
+            # Unassign first: flipping in place would transiently give two
+            # incident edges the same color and corrupt the bookkeeping.
+            path = []
+            current, color = u, d
+            while color in incident.get(current, {}):
+                nxt = incident[current][color]
+                path.append((current, nxt, color))
+                current = nxt
+                color = c if color == d else d
+            for a, b, _ in path:
+                unassign(a, b)
+            for a, b, color in path:
+                assign(a, b, d if color == c else c)
+
+        # d is now free at u; find the first fan vertex where d is free and
+        # rotate the fan prefix onto it.
+        pivot = None
+        for index, w in enumerate(fan):
+            if d not in incident.get(w, {}):
+                pivot = index
+                break
+        if pivot is None:
+            raise AssertionError("no fan vertex with the free color; fan invariant broken")
+        for i in range(pivot):
+            shifted = edge_color[key(u, fan[i + 1])]
+            unassign(u, fan[i + 1])
+            assign(u, fan[i], shifted)
+        assign(u, fan[pivot], d)
+
+    colors_used = sorted(set(edge_color.values()))
+    index_of = {
+        key(*h.edges[i].support): i for i in range(len(h.edges))
+    }
+    classes = [
+        sorted(index_of[k] for k, col in edge_color.items() if col == color)
+        for color in colors_used
+    ]
+    if len(classes) > max_degree + 1:
+        raise AssertionError("misra-gries exceeded Delta+1 colors")
+    return classes
+
+
 def conflicts_pairwise(supports) -> list[list[int]]:
     """For each support, the indices of the other supports it intersects, pair by pair."""
     sets = [set(s) for s in supports]

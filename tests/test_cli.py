@@ -169,6 +169,14 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--problem", str(bad))
     assert code == 1 and "zz" in err
 
+    code, out, err = run_cli(
+        capsys, "analyze", "--family", "knapsack",
+        "--values", "", "--weights", "", "--capacity", "4",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: knapsack needs at least one item")
+    assert "Traceback" not in err
+
     code, _, err = run_cli(capsys, "analyze")
     assert code == 1
 

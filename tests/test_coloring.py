@@ -16,6 +16,8 @@ from qaoadepth import (
     color_misra_gries,
     dualize,
     make_maxcut,
+    make_maxindset,
+    make_vertex_cover,
     merge_exact,
     pubo_from_polynomial,
 )
@@ -25,6 +27,7 @@ from qaoadepth.io import read_dimacs_graph
 
 from bruteforce import (
     chromatic_index_bruteforce,
+    misra_gries_reference,
     random_graph,
     random_hypergraph_supports,
 )
@@ -129,6 +132,27 @@ def test_misra_gries_respects_vizing_on_random_graphs():
         h = graph_hypergraph(g)
         coloring = color_misra_gries(h)
         assert coloring.num_colors <= g.max_degree() + 1
+
+
+def test_misra_gries_matches_the_name_keyed_reference():
+    # Sparse graphs up to 60 vertices, complete graphs up to 7; the
+    # vertex-cover hypergraphs add one slack vertex per edge.
+    rng = random.Random(61)
+    graphs = []
+    for _ in range(300):
+        p = rng.choice((0.015, 0.05, 0.15, 0.4, 0.7, 1.0))
+        graphs.append(random_graph(rng, rng.randint(2, min(60, int((60 / p) ** 0.5))), p))
+    checked = 0
+    for g in graphs:
+        for make in (make_maxcut, make_maxindset, make_vertex_cover):
+            h = build(dualize(make(g)))
+            assert h.uniform_size() in (2, None)
+            assert coloring_mod._misra_gries_classes(h) == misra_gries_reference(h)
+            checked += bool(h.edges)
+    assert checked > 600
+    for n, degree in ((1000, 3), (100, 12)):
+        h = graph_hypergraph(random_graph(rng, n, degree / (n - 1)))
+        assert coloring_mod._misra_gries_classes(h) == misra_gries_reference(h)
 
 
 def test_greedy_on_matchings_and_stars():

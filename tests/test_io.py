@@ -15,6 +15,7 @@ from qaoadepth import (
     make_sat,
     make_tsp,
     make_vertex_cover,
+    pubo_from_polynomial,
     schedule,
     with_penalty_weight,
 )
@@ -162,6 +163,16 @@ def test_dot_export_plain_and_hyper(w6, general_problem):
     dot3 = hypergraph_to_dot(h3, color_exact(h3))
     assert "shape=box" in dot3
     assert 'label="c' in dot3
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    poly = Polynomial.from_terms([(('a"b', "c"), 1), (("c", "d\\", "e"), 1)])
+    h = build(pubo_from_polynomial(poly))
+    dot = hypergraph_to_dot(h)
+    assert '  "a\\"b" -- "c";' in dot
+    assert '  "d\\\\";' in dot
+    assert 'label="c,d\\\\,e"' in dot
+    assert '  "gate0" -- "d\\\\";' in dot
 
 
 def test_schedule_json_shape(w6):

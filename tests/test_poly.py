@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qaoadepth import MissingAssignmentError, Polynomial
+from qaoadepth import poly as poly_mod
 
 from bruteforce import assignments, evaluate_terms, exhaustive_minimum, random_polynomial
 
@@ -104,13 +105,14 @@ def test_minimum_over_cube_constant():
     assert Polynomial.constant(5).minimum_over_cube() == (Fraction(5), True)
 
 
-def test_minimum_over_cube_interval_fallback_is_lower_bound():
+def test_minimum_over_cube_interval_fallback_is_lower_bound(monkeypatch):
+    monkeypatch.setattr(poly_mod, "EXACT_ENUMERATION_LIMIT", 0)
     rng = random.Random(7)
     seen = set()
     for _ in range(50):
         names = [f"x{i}" for i in range(1, rng.randint(2, 7))]
         p = random_polynomial(rng, names)
-        bound, exact = p.minimum_over_cube(exact_limit=0)
+        bound, exact = p.minimum_over_cube()
         assert exact == (p.degree() <= 1)
         if exact:
             assert bound == exhaustive_minimum(p)
@@ -128,14 +130,17 @@ def random_linear(rng, n):
     return Polynomial.from_terms(terms)
 
 
-def test_linear_cube_extremes_are_exact_in_closed_form():
+def test_linear_cube_extremes_are_exact_in_closed_form(monkeypatch):
     rng = random.Random(23)
     for _ in range(100):
         p = random_linear(rng, rng.randint(0, 8))
         assert p.degree() <= 1 and p.constant_term != 0
-        assert p.minimum_over_cube() == (exhaustive_minimum(p), True)
+        low = (exhaustive_minimum(p), True)
+        assert p.minimum_over_cube() == low
         assert p.maximum_over_cube() == (-exhaustive_minimum(-p), True)
-        assert p.minimum_over_cube(exact_limit=0) == p.minimum_over_cube()
+        with monkeypatch.context() as m:
+            m.setattr(poly_mod, "EXACT_ENUMERATION_LIMIT", 0)
+            assert p.minimum_over_cube() == low
 
 
 def test_wide_linear_lhs_is_bounded_without_enumeration(monkeypatch):
@@ -153,12 +158,13 @@ def test_wide_linear_lhs_is_bounded_without_enumeration(monkeypatch):
     assert p.maximum_over_cube() == (high, True)
 
 
-def test_maximum_over_cube_interval_fallback_is_upper_bound():
+def test_maximum_over_cube_interval_fallback_is_upper_bound(monkeypatch):
+    monkeypatch.setattr(poly_mod, "EXACT_ENUMERATION_LIMIT", 0)
     rng = random.Random(8)
     for _ in range(50):
         names = [f"x{i}" for i in range(1, rng.randint(2, 7))]
         p = random_polynomial(rng, names)
-        bound, _ = p.maximum_over_cube(exact_limit=0)
+        bound, _ = p.maximum_over_cube()
         assert bound >= -exhaustive_minimum(-p)
 
 

@@ -174,6 +174,8 @@ def test_knapsack_rejects_bad_input():
         make_knapsack((1,), (0,), 4)
     with pytest.raises(InvalidInputError):
         make_knapsack((1, 2), (1,), 4)
+    with pytest.raises(InvalidInputError, match="at least one item"):
+        make_knapsack((), (), 4)
     with pytest.raises(InvalidInputError):
         make_knapsack((1, 2), (3, 1), 4, preprocess=True)  # weights not ascending
     with pytest.raises(InvalidInputError):
