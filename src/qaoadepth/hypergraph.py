@@ -108,7 +108,13 @@ class DerivedHypergraph:
 
     def is_linear(self) -> bool:
         """True when any two hyperedges share at most one vertex."""
-        supports = [set(e.support) for e in self.edges]
+        return self._linear
+
+    @cached_property
+    def _linear(self) -> bool:
+        supports = [frozenset(e.support) for e in self.edges]
+        if all(len(s) <= 2 for s in supports) and len(set(supports)) == len(supports):
+            return True  # two distinct sets of at most two vertices share at most one
         return all(
             len(supports[i] & supports[j]) <= 1
             for i, others in enumerate(self.conflicts)

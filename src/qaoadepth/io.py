@@ -27,8 +27,10 @@ Problem JSON schema::
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .coloring import BoundRef, EdgeColoring
@@ -46,9 +48,8 @@ TOOL_NAME = "qaoadepth"
 
 
 def rational_to_json(value: Fraction):
-    value = Fraction(value)
     if value.denominator == 1:
-        return int(value)
+        return value.numerator
     return {"num": value.numerator, "den": value.denominator}
 
 
@@ -335,17 +336,18 @@ def hypergraph_to_dot(h: DerivedHypergraph, coloring: EdgeColoring | None = None
     lines = ["graph interactions {", "  node [shape=circle];"]
     for name in h.vertices:
         lines.append(f"  {_dot_quote(name)};")
-    box = 0
+    # Box nodes are gate0, gate1, ..., skipping any name a vertex already uses.
+    taken = set(h.vertices).union(h.incident)
+    boxes = (aux for aux in map("gate{}".format, itertools.count()) if aux not in taken)
     for index, edge in enumerate(h.edges):
         if len(edge.support) == 2:
             u, v = map(_dot_quote, edge.support)
             lines.append(f"  {u} -- {v}{attrs(index)};")
         else:
-            aux = f"gate{box}"
-            box += 1
-            lines.append(f'  "{aux}" [shape=box, label={_dot_quote(",".join(edge.support))}];')
+            aux = _dot_quote(next(boxes))
+            lines.append(f"  {aux} [shape=box, label={_dot_quote(','.join(edge.support))}];")
             for name in edge.support:
-                lines.append(f'  "{aux}" -- {_dot_quote(name)}{attrs(index)};')
+                lines.append(f"  {aux} -- {_dot_quote(name)}{attrs(index)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -484,8 +486,53 @@ def depth_report_to_json(report: DepthReport) -> dict:
 
 
 def dumps(data) -> str:
-    """Canonical JSON text: sorted keys, stable indentation, trailing newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, stable indentation, trailing newline.
+
+    The text is byte-identical to ``json.dumps(data, indent=2,
+    sort_keys=True) + "\\n"``.  Accepted values are exactly dicts with
+    ``str`` keys, lists, tuples, strings, ints, bools and ``None``; anything
+    else, including a float or a non-``str`` key, raises ``TypeError``.  With
+    ``indent`` set, ``json.dumps`` runs its pure-Python generator encoder;
+    this one builds each container with one ``str.join`` and escapes strings
+    with the same C function ``json`` uses.
+    """
+    return _encode(data, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """JSON text of ``value`` whose lines after the first start with ``newline``."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # Sorted by the raw key, as json does: escaping changes the order.
+        # _quote raises TypeError on a key that is not a str.
+        body = ("," + inner).join(
+            [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
+        )
+        return "{" + inner + body + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            parts = map(_quote, value)
+        elif kinds == {int}:  # exact types: a bool is an int but prints as true/false
+            parts = map(int.__repr__, value)
+        else:
+            parts = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- text rendering ----------------------------------------------------------

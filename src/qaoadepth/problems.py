@@ -181,18 +181,25 @@ def make_maxcut(g: InstanceGraph) -> Problem:
     Each edge {i,j} contributes w*(2*xi*xj - xi - xj), which is -w exactly
     when the edge is cut, so the minimum equals minus the maximum cut weight.
     """
-    terms: list[tuple[tuple[str, ...], Fraction]] = []
-    for idx, (u, v) in enumerate(g.edges):
-        w = g.weight(idx)
-        xu, xv = _vertex_var(u), _vertex_var(v)
-        terms.append(((xu, xv), 2 * w))
-        terms.append(((xu,), -w))
-        terms.append(((xv,), -w))
+    names = [_vertex_var(i) for i in range(g.n + 1)]
+    weights = g.weights if g.weights is not None else (1,) * len(g.edges)
+    # The coefficient dict is built in canonical form directly: supports are
+    # sorted by name ("x10" < "x9") and edges are distinct, so each edge owns
+    # its quadratic key and each vertex sums its linear coefficient once.
+    terms: dict[tuple[str, ...], Fraction] = {}
+    linear = [0] * (g.n + 1)
+    for (u, v), w in zip(g.edges, weights):
+        xu, xv = names[u], names[v]
+        terms[(xu, xv) if xu < xv else (xv, xu)] = Fraction(2 * w)
+        linear[u] -= w
+        linear[v] -= w
+    for i in range(1, g.n + 1):
+        terms[(names[i],)] = Fraction(linear[i])
     return Problem(
         sense=MINIMIZE,
-        objective=Polynomial.from_terms(terms),
+        objective=Polynomial._from_canonical(terms),
         constraints=(),
-        variables=_registry(_vertex_var(i) for i in range(1, g.n + 1)),
+        variables=_registry(names[1:]),
         family="maxcut",
         family_info={"n": g.n, "edges": list(g.edges)},
     )

@@ -349,6 +349,18 @@ def penalty_fold(problem: Problem, pubo: Pubo) -> Polynomial:
     return objective
 
 
+def maxcut_objective_reference(g: InstanceGraph) -> Polynomial:
+    """The MaxCut objective term by term: w*(2*xu*xv - xu - xv) per edge, summed."""
+    terms = []
+    for idx, (u, v) in enumerate(g.edges):
+        w = g.weight(idx)
+        xu, xv = f"x{u}", f"x{v}"
+        terms.append(((xu, xv), 2 * w))
+        terms.append(((xu,), -w))
+        terms.append(((xv,), -w))
+    return Polynomial.from_terms(terms)
+
+
 def random_graph(rng, n: int, p: float) -> InstanceGraph:
     edges = [
         (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p

@@ -4,7 +4,9 @@ import pytest
 
 from qaoadepth import (
     BudgetExceededError,
+    DerivedHypergraph,
     GateWidthError,
+    Hyperedge,
     InstanceGraph,
     Polynomial,
     absorb_subsets,
@@ -74,6 +76,29 @@ def test_conflicts_and_linearity_match_the_pairwise_definition(max_width):
     # than two, so two of them can share two vertices) non-linear ones all occurred
     expected = {(0, True), (1, True), (2, True)} | ({(2, False)} if max_width > 2 else set())
     assert outcomes == expected
+
+
+@pytest.mark.parametrize(
+    "supports, linear",
+    [
+        ([("a", "b", "c"), ("b", "c", "d")], False),
+        ([("a", "b"), ("a", "b", "c")], False),
+        ([("a", "b", "c", "d"), ("c", "d", "e", "f")], False),
+        ([("a", "b"), ("c", "d", "e", "f"), ("b", "d", "e", "g")], False),
+        ([("a", "b", "c", "d"), ("d", "e", "f", "g"), ("a", "e", "h", "i")], True),
+    ],
+)
+def test_wide_hypergraphs_sharing_two_vertices_are_not_linear(supports, linear):
+    h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+    assert h.is_linear() == is_linear_pairwise(supports) == linear
+
+
+def test_a_repeated_pair_is_not_linear():
+    # build() never repeats a support; two gates on one pair still share two qubits
+    pair = Hyperedge(support=("a", "b"), monomials=((("a", "b"), 1),))
+    h = DerivedHypergraph(vertices=("a", "b"), edges=(pair, pair), singletons=())
+    assert not h.is_linear()
+    assert DerivedHypergraph(vertices=("a", "b"), edges=(pair,), singletons=()).is_linear()
 
 
 def test_general_example_absorption_leaves_eight_gates(general_problem):

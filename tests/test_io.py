@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qaoadepth import (
     InstanceGraph,
@@ -175,6 +179,20 @@ def test_dot_export_escapes_quotes_and_backslashes():
     assert '  "gate0" -- "d\\\\";' in dot
 
 
+def test_dot_box_names_avoid_vertex_names():
+    poly = Polynomial.from_terms(
+        [(("gate0", "a"), 1), (("a", "b", "c"), 1), (("b", "c", "gate2"), 1)]
+    )
+    dot = hypergraph_to_dot(build(pubo_from_polynomial(poly)))
+    assert '  "gate1" [shape=box, label="a,b,c"];' in dot
+    assert '  "gate3" [shape=box, label="b,c,gate2"];' in dot
+    assert '  "a" -- "gate0";' in dot
+    assert '  "gate1" -- "a";' in dot and '  "gate3" -- "gate2";' in dot
+    # every vertex and every box is declared exactly once
+    declared = [line for line in dot.splitlines() if "--" not in line and line.startswith("  \"")]
+    assert len(declared) == len(set(declared)) == 5 + 2
+
+
 def test_schedule_json_shape(w6):
     pubo = dualize(make_maxcut(w6))
     h = build(pubo)
@@ -205,3 +223,46 @@ def test_render_schedule_text_plain_and_ansi(w6):
 
 def test_dumps_is_deterministic(general_problem):
     assert dumps(problem_to_json(general_problem)) == dumps(problem_to_json(general_problem))
+
+
+# -- the canonical JSON encoder ------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+_strings = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", "\x00\x1f\x7f", 'q"uo\\te', "caf\u00e9", "\u2028\ud800", "\U0001f600", "a#", 'a"']
+)
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**300)
+    | st.integers(max_value=-(2**64)) | _strings
+)
+_json_values = st.recursive(
+    _scalars
+    | st.lists(st.booleans() | st.integers(), max_size=6)
+    | st.just([]) | st.just({}) | st.just([[], {}, [[]]]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_json_values)
+@example({'a"': 1, "a#": [True, 1], "caf\u00e9": {}, "z": ()})  # raw and escaped key orders differ
+def test_dumps_matches_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_golden_json_is_a_fixed_point_of_dumps(path):
+    text = path.read_text(encoding="utf-8")
+    assert dumps(json.loads(text)) == text
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "x"}, {"a": {True: 1}}, {None: 1}, b"x"]
+)
+def test_dumps_rejects_values_json_cannot_hold_exactly(value):
+    with pytest.raises(TypeError):
+        dumps(value)

@@ -21,7 +21,7 @@ from qaoadepth import (
     with_penalty_weight,
 )
 
-from bruteforce import cut_size, independent_sets, random_graph
+from bruteforce import cut_size, independent_sets, maxcut_objective_reference, random_graph
 
 W6_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6))
 
@@ -86,6 +86,35 @@ def test_maxcut_weighted_edges():
     g = InstanceGraph(2, ((1, 2),), weights=(Fraction(3),))
     problem = make_maxcut(g)
     assert problem.objective == Polynomial({("x1", "x2"): 6, ("x1",): -3, ("x2",): -3})
+
+
+def test_maxcut_matches_the_term_by_term_reference():
+    rng = random.Random(29)
+    weight_pool = (1, -1, 0, Fraction(3, 4), Fraction(-5, 2), 7)
+    graphs = [
+        # vertex 2: +1 and -1 cancel; vertex 4 is isolated; the 0 edge leaves no term
+        InstanceGraph(5, ((1, 2), (2, 3), (3, 5)), weights=(1, -1, 0)),
+        InstanceGraph(12, ((9, 10), (10, 11), (2, 12))),
+    ]
+    for trial in range(60):
+        g = random_graph(rng, rng.randint(1, 16), rng.choice((0.1, 0.3, 0.6)))
+        if trial % 2:
+            weights = tuple(rng.choice(weight_pool) for _ in g.edges)
+            g = InstanceGraph(g.n, g.edges, weights=weights)
+        graphs.append(g)
+    for g in graphs:
+        objective = make_maxcut(g).objective
+        reference = maxcut_objective_reference(g)
+        assert list(objective.terms()) == list(reference.terms())
+        assert all(type(c) is Fraction and c for _, c in objective.terms())
+    # lexical order: x10 sorts before x9, in supports and between terms
+    assert make_maxcut(graphs[1]).objective.supports() == (
+        ("x10",), ("x10", "x11"), ("x10", "x9"), ("x11",),
+        ("x12",), ("x12", "x2"), ("x2",), ("x9",),
+    )
+    assert ("x2",) not in make_maxcut(graphs[0]).objective.supports()
+    assert ("x4",) not in make_maxcut(graphs[0]).objective.supports()
+    assert len(make_maxcut(graphs[0]).variables) == 5
 
 
 # -- maxindset ----------------------------------------------------------------
