@@ -75,6 +75,20 @@ def rational_from_json(value, path: str) -> Fraction:
     raise InvalidInputError(f"{path}: expected a number, got {type(value).__name__}")
 
 
+def _reject_floats(value, path: str) -> None:
+    """Raise InvalidInputError at the first float inside a parsed JSON value."""
+    if isinstance(value, float):
+        raise InvalidInputError(
+            f"{path}: floats are not accepted; use an integer or {{'num', 'den'}}"
+        )
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_floats(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_floats(item, f"{path}[{i}]")
+
+
 def _jsonify(value):
     """Recursively convert Fractions and tuples into JSON-plain values."""
     if isinstance(value, Fraction):
@@ -216,6 +230,8 @@ def problem_from_json(data, path: str = "problem") -> Problem:
     family_info = data.get("family_info", {})
     if not isinstance(family_info, dict):
         raise InvalidInputError(f"{path}.family_info: expected an object")
+    # family_info is carried through to every artifact, which holds no floats.
+    _reject_floats(family_info, f"{path}.family_info")
 
     return Problem(
         sense=sense,
@@ -337,7 +353,7 @@ def hypergraph_to_dot(h: DerivedHypergraph, coloring: EdgeColoring | None = None
     for name in h.vertices:
         lines.append(f"  {_dot_quote(name)};")
     # Box nodes are gate0, gate1, ..., skipping any name a vertex already uses.
-    taken = set(h.vertices).union(h.incident)
+    taken = set(h.vertices)
     boxes = (aux for aux in map("gate{}".format, itertools.count()) if aux not in taken)
     for index, edge in enumerate(h.edges):
         if len(edge.support) == 2:
@@ -520,14 +536,7 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            parts = map(_quote, value)
-        elif kinds == {int}:  # exact types: a bool is an int but prints as true/false
-            parts = map(int.__repr__, value)
-        else:
-            parts = [_encode(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + newline + "]"
     if value is None:
         return "null"
     if kind is bool:

@@ -186,6 +186,19 @@ def test_exit_code_invalid_input(capsys, tmp_path):
     assert code == 1
 
 
+def test_float_in_family_info_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "float_info.json"
+    path.write_text(
+        '{"sense": "min", "variables": ["a", "b"],'
+        ' "objective": [{"vars": ["a", "b"], "coeff": 1}], "family_info": {"p": 0.3}}'
+    )
+    for command in ("analyze", "dualize"):
+        code, out, err = run_cli(capsys, command, "--problem", str(path), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: problem.family_info.p: floats are not accepted")
+        assert "Traceback" not in err
+
+
 def test_exit_code_infeasible(capsys, tmp_path):
     problem = Problem(
         sense="min",

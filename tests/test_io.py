@@ -117,6 +117,16 @@ def test_schema_violations_are_pinpointed():
         problem_from_json({"sense": "min", "variables": [], "objective": [], "bogus": 1})
 
 
+def test_floats_in_family_info_are_rejected():
+    base = {"sense": "min", "variables": ["a"], "objective": []}
+    with pytest.raises(InvalidInputError, match=r"family_info\.p: floats"):
+        problem_from_json({**base, "family_info": {"p": 0.3}})
+    with pytest.raises(InvalidInputError, match=r"family_info\.edges\[1\]\[0\]: floats"):
+        problem_from_json({**base, "family_info": {"edges": [[0, 1], [2.0, 3]]}})
+    info = {"n": 3, "edges": [[0, 1]], "name": "w", "flag": True, "none": None, "sub": {}}
+    assert problem_from_json({**base, "family_info": info}).family_info == info
+
+
 def test_empty_constraint_list_is_unconstrained():
     problem = problem_from_json(
         {"sense": "min", "variables": ["x1"], "objective": [{"vars": ["x1"], "coeff": 1}]}
