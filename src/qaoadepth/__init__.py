@@ -1,11 +1,12 @@
 """Penalty-form PUBO compilation and QAOA circuit-depth analysis.
 
 Pipeline: a constrained binary problem is dualized into an unconstrained
-penalty objective with power-of-two slack bits, the objective's monomials
-become the hyperedges of an interaction hypergraph, a proper edge coloring
-groups commuting gates into parallel layers, and the resulting schedule
-yields per-iteration depth figures alongside the closed-form values known
-for the classic problem families.
+penalty objective with binary slack bits (powers of two, the last one cut
+to the slack range), the objective's monomials become the hyperedges of an
+interaction hypergraph, a proper edge coloring groups commuting gates into
+parallel layers, and the resulting schedule yields per-iteration depth
+figures alongside the closed-form values known for the classic problem
+families.
 """
 
 from .coloring import (

@@ -2,13 +2,16 @@
 
 Each constraint ``p(x) <= b`` is replaced by the squared penalty
 
-    weight * (p(x) + sum_j 2**(j-1) * s_j - b)**2
+    weight * (p(x) + sum_j c_j * s_j - b)**2
 
-where the fresh binary slack bits s_j can represent every integer in
-[0, 2**k - 1], sized so that the slack can absorb the whole range between b
-and the minimum of p over the cube.  Feasible assignments then admit a slack
-setting with penalty exactly 0, while any integral violation costs at least
-the penalty weight.
+over fresh binary slack bits s_1..s_k.  The slack range R is what the slack
+must absorb: from the minimum of p over the cube up to b, or ``b - lower``
+for a two-sided constraint, whichever is smaller.  With span = ceil(R) and
+k = span.bit_length(), the coefficients are 1, 2, ..., 2**(k-2) and a last
+one of span - (2**(k-1) - 1), so the slack sums are exactly the integers in
+[0, span].  Feasible assignments then admit a slack setting with penalty
+exactly 0, while any integral violation, including one of a two-sided
+lower bound, costs at least the penalty weight.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Container
 
 from .errors import InfeasibleConstraintError, InvalidInputError
@@ -25,6 +29,12 @@ from .problems import MINIMIZE, Problem, Var
 
 def _bits(z: int, width: int) -> tuple[int, ...]:
     return tuple((z >> i) & 1 for i in range(width))
+
+
+def _scaled_values(poly: Polynomial, order: list[str]) -> tuple[list[int], int]:
+    """``poly`` times its common denominator d over the cube (all ints), and d."""
+    scale = poly.common_denominator()
+    return (poly * scale).values_over_cube(order), scale
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,13 @@ def _fresh_slack_name(base: str, taken: Container[str]) -> str:
     return name
 
 
-def _slack_bits(slack_range: Fraction) -> tuple[int, list[str]]:
-    """Number of slack bits covering [0, slack_range], with any notes."""
+def _slack_coefficients(slack_range: Fraction) -> tuple[list[int], list[str]]:
+    """Slack bit coefficients whose subset sums are exactly 0..ceil(slack_range), with notes.
+
+    Powers of two up to the last bit, which takes what is left of the span,
+    so no slack setting overshoots the range (a two-sided constraint's lower
+    bound stays enforced).
+    """
     notes = []
     if slack_range < 0:
         raise ValueError("slack range must be nonnegative")
@@ -118,7 +133,11 @@ def _slack_bits(slack_range: Fraction) -> tuple[int, list[str]]:
             "small positive penalty"
         )
     span = math.ceil(slack_range)
-    return span.bit_length(), notes
+    k = span.bit_length()
+    coefficients = [1 << j for j in range(k - 1)]
+    if k:
+        coefficients.append(span - ((1 << (k - 1)) - 1))
+    return coefficients, notes
 
 
 def dualize(problem: Problem) -> Pubo:
@@ -173,15 +192,15 @@ def dualize(problem: Problem) -> Pubo:
             )
             slack_range = con.slack_bound
 
-        bit_count, range_notes = _slack_bits(slack_range)
+        slack_coefficients, range_notes = _slack_coefficients(slack_range)
         notes.extend(range_notes)
 
         slack_names: list[str] = []
-        for j in range(1, bit_count + 1):
+        for j in range(1, len(slack_coefficients) + 1):
             name = _fresh_slack_name(f"s{index}_{j}", variables)
             slack_names.append(name)
             variables[name] = Var(name, slack_of=(index, j))
-        slack_poly = Polynomial({(name,): 2**j for j, name in enumerate(slack_names)})
+        slack_poly = Polynomial({(name,): c for name, c in zip(slack_names, slack_coefficients)})
 
         weight = con.weight
         if weight is None:
@@ -205,7 +224,7 @@ def dualize(problem: Problem) -> Pubo:
                 cube_min=cube_min,
                 cube_min_exact=min_exact,
                 slack_range=slack_range,
-                bit_count=bit_count,
+                bit_count=len(slack_names),
                 slack_vars=tuple(slack_names),
                 weight=weight,
                 square=square,
@@ -255,40 +274,37 @@ def verify_penalty(
     slack = [name for name in order if pubo.variables[name].is_slack]
     n_orig = len(original)
 
-    # Constrained side: feasibility and objective over original variables only.
+    # Every table holds a polynomial times its common denominator d, so it
+    # is all ints.  For an integer v, v/d <= rhs exactly when
+    # v <= floor(rhs*d), and v/d >= lower exactly when v >= ceil(lower*d).
     feasible = [True] * (1 << n_orig)
     for con in normalized.constraints:
-        lhs_values = con.lhs.values_over_cube(original)
-        for z, value in enumerate(lhs_values):
-            if value > con.rhs or (con.lower is not None and value < con.lower):
-                feasible[z] = False
-    objective_values = normalized.objective.values_over_cube(original)
-    best_value = None
-    constrained_argmin: list[tuple[int, ...]] = []
-    for z in range(1 << n_orig):
-        if not feasible[z]:
-            continue
-        value = objective_values[z]
-        if best_value is None or value < best_value:
-            best_value = value
-            constrained_argmin = [_bits(z, n_orig)]
-        elif value == best_value:
-            constrained_argmin.append(_bits(z, n_orig))
+        lhs_values, scale = _scaled_values(con.lhs, original)
+        high = math.floor(con.rhs * scale)
+        if con.lower is None:
+            feasible = [ok and v <= high for ok, v in zip(feasible, lhs_values)]
+        else:
+            low = math.ceil(con.lower * scale)
+            feasible = [ok and low <= v <= high for ok, v in zip(feasible, lhs_values)]
+    objective_values, _ = _scaled_values(normalized.objective, original)
+    best_value = min(compress(objective_values, feasible), default=None)
+    constrained_argmin = sorted(
+        _bits(z, n_orig)
+        for z in compress(range(1 << n_orig), feasible)
+        if objective_values[z] == best_value
+    )
 
     # PUBO side: minimize over slack bits for every original assignment.
     # Original variables occupy the low bit positions, so each slack block
     # of 2**n_orig consecutive indices scans the same original assignments.
-    pubo_values = pubo.objective.values_over_cube(original + slack)
+    pubo_values, _ = _scaled_values(pubo.objective, original + slack)
     block = 1 << n_orig
-    projected = pubo_values[:block]
-    for start in range(block, len(pubo_values), block):
-        chunk = pubo_values[start : start + block]
-        projected = [min(a, b) for a, b in zip(projected, chunk)]
-    pubo_best = min(projected, default=None)
+    slack_blocks = [pubo_values[start : start + block] for start in range(0, len(pubo_values), block)]
+    projected = list(map(min, zip(*slack_blocks)))
+    pubo_best = min(projected)
     pubo_argmin = sorted(
         _bits(z, n_orig) for z, value in enumerate(projected) if value == pubo_best
     )
-    constrained_argmin.sort()
 
     if not constrained_argmin:
         return PenaltyVerification(

@@ -14,7 +14,9 @@ equality rather than tolerances.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingAssignmentError
@@ -151,6 +153,8 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            if other == 1:
+                return self  # immutable, so no copy is needed
             scalar = _coerce(other)
             if scalar == 0:
                 return Polynomial()
@@ -202,34 +206,53 @@ class Polynomial:
                 total += coeff
         return total
 
+    def common_denominator(self) -> int:
+        """Least common multiple of the coefficients' denominators (1 when all are integers)."""
+        return math.lcm(*(c.denominator for c in self._terms.values()))
+
     def values_over_cube(self, order: Sequence[str] | None = None) -> list:
         """Values at every binary assignment, as a list indexed by bitmask.
 
         Assignment ``z`` sets variable ``order[i]`` to bit i of ``z``.  Uses
         the subset-sum (zeta) transform, so the cost is O(2**n * n) additions
-        rather than one full evaluation per point.  Entries are exact (int
-        when all coefficients are integral, Fraction otherwise).
+        rather than one full evaluation per point.  The additions are on ints
+        only: rational coefficients are first scaled by their common
+        denominator, and each bit's pass adds whole slices at a time.
+        Entries are exact: int when every coefficient is an integer,
+        otherwise Fraction (the sums divided back by the common denominator).
         """
-        names = list(self.variables() if order is None else order)
+        variables = self.variables()
+        names = list(variables if order is None else order)
         position = {name: i for i, name in enumerate(names)}
-        missing = set(self.variables()) - set(names)
-        if missing:
-            raise ValueError(f"order does not cover variables: {sorted(missing)}")
-        # Integer fast path: Fractions with denominator 1 become plain ints,
-        # which keeps the transform cheap; int and Fraction compare exactly.
-        exact_ints = all(c.denominator == 1 for c in self._terms.values())
-        zero = 0 if exact_ints else Fraction(0)
-        values = [zero] * (1 << len(names))
+        if order is not None:
+            missing = set(variables) - set(names)
+            if missing:
+                raise ValueError(f"order does not cover variables: {sorted(missing)}")
+        scale = self.common_denominator()
+        size = 1 << len(names)
+        values = [0] * size
         for support, coeff in self._terms.items():
             mask = 0
             for name in support:
                 mask |= 1 << position[name]
-            values[mask] += int(coeff) if exact_ints else coeff
-        for i in range(len(names)):
-            bit = 1 << i
-            for z in range(1 << len(names)):
-                if z & bit:
-                    values[z] += values[z ^ bit]
+            values[mask] += coeff.numerator * (scale // coeff.denominator)
+        bit = 1
+        while bit < size:
+            step = 2 * bit
+            if bit * step <= size:
+                # No more offsets than blocks: the points with this bit clear
+                # are offset + k*step for offset < bit.
+                for offset in range(bit):
+                    high = slice(offset + bit, size, step)
+                    values[high] = map(add, values[high], values[offset:size:step])
+            else:
+                # Few blocks, each a contiguous run of ``bit`` points.
+                for start in range(bit, size, step):
+                    high = slice(start, start + bit)
+                    values[high] = map(add, values[high], values[start - bit:start])
+            bit = step
+        if scale != 1:
+            return [Fraction(v, scale) for v in values]
         return values
 
     def minimum_over_cube(self) -> tuple[Fraction, bool]:
@@ -255,7 +278,8 @@ class Polynomial:
                 (pick(zero, c) for s, c in self._terms.items() if s), zero
             ), True
         if len(self.variables()) <= EXACT_ENUMERATION_LIMIT:
-            return Fraction(pick(self.values_over_cube())), True
+            scale = self.common_denominator()
+            return Fraction(pick((self * scale).values_over_cube()), scale), True
         return sum((pick(zero, c) for c in self._terms.values()), zero), False
 
     # -- dunder plumbing -----------------------------------------------------

@@ -7,6 +7,7 @@ evaluation, no shared code paths with the algorithms under test.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,6 +28,27 @@ def assignments(names):
     names = list(names)
     for bits in itertools.product((0, 1), repeat=len(names)):
         yield dict(zip(names, bits))
+
+
+def values_over_cube_reference(poly: Polynomial, order) -> list:
+    """``Polynomial.values_over_cube`` by the per-bit zeta loop, one point at a time.
+
+    Entry z sets ``order[i]`` to bit i of z.  Entries are Fractions.
+    """
+    names = list(order)
+    position = {name: i for i, name in enumerate(names)}
+    values = [Fraction(0)] * (1 << len(names))
+    for support, coeff in poly.terms():
+        mask = 0
+        for name in support:
+            mask |= 1 << position[name]
+        values[mask] += coeff
+    for i in range(len(names)):
+        bit = 1 << i
+        for z in range(1 << len(names)):
+            if z & bit:
+                values[z] += values[z ^ bit]
+    return values
 
 
 def cut_size(edges, bits) -> int:
@@ -85,6 +107,25 @@ def constrained_argmin(problem: Problem) -> list[tuple[int, ...]]:
         elif value == best:
             winners.append(bits)
     return winners
+
+
+def pubo_argmin_reference(pubo: Pubo) -> list[tuple[int, ...]]:
+    """Argmin set of a PUBO over its original variables, slack minimized out.
+
+    Evaluates every assignment of every variable with ``Fraction`` sums;
+    tuples list the non-slack variables in ``pubo.variables`` order.
+    """
+    names = [name for name, var in pubo.variables.items() if not var.is_slack]
+    slack = [name for name, var in pubo.variables.items() if var.is_slack]
+    projected = {}
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        assignment = dict(zip(names, bits))
+        projected[bits] = min(
+            evaluate_terms(pubo.objective, assignment | dict(zip(slack, slack_bits)))
+            for slack_bits in itertools.product((0, 1), repeat=len(slack))
+        )
+    best = min(projected.values())
+    return sorted(bits for bits, value in projected.items() if value == best)
 
 
 def chromatic_index_bruteforce(supports) -> int:
@@ -333,18 +374,23 @@ def absorb_subsets_scan(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
 def penalty_fold(problem: Problem, pubo: Pubo) -> Polynomial:
     """The penalty form rebuilt one constraint at a time: objective + sum of weight * square.
 
-    Uses only public :class:`Polynomial` operations.  The slack names and
-    weights are the ones ``pubo``'s records chose; each square is rebuilt
-    from its constraint.
+    Uses only public :class:`Polynomial` operations.  The slack names,
+    ranges and weights are the ones ``pubo``'s records chose; each square is
+    rebuilt from its constraint.  Slack bit j < k - 1 has coefficient 2**j
+    and the last one span - (2**(k-1) - 1), with span = ceil(slack range),
+    so the slack sums are exactly 0..span.
     """
     normalized = problem.normalized()
     objective = normalized.objective
     for con, record in zip(normalized.constraints, pubo.dualizations, strict=True):
         if record.dropped:
             continue
+        k = len(record.slack_vars)
+        span = math.ceil(record.slack_range)
         slack = Polynomial.zero()
         for j, name in enumerate(record.slack_vars):
-            slack = slack + 2**j * Polynomial.variable(name)
+            coefficient = 2**j if j < k - 1 else span - (2 ** (k - 1) - 1)
+            slack = slack + coefficient * Polynomial.variable(name)
         objective = objective + (con.lhs + slack - con.rhs).square() * record.weight
     return objective
 

@@ -58,6 +58,28 @@ def test_verify_indset_fixture(capsys, fixture_dir):
     assert payload["phase_oracle"]["passed"] is True
 
 
+def test_verify_enforces_a_two_sided_lower_bound(capsys, tmp_path):
+    # max -2*x1 s.t. 2 <= 1 + 3*x1 <= 4: only x1 = 1 is feasible.  The slack
+    # range is capped at rhs - lower = 2; slack bits 1, 2 would reach 3 and
+    # let x1 = 0 (lhs 1, below the lower bound) reach penalty zero.
+    problem = Problem(
+        sense="max",
+        objective=Polynomial({("x1",): -2}),
+        constraints=(
+            Constraint(lhs=Polynomial({(): 1, ("x1",): 3}), rhs=Fraction(4), lower=Fraction(2)),
+        ),
+        variables={"x1": Var("x1")},
+    )
+    path = tmp_path / "two_sided.json"
+    write_problem(problem, str(path))
+    code, out, _ = run_cli(capsys, "verify", "--problem", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["penalty_oracle"]["passed"] is True
+    assert payload["penalty_oracle"]["optima"] == [[1]]
+    assert payload["phase_oracle"]["passed"] is True
+
+
 def test_repeated_runs_are_byte_identical(capsys, fixture_dir):
     args = ("analyze", "--family", "maxcut", "--graph", str(fixture_dir / "w6.dimacs"))
     _, first, _ = run_cli(capsys, *args)

@@ -22,11 +22,14 @@ from qaoadepth import (
     with_penalty_weight,
 )
 
+from qaoadepth.dualize import _slack_coefficients
+
 from bruteforce import (
     assignments,
     constrained_argmin,
     evaluate_terms,
     penalty_fold,
+    pubo_argmin_reference,
     random_graph,
     random_polynomial,
 )
@@ -204,14 +207,16 @@ def test_slack_completeness_on_random_constraints():
 
 
 def test_slack_coefficients_cover_every_integer_in_range():
-    for feas in range(0, 9):
-        bits = feas.bit_length()
-        coefficients = [2**j for j in range(bits)]
+    for span in range(0, 70):
+        coefficients, _ = _slack_coefficients(Fraction(span))
+        assert len(coefficients) == span.bit_length()
         reachable = {
             sum(c * b for c, b in zip(coefficients, combo))
-            for combo in itertools.product((0, 1), repeat=bits)
+            for combo in itertools.product((0, 1), repeat=len(coefficients))
         }
-        assert set(range(feas + 1)) <= reachable
+        assert reachable == set(range(span + 1))
+        if (span + 1) & span == 0:
+            assert coefficients == [2**j for j in range(len(coefficients))]
 
 
 def random_constraint(rng, names):
@@ -408,3 +413,40 @@ def test_verify_penalty_agrees_with_bruteforce_on_random_covers():
         report = verify_penalty(dualize(problem), problem)
         assert report.passed
         assert report.constrained_argmin == tuple(sorted(constrained_argmin(problem)))
+
+
+def test_verify_penalty_thresholds_match_the_fraction_reference():
+    # The lhs hits rhs = 5/6 at x1 = x2 = 1 and lower = 1/3 at x2 = 1 alone;
+    # each threshold is also moved by 1/100 either way.
+    names = ("x1", "x2", "x3")
+    lhs_forms = (
+        Polynomial({("x1",): Fraction(1, 2), ("x2",): Fraction(1, 3)}),
+        Polynomial({("x1",): Fraction(1, 2), ("x2",): Fraction(1, 3), ("x1", "x3"): Fraction(1, 4)}),
+    )
+    objectives = (
+        Polynomial({("x1",): 1, ("x2",): 1}),
+        Polynomial({("x1",): 1, ("x2",): 2, ("x3",): Fraction(-1, 2)}),
+        Polynomial({("x1",): -1, ("x2",): -1, ("x2", "x3"): 3}),
+    )
+    near = Fraction(1, 100)
+    verdicts = set()
+    for lhs, objective, sense in itertools.product(lhs_forms, objectives, ("min", "max")):
+        for rhs in (Fraction(5, 6) - near, Fraction(5, 6), Fraction(5, 6) + near):
+            for lower in (None, Fraction(1, 3) - near, Fraction(1, 3), Fraction(1, 3) + near):
+                problem = Problem(
+                    sense=sense,
+                    objective=objective,
+                    constraints=(Constraint(lhs=lhs, rhs=rhs, lower=lower),),
+                    variables={name: Var(name) for name in names},
+                )
+                pubo = dualize(problem)
+                report = verify_penalty(pubo, problem)
+                expected = sorted(constrained_argmin(problem))
+                projected = pubo_argmin_reference(pubo)
+                assert report.constrained_argmin == tuple(expected)
+                assert report.pubo_argmin == tuple(projected)
+                assert report.passed == (bool(expected) and projected == expected)
+                if expected and not report.passed:
+                    assert report.counterexample == min(set(projected) ^ set(expected))
+                verdicts.add(report.passed)
+    assert verdicts == {True, False}

@@ -6,7 +6,13 @@ import pytest
 from qaoadepth import MissingAssignmentError, Polynomial
 from qaoadepth import poly as poly_mod
 
-from bruteforce import assignments, evaluate_terms, exhaustive_minimum, random_polynomial
+from bruteforce import (
+    assignments,
+    evaluate_terms,
+    exhaustive_minimum,
+    random_polynomial,
+    values_over_cube_reference,
+)
 
 
 def var(name):
@@ -211,6 +217,62 @@ def test_values_over_cube_matches_direct_evaluation():
         for z in range(8):
             assignment = {names[i]: (z >> i) & 1 for i in range(3)}
             assert values[z] == evaluate_terms(p, assignment)
+
+
+def random_rational_polynomial(rng, names, max_terms=10):
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        support = rng.sample(names, rng.randint(0, min(4, len(names))))
+        terms.append((support, Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+    return Polynomial.from_terms(terms)
+
+
+def test_values_over_cube_matches_the_reference_transform():
+    rng = random.Random(41)
+    checked = {"int": 0, "rational": 0}
+    for n in range(11):
+        order = [f"v{i}" for i in range(n)]
+        rng.shuffle(order)
+        # Some polynomials use only part of the order: the rest are absent.
+        used = order[: rng.randint(0, n)]
+        cases = [
+            Polynomial.zero(),
+            Polynomial.constant(rng.randint(-9, 9) or 1),
+            Polynomial.constant(Fraction(rng.randint(1, 9), rng.randint(2, 7))),
+            random_polynomial(rng, order, max_terms=12, max_width=4),
+            random_polynomial(rng, used, max_terms=12, max_width=4),
+            random_rational_polynomial(rng, order) if order else Polynomial.constant(Fraction(-1, 3)),
+            random_rational_polynomial(rng, used) if used else Polynomial.constant(Fraction(5, 2)),
+        ]
+        for p in cases:
+            values = p.values_over_cube(order)
+            assert values == values_over_cube_reference(p, order)
+            integral = p.common_denominator() == 1
+            assert all(type(v) is (int if integral else Fraction) for v in values)
+            checked["int" if integral else "rational"] += 1
+            for z, assignment in enumerate(assignments(reversed(order))):
+                assert values[z] == p.evaluate(assignment)
+    assert min(checked.values()) >= 30
+
+
+def test_nonlinear_cube_extremes_enumerate_integer_tables(monkeypatch):
+    enumerated = []
+    original = Polynomial.values_over_cube
+
+    def recording(self, order=None):
+        enumerated.append(self.common_denominator())
+        return original(self, order)
+
+    monkeypatch.setattr(Polynomial, "values_over_cube", recording)
+    rng = random.Random(43)
+    for _ in range(40):
+        names = [f"x{i}" for i in range(1, rng.randint(3, 7))]
+        p = random_rational_polynomial(rng, names) + Polynomial({tuple(names[:2]): Fraction(1, 5)})
+        low, high = p.minimum_over_cube(), p.maximum_over_cube()
+        assert low == (exhaustive_minimum(p), True)
+        assert high == (-exhaustive_minimum(-p), True)
+        assert type(low[0]) is Fraction and type(high[0]) is Fraction
+    assert len(enumerated) == 80 and set(enumerated) == {1}
 
 
 def test_values_over_cube_requires_covering_order():
