@@ -319,9 +319,17 @@ def _run(args) -> int:
     return 4 if result.budget_exceeded else 0
 
 
+#: The parser :func:`main` uses, built on its first call.  Building it costs
+#: about 25 times a parse, and ``parse_args`` returns a fresh namespace each
+#: time, so one parser serves every call in a process.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _run(args)
     except QaoaDepthError as exc:

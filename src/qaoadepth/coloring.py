@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -76,12 +75,16 @@ def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
     m = len(h.edges)
     if m == 0:
         return 0
-    bound = max(h.max_degree(), len(h.conflict_clique))
+    bound = h.max_degree()
+    # Pairwise-intersecting edges of a simple graph form a star (at most the
+    # max degree) or a triangle (3), so there the clique only counts below 3.
+    if bound < 3 or not h.is_simple_graph():
+        bound = max(bound, len(h.conflict_clique))
     touched = len(h.touched_vertices())
     min_size = min(len(e.support) for e in h.edges)
     max_matching = touched // min_size  # no class can pack more disjoint edges
     if max_matching:
-        bound = max(bound, math.ceil(m / max_matching))
+        bound = max(bound, -(-m // max_matching))  # ceil(m / max_matching)
     return bound
 
 
@@ -113,7 +116,7 @@ def bounds(h: DerivedHypergraph) -> tuple[int, tuple[BoundRef, ...]]:
             kind="upper",
             status="theorem",
             applies=linear,
-            value=math.ceil(Fraction(3 * n, 2) - 2) if linear else None,
+            value=-(-3 * n // 2) - 2 if linear else None,
             note="ceil(1.5n - 2) for linear hypergraphs on n vertices",
         ),
         BoundRef(

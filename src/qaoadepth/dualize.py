@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from typing import Container
 
 from .errors import InfeasibleConstraintError, InvalidInputError
-from .poly import EXACT_ENUMERATION_LIMIT, Polynomial, Support
+from .poly import EXACT_ENUMERATION_LIMIT, Polynomial, Scalar, Support, canonical
 from .problems import MINIMIZE, Problem, Var
 
 
@@ -41,9 +40,9 @@ def _scaled_values(poly: Polynomial, order: list[str]) -> tuple[list[int], int]:
 class ExpansionDiff:
     """Differences between a computed penalty expansion and a reference one."""
 
-    missing_in_reference: tuple[tuple[Support, Fraction], ...]
-    unexpected_in_reference: tuple[tuple[Support, Fraction], ...]
-    coefficient_mismatches: tuple[tuple[Support, Fraction, Fraction], ...]
+    missing_in_reference: tuple[tuple[Support, Scalar], ...]
+    unexpected_in_reference: tuple[tuple[Support, Scalar], ...]
+    coefficient_mismatches: tuple[tuple[Support, Scalar, Scalar], ...]
 
     @property
     def has_differences(self) -> bool:
@@ -80,12 +79,12 @@ class ConstraintDualization:
     label: str
     dropped: bool = False
     reason: str = ""
-    cube_min: Fraction | None = None
+    cube_min: Scalar | None = None
     cube_min_exact: bool = True
-    slack_range: Fraction = Fraction(0)
+    slack_range: Scalar = 0
     bit_count: int = 0
     slack_vars: tuple[str, ...] = ()
-    weight: Fraction | None = None
+    weight: Scalar | None = None
     square: Polynomial | None = None
     penalty: Polynomial | None = None
     notes: tuple[str, ...] = ()
@@ -102,7 +101,7 @@ class Pubo:
     original_sense: str
 
     @property
-    def constant_offset(self) -> Fraction:
+    def constant_offset(self) -> Scalar:
         return self.objective.constant_term
 
     def slack_names(self) -> tuple[str, ...]:
@@ -116,7 +115,7 @@ def _fresh_slack_name(base: str, taken: Container[str]) -> str:
     return name
 
 
-def _slack_coefficients(slack_range: Fraction) -> tuple[list[int], list[str]]:
+def _slack_coefficients(slack_range: Scalar) -> tuple[list[int], list[str]]:
     """Slack bit coefficients whose subset sums are exactly 0..ceil(slack_range), with notes.
 
     Powers of two up to the last bit, which takes what is left of the span,
@@ -150,9 +149,9 @@ def dualize(problem: Problem) -> Pubo:
     dict, so the objective is canonicalised once, not once per constraint.
     """
     normalized = problem.normalized()
-    coefficients: dict[Support, Fraction] = dict(normalized.objective.terms())
+    coefficients: dict[Support, Scalar] = dict(normalized.objective.terms())
     variables: dict[str, Var] = dict(normalized.variables)
-    default_weight: Fraction | None = None
+    default_weight: Scalar | None = None
     records: list[ConstraintDualization] = []
 
     for index, con in enumerate(normalized.constraints, start=1):
@@ -177,9 +176,9 @@ def dualize(problem: Problem) -> Pubo:
             )
             continue
 
-        slack_range = con.rhs - cube_min
+        slack_range = canonical(con.rhs - cube_min)
         if con.lower is not None:
-            declared = con.rhs - con.lower
+            declared = canonical(con.rhs - con.lower)
             if declared < slack_range:
                 notes.append(
                     f"slack range capped at {declared} by the two-sided bound "
@@ -195,20 +194,24 @@ def dualize(problem: Problem) -> Pubo:
         slack_coefficients, range_notes = _slack_coefficients(slack_range)
         notes.extend(range_notes)
 
+        # lhs + slack - rhs in one dict: the slack names are fresh, so each
+        # owns its linear term.
+        residual = dict(con.lhs.terms())
+        residual[()] = residual.get((), 0) - con.rhs
         slack_names: list[str] = []
-        for j in range(1, len(slack_coefficients) + 1):
+        for j, c in enumerate(slack_coefficients, start=1):
             name = _fresh_slack_name(f"s{index}_{j}", variables)
             slack_names.append(name)
             variables[name] = Var(name, slack_of=(index, j))
-        slack_poly = Polynomial({(name,): c for name, c in zip(slack_names, slack_coefficients)})
+            residual[(name,)] = c
 
         weight = con.weight
         if weight is None:
             if default_weight is None:
-                default_weight = problem.default_penalty_weight()
+                default_weight = normalized.default_penalty_weight()
             weight = default_weight
 
-        square = (con.lhs + slack_poly - Polynomial.constant(con.rhs)).square()
+        square = Polynomial._from_canonical(residual).square()
         penalty = square * weight
         for support, coeff in penalty.terms():
             coefficients[support] = coefficients.get(support, 0) + coeff

@@ -22,13 +22,12 @@ runs it with the width limit, the exact edge coloring with merging off.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .dualize import Pubo
 from .errors import BudgetExceededError, GateWidthError, InvalidInputError
-from .poly import Polynomial, Support
+from .poly import Polynomial, Scalar, Support
 
 #: Default node budget for the exact searches, :func:`merge_exact` and ``color_exact``.
 DEFAULT_EXACT_BUDGET = 2_000_000
@@ -39,7 +38,7 @@ class Hyperedge:
     """A multi-qubit gate: its qubit support and the monomials it covers."""
 
     support: tuple[str, ...]
-    monomials: tuple[tuple[Support, Fraction], ...]
+    monomials: tuple[tuple[Support, Scalar], ...]
 
     def polynomial(self) -> Polynomial:
         return Polynomial.from_terms(self.monomials)
@@ -49,8 +48,8 @@ class Hyperedge:
 class DerivedHypergraph:
     vertices: tuple[str, ...]
     edges: tuple[Hyperedge, ...]
-    singletons: tuple[tuple[str, Fraction], ...]
-    constant: Fraction = Fraction(0)
+    singletons: tuple[tuple[str, Scalar], ...]
+    constant: Scalar = 0
 
     @cached_property
     def incident(self) -> dict[str, tuple[int, ...]]:
@@ -106,15 +105,24 @@ class DerivedHypergraph:
                 common.intersection_update(self.conflicts[i])
         return tuple(clique)
 
+    def is_simple_graph(self) -> bool:
+        """True when every hyperedge is a pair and no pair occurs twice."""
+        return self._simple_graph
+
+    @cached_property
+    def _simple_graph(self) -> bool:
+        supports = {frozenset(e.support) for e in self.edges}
+        return len(supports) == len(self.edges) and all(len(s) == 2 for s in supports)
+
     def is_linear(self) -> bool:
         """True when any two hyperedges share at most one vertex."""
         return self._linear
 
     @cached_property
     def _linear(self) -> bool:
+        if self._simple_graph:
+            return True  # two distinct pairs share at most one vertex
         supports = [frozenset(e.support) for e in self.edges]
-        if all(len(s) <= 2 for s in supports) and len(set(supports)) == len(supports):
-            return True  # two distinct sets of at most two vertices share at most one
         return all(
             len(supports[i] & supports[j]) <= 1
             for i, others in enumerate(self.conflicts)
@@ -128,7 +136,7 @@ class DerivedHypergraph:
 
     def total_polynomial(self) -> Polynomial:
         """Sum of everything the hypergraph represents; must equal the source."""
-        terms: list[tuple[Support, Fraction]] = [((), self.constant)]
+        terms: list[tuple[Support, Scalar]] = [((), self.constant)]
         for name, coeff in self.singletons:
             terms.append(((name,), coeff))
         for edge in self.edges:
@@ -138,9 +146,9 @@ class DerivedHypergraph:
 
 def build(pubo: Pubo) -> DerivedHypergraph:
     """One hyperedge per distinct monomial support of size >= 2."""
-    singletons: list[tuple[str, Fraction]] = []
+    singletons: list[tuple[str, Scalar]] = []
     edges: list[Hyperedge] = []
-    constant = Fraction(0)
+    constant = 0
     for support, coeff in pubo.objective.terms():
         if len(support) == 0:
             constant = coeff
@@ -181,7 +189,7 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
         """Widest first, ties by support: the order edges are visited and hosts preferred."""
         return (-len(h.edges[i].support), h.edges[i].support)
 
-    kept: dict[int, list[tuple[Support, Fraction]]] = {}  # kept edge -> monomials it covers
+    kept: dict[int, list[tuple[Support, Scalar]]] = {}  # kept edge -> monomials it covers
     for index in sorted(range(len(h.edges)), key=rank):
         edge = h.edges[index]
         width = len(edge.support)

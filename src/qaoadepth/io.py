@@ -37,7 +37,7 @@ from .coloring import BoundRef, EdgeColoring
 from .dualize import ConstraintDualization, ExpansionDiff, Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
-from .poly import Polynomial
+from .poly import Polynomial, Scalar, ratio
 from .problems import Constraint, InstanceGraph, Problem, Var
 from .schedule import CircuitSchedule, DepthReport
 
@@ -47,17 +47,18 @@ TOOL_NAME = "qaoadepth"
 # -- exact numbers -----------------------------------------------------------
 
 
-def rational_to_json(value: Fraction):
+def rational_to_json(value: Scalar):
     if value.denominator == 1:
         return value.numerator
     return {"num": value.numerator, "den": value.denominator}
 
 
-def rational_from_json(value, path: str) -> Fraction:
+def rational_from_json(value, path: str) -> Scalar:
+    """The exact number a JSON value encodes: an int when it is whole, else a Fraction."""
     if isinstance(value, bool):
         raise InvalidInputError(f"{path}: expected a number, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, float):
         raise InvalidInputError(
             f"{path}: floats are not accepted; use an integer or {{'num', 'den'}}"
@@ -71,7 +72,7 @@ def rational_from_json(value, path: str) -> Fraction:
             raise InvalidInputError(f"{path}: num and den must be integers")
         if den == 0:
             raise InvalidInputError(f"{path}: zero denominator")
-        return Fraction(num, den)
+        return ratio(num, den)
     raise InvalidInputError(f"{path}: expected a number, got {type(value).__name__}")
 
 
@@ -273,7 +274,7 @@ def read_dimacs_graph(path: str) -> InstanceGraph:
     n = None
     declared_edges = None
     edges: list[tuple[int, int]] = []
-    weights: list[Fraction] = []
+    weights: list[Scalar] = []
     any_weight = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -300,7 +301,7 @@ def read_dimacs_graph(path: str) -> InstanceGraph:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
                 raise InvalidInputError(f"{path}:{lineno}: endpoints must be integers")
-            weight = Fraction(1)
+            weight = 1
             if len(fields) == 4:
                 any_weight = True
                 try:

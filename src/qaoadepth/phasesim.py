@@ -15,10 +15,9 @@ dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dualize import Pubo
-from .poly import Polynomial
+from .poly import Polynomial, Scalar
 from .schedule import CircuitSchedule
 
 
@@ -26,11 +25,11 @@ from .schedule import CircuitSchedule
 class EquivalenceReport:
     equivalent: bool
     mismatch_assignment: dict | None = None
-    phase: Fraction | None = None
-    expected: Fraction | None = None
+    phase: Scalar | None = None
+    expected: Scalar | None = None
 
     @property
-    def delta(self) -> Fraction | None:
+    def delta(self) -> Scalar | None:
         if self.phase is None or self.expected is None:
             return None
         return self.phase - self.expected

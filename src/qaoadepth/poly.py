@@ -3,11 +3,13 @@
 A polynomial is a map from monomial supports to rational coefficients:
 
     support = tuple of distinct variable names, sorted   (() = constant term)
-    coefficient = Fraction, never zero for stored terms
+    coefficient = int when whole, else a Fraction with denominator > 1;
+                  never zero, a bool or Fraction(n, 1) for stored terms
 
 Because every variable only takes values in {0, 1}, x**2 = x and products
 of monomials reduce to the union of their supports.  Coefficients are kept
-as exact rationals throughout; floats are rejected so that identities such
+as exact rationals throughout (a Python int is one, and far cheaper to add
+and multiply than a Fraction); floats are rejected so that identities such
 as "the penalty vanishes exactly on feasible points" can be asserted with
 equality rather than tolerances.
 """
@@ -29,12 +31,30 @@ Support = tuple[str, ...]
 EXACT_ENUMERATION_LIMIT = 20
 
 
-def _coerce(value) -> Fraction:
-    """Convert an exact scalar to Fraction, rejecting floats."""
+Scalar = int | Fraction
+
+
+def canonical(value: Scalar) -> Scalar:
+    """An exact value in canonical form: the int when it is whole, else the Fraction."""
+    if type(value) is int or value.denominator != 1:
+        return value
+    return value.numerator
+
+
+def ratio(numerator: int, denominator: int) -> Scalar:
+    """``numerator / denominator`` in canonical form, without a float."""
+    quotient, remainder = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if remainder else quotient
+
+
+def _coerce(value) -> Scalar:
+    """Convert an exact scalar to canonical form, rejecting bools and floats."""
+    if type(value) is int or type(value) is Fraction:
+        return canonical(value)
     if isinstance(value, bool):
         raise TypeError("bool is not a polynomial coefficient")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return canonical(Fraction(value))
     raise TypeError(
         f"coefficients must be int or Fraction, not {type(value).__name__}; "
         "exact arithmetic is required"
@@ -59,13 +79,18 @@ class Polynomial:
         self._hash: int | None = None
 
     @classmethod
-    def _from_canonical(cls, terms: dict[Support, Fraction]) -> "Polynomial":
-        """Wrap a dict already keyed by canonical supports with Fraction values.
+    def _from_canonical(cls, terms: dict[Support, Scalar]) -> "Polynomial":
+        """Wrap a dict already keyed by canonical supports with int or Fraction values.
 
-        Sorts the keys and drops zero terms; the terms are not re-validated.
+        Sorts the keys, drops zero terms and turns a whole Fraction into its
+        int; the terms are not re-validated.
         """
         poly = cls.__new__(cls)
-        poly._terms = {k: terms[k] for k in sorted(terms) if terms[k]}
+        poly._terms = {
+            k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k in sorted(terms)
+            if (c := terms[k])
+        }
         poly._hash = None
         return poly
 
@@ -86,24 +111,24 @@ class Polynomial:
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Iterable[str], object]]) -> "Polynomial":
         """Build from (variables, coefficient) pairs; repeated supports add up."""
-        acc: dict[Support, Fraction] = {}
+        acc: dict[Support, Scalar] = {}
         for variables, coeff in pairs:
             key = _canonical_support(variables)
-            acc[key] = acc.get(key, Fraction(0)) + _coerce(coeff)
+            acc[key] = acc.get(key, 0) + _coerce(coeff)
         return cls._from_canonical(acc)
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Support, Fraction]]:
+    def terms(self) -> Iterator[tuple[Support, Scalar]]:
         """Iterate (support, coefficient) pairs in canonical (lex) order."""
         return iter(self._terms.items())
 
-    def coefficient(self, variables: Iterable[str]) -> Fraction:
-        return self._terms.get(_canonical_support(variables), Fraction(0))
+    def coefficient(self, variables: Iterable[str]) -> Scalar:
+        return self._terms.get(_canonical_support(variables), 0)
 
     @property
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self._terms.get((), 0)
 
     def variables(self) -> tuple[str, ...]:
         seen: set[str] = set()
@@ -131,7 +156,7 @@ class Polynomial:
             return NotImplemented
         acc = dict(self._terms)
         for support, coeff in other._terms.items():
-            acc[support] = acc.get(support, Fraction(0)) + coeff
+            acc[support] = acc.get(support, 0) + coeff
         return Polynomial._from_canonical(acc)
 
     __radd__ = __add__
@@ -161,13 +186,13 @@ class Polynomial:
             return Polynomial._from_canonical({s: c * scalar for s, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc: dict[Support, Fraction] = {}
+        acc: dict[Support, Scalar] = {}
         for sa, ca in self._terms.items():
             set_a = set(sa)
             for sb, cb in other._terms.items():
                 # x*x = x on {0,1}: the product support is the union.
                 key = tuple(sorted(set_a.union(sb)))
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
+                acc[key] = acc.get(key, 0) + ca * cb
         return Polynomial._from_canonical(acc)
 
     __rmul__ = __mul__
@@ -175,21 +200,21 @@ class Polynomial:
     def square(self) -> "Polynomial":
         """``self * self``, with each cross term computed once and doubled."""
         items = list(self._terms.items())
-        acc: dict[Support, Fraction] = {}
+        acc: dict[Support, Scalar] = {}
         for i, (sa, ca) in enumerate(items):
-            acc[sa] = acc.get(sa, Fraction(0)) + ca * ca
+            acc[sa] = acc.get(sa, 0) + ca * ca
             set_a = set(sa)
             twice = 2 * ca
             for sb, cb in items[i + 1:]:
                 key = tuple(sorted(set_a.union(sb)))
-                acc[key] = acc.get(key, Fraction(0)) + twice * cb
+                acc[key] = acc.get(key, 0) + twice * cb
         return Polynomial._from_canonical(acc)
 
     # -- evaluation and bounds ----------------------------------------------
 
-    def evaluate(self, assignment: Mapping[str, int]) -> Fraction:
+    def evaluate(self, assignment: Mapping[str, int]) -> Scalar:
         """Evaluate at a {0,1} assignment covering every variable used."""
-        total = Fraction(0)
+        total = 0
         for support, coeff in self._terms.items():
             active = True
             for name in support:
@@ -204,7 +229,7 @@ class Polynomial:
                     break
             if active:
                 total += coeff
-        return total
+        return canonical(total)
 
     def common_denominator(self) -> int:
         """Least common multiple of the coefficients' denominators (1 when all are integers)."""
@@ -231,11 +256,11 @@ class Polynomial:
         scale = self.common_denominator()
         size = 1 << len(names)
         values = [0] * size
-        for support, coeff in self._terms.items():
+        for support, coeff in self._scaled_terms(scale).items():
             mask = 0
             for name in support:
                 mask |= 1 << position[name]
-            values[mask] += coeff.numerator * (scale // coeff.denominator)
+            values[mask] += coeff
         bit = 1
         while bit < size:
             step = 2 * bit
@@ -255,7 +280,7 @@ class Polynomial:
             return [Fraction(v, scale) for v in values]
         return values
 
-    def minimum_over_cube(self) -> tuple[Fraction, bool]:
+    def minimum_over_cube(self) -> tuple[Scalar, bool]:
         """Minimum over all binary assignments, and whether it is exact.
 
         Exact in closed form for degree <= 1: the constant plus
@@ -267,20 +292,27 @@ class Polynomial:
         """
         return self._cube_extreme(min)
 
-    def maximum_over_cube(self) -> tuple[Fraction, bool]:
+    def maximum_over_cube(self) -> tuple[Scalar, bool]:
         """Maximum over all binary assignments; mirrors :meth:`minimum_over_cube`."""
         return self._cube_extreme(max)
 
-    def _cube_extreme(self, pick) -> tuple[Fraction, bool]:
-        zero = Fraction(0)
+    def _cube_extreme(self, pick) -> tuple[Scalar, bool]:
+        # Every branch works on ints, the coefficients times their common
+        # denominator, and divides back once.
+        scale = self.common_denominator()
         if self.degree() <= 1:
-            return self.constant_term + sum(
-                (pick(zero, c) for s, c in self._terms.items() if s), zero
-            ), True
+            scaled = self._scaled_terms(scale)
+            value = scaled.get((), 0) + sum([pick(0, c) for s, c in scaled.items() if s])
+            return ratio(value, scale), True
         if len(self.variables()) <= EXACT_ENUMERATION_LIMIT:
-            scale = self.common_denominator()
-            return Fraction(pick((self * scale).values_over_cube()), scale), True
-        return sum((pick(zero, c) for c in self._terms.values()), zero), False
+            return ratio(pick((self * scale).values_over_cube()), scale), True
+        return ratio(sum([pick(0, c) for c in self._scaled_terms(scale).values()]), scale), False
+
+    def _scaled_terms(self, scale: int) -> dict[Support, int]:
+        """The terms times ``scale``, a multiple of every denominator, as ints."""
+        if scale == 1:
+            return self._terms
+        return {s: c.numerator * (scale // c.denominator) for s, c in self._terms.items()}
 
     # -- dunder plumbing -----------------------------------------------------
 

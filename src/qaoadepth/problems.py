@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-from .poly import Polynomial
+from .poly import Polynomial, Scalar, canonical
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
@@ -33,6 +33,13 @@ class Var:
         return self.slack_of is not None
 
 
+def _exact(value) -> Scalar:
+    """``value`` as an exact number in canonical form (int when whole, else Fraction)."""
+    if type(value) is int or type(value) is Fraction:
+        return canonical(value)
+    return canonical(Fraction(value))
+
+
 @dataclass(frozen=True)
 class Constraint:
     """lhs <= rhs, optionally two-sided (lower <= lhs <= rhs).
@@ -47,27 +54,27 @@ class Constraint:
     """
 
     lhs: Polynomial
-    rhs: Fraction
-    weight: Fraction | None = None
-    lower: Fraction | None = None
-    slack_bound: Fraction | None = None
+    rhs: Scalar
+    weight: Scalar | None = None
+    lower: Scalar | None = None
+    slack_bound: Scalar | None = None
     label: str = ""
     reference_expansion: Polynomial | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "rhs", _exact(self.rhs))
         if self.weight is not None:
-            object.__setattr__(self, "weight", Fraction(self.weight))
+            object.__setattr__(self, "weight", _exact(self.weight))
             if self.weight <= 0:
                 raise InvalidInputError(f"penalty weight must be positive, got {self.weight}")
         if self.lower is not None:
-            object.__setattr__(self, "lower", Fraction(self.lower))
+            object.__setattr__(self, "lower", _exact(self.lower))
             if self.lower >= self.rhs:
                 raise InvalidInputError(
                     f"two-sided constraint needs lower < rhs, got {self.lower} >= {self.rhs}"
                 )
         if self.slack_bound is not None:
-            object.__setattr__(self, "slack_bound", Fraction(self.slack_bound))
+            object.__setattr__(self, "slack_bound", _exact(self.slack_bound))
             if self.slack_bound < 0:
                 raise InvalidInputError("slack_bound must be nonnegative")
 
@@ -112,16 +119,16 @@ class Problem:
             family_info=dict(self.family_info, normalized_from=MAXIMIZE),
         )
 
-    def default_penalty_weight(self) -> Fraction:
+    def default_penalty_weight(self) -> Scalar:
         """1 plus an interval upper bound on |objective| over the cube.
 
         Guarantees the penalty of any unit integral violation dominates the
         largest possible objective swing.
         """
         obj = self.normalized().objective
-        low = sum((min(Fraction(0), c) for _, c in obj.terms()), Fraction(0))
-        high = sum((max(Fraction(0), c) for _, c in obj.terms()), Fraction(0))
-        return Fraction(1) + max(abs(low), abs(high))
+        low = sum([min(0, c) for _, c in obj.terms()])
+        high = sum([max(0, c) for _, c in obj.terms()])
+        return canonical(1 + max(abs(low), abs(high)))
 
 
 def _registry(names: Iterable[str]) -> dict[str, Var]:
@@ -134,7 +141,7 @@ class InstanceGraph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    weights: tuple[Fraction, ...] | None = None
+    weights: tuple[Scalar, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -155,10 +162,10 @@ class InstanceGraph:
         if self.weights is not None:
             if len(self.weights) != len(self.edges):
                 raise InvalidInputError("weights must match edges one-to-one")
-            object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+            object.__setattr__(self, "weights", tuple(map(_exact, self.weights)))
 
-    def weight(self, index: int) -> Fraction:
-        return self.weights[index] if self.weights is not None else Fraction(1)
+    def weight(self, index: int) -> Scalar:
+        return self.weights[index] if self.weights is not None else 1
 
     def degrees(self) -> dict[int, int]:
         deg = {v: 0 for v in range(1, self.n + 1)}
@@ -186,15 +193,15 @@ def make_maxcut(g: InstanceGraph) -> Problem:
     # The coefficient dict is built in canonical form directly: supports are
     # sorted by name ("x10" < "x9") and edges are distinct, so each edge owns
     # its quadratic key and each vertex sums its linear coefficient once.
-    terms: dict[tuple[str, ...], Fraction] = {}
+    terms: dict[tuple[str, ...], Scalar] = {}
     linear = [0] * (g.n + 1)
     for (u, v), w in zip(g.edges, weights):
         xu, xv = names[u], names[v]
-        terms[(xu, xv) if xu < xv else (xv, xu)] = Fraction(2 * w)
+        terms[(xu, xv) if xu < xv else (xv, xu)] = 2 * w
         linear[u] -= w
         linear[v] -= w
     for i in range(1, g.n + 1):
-        terms[(names[i],)] = Fraction(linear[i])
+        terms[(names[i],)] = linear[i]
     return Problem(
         sense=MINIMIZE,
         objective=Polynomial._from_canonical(terms),
@@ -217,8 +224,8 @@ def make_maxindset(g: InstanceGraph) -> Problem:
     objective = Polynomial.from_terms(((_vertex_var(i),), 1) for i in range(1, g.n + 1))
     constraints = tuple(
         Constraint(
-            lhs=Polynomial({(_vertex_var(u), _vertex_var(v)): 1}),
-            rhs=Fraction(0),
+            lhs=Polynomial._from_canonical({tuple(sorted((_vertex_var(u), _vertex_var(v)))): 1}),
+            rhs=0,
             label=f"edge({u},{v})",
         )
         for u, v in g.edges
@@ -238,8 +245,8 @@ def make_vertex_cover(g: InstanceGraph) -> Problem:
     objective = Polynomial.from_terms(((_vertex_var(i),), 1) for i in range(1, g.n + 1))
     constraints = tuple(
         Constraint(
-            lhs=Polynomial({(): 2, (_vertex_var(u),): -1, (_vertex_var(v),): -1}),
-            rhs=Fraction(1),
+            lhs=Polynomial._from_canonical({(): 2, (_vertex_var(u),): -1, (_vertex_var(v),): -1}),
+            rhs=1,
             label=f"edge({u},{v})",
         )
         for u, v in g.edges
@@ -273,9 +280,9 @@ def make_knapsack(
     if not weights:
         raise InvalidInputError("knapsack needs at least one item")
     n = len(weights)
-    weights = [Fraction(w) for w in weights]
-    values = [Fraction(v) for v in values]
-    capacity = Fraction(capacity)
+    weights = [_exact(w) for w in weights]
+    values = [_exact(v) for v in values]
+    capacity = _exact(capacity)
     if any(w <= 0 for w in weights):
         raise InvalidInputError("weights must be positive")
     if capacity <= 0:
@@ -291,7 +298,7 @@ def make_knapsack(
     load = Polynomial.from_terms(((names[i],), weights[i]) for i in range(n))
 
     constraints: tuple[Constraint, ...]
-    if sum(weights, Fraction(0)) <= capacity:
+    if sum(weights) <= capacity:
         warnings.warn("capacity constraint is redundant (every item fits); dropping it")
         constraints = ()
     elif preprocess:
@@ -349,8 +356,8 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
         incident = [_edge_var(u, v) for u, v in g.edges if vertex in (u, v)]
         degree = Polynomial.from_terms(((name,), 1) for name in incident)
         # degree == 2, written as the <= pair (<= 2 and -degree <= -2)
-        constraints.append(Constraint(lhs=degree, rhs=Fraction(2), label=f"degree({vertex})<="))
-        constraints.append(Constraint(lhs=-degree, rhs=Fraction(-2), label=f"degree({vertex})>="))
+        constraints.append(Constraint(lhs=degree, rhs=2, label=f"degree({vertex})<="))
+        constraints.append(Constraint(lhs=-degree, rhs=-2, label=f"degree({vertex})>="))
 
     n_subtour = 0
     for subset in subtour_subsets:
@@ -366,8 +373,8 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
             _edge_var(u, v) for u, v in g.edges if u in inside and v in inside
         ]
         lhs = Polynomial.from_terms(((name,), 1) for name in members)
-        rhs = Fraction(len(q) - 1)
-        upper = sum((max(Fraction(0), c) for _, c in lhs.terms()), Fraction(0))
+        rhs = len(q) - 1
+        upper = sum([max(0, c) for _, c in lhs.terms()])
         if upper <= rhs:
             warnings.warn(f"subtour constraint on {q} can never bind; dropping it")
             continue
@@ -414,7 +421,7 @@ def make_sat(clauses: Sequence[Sequence[int]]) -> Problem:
     constraints = []
     for c, clause in enumerate(clauses, start=1):
         seen_vars = set()
-        terms: list[tuple[tuple[str, ...], Fraction]] = []
+        terms: list[tuple[tuple[str, ...], int]] = []
         for lit in clause:
             name = _vertex_var(abs(lit))
             if name in seen_vars:
@@ -422,15 +429,15 @@ def make_sat(clauses: Sequence[Sequence[int]]) -> Problem:
             seen_vars.add(name)
             if lit > 0:
                 # positive literal unsatisfied when x = 0: contributes 1 - x
-                terms.append(((), Fraction(1)))
-                terms.append(((name,), Fraction(-1)))
+                terms.append(((), 1))
+                terms.append(((name,), -1))
             else:
-                terms.append(((name,), Fraction(1)))
-        terms.append(((f"z{c}",), Fraction(-1)))
+                terms.append(((name,), 1))
+        terms.append(((f"z{c}",), -1))
         constraints.append(
             Constraint(
                 lhs=Polynomial.from_terms(terms),
-                rhs=Fraction(len(clause) - 1),
+                rhs=len(clause) - 1,
                 label=f"clause({c})",
             )
         )

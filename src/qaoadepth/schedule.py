@@ -16,14 +16,13 @@ uses beta.  Angles stay symbolic here: tuning them is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .coloring import EdgeColoring, check_proper
 from .dualize import Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
-from .poly import Polynomial, Support
+from .poly import Polynomial, Scalar, Support
 from .problems import Problem
 
 
@@ -32,7 +31,7 @@ class Gate:
     """One gate: diagonal phase gates carry their monomials, mixers do not."""
 
     qubits: tuple[str, ...]
-    terms: tuple[tuple[Support, Fraction], ...] = ()
+    terms: tuple[tuple[Support, Scalar], ...] = ()
     kind: str = "cost"  # "cost" or "mixer"
 
     @property
@@ -79,7 +78,7 @@ class CircuitSchedule:
         return tuple(layer for layer in self.layers if layer.kind != "mixer")
 
     def covered_polynomial(self) -> Polynomial:
-        terms: list[tuple[Support, Fraction]] = []
+        terms: list[tuple[Support, Scalar]] = []
         for layer in self.cost_layers():
             for gate in layer.gates:
                 terms.extend(gate.terms)

@@ -23,6 +23,16 @@ from qaoadepth import (
 )
 
 
+def is_canonical(value) -> bool:
+    """The exact-number rule: an int when whole, else a Fraction with denominator > 1.
+
+    A bool, a float or ``Fraction(n, 1)`` breaks it.
+    """
+    if value.denominator == 1:
+        return type(value) is int
+    return type(value) is Fraction
+
+
 def assignments(names):
     """All {0,1} assignments of the given variables, in binary counting order."""
     names = list(names)
@@ -369,6 +379,72 @@ def absorb_subsets_scan(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
         for index in kept
     ]
     return replace(h, edges=tuple(sorted(edges, key=lambda e: e.support)))
+
+
+# -- all-Fraction reference algebra -------------------------------------------
+#
+# A polynomial here is a dict from sorted supports to nonzero Fractions.  The
+# functions share nothing with ``Polynomial``: every coefficient is boxed as
+# a Fraction, every product is formed term by term.
+
+
+def fraction_terms(pairs) -> dict:
+    """Sum (variables, coefficient) pairs by support, as Fractions, dropping zeros."""
+    acc: dict[tuple[str, ...], Fraction] = {}
+    for variables, coeff in pairs:
+        key = tuple(sorted(set(variables)))
+        acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+    return {key: c for key, c in acc.items() if c}
+
+
+def fraction_add(a: dict, b: dict) -> dict:
+    return fraction_terms([*a.items(), *b.items()])
+
+
+def fraction_scale(a: dict, scalar) -> dict:
+    return fraction_terms((s, c * Fraction(scalar)) for s, c in a.items())
+
+
+def fraction_mul(a: dict, b: dict) -> dict:
+    """Product with x*x = x: each pair of terms lands on the union of its supports."""
+    return fraction_terms(
+        (set(sa) | set(sb), ca * cb) for sa, ca in a.items() for sb, cb in b.items()
+    )
+
+
+def fraction_extremes(a: dict) -> tuple[Fraction, Fraction]:
+    """(minimum, maximum) over every {0,1} assignment, each point summed in Fractions."""
+    names = sorted({name for support in a for name in support})
+    values = [
+        sum((c for s, c in a.items() if all(point[name] for name in s)), Fraction(0))
+        for point in assignments(names)
+    ]
+    return min(values), max(values)
+
+
+def fraction_penalty_form(problem: Problem, pubo: Pubo) -> dict:
+    """The penalty form in the reference algebra: objective + sum of weight * square.
+
+    Takes the slack names, ranges and weights ``pubo``'s records chose, like
+    :func:`penalty_fold`, and rebuilds everything else from the problem.
+    """
+    normalized = problem.normalized()
+    total = fraction_terms(normalized.objective.terms())
+    for con, record in zip(normalized.constraints, pubo.dualizations, strict=True):
+        if record.dropped:
+            continue
+        k = len(record.slack_vars)
+        span = math.ceil(Fraction(record.slack_range))
+        residual = fraction_terms(
+            [*con.lhs.terms(), ((), -Fraction(con.rhs))]
+            + [
+                ((name,), 2**j if j < k - 1 else span - (2 ** (k - 1) - 1))
+                for j, name in enumerate(record.slack_vars)
+            ]
+        )
+        penalty = fraction_scale(fraction_mul(residual, residual), record.weight)
+        total = fraction_add(total, penalty)
+    return total
 
 
 def penalty_fold(problem: Problem, pubo: Pubo) -> Polynomial:

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+from qaoadepth import cli
 from qaoadepth.cli import main
 from qaoadepth.io import write_problem
 from qaoadepth.problems import (
@@ -9,6 +15,8 @@ from qaoadepth.problems import (
     Var,
 )
 from qaoadepth.poly import Polynomial
+
+from test_golden import CASES, REPO_ROOT, golden_path
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -85,6 +93,42 @@ def test_repeated_runs_are_byte_identical(capsys, fixture_dir):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    """Golden runs, argparse errors and --version in one process, parser built once.
+
+    Each golden run must print its golden artifact; each call that argparse
+    ends must exit with the code and print the text of a fresh process.
+    """
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.chdir(REPO_ROOT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    bad_width = ("analyze", "--family", "maxcut", "--gate-width", "two")
+    no_command = ("--problem", "fixtures/indset_w6.json")
+    plan = (
+        "analyze_maxcut_w6", bad_width, "dualize_knapsack", ("--version",),
+        "verify_indset_w6_text", no_command, "analyze_maxcut_petersen_budget",
+        ("--version",), "color_exact_general_example", bad_width, "analyze_maxcut_w6",
+    )
+    for step in plan:
+        if isinstance(step, str):
+            code, argv = CASES[step]
+            assert main(list(argv)) == code
+            assert capsys.readouterr().out == golden_path(step).read_text(encoding="utf-8")
+            continue
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(step))
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qaoadepth.cli", *step], capture_output=True, text=True, env=env
+        )
+        assert exit_info.value.code == fresh.returncode
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+    assert built == [1]
 
 
 def test_dualize_text_output(capsys, fixture_dir):

@@ -92,10 +92,12 @@ def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
     monkeypatch.setattr(clique, "func", counting("conflict_clique", clique.func))
     petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
     for graph in (w6, petersen):
-        for search in (color_exact, lambda h: merge_exact(h, 2)):
+        for search, cliques in ((color_exact, 1), (lambda h: merge_exact(h, 2), 0)):
             calls.update(dict.fromkeys(calls, 0))
             search(graph_hypergraph(graph))
-            assert calls == dict.fromkeys(calls, 1)
+            # The exact coloring seeds its search with the clique; the lower
+            # bound of a simple graph of max degree >= 3 does without it.
+            assert calls == {"bounds": 1, "combinatorial_lower_bound": 1, "conflict_clique": cliques}
 
 
 def test_misra_gries_w6(w6):
@@ -237,6 +239,45 @@ def test_bounds_single_edge():
     lower, uppers = bounds(h)
     assert lower == 1
     assert {ref.name: ref for ref in uppers}["edge_count"].value == 1
+
+
+def lower_bound_with_the_clique(h) -> int:
+    """The combinatorial lower bound with the conflict clique always counted."""
+    m = len(h.edges)
+    if m == 0:
+        return 0
+    max_matching = len(h.touched_vertices()) // min(len(e.support) for e in h.edges)
+    counting = -(-m // max_matching) if max_matching else 0
+    return max(h.max_degree(), len(h.conflict_clique), counting)
+
+
+def test_simple_graphs_skip_the_clique_only_where_it_cannot_count():
+    rng = random.Random(59)
+    graphs = [random_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.4, 0.8))) for _ in range(60)]
+    # Triangle-rich: complete graphs, and k triangles sharing vertex 1.
+    graphs += [
+        InstanceGraph(n, tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+        for n in range(2, 9)
+    ]
+    graphs += [
+        InstanceGraph(2 * k + 1, tuple(
+            e for i in range(1, k + 1) for e in ((1, 2 * i), (1, 2 * i + 1), (2 * i, 2 * i + 1))
+        ))
+        for k in range(1, 6)
+    ]
+    hypergraphs = [graph_hypergraph(g) for g in graphs]
+    for _ in range(20):
+        supports = random_hypergraph_supports(rng, rng.randint(4, 9), rng.randint(3, 12))
+        poly = Polynomial.from_terms((s, 1) for s in supports)
+        hypergraphs.append(build(pubo_from_polynomial(poly)))
+    skipped = 0
+    for h in hypergraphs:
+        bound = coloring_mod.combinatorial_lower_bound(h)
+        shortcut = h.is_simple_graph() and h.max_degree() >= 3
+        assert ("conflict_clique" not in vars(h)) == (shortcut or not h.edges)
+        skipped += shortcut
+        assert bound == lower_bound_with_the_clique(h)
+    assert skipped >= 40
 
 
 def test_nonlinear_hypergraph_flag(general_problem):
