@@ -41,7 +41,7 @@ for c, cls in enumerate(coloring.classes):
 print()
 
 sched = schedule(h, coloring, p=1)
-report = analyze_family(problem, pubo, h, coloring, sched)
+report = analyze_family(problem, pubo, h, sched)
 print(render_schedule_text(sched))
 print(
     f"depth per iteration: {report.structural_depth} = "

@@ -65,7 +65,6 @@ from .schedule import (
     CircuitSchedule,
     DepthReport,
     FamilyBound,
-    Gate,
     analyze_family,
     schedule,
     total_depth,
@@ -86,7 +85,6 @@ __all__ = [
     "EquivalenceReport",
     "ExpansionDiff",
     "FamilyBound",
-    "Gate",
     "GateWidthError",
     "Hyperedge",
     "InfeasibleConstraintError",

@@ -10,13 +10,13 @@ provided:
   (2-uniform) graphs;
 * :func:`color_greedy` - first-fit fallback for arbitrary hypergraphs.
 
-Every coloring constructed here is re-checked for properness, whatever the
-method, and carries the applicable documented upper bounds as annotations.
+Every coloring, whatever the method (``merge_exact`` included), is checked
+for properness once, by :func:`make_coloring`, which also attaches the
+applicable documented upper bounds; the schedule does not check it again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -148,13 +148,13 @@ def dualize(problem: Problem) -> Pubo:
     satisfying assignment.  The penalties are summed into one coefficient
     dict, so the objective is canonicalised once, not once per constraint.
     """
-    normalized = problem.normalized()
-    coefficients: dict[Support, Scalar] = dict(normalized.objective.terms())
-    variables: dict[str, Var] = dict(normalized.variables)
+    objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
+    coefficients: dict[Support, Scalar] = dict(objective.terms())
+    variables: dict[str, Var] = dict(problem.variables)
     default_weight: Scalar | None = None
     records: list[ConstraintDualization] = []
 
-    for index, con in enumerate(normalized.constraints, start=1):
+    for index, con in enumerate(problem.constraints, start=1):
         notes: list[str] = []
         cube_min, min_exact = con.lhs.minimum_over_cube()
         if not min_exact:
@@ -162,8 +162,8 @@ def dualize(problem: Problem) -> Pubo:
         if cube_min > con.rhs:
             raise InfeasibleConstraintError(index, cube_min, con.rhs)
 
-        cube_max, _ = con.lhs.maximum_over_cube()
-        if cube_max <= con.rhs and con.lower is None:
+        # Only a one-sided constraint can be dropped, so only it needs the maximum.
+        if con.lower is None and con.lhs.maximum_over_cube()[0] <= con.rhs:
             records.append(
                 ConstraintDualization(
                     index=index,
@@ -208,7 +208,7 @@ def dualize(problem: Problem) -> Pubo:
         weight = con.weight
         if weight is None:
             if default_weight is None:
-                default_weight = normalized.default_penalty_weight()
+                default_weight = problem.default_penalty_weight()
             weight = default_weight
 
         square = Polynomial._from_canonical(residual).square()
@@ -272,7 +272,6 @@ def verify_penalty(
         raise InvalidInputError(
             f"verification needs {len(order)} variables but the limit is {var_limit}"
         )
-    normalized = problem.normalized()
     original = [name for name in order if not pubo.variables[name].is_slack]
     slack = [name for name in order if pubo.variables[name].is_slack]
     n_orig = len(original)
@@ -281,7 +280,7 @@ def verify_penalty(
     # is all ints.  For an integer v, v/d <= rhs exactly when
     # v <= floor(rhs*d), and v/d >= lower exactly when v >= ceil(lower*d).
     feasible = [True] * (1 << n_orig)
-    for con in normalized.constraints:
+    for con in problem.constraints:
         lhs_values, scale = _scaled_values(con.lhs, original)
         high = math.floor(con.rhs * scale)
         if con.lower is None:
@@ -289,7 +288,8 @@ def verify_penalty(
         else:
             low = math.ceil(con.lower * scale)
             feasible = [ok and low <= v <= high for ok, v in zip(feasible, lhs_values)]
-    objective_values, _ = _scaled_values(normalized.objective, original)
+    objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
+    objective_values, _ = _scaled_values(objective, original)
     best_value = min(compress(objective_values, feasible), default=None)
     constrained_argmin = sorted(
         _bits(z, n_orig)

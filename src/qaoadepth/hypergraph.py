@@ -35,13 +35,14 @@ DEFAULT_EXACT_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class Hyperedge:
-    """A multi-qubit gate: its qubit support and the monomials it covers."""
+    """A gate: its qubit support and the monomials it covers.
+
+    Interaction edges act on two or more qubits; a schedule also uses this
+    type for its one-qubit phase gates and, with no monomials, its mixers.
+    """
 
     support: tuple[str, ...]
     monomials: tuple[tuple[Support, Scalar], ...]
-
-    def polynomial(self) -> Polynomial:
-        return Polynomial.from_terms(self.monomials)
 
 
 @dataclass(frozen=True)

@@ -466,9 +466,9 @@ def schedule_to_json(sched: CircuitSchedule) -> dict:
         angle = "beta" if layer.kind == "mixer" else "gamma"
         gates = []
         for gate in layer.gates:
-            entry: dict[str, Any] = {"qubits": list(gate.qubits)}
-            if gate.kind != "mixer":
-                entry["terms"] = _terms_to_json(gate.terms)
+            entry: dict[str, Any] = {"qubits": list(gate.support)}
+            if layer.kind != "mixer":
+                entry["terms"] = _terms_to_json(gate.monomials)
             gates.append(entry)
         layers.append({"kind": layer.kind, "angle": angle, "gates": gates})
     return {
@@ -567,10 +567,11 @@ def render_schedule_text(sched: CircuitSchedule, color: bool = False) -> str:
     for name in sched.variables:
         row = []
         for layer in sched.layers:
+            prefix = "B" if layer.kind == "mixer" else "C"
             label = "."
             for gate in layer.gates:
-                if name in gate.qubits:
-                    label = gate.label
+                if name in gate.support:
+                    label = f"{prefix}({','.join(gate.support)})"
                     break
             row.append(label)
         grid.append(row)

@@ -87,7 +87,7 @@ def run_pipeline(
         raise InvalidInputError(f"unknown coloring method {method!r}")
 
     sched = schedule(h, coloring, p=p)
-    report = analyze_family(problem, pubo, h, coloring, sched)
+    report = analyze_family(problem, pubo, h, sched)
 
     return PipelineResult(
         problem=problem,

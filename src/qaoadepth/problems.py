@@ -106,28 +106,15 @@ class Problem:
                     f"slack variable {var.name!r} may not appear before dualization"
                 )
 
-    def normalized(self) -> "Problem":
-        """Equivalent minimization problem (objective negated for max)."""
-        if self.sense == MINIMIZE:
-            return self
-        return Problem(
-            sense=MINIMIZE,
-            objective=-self.objective,
-            constraints=self.constraints,
-            variables=dict(self.variables),
-            family=self.family,
-            family_info=dict(self.family_info, normalized_from=MAXIMIZE),
-        )
-
     def default_penalty_weight(self) -> Scalar:
         """1 plus an interval upper bound on |objective| over the cube.
 
         Guarantees the penalty of any unit integral violation dominates the
-        largest possible objective swing.
+        largest possible objective swing.  Negating the objective swaps and
+        negates ``low`` and ``high``, so the weight is the same for either sense.
         """
-        obj = self.normalized().objective
-        low = sum([min(0, c) for _, c in obj.terms()])
-        high = sum([max(0, c) for _, c in obj.terms()])
+        low = sum([min(0, c) for _, c in self.objective.terms()])
+        high = sum([max(0, c) for _, c in self.objective.terms()])
         return canonical(1 + max(abs(low), abs(high)))
 
 

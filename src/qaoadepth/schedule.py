@@ -9,6 +9,13 @@ X rotations, so
 
     structural depth per iteration = color classes + singleton layer (0 or 1) + 1
 
+Every gate is a :class:`~qaoadepth.hypergraph.Hyperedge`: a cost gate is
+the hypergraph's own edge, a singleton gate carries its one linear term and
+a mixer gate carries none.  The layer's ``kind`` tells them apart, and every
+depth figure is a count of layers by kind.  Properness is checked once, when
+:func:`~qaoadepth.coloring.make_coloring` builds the coloring; a layer still
+rejects gates that overlap.
+
 Cost and singleton gates share the iteration's gamma angle; the mixer layer
 uses beta.  Angles stay symbolic here: tuning them is out of scope.
 """
@@ -18,45 +25,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .coloring import EdgeColoring, check_proper
+from .coloring import EdgeColoring
 from .dualize import Pubo
 from .errors import InvalidInputError
-from .hypergraph import DerivedHypergraph
-from .poly import Polynomial, Scalar, Support
+from .hypergraph import DerivedHypergraph, Hyperedge
+from .poly import Polynomial
 from .problems import Problem
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One gate: diagonal phase gates carry their monomials, mixers do not."""
-
-    qubits: tuple[str, ...]
-    terms: tuple[tuple[Support, Scalar], ...] = ()
-    kind: str = "cost"  # "cost" or "mixer"
-
-    @property
-    def label(self) -> str:
-        prefix = "B" if self.kind == "mixer" else "C"
-        return f"{prefix}({','.join(self.qubits)})"
-
-    def polynomial(self) -> Polynomial:
-        return Polynomial.from_terms(self.terms)
 
 
 @dataclass(frozen=True)
 class CircuitLayer:
     kind: str  # "cost", "singleton" or "mixer"
-    gates: tuple[Gate, ...]
+    gates: tuple[Hyperedge, ...]
 
     def __post_init__(self):
         used: set[str] = set()
         for gate in self.gates:
-            overlap = used.intersection(gate.qubits)
+            overlap = used.intersection(gate.support)
             if overlap:
                 raise InvalidInputError(
                     f"gates within one layer overlap on qubits {sorted(overlap)}"
                 )
-            used.update(gate.qubits)
+            used.update(gate.support)
 
 
 @dataclass(frozen=True)
@@ -66,23 +56,24 @@ class CircuitSchedule:
     variables: tuple[str, ...]
     layers: tuple[CircuitLayer, ...]  # mixer last
     iterations: int
-    coloring_depth: int
-    singleton_overhead: int
-    singleton_placement: tuple[tuple[str, int], ...] = ()
 
     @property
     def structural_depth(self) -> int:
         return len(self.layers)
 
-    def cost_layers(self) -> tuple[CircuitLayer, ...]:
-        return tuple(layer for layer in self.layers if layer.kind != "mixer")
+    @property
+    def coloring_depth(self) -> int:
+        return sum(layer.kind == "cost" for layer in self.layers)
+
+    @property
+    def singleton_overhead(self) -> int:
+        return sum(layer.kind == "singleton" for layer in self.layers)
 
     def covered_polynomial(self) -> Polynomial:
-        terms: list[tuple[Support, Scalar]] = []
-        for layer in self.cost_layers():
-            for gate in layer.gates:
-                terms.extend(gate.terms)
-        return Polynomial.from_terms(terms)
+        """The sum of every gate's monomials; mixer gates carry none."""
+        return Polynomial.from_terms(
+            term for layer in self.layers for gate in layer.gates for term in gate.monomials
+        )
 
 
 def schedule(h: DerivedHypergraph, coloring: EdgeColoring, p: int = 1) -> CircuitSchedule:
@@ -92,69 +83,43 @@ def schedule(h: DerivedHypergraph, coloring: EdgeColoring, p: int = 1) -> Circui
     nothing: if every single-variable term finds an idle qubit in some cost
     layer they are packed there; as soon as one cannot (its qubit is busy in
     every layer), all of them go to one dedicated layer instead.
+
+    The coloring is not checked for properness again: every
+    :class:`EdgeColoring` the package builds comes from
+    :func:`~qaoadepth.coloring.make_coloring`, which checks it, and
+    :class:`CircuitLayer` still rejects a class whose gates overlap.
     """
     if p < 1:
         raise InvalidInputError(f"iteration count must be >= 1, got {p}")
-    check_proper(h, coloring.classes)
 
     ordered_classes = sorted(
         coloring.classes,
         key=lambda cls: (-len(cls), tuple(sorted(h.edges[i].support for i in cls))),
     )
-    layer_gates: list[list[Gate]] = [
-        [
-            Gate(qubits=h.edges[i].support, terms=h.edges[i].monomials)
-            for i in sorted(cls, key=lambda i: h.edges[i].support)
-        ]
+    layer_gates = [
+        sorted((h.edges[i] for i in cls), key=lambda edge: edge.support)
         for cls in ordered_classes
     ]
-    occupied = [set().union(*(g.qubits for g in gates)) if gates else set() for gates in layer_gates]
+    occupied = [{name for gate in gates for name in gate.support} for gates in layer_gates]
 
     placement: dict[str, int] = {}
-    packable = True
     for name, _ in h.singletons:
-        target = None
-        for index in range(len(layer_gates)):
-            if name not in occupied[index]:
-                target = index
-                break
+        target = next((i for i, busy in enumerate(occupied) if name not in busy), None)
         if target is None:
-            packable = False
+            placement = {}
             break
         placement[name] = target
         occupied[target].add(name)
 
-    singleton_overhead = 0
-    if packable:
-        for name, coeff in h.singletons:
-            index = placement[name]
-            layer_gates[index].append(Gate(qubits=(name,), terms=(((name,), coeff),)))
-        layers = [CircuitLayer(kind="cost", gates=tuple(gates)) for gates in layer_gates]
-    else:
-        placement = {}
-        layers = [CircuitLayer(kind="cost", gates=tuple(gates)) for gates in layer_gates]
-        if h.singletons:
-            singleton_overhead = 1
-            extra = tuple(
-                Gate(qubits=(name,), terms=(((name,), coeff),))
-                for name, coeff in h.singletons
-            )
-            layers.append(CircuitLayer(kind="singleton", gates=extra))
-
-    mixer = CircuitLayer(
-        kind="mixer",
-        gates=tuple(Gate(qubits=(name,), kind="mixer") for name in h.vertices),
-    )
-    layers.append(mixer)
-
-    return CircuitSchedule(
-        variables=h.vertices,
-        layers=tuple(layers),
-        iterations=p,
-        coloring_depth=coloring.num_colors,
-        singleton_overhead=singleton_overhead,
-        singleton_placement=tuple(sorted(placement.items())),
-    )
+    singletons = [Hyperedge((name,), (((name,), coeff),)) for name, coeff in h.singletons]
+    if placement:
+        for gate in singletons:
+            layer_gates[placement[gate.support[0]]].append(gate)
+    layers = [CircuitLayer("cost", tuple(gates)) for gates in layer_gates]
+    if singletons and not placement:
+        layers.append(CircuitLayer("singleton", tuple(singletons)))
+    layers.append(CircuitLayer("mixer", tuple(Hyperedge((name,), ()) for name in h.vertices)))
+    return CircuitSchedule(variables=h.vertices, layers=tuple(layers), iterations=p)
 
 
 @dataclass(frozen=True)
@@ -231,7 +196,6 @@ def analyze_family(
     problem: Problem,
     pubo: Pubo,
     h: DerivedHypergraph,
-    coloring: EdgeColoring,
     sched: CircuitSchedule,
 ) -> DepthReport:
     """Depth report with the recognized family's closed-form figure attached.
@@ -248,7 +212,7 @@ def analyze_family(
     if problem.family in ("maxcut", "maxindset"):
         n = info.get("n", 0)
         edges = [tuple(e) for e in info.get("edges", [])]
-        chi = coloring.num_colors
+        chi = sched.coloring_depth
         if _is_star(n, edges):
             bound = FamilyBound(
                 family=problem.family,

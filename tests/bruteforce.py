@@ -33,6 +33,11 @@ def is_canonical(value) -> bool:
     return type(value) is Fraction
 
 
+def min_objective(problem: Problem) -> Polynomial:
+    """The objective in min form: negated for a max problem."""
+    return problem.objective if problem.sense == "min" else -problem.objective
+
+
 def assignments(names):
     """All {0,1} assignments of the given variables, in binary counting order."""
     names = list(names)
@@ -96,21 +101,21 @@ def exhaustive_minimum(poly: Polynomial) -> Fraction:
 
 def constrained_argmin(problem: Problem) -> list[tuple[int, ...]]:
     """Argmin set of a constrained problem in min form, by direct enumeration."""
-    normalized = problem.normalized()
-    names = list(normalized.variables)
+    objective = min_objective(problem)
+    names = list(problem.variables)
     best = None
     winners: list[tuple[int, ...]] = []
     for bits in itertools.product((0, 1), repeat=len(names)):
         assignment = dict(zip(names, bits))
         ok = True
-        for con in normalized.constraints:
+        for con in problem.constraints:
             value = evaluate_terms(con.lhs, assignment)
             if value > con.rhs or (con.lower is not None and value < con.lower):
                 ok = False
                 break
         if not ok:
             continue
-        value = evaluate_terms(normalized.objective, assignment)
+        value = evaluate_terms(objective, assignment)
         if best is None or value < best:
             best = value
             winners = [bits]
@@ -428,9 +433,8 @@ def fraction_penalty_form(problem: Problem, pubo: Pubo) -> dict:
     Takes the slack names, ranges and weights ``pubo``'s records chose, like
     :func:`penalty_fold`, and rebuilds everything else from the problem.
     """
-    normalized = problem.normalized()
-    total = fraction_terms(normalized.objective.terms())
-    for con, record in zip(normalized.constraints, pubo.dualizations, strict=True):
+    total = fraction_terms(min_objective(problem).terms())
+    for con, record in zip(problem.constraints, pubo.dualizations, strict=True):
         if record.dropped:
             continue
         k = len(record.slack_vars)
@@ -456,9 +460,8 @@ def penalty_fold(problem: Problem, pubo: Pubo) -> Polynomial:
     and the last one span - (2**(k-1) - 1), with span = ceil(slack range),
     so the slack sums are exactly 0..span.
     """
-    normalized = problem.normalized()
-    objective = normalized.objective
-    for con, record in zip(normalized.constraints, pubo.dualizations, strict=True):
+    objective = min_objective(problem)
+    for con, record in zip(problem.constraints, pubo.dualizations, strict=True):
         if record.dropped:
             continue
         k = len(record.slack_vars)
@@ -515,8 +518,8 @@ def phase_table(sched: CircuitSchedule) -> list:
     """Accumulated phase exponent of every basis state, in units of gamma.
 
     Entry z belongs to the assignment where ``sched.variables[i]`` is bit i
-    of z.  Sums the cost and singleton gates' polynomials over the whole
-    cube, 2**n entries.
+    of z.  Sums every gate's monomials over the whole cube, 2**n entries;
+    mixer gates carry none.
     """
     return sched.covered_polynomial().values_over_cube(sched.variables)
 

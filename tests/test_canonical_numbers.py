@@ -24,6 +24,7 @@ from bruteforce import (
     fraction_scale,
     fraction_terms,
     is_canonical,
+    min_objective,
 )
 
 NAMES = ("x1", "x2", "x3", "x4")
@@ -128,7 +129,7 @@ def test_dualize_and_json_keep_canonical_numbers(problem):
     pubo = dualize(problem)
     assert_matches(pubo.objective, fraction_penalty_form(problem, pubo))
 
-    objective = fraction_terms(problem.normalized().objective.terms())
+    objective = fraction_terms(min_objective(problem).terms())
     default_weight = 1 + max(
         abs(sum((min(Fraction(0), c) for c in objective.values()), Fraction(0))),
         abs(sum((max(Fraction(0), c) for c in objective.values()), Fraction(0))),

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -93,6 +94,32 @@ def test_repeated_runs_are_byte_identical(capsys, fixture_dir):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_analyze_checks_the_coloring_once(capsys, monkeypatch, fixture_dir):
+    coloring_mod = importlib.import_module("qaoadepth.coloring")
+    schedule_mod = importlib.import_module("qaoadepth.schedule")
+    checked = []
+    check_proper = coloring_mod.check_proper
+
+    def counting(h, classes):
+        checked.append(classes)
+        return check_proper(h, classes)
+
+    monkeypatch.setattr(coloring_mod, "check_proper", counting)
+    monkeypatch.setattr(schedule_mod, "check_proper", counting, raising=False)
+    general = ("--problem", str(fixture_dir / "general_example.json"), "--gate-width", "3")
+    for expected_code, argv in (
+        (0, ("--family", "maxcut", "--graph", str(fixture_dir / "w6.dimacs"))),
+        (4, ("--family", "maxcut", "--graph", str(fixture_dir / "petersen.dimacs"), "--budget", "5")),
+        (0, general),
+        (0, (*general, "--method", "merge-exact")),
+        (0, (*general, "--method", "greedy")),
+    ):
+        checked.clear()
+        code, _, _ = run_cli(capsys, "analyze", *argv)
+        assert code == expected_code
+        assert len(checked) == 1, argv
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):

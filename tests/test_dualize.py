@@ -274,6 +274,53 @@ def test_wide_linear_constraint_gets_an_exact_cube_minimum(monkeypatch):
     assert not any("interval bound" in note for note in record.notes)
 
 
+def test_max_problems_are_flipped_without_building_a_problem(monkeypatch, w6):
+    x1, x2, x3 = (Polynomial.variable(f"x{i}") for i in (1, 2, 3))
+    problems = [
+        with_penalty_weight(make_maxindset(w6), 2),
+        make_knapsack((3, 4, 5), (2, 3, 4), capacity=5),
+        Problem(
+            sense="max",
+            objective=3 * x1 - 2 * x2 + x3,
+            constraints=(Constraint(lhs=x1 + x2 + x3, rhs=2, lower=1),),
+            variables={name: Var(name) for name in ("x1", "x2", "x3")},
+        ),
+    ]
+    built = []
+    post_init = Problem.__post_init__
+    monkeypatch.setattr(Problem, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for problem in problems:
+        pubo = dualize(problem)
+        result = verify_penalty(pubo, problem)
+        assert result.passed
+        assert result.constrained_argmin == tuple(constrained_argmin(problem))
+    assert built == []
+
+
+def test_two_sided_constraints_skip_the_cube_maximum(monkeypatch):
+    x1, x2, x3 = (Polynomial.variable(f"x{i}") for i in (1, 2, 3))
+    lhs = 2 * x1 * x2 + x2 * x3 + x1 + x3
+    variables = {name: Var(name) for name in ("x1", "x2", "x3")}
+
+    def problem(lower, rhs):
+        constraint = Constraint(lhs=lhs, rhs=rhs, lower=lower, weight=8)
+        return Problem(sense="min", objective=x1 - x2 - x3, constraints=(constraint,), variables=variables)
+
+    # A one-sided constraint still reads the maximum: lhs <= 5 always holds.
+    assert dualize(problem(None, 5)).dualizations[0].dropped
+
+    def no_maximum(self):
+        raise AssertionError("maximum_over_cube called for a two-sided constraint")
+
+    monkeypatch.setattr(Polynomial, "maximum_over_cube", no_maximum)
+    for lower, rhs in ((1, 3), (0, 5), (2, 4)):
+        pubo = dualize(problem(lower, rhs))
+        record = pubo.dualizations[0]
+        assert not record.dropped
+        assert record.slack_range == rhs - lower
+        assert verify_penalty(pubo, problem(lower, rhs)).passed
+
+
 def test_dualize_is_deterministic(general_problem):
     first = dualize(general_problem)
     second = dualize(general_problem)

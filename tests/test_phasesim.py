@@ -66,16 +66,13 @@ def test_equivalence_passes_on_honest_schedules(w6, general_problem):
 def test_duplicated_gate_is_detected(w6):
     pubo, sched = w6_parts(w6)
     first_cost = sched.layers[0]
-    duplicated = replace(
-        sched,
-        layers=(first_cost,) + sched.layers,
-        coloring_depth=sched.coloring_depth + 1,
-    )
+    duplicated = replace(sched, layers=(first_cost,) + sched.layers)
+    assert duplicated.coloring_depth == sched.coloring_depth + 1
     report = check_equivalence(duplicated, pubo)
     assert not report.equivalent
     # the reported delta is exactly the duplicated monomials' value there
     extra = Polynomial.from_terms(
-        term for gate in first_cost.gates for term in gate.terms
+        term for gate in first_cost.gates for term in gate.monomials
     )
     assert report.delta == extra.evaluate(report.mismatch_assignment)
 
@@ -87,7 +84,7 @@ def test_dropped_gate_is_detected(general_problem):
     # drop the slack-pair gate wherever it lives
     pruned_layers = []
     for layer in sched.layers:
-        gates = tuple(g for g in layer.gates if g.qubits != ("s1_1", "s1_2"))
+        gates = tuple(g for g in layer.gates if g.support != ("s1_1", "s1_2"))
         pruned_layers.append(CircuitLayer(kind=layer.kind, gates=gates))
     pruned = replace(sched, layers=tuple(pruned_layers))
     report = check_equivalence(pruned, pubo)
@@ -121,8 +118,8 @@ def test_equivalence_has_no_variable_limit():
     )
     report = check_equivalence(pruned, pubo)
     assert not report.equivalent
-    assert {name for name, bit in report.mismatch_assignment.items() if bit} == set(dropped.qubits)
-    assert -report.delta == Polynomial.from_terms(dropped.terms).evaluate(report.mismatch_assignment)
+    assert {name for name, bit in report.mismatch_assignment.items() if bit} == set(dropped.support)
+    assert -report.delta == Polynomial.from_terms(dropped.monomials).evaluate(report.mismatch_assignment)
 
 
 def test_uncovered_variable_is_rejected(w6):
@@ -161,9 +158,9 @@ def _corruptions(rng, sched):
     dropped = with_layer(layer.gates[:g] + layer.gates[g + 1:])
     duplicated = replace(sched, layers=(layer,) + sched.layers)
     gate = layer.gates[g]
-    (support, coeff), *rest = gate.terms
+    (support, coeff), *rest = gate.monomials
     nudge = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(2, 7))
-    perturbed_gate = replace(gate, terms=((support, coeff + nudge), *rest))
+    perturbed_gate = replace(gate, monomials=((support, coeff + nudge), *rest))
     perturbed = with_layer(layer.gates[:g] + (perturbed_gate,) + layer.gates[g + 1:])
     return dropped, duplicated, perturbed
 

@@ -26,6 +26,7 @@ from bruteforce import (
     independent_sets,
     is_canonical,
     maxcut_objective_reference,
+    min_objective,
     random_graph,
 )
 
@@ -312,12 +313,25 @@ def test_problem_rejects_predeclared_slack_variables():
         )
 
 
-def test_normalized_negates_maximization():
+def test_max_problems_are_minimized_negated():
     problem = make_maxindset(InstanceGraph(2, ()))
-    normalized = problem.normalized()
-    assert normalized.sense == "min"
-    assert normalized.objective == -problem.objective
-    assert normalized.family == problem.family
+    assert problem.sense == "max"
+    assert min_objective(problem) == -problem.objective
+    pubo = dualize(problem)
+    assert pubo.objective == min_objective(problem)
+    assert pubo.original_sense == "max"
+
+
+def test_default_penalty_weight_ignores_the_sense():
+    x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
+    variables = {"x1": Var("x1"), "x2": Var("x2")}
+    for objective in (3 * x1 - x2, x1 + x2, -2 * x1 - x2):
+        weights = {
+            Problem(sense=sense, objective=objective, variables=variables).default_penalty_weight()
+            for sense in ("min", "max")
+        }
+        negated = Problem(sense="min", objective=-objective, variables=variables)
+        assert weights == {negated.default_penalty_weight()}
 
 
 def test_default_penalty_weight_dominates_objective_range():

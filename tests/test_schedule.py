@@ -5,7 +5,7 @@ import pytest
 
 from qaoadepth import (
     CircuitLayer,
-    Gate,
+    Hyperedge,
     InstanceGraph,
     InvalidInputError,
     Polynomial,
@@ -50,15 +50,21 @@ def test_w6_maxcut_schedule_layout(w6):
     singleton_layer = sched.layers[5]
     assert len(singleton_layer.gates) == 6
     assert sched.singleton_overhead == 1
-    assert sched.singleton_placement == ()
+    assert sched.coloring_depth == 5
+    assert all(len(gate.support) == 2 for layer in sched.layers[:5] for gate in layer.gates)
 
 
 def test_general_example_schedule_packs_all_singletons(general_problem):
     pubo, h, coloring, sched = pipeline_parts(general_problem, gate_width=3)
     assert coloring.num_colors == 7
     assert sched.singleton_overhead == 0
+    assert sched.coloring_depth == 7
     assert sched.structural_depth == 8
-    assert len(sched.singleton_placement) == 5
+    packed = [
+        gate for layer in sched.layers if layer.kind == "cost"
+        for gate in layer.gates if len(gate.support) == 1
+    ]
+    assert len(packed) == len(h.singletons) == 5
 
 
 def test_matching_without_singletons_has_depth_two():
@@ -76,8 +82,9 @@ def test_empty_problem_is_mixer_only():
 
 
 def test_total_depth_scales_linearly(w6):
-    _, _, _, sched = pipeline_parts(make_maxcut(w6))
-    report = analyze_family(make_maxcut(w6), *pipeline_parts(make_maxcut(w6))[:3], sched)
+    problem = make_maxcut(w6)
+    pubo, h, _, sched = pipeline_parts(problem)
+    report = analyze_family(problem, pubo, h, sched)
     assert total_depth(report, 1) == 7
     assert total_depth(report, 3) == 21
     with pytest.raises(InvalidInputError):
@@ -92,13 +99,35 @@ def test_schedule_covers_every_monomial_exactly_once(w6, general_problem):
         assert covered == expected
 
 
+def test_cost_gates_are_the_hypergraphs_own_edges(w6, general_problem):
+    rng = random.Random(17)
+    cases = []
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(4, 9), 0.5)
+        if g.edges:
+            h = build(dualize(make_maxcut(g)))
+            cases.append((h, schedule(h, color_greedy(h))))
+    for problem, width in ((make_maxcut(w6), 2), (general_problem, 3)):
+        _, h, _, sched = pipeline_parts(problem, gate_width=width)
+        cases.append((h, sched))
+        merged = run_pipeline(problem, gate_width=width, method="merge-exact")
+        cases.append((merged.hypergraph, merged.schedule))
+    for h, sched in cases:
+        cost = [
+            gate for layer in sched.layers if layer.kind == "cost"
+            for gate in layer.gates if len(gate.support) > 1
+        ]
+        # Each gate is an edge object itself, not a copy, and each edge is used once.
+        assert sorted(map(id, cost)) == sorted(map(id, h.edges))
+
+
 def test_layers_reject_overlapping_gates():
     with pytest.raises(InvalidInputError):
         CircuitLayer(
             kind="cost",
             gates=(
-                Gate(qubits=("a", "b"), terms=((("a", "b"), Fraction(1)),)),
-                Gate(qubits=("b", "c"), terms=((("b", "c"), Fraction(1)),)),
+                Hyperedge(("a", "b"), ((("a", "b"), Fraction(1)),)),
+                Hyperedge(("b", "c"), ((("b", "c"), Fraction(1)),)),
             ),
         )
 
@@ -140,7 +169,7 @@ def test_star_maxcut_reports_vertex_count_figure_and_flags_gap():
     star = InstanceGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
     problem = make_maxcut(star)
     pubo, h, coloring, sched = pipeline_parts(problem)
-    report = analyze_family(problem, pubo, h, coloring, sched)
+    report = analyze_family(problem, pubo, h, sched)
     assert report.family_bound.formula == "n"
     assert report.family_bound.value == 5
     # the hub phase gate cannot pack, so the structural depth is n + 1
@@ -152,7 +181,7 @@ def test_star_maxcut_reports_vertex_count_figure_and_flags_gap():
 def test_wheel_maxcut_family_figure_matches(w6):
     problem = make_maxcut(w6)
     pubo, h, coloring, sched = pipeline_parts(problem)
-    report = analyze_family(problem, pubo, h, coloring, sched)
+    report = analyze_family(problem, pubo, h, sched)
     assert report.family_bound.details["chromatic_index"] == 5
     assert report.family_bound.matches_structural is True
 
@@ -161,7 +190,7 @@ def test_tsp_figure_quotes_constraint_count():
     g = InstanceGraph(3, ((1, 2), (1, 3), (2, 3)), weights=(1, 1, 1))
     problem = make_tsp(g)
     pubo, h, coloring, sched = pipeline_parts(problem)
-    report = analyze_family(problem, pubo, h, coloring, sched)
+    report = analyze_family(problem, pubo, h, sched)
     n_dualized = sum(1 for d in pubo.dualizations if not d.dropped)
     assert report.family_bound.formula == "n - 1 + 2*N_c"
     assert report.family_bound.value == 3 - 1 + 2 * n_dualized
@@ -171,7 +200,7 @@ def test_tsp_figure_quotes_constraint_count():
 def test_sat_degree_formula_matches_derived_graph_for_three_literal_clauses():
     problem = make_sat([(1, 2, 3), (3, 4, 5)])
     pubo, h, coloring, sched = pipeline_parts(problem)
-    report = analyze_family(problem, pubo, h, coloring, sched)
+    report = analyze_family(problem, pubo, h, sched)
     degrees = report.family_bound.details["degrees"]
     for name, pair in degrees.items():
         assert pair["formula"] == pair["derived_graph"], name
@@ -183,7 +212,7 @@ def test_sat_degree_comparison_flags_cancelled_interactions():
     # penalty cross terms cancel and the derived graph loses that edge
     problem = make_sat([(1, 2, -3), (2, 3, 4)])
     pubo, h, coloring, sched = pipeline_parts(problem)
-    report = analyze_family(problem, pubo, h, coloring, sched)
+    report = analyze_family(problem, pubo, h, sched)
     degrees = report.family_bound.details["degrees"]
     assert degrees["x2"]["formula"] == 9
     assert degrees["x2"]["derived_graph"] == 8
@@ -193,7 +222,7 @@ def test_sat_degree_comparison_flags_cancelled_interactions():
 def test_sat_single_clause_degree_is_five():
     problem = make_sat([(1, 2, -3)])
     pubo, h, coloring, sched = pipeline_parts(problem)
-    report = analyze_family(problem, pubo, h, coloring, sched)
+    report = analyze_family(problem, pubo, h, sched)
     degrees = report.family_bound.details["degrees"]
     assert degrees["x1"] == {"formula": 5, "derived_graph": 5}
 
@@ -225,6 +254,6 @@ def test_knapsack_figures_with_and_without_preprocessing():
 
 def test_untagged_problem_gets_structural_report_only(general_problem):
     pubo, h, coloring, sched = pipeline_parts(general_problem, gate_width=3)
-    report = analyze_family(general_problem, pubo, h, coloring, sched)
+    report = analyze_family(general_problem, pubo, h, sched)
     assert report.family_bound is None
     assert report.structural_depth == 8
