@@ -14,7 +14,6 @@ from qaoadepth import (
     Constraint,
     Polynomial,
     Problem,
-    Var,
     absorb_subsets,
     build,
     color_exact,
@@ -42,7 +41,7 @@ problem = Problem(
     constraints=(
         Constraint(lhs=budget, rhs=Fraction(3), label="budget", reference_expansion=reference),
     ),
-    variables={f"x{i}": Var(f"x{i}") for i in (1, 2, 3)},
+    variables=("x1", "x2", "x3"),
 )
 
 pubo = dualize(problem)

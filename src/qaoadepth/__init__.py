@@ -24,7 +24,6 @@ from .dualize import (
     Pubo,
     dualize,
     expansion_diff,
-    pubo_from_polynomial,
     verify_penalty,
 )
 from .errors import (
@@ -51,7 +50,6 @@ from .problems import (
     Constraint,
     InstanceGraph,
     Problem,
-    Var,
     make_knapsack,
     make_maxcut,
     make_maxindset,
@@ -98,7 +96,6 @@ __all__ = [
     "Problem",
     "Pubo",
     "QaoaDepthError",
-    "Var",
     "absorb_subsets",
     "analyze_family",
     "bounds",
@@ -117,7 +114,6 @@ __all__ = [
     "make_tsp",
     "make_vertex_cover",
     "merge_exact",
-    "pubo_from_polynomial",
     "run_pipeline",
     "schedule",
     "total_depth",

@@ -23,7 +23,7 @@ from typing import Container
 
 from .errors import InfeasibleConstraintError, InvalidInputError
 from .poly import EXACT_ENUMERATION_LIMIT, Polynomial, Scalar, Support, canonical
-from .problems import MINIMIZE, Problem, Var
+from .problems import MINIMIZE, Problem
 
 
 def _bits(z: int, width: int) -> tuple[int, ...]:
@@ -82,7 +82,6 @@ class ConstraintDualization:
     cube_min: Scalar | None = None
     cube_min_exact: bool = True
     slack_range: Scalar = 0
-    bit_count: int = 0
     slack_vars: tuple[str, ...] = ()
     weight: Scalar | None = None
     square: Polynomial | None = None
@@ -90,13 +89,21 @@ class ConstraintDualization:
     notes: tuple[str, ...] = ()
     expansion_diff: ExpansionDiff | None = None
 
+    @property
+    def bit_count(self) -> int:
+        return len(self.slack_vars)
+
 
 @dataclass
 class Pubo:
-    """Unconstrained penalty-form objective over original plus slack variables."""
+    """Unconstrained penalty-form objective over original plus slack variables.
+
+    ``variables`` lists the problem's variables in their order, then each
+    constraint's slack bits in constraint order.
+    """
 
     objective: Polynomial
-    variables: dict[str, Var]
+    variables: tuple[str, ...]
     dualizations: tuple[ConstraintDualization, ...]
     original_sense: str
 
@@ -105,7 +112,7 @@ class Pubo:
         return self.objective.constant_term
 
     def slack_names(self) -> tuple[str, ...]:
-        return tuple(name for name, var in self.variables.items() if var.is_slack)
+        return tuple(name for record in self.dualizations for name in record.slack_vars)
 
 
 def _fresh_slack_name(base: str, taken: Container[str]) -> str:
@@ -150,7 +157,7 @@ def dualize(problem: Problem) -> Pubo:
     """
     objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
     coefficients: dict[Support, Scalar] = dict(objective.terms())
-    variables: dict[str, Var] = dict(problem.variables)
+    taken = set(problem.variables)
     default_weight: Scalar | None = None
     records: list[ConstraintDualization] = []
 
@@ -200,9 +207,9 @@ def dualize(problem: Problem) -> Pubo:
         residual[()] = residual.get((), 0) - con.rhs
         slack_names: list[str] = []
         for j, c in enumerate(slack_coefficients, start=1):
-            name = _fresh_slack_name(f"s{index}_{j}", variables)
+            name = _fresh_slack_name(f"s{index}_{j}", taken)
+            taken.add(name)
             slack_names.append(name)
-            variables[name] = Var(name, slack_of=(index, j))
             residual[(name,)] = c
 
         weight = con.weight
@@ -227,7 +234,6 @@ def dualize(problem: Problem) -> Pubo:
                 cube_min=cube_min,
                 cube_min_exact=min_exact,
                 slack_range=slack_range,
-                bit_count=len(slack_names),
                 slack_vars=tuple(slack_names),
                 weight=weight,
                 square=square,
@@ -239,7 +245,7 @@ def dualize(problem: Problem) -> Pubo:
 
     return Pubo(
         objective=Polynomial._from_canonical(coefficients),
-        variables=variables,
+        variables=problem.variables + tuple(name for r in records for name in r.slack_vars),
         dualizations=tuple(records),
         original_sense=problem.sense,
     )
@@ -272,8 +278,9 @@ def verify_penalty(
         raise InvalidInputError(
             f"verification needs {len(order)} variables but the limit is {var_limit}"
         )
-    original = [name for name in order if not pubo.variables[name].is_slack]
-    slack = [name for name in order if pubo.variables[name].is_slack]
+    slack_names = set(pubo.slack_names())
+    original = [name for name in order if name not in slack_names]
+    slack = [name for name in order if name in slack_names]
     n_orig = len(original)
 
     # Every table holds a polynomial times its common denominator d, so it
@@ -336,15 +343,4 @@ def verify_penalty(
         variable_order=tuple(original),
         counterexample=witness,
         detail=f"assignment {witness} is optimal only for the {side}",
-    )
-
-
-def pubo_from_polynomial(objective: Polynomial) -> Pubo:
-    """Wrap a bare polynomial as an already-unconstrained PUBO."""
-    variables = {name: Var(name) for name in objective.variables()}
-    return Pubo(
-        objective=objective,
-        variables=variables,
-        dualizations=(),
-        original_sense=MINIMIZE,
     )

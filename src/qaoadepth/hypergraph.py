@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .dualize import Pubo
 from .errors import BudgetExceededError, GateWidthError, InvalidInputError
-from .poly import Polynomial, Scalar, Support
+from .poly import Scalar, Support
 
 #: Default node budget for the exact searches, :func:`merge_exact` and ``color_exact``.
 DEFAULT_EXACT_BUDGET = 2_000_000
@@ -135,15 +135,6 @@ class DerivedHypergraph:
         sizes = {len(e.support) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
 
-    def total_polynomial(self) -> Polynomial:
-        """Sum of everything the hypergraph represents; must equal the source."""
-        terms: list[tuple[Support, Scalar]] = [((), self.constant)]
-        for name, coeff in self.singletons:
-            terms.append(((name,), coeff))
-        for edge in self.edges:
-            terms.extend(edge.monomials)
-        return Polynomial.from_terms(terms)
-
 
 def build(pubo: Pubo) -> DerivedHypergraph:
     """One hyperedge per distinct monomial support of size >= 2."""
@@ -160,7 +151,7 @@ def build(pubo: Pubo) -> DerivedHypergraph:
     edges.sort(key=lambda e: e.support)
     singletons.sort()
     return DerivedHypergraph(
-        vertices=tuple(pubo.variables),
+        vertices=pubo.variables,
         edges=tuple(edges),
         singletons=tuple(singletons),
         constant=constant,
@@ -374,8 +365,9 @@ def merge_exact(
     within one layer act on disjoint qubits.  Minimizes the number of layers
     over all gate groupings simultaneously with the coloring, through
     :func:`search_layers`.  Raises :class:`BudgetExceededError` when the node
-    budget runs out; callers then fall back to :func:`absorb_subsets` plus a
-    heuristic coloring.
+    budget runs out; there is no fallback, so ``--method merge-exact`` then
+    exits 4 and prints no artifact.  Subset absorption plus first-fit
+    coloring is only the search's incumbent.
     """
     from . import coloring as coloring_mod
 

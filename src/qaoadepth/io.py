@@ -38,7 +38,7 @@ from .dualize import ConstraintDualization, ExpansionDiff, Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
 from .poly import Polynomial, Scalar, ratio
-from .problems import Constraint, InstanceGraph, Problem, Var
+from .problems import Constraint, InstanceGraph, Problem
 from .schedule import CircuitSchedule, DepthReport
 
 TOOL_NAME = "qaoadepth"
@@ -183,8 +183,6 @@ def problem_from_json(data, path: str = "problem") -> Problem:
     names = data.get("variables")
     if not isinstance(names, list) or not all(isinstance(n, str) and n for n in names):
         raise InvalidInputError(f"{path}.variables: expected a list of non-empty names")
-    if len(set(names)) != len(names):
-        raise InvalidInputError(f"{path}.variables: names must be unique")
     known = set(names)
 
     objective = polynomial_from_json(data.get("objective", []), known, f"{path}.objective")
@@ -238,7 +236,7 @@ def problem_from_json(data, path: str = "problem") -> Problem:
         sense=sense,
         objective=objective,
         constraints=tuple(constraints),
-        variables={name: Var(name) for name in names},
+        variables=tuple(names),
         family=family,
         family_info=dict(family_info),
     )

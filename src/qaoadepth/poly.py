@@ -48,15 +48,17 @@ def ratio(numerator: int, denominator: int) -> Scalar:
 
 
 def _coerce(value) -> Scalar:
-    """Convert an exact scalar to canonical form, rejecting bools and floats."""
+    """An exact number in canonical form; a bool, a float or a str raises TypeError.
+
+    Coefficients, constraint data, edge weights and knapsack data all pass
+    through here.
+    """
     if type(value) is int or type(value) is Fraction:
         return canonical(value)
-    if isinstance(value, bool):
-        raise TypeError("bool is not a polynomial coefficient")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return canonical(Fraction(value))
     raise TypeError(
-        f"coefficients must be int or Fraction, not {type(value).__name__}; "
+        f"exact numbers must be int or Fraction, not {type(value).__name__}; "
         "exact arithmetic is required"
     )
 

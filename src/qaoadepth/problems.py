@@ -1,7 +1,7 @@
 """Constrained binary optimization problems and the studied problem families.
 
 A :class:`Problem` is an objective polynomial plus a list of ``lhs <= rhs``
-constraints over registered binary variables.  Generators build the classic
+constraints over named binary variables.  Generators build the classic
 families (MaxCut, MaxIndSet, Vertex Cover, Knapsack, TSP, SAT) from natural
 inputs and tag the result so depth analyzers can recognize the family later.
 """
@@ -10,34 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-from .poly import Polynomial, Scalar, canonical
+from .poly import Polynomial, Scalar, _coerce, canonical
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
-
-
-@dataclass(frozen=True)
-class Var:
-    """A binary decision variable; slack bits remember their origin."""
-
-    name: str
-    #: (constraint index, bit index), both 1-based, for slack bits; None otherwise.
-    slack_of: tuple[int, int] | None = None
-
-    @property
-    def is_slack(self) -> bool:
-        return self.slack_of is not None
-
-
-def _exact(value) -> Scalar:
-    """``value`` as an exact number in canonical form (int when whole, else Fraction)."""
-    if type(value) is int or type(value) is Fraction:
-        return canonical(value)
-    return canonical(Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -62,31 +41,31 @@ class Constraint:
     reference_expansion: Polynomial | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rhs", _exact(self.rhs))
+        object.__setattr__(self, "rhs", _coerce(self.rhs))
         if self.weight is not None:
-            object.__setattr__(self, "weight", _exact(self.weight))
+            object.__setattr__(self, "weight", _coerce(self.weight))
             if self.weight <= 0:
                 raise InvalidInputError(f"penalty weight must be positive, got {self.weight}")
         if self.lower is not None:
-            object.__setattr__(self, "lower", _exact(self.lower))
+            object.__setattr__(self, "lower", _coerce(self.lower))
             if self.lower >= self.rhs:
                 raise InvalidInputError(
                     f"two-sided constraint needs lower < rhs, got {self.lower} >= {self.rhs}"
                 )
         if self.slack_bound is not None:
-            object.__setattr__(self, "slack_bound", _exact(self.slack_bound))
+            object.__setattr__(self, "slack_bound", _coerce(self.slack_bound))
             if self.slack_bound < 0:
                 raise InvalidInputError("slack_bound must be nonnegative")
 
 
 @dataclass
 class Problem:
-    """A constrained problem over registered binary variables."""
+    """A constrained problem over binary variables, listed by name in a fixed order."""
 
     sense: str
     objective: Polynomial
     constraints: tuple[Constraint, ...] = ()
-    variables: dict[str, Var] = field(default_factory=dict)
+    variables: tuple[str, ...] = ()
     family: str | None = None
     family_info: dict = field(default_factory=dict)
 
@@ -94,32 +73,31 @@ class Problem:
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise InvalidInputError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.constraints = tuple(self.constraints)
+        self.variables = tuple(self.variables)
+        declared = set(self.variables)
+        if len(declared) != len(self.variables):
+            repeated = sorted({name for name in self.variables if self.variables.count(name) > 1})
+            raise InvalidInputError(f"variable names must be unique, repeated: {repeated}")
         used = set(self.objective.variables())
         for con in self.constraints:
             used.update(con.lhs.variables())
-        missing = used - set(self.variables)
+        missing = used - declared
         if missing:
             raise InvalidInputError(f"unregistered variables: {sorted(missing)}")
-        for var in self.variables.values():
-            if var.is_slack:
-                raise InvalidInputError(
-                    f"slack variable {var.name!r} may not appear before dualization"
-                )
 
     def default_penalty_weight(self) -> Scalar:
-        """1 plus an interval upper bound on |objective| over the cube.
+        """1 plus an interval bound ``high - low`` on the objective's range over the cube.
 
-        Guarantees the penalty of any unit integral violation dominates the
-        largest possible objective swing.  Negating the objective swaps and
-        negates ``low`` and ``high``, so the weight is the same for either sense.
+        ``low`` sums the negative coefficients and ``high`` the positive ones,
+        so the objective lies in [low, high] everywhere.  An assignment that
+        violates a constraint by at least 1 pays at least the weight, so its
+        penalty form is worth more than ``high`` and no infeasible point can
+        undercut a feasible optimum.  Negating the objective swaps and negates ``low`` and ``high``, so the
+        weight is the same for either sense.
         """
         low = sum([min(0, c) for _, c in self.objective.terms()])
         high = sum([max(0, c) for _, c in self.objective.terms()])
-        return canonical(1 + max(abs(low), abs(high)))
-
-
-def _registry(names: Iterable[str]) -> dict[str, Var]:
-    return {name: Var(name) for name in names}
+        return canonical(1 + high - low)
 
 
 @dataclass(frozen=True)
@@ -149,7 +127,7 @@ class InstanceGraph:
         if self.weights is not None:
             if len(self.weights) != len(self.edges):
                 raise InvalidInputError("weights must match edges one-to-one")
-            object.__setattr__(self, "weights", tuple(map(_exact, self.weights)))
+            object.__setattr__(self, "weights", tuple(map(_coerce, self.weights)))
 
     def weight(self, index: int) -> Scalar:
         return self.weights[index] if self.weights is not None else 1
@@ -193,7 +171,7 @@ def make_maxcut(g: InstanceGraph) -> Problem:
         sense=MINIMIZE,
         objective=Polynomial._from_canonical(terms),
         constraints=(),
-        variables=_registry(names[1:]),
+        variables=tuple(names[1:]),
         family="maxcut",
         family_info={"n": g.n, "edges": list(g.edges)},
     )
@@ -201,6 +179,7 @@ def make_maxcut(g: InstanceGraph) -> Problem:
 
 def with_penalty_weight(problem: Problem, weight) -> Problem:
     """``problem`` with ``weight`` (``--lambda``) as every constraint's penalty weight."""
+    weight = _coerce(weight)
     return replace(
         problem, constraints=tuple(replace(c, weight=weight) for c in problem.constraints)
     )
@@ -221,7 +200,7 @@ def make_maxindset(g: InstanceGraph) -> Problem:
         sense=MAXIMIZE,
         objective=objective,
         constraints=constraints,
-        variables=_registry(_vertex_var(i) for i in range(1, g.n + 1)),
+        variables=tuple(_vertex_var(i) for i in range(1, g.n + 1)),
         family="maxindset",
         family_info={"n": g.n, "edges": list(g.edges)},
     )
@@ -242,7 +221,7 @@ def make_vertex_cover(g: InstanceGraph) -> Problem:
         sense=MINIMIZE,
         objective=objective,
         constraints=constraints,
-        variables=_registry(_vertex_var(i) for i in range(1, g.n + 1)),
+        variables=tuple(_vertex_var(i) for i in range(1, g.n + 1)),
         family="vertex_cover",
         family_info={"n": g.n, "edges": list(g.edges)},
     )
@@ -267,9 +246,9 @@ def make_knapsack(
     if not weights:
         raise InvalidInputError("knapsack needs at least one item")
     n = len(weights)
-    weights = [_exact(w) for w in weights]
-    values = [_exact(v) for v in values]
-    capacity = _exact(capacity)
+    weights = [_coerce(w) for w in weights]
+    values = [_coerce(v) for v in values]
+    capacity = _coerce(capacity)
     if any(w <= 0 for w in weights):
         raise InvalidInputError("weights must be positive")
     if capacity <= 0:
@@ -306,7 +285,7 @@ def make_knapsack(
         sense=MAXIMIZE,
         objective=objective,
         constraints=constraints,
-        variables=_registry(names),
+        variables=tuple(names),
         family="knapsack",
         family_info={
             "n": n,
@@ -372,7 +351,7 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
         sense=MINIMIZE,
         objective=objective,
         constraints=constraints,
-        variables=_registry(names),
+        variables=tuple(names),
         family="tsp",
         family_info={
             "n_vertices": g.n,
@@ -433,7 +412,7 @@ def make_sat(clauses: Sequence[Sequence[int]]) -> Problem:
         sense=MINIMIZE,
         objective=objective,
         constraints=tuple(constraints),
-        variables=_registry(x_names + z_names),
+        variables=tuple(x_names + z_names),
         family="sat",
         family_info={"n_vars": max_var, "clauses": [list(c) for c in clauses]},
     )

@@ -136,19 +136,23 @@ class FamilyBound:
 
 @dataclass(frozen=True)
 class DepthReport:
-    structural_depth: int
-    coloring_depth: int
-    singleton_overhead: int
+    """The depth figures of one schedule, with the family's closed-form figure."""
+
+    schedule: CircuitSchedule
     family_bound: FamilyBound | None = None
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        expected = self.coloring_depth + self.singleton_overhead + 1
-        if self.structural_depth != expected:
-            raise InvalidInputError(
-                f"structural depth {self.structural_depth} != classes "
-                f"{self.coloring_depth} + singleton {self.singleton_overhead} + 1"
-            )
+    @property
+    def structural_depth(self) -> int:
+        return self.schedule.structural_depth
+
+    @property
+    def coloring_depth(self) -> int:
+        return self.schedule.coloring_depth
+
+    @property
+    def singleton_overhead(self) -> int:
+        return self.schedule.singleton_overhead
 
 
 def total_depth(report: DepthReport, p: int) -> int:
@@ -306,13 +310,7 @@ def analyze_family(
             f"family figure {bound.value} differs from structural depth {structural}"
         )
 
-    return DepthReport(
-        structural_depth=structural,
-        coloring_depth=sched.coloring_depth,
-        singleton_overhead=sched.singleton_overhead,
-        family_bound=bound,
-        notes=tuple(notes),
-    )
+    return DepthReport(schedule=sched, family_bound=bound, notes=tuple(notes))
 
 
 def _instance_max_degree(info: dict) -> int:

@@ -23,6 +23,25 @@ from qaoadepth import (
 )
 
 
+def pubo_from_polynomial(objective: Polynomial) -> Pubo:
+    """Wrap a bare polynomial as an already-unconstrained PUBO over its own variables."""
+    return Pubo(
+        objective=objective,
+        variables=objective.variables(),
+        dualizations=(),
+        original_sense="min",
+    )
+
+
+def total_polynomial(h: DerivedHypergraph) -> Polynomial:
+    """Sum of everything the hypergraph represents; must equal the source."""
+    terms = [((), h.constant)]
+    terms.extend(((name,), coeff) for name, coeff in h.singletons)
+    for edge in h.edges:
+        terms.extend(edge.monomials)
+    return Polynomial.from_terms(terms)
+
+
 def is_canonical(value) -> bool:
     """The exact-number rule: an int when whole, else a Fraction with denominator > 1.
 
@@ -130,8 +149,8 @@ def pubo_argmin_reference(pubo: Pubo) -> list[tuple[int, ...]]:
     Evaluates every assignment of every variable with ``Fraction`` sums;
     tuples list the non-slack variables in ``pubo.variables`` order.
     """
-    names = [name for name, var in pubo.variables.items() if not var.is_slack]
-    slack = [name for name, var in pubo.variables.items() if var.is_slack]
+    slack = pubo.slack_names()
+    names = [name for name in pubo.variables if name not in slack]
     projected = {}
     for bits in itertools.product((0, 1), repeat=len(names)):
         assignment = dict(zip(names, bits))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qaoadepth import Constraint, InstanceGraph, Polynomial, Problem, Var
+from qaoadepth import Constraint, InstanceGraph, Polynomial, Problem
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -30,7 +30,7 @@ def general_problem() -> Problem:
                 label="budget",
             ),
         ),
-        variables={f"x{i}": Var(f"x{i}") for i in (1, 2, 3)},
+        variables=("x1", "x2", "x3"),
     )
 
 

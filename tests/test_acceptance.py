@@ -25,7 +25,6 @@ from qaoadepth import (
     make_maxindset,
     make_sat,
     make_vertex_cover,
-    pubo_from_polynomial,
     schedule,
     verify_penalty,
     with_penalty_weight,
@@ -34,6 +33,7 @@ from qaoadepth.io import read_problem
 
 from bruteforce import (
     chromatic_index_bruteforce,
+    pubo_from_polynomial,
     random_graph,
     random_hypergraph_supports,
 )

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoadepth import Constraint, Polynomial, Problem, Var, dualize
+from qaoadepth import Constraint, Polynomial, Problem, dualize
 from qaoadepth.hypergraph import build
 from qaoadepth.io import dumps, problem_from_json, problem_to_json, rational_from_json
 
@@ -111,7 +111,7 @@ def rational_problems(draw):
         sense=draw(st.sampled_from(("min", "max"))),
         objective=polynomial(),
         constraints=tuple(constraints),
-        variables={name: Var(name) for name in names},
+        variables=tuple(names),
     )
 
 
@@ -130,9 +130,10 @@ def test_dualize_and_json_keep_canonical_numbers(problem):
     assert_matches(pubo.objective, fraction_penalty_form(problem, pubo))
 
     objective = fraction_terms(min_objective(problem).terms())
-    default_weight = 1 + max(
-        abs(sum((min(Fraction(0), c) for c in objective.values()), Fraction(0))),
-        abs(sum((max(Fraction(0), c) for c in objective.values()), Fraction(0))),
+    default_weight = (
+        1
+        + sum((max(Fraction(0), c) for c in objective.values()), Fraction(0))
+        - sum((min(Fraction(0), c) for c in objective.values()), Fraction(0))
     )
     for con, record in zip(problem.constraints, pubo.dualizations):
         low, _ = fraction_extremes(fraction_terms(con.lhs.terms()))

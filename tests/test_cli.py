@@ -13,7 +13,6 @@ from qaoadepth.io import write_problem
 from qaoadepth.problems import (
     Constraint,
     Problem,
-    Var,
 )
 from qaoadepth.poly import Polynomial
 
@@ -77,7 +76,7 @@ def test_verify_enforces_a_two_sided_lower_bound(capsys, tmp_path):
         constraints=(
             Constraint(lhs=Polynomial({(): 1, ("x1",): 3}), rhs=Fraction(4), lower=Fraction(2)),
         ),
-        variables={"x1": Var("x1")},
+        variables=("x1",),
     )
     path = tmp_path / "two_sided.json"
     write_problem(problem, str(path))
@@ -87,6 +86,27 @@ def test_verify_enforces_a_two_sided_lower_bound(capsys, tmp_path):
     assert payload["penalty_oracle"]["passed"] is True
     assert payload["penalty_oracle"]["optima"] == [[1]]
     assert payload["phase_oracle"]["passed"] is True
+
+
+def test_verify_default_weight_covers_a_mixed_sign_objective(capsys, tmp_path):
+    # min -3*x1 + 3*x2 s.t. -x2 <= -1 and x1 + x2 <= 1: only (0, 1) is
+    # feasible, with objective 3.  The weight must exceed high - low = 6:
+    # at 4 the infeasible (1, 0), one unit short, would score -3 + 4 = 1.
+    term = lambda name, coeff: {"vars": [name], "coeff": coeff}  # noqa: E731
+    problem = {
+        "sense": "min",
+        "variables": ["x1", "x2"],
+        "objective": [term("x1", -3), term("x2", 3)],
+        "constraints": [
+            {"terms": [term("x2", -1)], "rhs": -1},
+            {"terms": [term("x1", 1), term("x2", 1)], "rhs": 1},
+        ],
+    }
+    path = tmp_path / "mixed_sign.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--problem", str(path), "--format", "text")
+    assert code == 0
+    assert out == "penalty oracle: pass\nphase oracle: pass\n"
 
 
 def test_repeated_runs_are_byte_identical(capsys, fixture_dir):
@@ -299,7 +319,7 @@ def test_exit_code_infeasible(capsys, tmp_path):
         constraints=(
             Constraint(lhs=-Polynomial.variable("x1"), rhs=Fraction(-2)),
         ),
-        variables={"x1": Var("x1")},
+        variables=("x1",),
     )
     path = tmp_path / "infeasible.json"
     write_problem(problem, str(path))

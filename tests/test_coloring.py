@@ -19,7 +19,6 @@ from qaoadepth import (
     make_maxindset,
     make_vertex_cover,
     merge_exact,
-    pubo_from_polynomial,
 )
 from qaoadepth import coloring as coloring_mod
 from qaoadepth.coloring import check_proper, make_coloring
@@ -28,6 +27,7 @@ from qaoadepth.io import read_dimacs_graph
 from bruteforce import (
     chromatic_index_bruteforce,
     misra_gries_reference,
+    pubo_from_polynomial,
     random_graph,
     random_hypergraph_supports,
 )

@@ -11,7 +11,6 @@ from qaoadepth import (
     InvalidInputError,
     Polynomial,
     Problem,
-    Var,
     dualize,
     expansion_diff,
     make_knapsack,
@@ -140,7 +139,7 @@ def test_dualizer_reports_reference_divergence(general_problem):
                 reference_expansion=REFERENCE_EXPANSION,
             ),
         ),
-        variables=dict(general_problem.variables),
+        variables=general_problem.variables,
     )
     record = dualize(tagged).dualizations[0]
     assert record.expansion_diff is not None
@@ -185,7 +184,7 @@ def test_slack_completeness_on_random_constraints():
             sense="min",
             objective=Polynomial.zero(),
             constraints=(Constraint(lhs=lhs, rhs=Fraction(rhs), weight=Fraction(1)),),
-            variables={name: Var(name) for name in names},
+            variables=tuple(names),
         )
         pubo = dualize(problem)
         record = pubo.dualizations[0]
@@ -252,7 +251,7 @@ def test_one_pass_objective_equals_the_per_constraint_fold():
             sense=rng.choice(("min", "max")),
             objective=random_polynomial(rng, names, max_terms=5),
             constraints=tuple(random_constraint(rng, names) for _ in range(rng.randint(1, 4))),
-            variables={name: Var(name) for name in names},
+            variables=tuple(names),
         )
         pubo = dualize(problem)
         reference = penalty_fold(problem, pubo)
@@ -283,7 +282,7 @@ def test_max_problems_are_flipped_without_building_a_problem(monkeypatch, w6):
             sense="max",
             objective=3 * x1 - 2 * x2 + x3,
             constraints=(Constraint(lhs=x1 + x2 + x3, rhs=2, lower=1),),
-            variables={name: Var(name) for name in ("x1", "x2", "x3")},
+            variables=("x1", "x2", "x3"),
         ),
     ]
     built = []
@@ -300,7 +299,7 @@ def test_max_problems_are_flipped_without_building_a_problem(monkeypatch, w6):
 def test_two_sided_constraints_skip_the_cube_maximum(monkeypatch):
     x1, x2, x3 = (Polynomial.variable(f"x{i}") for i in (1, 2, 3))
     lhs = 2 * x1 * x2 + x2 * x3 + x1 + x3
-    variables = {name: Var(name) for name in ("x1", "x2", "x3")}
+    variables = ("x1", "x2", "x3")
 
     def problem(lower, rhs):
         constraint = Constraint(lhs=lhs, rhs=rhs, lower=lower, weight=8)
@@ -340,7 +339,7 @@ def test_slack_variables_are_constraint_private():
         assert not (own & seen)
         seen |= own
         for support, _ in record.penalty.terms():
-            slack_in_term = {v for v in support if pubo.variables[v].is_slack}
+            slack_in_term = set(support).intersection(pubo.slack_names())
             assert slack_in_term <= own
 
 
@@ -351,7 +350,7 @@ def test_infeasible_constraint_raises():
         constraints=(
             Constraint(lhs=-Polynomial.variable("x1"), rhs=Fraction(-2)),
         ),
-        variables={"x1": Var("x1")},
+        variables=("x1",),
     )
     with pytest.raises(InfeasibleConstraintError):
         dualize(problem)
@@ -362,7 +361,7 @@ def test_redundant_constraint_dropped():
         sense="min",
         objective=Polynomial.variable("x1"),
         constraints=(Constraint(lhs=Polynomial.variable("x1"), rhs=Fraction(5)),),
-        variables={"x1": Var("x1")},
+        variables=("x1",),
     )
     pubo = dualize(problem)
     assert pubo.dualizations[0].dropped
@@ -380,7 +379,7 @@ def test_non_integral_slack_range_notes_rounding():
                 rhs=Fraction(3, 2),
             ),
         ),
-        variables={"x1": Var("x1"), "x2": Var("x2")},
+        variables=("x1", "x2"),
     )
     record = dualize(problem).dualizations[0]
     assert record.slack_range == Fraction(3, 2)
@@ -397,7 +396,7 @@ def test_slack_names_avoid_collisions():
                 lhs=Polynomial({("s1_1",): 1, ("x1",): 1}), rhs=Fraction(1)
             ),
         ),
-        variables={"s1_1": Var("s1_1"), "x1": Var("x1")},
+        variables=("s1_1", "x1"),
     )
     pubo = dualize(problem)
     assert "_s1_1" in pubo.slack_names()
@@ -485,7 +484,7 @@ def test_verify_penalty_thresholds_match_the_fraction_reference():
                     sense=sense,
                     objective=objective,
                     constraints=(Constraint(lhs=lhs, rhs=rhs, lower=lower),),
-                    variables={name: Var(name) for name in names},
+                    variables=tuple(names),
                 )
                 pubo = dualize(problem)
                 report = verify_penalty(pubo, problem)

@@ -19,7 +19,6 @@ from qaoadepth import (
     make_sat,
     make_tsp,
     make_vertex_cover,
-    pubo_from_polynomial,
     schedule,
     with_penalty_weight,
 )
@@ -38,6 +37,8 @@ from qaoadepth.io import (
     schedule_to_json,
     write_problem,
 )
+
+from bruteforce import pubo_from_polynomial
 
 
 def roundtrip_canonical(problem) -> None:

@@ -7,9 +7,13 @@ constraint holds at that witness, so the problem is feasible.  The problem goes 
 2-4 and with one of the coloring methods, and then both the penalty oracle
 and the phase oracle must pass.
 
+A second strategy draws mixed-sign objectives whose best points are all
+infeasible by exactly 1, the case in which the default penalty weight must
+exceed the objective's whole range, not just its largest absolute value.
+
 Constraint data are integers only.  The default penalty weight assumes that
-every violation is at least 1, which rational data break (ROADMAP item 1,
-second bullet); rational constraints join this test once that is fixed.
+every violation is at least 1, which rational data break (ROADMAP item 1A);
+rational constraints join this test once that is fixed.
 """
 
 from hypothesis import given, settings
@@ -19,7 +23,6 @@ from qaoadepth import (
     Constraint,
     Polynomial,
     Problem,
-    Var,
     check_equivalence,
     run_pipeline,
     verify_penalty,
@@ -56,16 +59,51 @@ def integer_problems(draw):
         sense=draw(st.sampled_from(("min", "max"))),
         objective=polynomial(min(width, 3)),
         constraints=tuple(constraints),
-        variables={name: Var(name) for name in names},
+        variables=tuple(names),
     )
     return problem, width, method
+
+
+@st.composite
+def unit_violation_problems(draw):
+    """A mixed-sign objective whose cheapest points each violate one constraint by 1.
+
+    ``-forced <= -1`` and ``sum(x) <= 1`` leave one feasible point, the
+    forced variable alone.  The objective charges 1..5 for the forced
+    variable and pays 1..5 for each other one, so every other unit vector
+    is cheaper by at least 2 and infeasible by exactly 1.
+    """
+    names = [f"x{i}" for i in range(1, draw(st.integers(2, 4)) + 1)]
+    forced = draw(st.sampled_from(names))
+    sense = draw(st.sampled_from(("min", "max")))
+    sign = 1 if sense == "min" else -1
+    objective = Polynomial.from_terms(
+        ((name,), sign * draw(st.integers(1, 5)) * (1 if name == forced else -1))
+        for name in names
+    )
+    constraints = (
+        Constraint(lhs=-Polynomial.variable(forced), rhs=-1),
+        Constraint(lhs=Polynomial.from_terms(((name,), 1) for name in names), rhs=1),
+    )
+    return Problem(sense=sense, objective=objective, constraints=constraints, variables=tuple(names))
+
+
+def assert_both_oracles_pass(problem, **options):
+    result = run_pipeline(problem, **options)
+    penalty = verify_penalty(result.pubo, problem)
+    assert penalty.passed, penalty.detail
+    assert check_equivalence(result.schedule, result.pubo).equivalent
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(integer_problems())
 def test_both_oracles_pass_on_integer_problems(case):
     problem, width, method = case
-    result = run_pipeline(problem, gate_width=width, method=method)
-    penalty = verify_penalty(result.pubo, problem)
-    assert penalty.passed, penalty.detail
-    assert check_equivalence(result.schedule, result.pubo).equivalent
+    assert_both_oracles_pass(problem, gate_width=width, method=method)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(unit_violation_problems())
+def test_default_weight_outweighs_a_mixed_sign_objective(problem):
+    assert problem.constraints[0].weight is None
+    assert_both_oracles_pass(problem)

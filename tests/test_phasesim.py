@@ -16,11 +16,16 @@ from qaoadepth import (
     color_misra_gries,
     dualize,
     make_maxcut,
-    pubo_from_polynomial,
     schedule,
 )
 
-from bruteforce import evaluate_terms, phase_table, phase_table_reference, random_graph
+from bruteforce import (
+    evaluate_terms,
+    phase_table,
+    phase_table_reference,
+    pubo_from_polynomial,
+    random_graph,
+)
 
 
 def w6_parts(w6):

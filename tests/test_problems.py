@@ -10,7 +10,6 @@ from qaoadepth import (
     InvalidInputError,
     Polynomial,
     Problem,
-    Var,
     dualize,
     make_knapsack,
     make_maxcut,
@@ -301,16 +300,12 @@ def test_sat_rejects_degenerate_clauses():
 
 def test_problem_rejects_unregistered_variables():
     with pytest.raises(InvalidInputError, match="unregistered"):
-        Problem(sense="min", objective=Polynomial.variable("x1"), variables={})
+        Problem(sense="min", objective=Polynomial.variable("x1"), variables=())
 
 
-def test_problem_rejects_predeclared_slack_variables():
-    with pytest.raises(InvalidInputError, match="slack"):
-        Problem(
-            sense="min",
-            objective=Polynomial.variable("s1_1"),
-            variables={"s1_1": Var("s1_1", slack_of=(1, 1))},
-        )
+def test_problem_rejects_duplicate_variable_names():
+    with pytest.raises(InvalidInputError, match=r"unique.*x1"):
+        Problem(sense="min", objective=Polynomial.variable("x1"), variables=("x1", "x1"))
 
 
 def test_max_problems_are_minimized_negated():
@@ -324,7 +319,7 @@ def test_max_problems_are_minimized_negated():
 
 def test_default_penalty_weight_ignores_the_sense():
     x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
-    variables = {"x1": Var("x1"), "x2": Var("x2")}
+    variables = ("x1", "x2")
     for objective in (3 * x1 - x2, x1 + x2, -2 * x1 - x2):
         weights = {
             Problem(sense=sense, objective=objective, variables=variables).default_penalty_weight()
@@ -344,3 +339,29 @@ def test_constraint_validation():
         Constraint(lhs=Polynomial.variable("x1"), rhs=Fraction(1), weight=Fraction(-1))
     with pytest.raises(InvalidInputError):
         Constraint(lhs=Polynomial.variable("x1"), rhs=Fraction(1), lower=Fraction(2))
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, True, "1/3"], ids=["float", "binary-float", "bool", "str"])
+def test_constructors_reject_inexact_numbers(value):
+    # Polynomial coefficients, constraint data, edge weights and knapsack
+    # data follow one rule: an int or a Fraction, nothing else.
+    x1 = Polynomial.variable("x1")
+    for field in ("rhs", "weight", "lower", "slack_bound"):
+        fields = {"rhs": 3, field: value}
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Constraint(lhs=x1, **fields)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        InstanceGraph(2, ((1, 2),), weights=(value,))
+    for values, weights, capacity in (([value], [1], 1), ([1], [value], 1), ([1], [2], value)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            make_knapsack(values, weights, capacity)
+    for make in (make_maxindset, make_maxcut):  # with and without constraints
+        with pytest.raises(TypeError, match="int or Fraction"):
+            with_penalty_weight(make(InstanceGraph(2, ((1, 2),))), value)
+
+
+def test_constructors_keep_exact_numbers_canonical():
+    con = Constraint(lhs=Polynomial.variable("x1"), rhs=Fraction(4, 2), lower=Fraction(1, 3))
+    assert (con.rhs, con.lower) == (2, Fraction(1, 3))
+    assert is_canonical(con.rhs) and is_canonical(con.lower)
+    assert InstanceGraph(2, ((1, 2),), weights=(Fraction(6, 3),)).weights == (2,)

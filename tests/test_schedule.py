@@ -20,7 +20,6 @@ from qaoadepth import (
     make_sat,
     make_tsp,
     make_vertex_cover,
-    pubo_from_polynomial,
     run_pipeline,
     schedule,
     total_depth,
@@ -28,7 +27,7 @@ from qaoadepth import (
 )
 from qaoadepth.coloring import EdgeColoring
 
-from bruteforce import random_graph
+from bruteforce import pubo_from_polynomial, random_graph
 
 
 def pipeline_parts(problem, gate_width=2):
