@@ -290,7 +290,7 @@ def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> Edg
         seed=h.conflict_clique, lower=known[0],
     )
     if layers is not None:
-        classes = [sorted(edge for _, edges in layer for edge in edges) for layer in layers]
+        classes = [sorted(edge for gate in layer for edge in gate) for layer in layers]
     return make_coloring(
         h, classes, method="exact", lower_bound=len(classes), known_bounds=known
     )

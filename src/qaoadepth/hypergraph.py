@@ -17,6 +17,8 @@ Two reductions shrink the gate count under a hardware width limit L:
 
 :func:`search_layers` is the one branch-and-bound search: ``merge_exact``
 runs it with the width limit, the exact edge coloring with merging off.
+Its state is integer qubit masks, changed in place and undone on backtrack;
+its DSATUR branching order and tie-breaks set the node counts the tests pin.
 """
 
 from __future__ import annotations
@@ -220,30 +222,6 @@ class MergeResult:
     nodes_explored: int
 
 
-#: A circuit layer: its gates, each as (qubits acted on, indices of the edges covered).
-Layer = list[tuple[frozenset, list[int]]]
-
-
-def _class_accepts(groups: Layer, support: frozenset, limit: int) -> Layer | None:
-    """Merge plan if `support` joins this class, or None when it would exceed limit.
-
-    Edges sharing qubits with existing gates of the class must merge into one
-    gate; the merged gate count stays within the width limit or the class is
-    rejected.  With ``limit=0`` nothing merges: the class accepts `support`
-    only when it shares no qubit with the class.
-    """
-    overlapping = [g for g in groups if g[0] & support]
-    union = frozenset(support)
-    members: list[int] = []
-    for g_union, g_members in overlapping:
-        union |= g_union
-        members.extend(g_members)
-    if overlapping and len(union) > limit:
-        return None
-    rest = [g for g in groups if not (g[0] & support)]
-    return rest + [(union, members)]
-
-
 def search_layers(
     h: DerivedHypergraph,
     limit: int,
@@ -251,51 +229,69 @@ def search_layers(
     incumbent: int,
     seed: Sequence[int] = (),
     lower: int = 0,
-) -> tuple[list[Layer] | None, int]:
+) -> tuple[list[list[list[int]]] | None, int]:
     """Fewest layers covering the edges of ``h``, by branch and bound.
 
     Each node branches on the unplaced edge with the most distinct layers
     among its placed conflicting edges (DSATUR, Brelaz 1979), then the most
     conflicts, then the lowest index.  It tries every layer that accepts the
-    edge through :func:`_class_accepts` with ``limit``, then one new layer
-    when that could still beat the best solution so far.  Only solutions
+    edge, then one new layer when that could still beat the best solution
+    so far.  A layer takes an edge disjoint from its gates as a gate of its
+    own, or merges it with the gates it overlaps when the merged gate acts
+    on at most ``limit`` qubits (never with ``limit=0``).  Only solutions
     with fewer than ``incumbent`` layers count.  The ``seed`` edges, which
     must pairwise conflict, open the first layers, one each.  The search
     stops at a solution with ``lower`` layers.
 
-    Returns the best layers found (None if none beat ``incumbent``) and the
-    number of nodes explored.  Raises :class:`BudgetExceededError` when the
-    node budget runs out.
+    Supports are bit masks over the touched vertices, and a layer is its
+    ``[mask, members]`` gates next to their union mask, changed in place
+    and undone on backtrack.
+
+    Returns the member lists of each layer's gates in the best solution
+    (None if none beats ``incumbent``) and the number of nodes explored.
+    Raises :class:`BudgetExceededError` when the node budget runs out.
     """
+    if budget < 0:
+        raise InvalidInputError(f"search budget must be >= 0, got {budget}")
     if incumbent <= lower:
         return None, 0
-    supports = [frozenset(e.support) for e in h.edges]
+    bit = {name: 1 << position for position, name in enumerate(h.incident)}
+    masks = [sum(bit[name] for name in e.support) for e in h.edges]
     conflicts = h.conflicts
-    m = len(supports)
+    m = len(masks)
     # score[i] = saturation * m + rank of (conflict degree, -i), kept up to
     # date as edges come and go; a placed edge's score is m * (m + 1) lower,
     # so the branching edge is the one with the highest score.
     score = [0] * m
     for rank, edge in enumerate(sorted(range(m), key=lambda i: (len(conflicts[i]), -i))):
         score[edge] = rank
+    placed_shift = m * (m + 1)
     # in_layer[i][k]: placed edges conflicting with edge i that sit in layer k
-    in_layer: list[dict[int, int]] = [{} for _ in range(m)]
-    layers: list[Layer] = []
-    best: list[Layer] | None = None
+    in_layer = [[0] * max(incumbent, len(seed)) for _ in range(m)]
+    layers = [[[masks[edge], [edge]]] for edge in seed]  # per layer, its [mask, members] gates
+    unions = [masks[edge] for edge in seed]  # per layer, the mask of all qubits it acts on
+    best: list[list[list[int]]] | None = None
     best_count = incumbent
     nodes = 0
 
-    def place(edge: int, index: int, step: int) -> None:
-        """Put ``edge`` into layer ``index`` (step 1) or take it out again (step -1)."""
-        score[edge] -= step * m * (m + 1)
+    def place(edge: int, index: int) -> None:
+        score[edge] -= placed_shift
         for j in conflicts[edge]:
-            count = in_layer[j][index] = in_layer[j].get(index, 0) + step
-            if count == (step == 1):  # the first in, or the last out
-                score[j] += step * m
+            row = in_layer[j]
+            row[index] += 1
+            if row[index] == 1:
+                score[j] += m
 
-    for edge in seed:
-        place(edge, len(layers), 1)
-        layers.append([(supports[edge], [edge])])
+    def unplace(edge: int, index: int) -> None:
+        score[edge] += placed_shift
+        for j in conflicts[edge]:
+            row = in_layer[j]
+            row[index] -= 1
+            if not row[index]:
+                score[j] -= m
+
+    for index, edge in enumerate(seed):
+        place(edge, index)
 
     def dfs(placed: int) -> bool:
         """Extend the partial layers; True once a solution with ``lower`` layers is found."""
@@ -307,29 +303,47 @@ def search_layers(
         if len(layers) >= best_count:
             return False
         if placed == m:
-            best, best_count = [list(layer) for layer in layers], len(layers)
+            best, best_count = [[ids for _, ids in gates] for gates in layers], len(layers)
             return best_count <= lower
-        edge = max(range(m), key=score.__getitem__)
-        support = supports[edge]
+        edge = score.index(max(score))
+        mask = masks[edge]
         for index in range(len(layers)):
-            merged = _class_accepts(layers[index], support, limit)
-            if merged is None:
+            union, gates = unions[index], layers[index]
+            if not union & mask:
+                gates.append([mask, [edge]])
+            elif not limit:
                 continue
-            merged[-1][1].append(edge)
-            saved, layers[index] = layers[index], merged
-            place(edge, index, 1)
+            else:
+                merged = mask
+                for gate_mask, _ in gates:
+                    if gate_mask & mask:
+                        merged |= gate_mask
+                if merged.bit_count() > limit:
+                    continue
+                rest = [gate for gate in gates if not gate[0] & mask]
+                members = [i for gate_mask, ids in gates if gate_mask & mask for i in ids]
+                rest.append([merged, members + [edge]])
+                layers[index] = rest
+            unions[index] = union | mask
+            place(edge, index)
             stop = dfs(placed + 1)
-            place(edge, index, -1)
-            layers[index] = saved
+            unplace(edge, index)
+            unions[index] = union
+            if layers[index] is gates:
+                gates.pop()
+            else:
+                layers[index] = gates
             if stop:
                 return True
         if len(layers) + 1 >= best_count:
             return False
-        place(edge, len(layers), 1)
-        layers.append([(support, [edge])])
+        place(edge, len(layers))
+        layers.append([[mask, [edge]]])
+        unions.append(mask)
         stop = dfs(placed + 1)
+        unions.pop()
         layers.pop()
-        place(edge, len(layers), -1)
+        unplace(edge, len(layers))
         return stop
 
     dfs(len(layers))
@@ -384,13 +398,14 @@ def merge_exact(
     if best is not None:
         gates: list[Hyperedge] = []
         classes = []
-        for groups in best:
-            classes.append(range(len(gates), len(gates) + len(groups)))
-            for union, members in sorted(groups, key=lambda g: sorted(g[0])):
-                monomials = [term for member in members for term in h.edges[member].monomials]
-                gates.append(
-                    Hyperedge(support=tuple(sorted(union)), monomials=tuple(sorted(monomials)))
-                )
+        for layer in best:
+            classes.append(range(len(gates), len(gates) + len(layer)))
+            layer_gates = []
+            for members in layer:
+                support = {name for i in members for name in h.edges[i].support}
+                monomials = [term for i in members for term in h.edges[i].monomials]
+                layer_gates.append(Hyperedge(tuple(sorted(support)), tuple(sorted(monomials))))
+            gates.extend(sorted(layer_gates, key=lambda gate: gate.support))
         merged = replace(h, edges=tuple(gates))
     return MergeResult(
         hypergraph=merged,

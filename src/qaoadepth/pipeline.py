@@ -48,8 +48,10 @@ def run_pipeline(
     ``method`` selects the coloring: "auto" tries the exact search when the
     hypergraph has at most ``exact_edge_limit`` edges and falls back to a
     heuristic (flagged, not fatal) if the node budget runs out; the explicit
-    methods raise instead of falling back.
+    methods raise instead of falling back.  ``budget`` must be >= 0.
     """
+    if budget < 0:
+        raise InvalidInputError(f"search budget must be >= 0, got {budget}")
     pubo = dualize(problem)
     h = hypergraph_mod.absorb_subsets(hypergraph_mod.build(pubo), gate_width)
     hypergraph_mod.check_gate_width(h, gate_width)

@@ -88,15 +88,17 @@ class Problem:
     def default_penalty_weight(self) -> Scalar:
         """1 plus an interval bound ``high - low`` on the objective's range over the cube.
 
-        ``low`` sums the negative coefficients and ``high`` the positive ones,
-        so the objective lies in [low, high] everywhere.  An assignment that
-        violates a constraint by at least 1 pays at least the weight, so its
-        penalty form is worth more than ``high`` and no infeasible point can
-        undercut a feasible optimum.  Negating the objective swaps and negates ``low`` and ``high``, so the
+        ``low`` and ``high`` sum the negative and the positive coefficients of
+        the non-constant terms, so the objectives of any two assignments differ
+        by at most ``high - low``: the constant shifts them all alike.  An
+        assignment that violates a constraint by at least 1 pays at least the
+        weight, so no infeasible point can undercut a feasible optimum.
+        Negating the objective swaps and negates ``low`` and ``high``, so the
         weight is the same for either sense.
         """
-        low = sum([min(0, c) for _, c in self.objective.terms()])
-        high = sum([max(0, c) for _, c in self.objective.terms()])
+        coeffs = [c for support, c in self.objective.terms() if support]
+        low = sum([min(0, c) for c in coeffs])
+        high = sum([max(0, c) for c in coeffs])
         return canonical(1 + high - low)
 
 

@@ -10,8 +10,10 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from typing import Sequence
 
 from qaoadepth import (
+    BudgetExceededError,
     CircuitSchedule,
     DerivedHypergraph,
     EquivalenceReport,
@@ -562,3 +564,125 @@ def phase_table_reference(sched: CircuitSchedule, pubo: Pubo) -> EquivalenceRepo
                 expected=Fraction(expected[z]),
             )
     return EquivalenceReport(equivalent=True)
+
+
+# The branch and bound of ``hypergraph.search_layers`` as it was on frozensets,
+# copied unchanged apart from its name: a new gate list for every layer
+# tried, a dict per edge for the DSATUR counts, and ``max`` with a key for
+# the branching edge.  The integer-mask search must visit the same nodes and
+# return the same layers.
+
+#: A circuit layer: its gates, each as (qubits acted on, indices of the edges covered).
+Layer = list[tuple[frozenset, list[int]]]
+
+
+def _class_accepts(groups: Layer, support: frozenset, limit: int) -> Layer | None:
+    """Merge plan if `support` joins this class, or None when it would exceed limit.
+
+    Edges sharing qubits with existing gates of the class must merge into one
+    gate; the merged gate count stays within the width limit or the class is
+    rejected.  With ``limit=0`` nothing merges: the class accepts `support`
+    only when it shares no qubit with the class.
+    """
+    overlapping = [g for g in groups if g[0] & support]
+    union = frozenset(support)
+    members: list[int] = []
+    for g_union, g_members in overlapping:
+        union |= g_union
+        members.extend(g_members)
+    if overlapping and len(union) > limit:
+        return None
+    rest = [g for g in groups if not (g[0] & support)]
+    return rest + [(union, members)]
+
+
+def search_layers_reference(
+    h: DerivedHypergraph,
+    limit: int,
+    budget: int,
+    incumbent: int,
+    seed: Sequence[int] = (),
+    lower: int = 0,
+) -> tuple[list[Layer] | None, int]:
+    """Fewest layers covering the edges of ``h``, by branch and bound.
+
+    Each node branches on the unplaced edge with the most distinct layers
+    among its placed conflicting edges (DSATUR, Brelaz 1979), then the most
+    conflicts, then the lowest index.  It tries every layer that accepts the
+    edge through :func:`_class_accepts` with ``limit``, then one new layer
+    when that could still beat the best solution so far.  Only solutions
+    with fewer than ``incumbent`` layers count.  The ``seed`` edges, which
+    must pairwise conflict, open the first layers, one each.  The search
+    stops at a solution with ``lower`` layers.
+
+    Returns the best layers found (None if none beat ``incumbent``) and the
+    number of nodes explored.  Raises :class:`BudgetExceededError` when the
+    node budget runs out.
+    """
+    if incumbent <= lower:
+        return None, 0
+    supports = [frozenset(e.support) for e in h.edges]
+    conflicts = h.conflicts
+    m = len(supports)
+    # score[i] = saturation * m + rank of (conflict degree, -i), kept up to
+    # date as edges come and go; a placed edge's score is m * (m + 1) lower,
+    # so the branching edge is the one with the highest score.
+    score = [0] * m
+    for rank, edge in enumerate(sorted(range(m), key=lambda i: (len(conflicts[i]), -i))):
+        score[edge] = rank
+    # in_layer[i][k]: placed edges conflicting with edge i that sit in layer k
+    in_layer: list[dict[int, int]] = [{} for _ in range(m)]
+    layers: list[Layer] = []
+    best: list[Layer] | None = None
+    best_count = incumbent
+    nodes = 0
+
+    def place(edge: int, index: int, step: int) -> None:
+        """Put ``edge`` into layer ``index`` (step 1) or take it out again (step -1)."""
+        score[edge] -= step * m * (m + 1)
+        for j in conflicts[edge]:
+            count = in_layer[j][index] = in_layer[j].get(index, 0) + step
+            if count == (step == 1):  # the first in, or the last out
+                score[j] += step * m
+
+    for edge in seed:
+        place(edge, len(layers), 1)
+        layers.append([(supports[edge], [edge])])
+
+    def dfs(placed: int) -> bool:
+        """Extend the partial layers; True once a solution with ``lower`` layers is found."""
+        nonlocal nodes, best, best_count
+        nodes += 1
+        if nodes > budget:
+            what = "exact gate merge" if limit else "exact edge coloring"
+            raise BudgetExceededError(budget, what)
+        if len(layers) >= best_count:
+            return False
+        if placed == m:
+            best, best_count = [list(layer) for layer in layers], len(layers)
+            return best_count <= lower
+        edge = max(range(m), key=score.__getitem__)
+        support = supports[edge]
+        for index in range(len(layers)):
+            merged = _class_accepts(layers[index], support, limit)
+            if merged is None:
+                continue
+            merged[-1][1].append(edge)
+            saved, layers[index] = layers[index], merged
+            place(edge, index, 1)
+            stop = dfs(placed + 1)
+            place(edge, index, -1)
+            layers[index] = saved
+            if stop:
+                return True
+        if len(layers) + 1 >= best_count:
+            return False
+        place(edge, len(layers), 1)
+        layers.append([(support, [edge])])
+        stop = dfs(placed + 1)
+        layers.pop()
+        place(edge, len(layers), -1)
+        return stop
+
+    dfs(len(layers))
+    return best, nodes

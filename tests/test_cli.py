@@ -385,6 +385,19 @@ def test_forced_exact_budget_exhaustion_is_fatal(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("method", ["exact", "merge-exact", "auto"])
+def test_negative_budget_is_invalid_input(capsys, fixture_dir, method):
+    # A node count below zero is a malformed option, not a search that ran
+    # out of budget: exit 1, not 4.  A budget of 0 stays valid.
+    graph = str(fixture_dir / "petersen.dimacs")
+    argv = ("analyze", "--family", "maxcut", "--graph", graph, "--method", method)
+    code, out, err = run_cli(capsys, *argv, "--budget", "-3")
+    assert (code, out) == (1, "")
+    assert "budget must be >= 0" in err
+    code, _, err = run_cli(capsys, *argv, "--budget", "0")
+    assert code in (0, 4) and "budget must be" not in err
+
+
 def test_dot_rejected_for_other_commands(capsys, fixture_dir):
     code, _, err = run_cli(
         capsys,

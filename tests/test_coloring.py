@@ -100,6 +100,32 @@ def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
             assert calls == {"bounds": 1, "combinatorial_lower_bound": 1, "conflict_clique": cliques}
 
 
+def test_color_exact_node_counts_are_pinned(monkeypatch):
+    # The branching order decides how many nodes a search takes, and with it
+    # which searches fit their budget.  color_exact keeps no node count, so
+    # its calls of search_layers (no merging, the conflict clique first) are
+    # counted here.  The counts come from the search on frozensets, before
+    # its state became integer masks; the mask search must branch the same way.
+    counts = []
+    search = coloring_mod.search_layers
+
+    def counted(*args, **kwargs):
+        layers, nodes = search(*args, **kwargs)
+        counts.append(nodes)
+        return layers, nodes
+
+    monkeypatch.setattr(coloring_mod, "search_layers", counted)
+    rng = random.Random(74)
+    for _ in range(20):
+        color_exact(graph_hypergraph(random_graph(rng, rng.randint(10, 18), rng.uniform(0.3, 0.8))))
+        supports = random_hypergraph_supports(
+            rng, rng.randint(10, 16), rng.randint(20, 50), rng.randint(3, 4)
+        )
+        color_exact(build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports))))
+    assert sum(counts) == 1587
+    assert counts[:8] == [111, 0, 73, 0, 93, 0, 0, 43]
+
+
 def test_misra_gries_w6(w6):
     h = graph_hypergraph(w6)
     coloring = color_misra_gries(h)

@@ -21,11 +21,13 @@ from qaoadepth import (
 )
 
 from bruteforce import (
+    constrained_argmin,
     cut_size,
     independent_sets,
     is_canonical,
     maxcut_objective_reference,
     min_objective,
+    pubo_argmin_reference,
     random_graph,
 )
 
@@ -332,6 +334,21 @@ def test_default_penalty_weight_ignores_the_sense():
 def test_default_penalty_weight_dominates_objective_range():
     problem = make_maxindset(InstanceGraph(4, ()))
     assert problem.default_penalty_weight() == 5  # 1 + |{-x1-x2-x3-x4}| bound
+
+
+def test_default_penalty_weight_leaves_out_the_constant():
+    # A constant shifts every assignment alike, so it does not widen the range
+    # a violated constraint has to outweigh.
+    x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
+    for constant in (0, 10, -10, Fraction(7, 2)):
+        problem = Problem("min", constant + x1 - x2, (), ("x1", "x2"))
+        assert problem.default_penalty_weight() == 3
+        # x1 = x2 = 1 is infeasible; the penalty form must still price it out.
+        constrained = Problem(
+            "min", constant - x1 - x2, (Constraint(lhs=x1 + x2, rhs=1),), ("x1", "x2")
+        )
+        assert constrained.default_penalty_weight() == 3
+        assert pubo_argmin_reference(dualize(constrained)) == constrained_argmin(constrained)
 
 
 def test_constraint_validation():

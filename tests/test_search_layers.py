@@ -1,0 +1,118 @@
+"""The integer-mask branch and bound against the frozenset one it replaced.
+
+``bruteforce.search_layers_reference`` is that search, unchanged.  On the
+same input both must visit the same number of nodes, return the same layers
+made of the same gates, and run out of budget in exactly the same cases.
+"""
+
+import random
+
+import pytest
+
+from qaoadepth import BudgetExceededError, InvalidInputError, Polynomial, absorb_subsets, build
+from qaoadepth.coloring import combinatorial_lower_bound, first_fit_classes
+from qaoadepth.hypergraph import _merge_lower_bound, search_layers
+
+from bruteforce import (
+    pubo_from_polynomial,
+    random_graph,
+    random_hypergraph_supports,
+    search_layers_reference,
+)
+
+
+def hypergraph(supports):
+    return build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+
+
+def outcome(search, h, *args, **kwargs):
+    """("budget",) when the search runs out of budget, else what it returns."""
+    try:
+        layers, nodes = search(h, *args, **kwargs)
+    except BudgetExceededError:
+        return ("budget",)
+    return layers, nodes
+
+
+def assert_same_search(h, limit, budget, incumbent, seed=(), lower=0):
+    new = outcome(search_layers, h, limit, budget, incumbent, seed, lower)
+    old = outcome(search_layers_reference, h, limit, budget, incumbent, seed, lower)
+    if old == ("budget",) or new == ("budget",):
+        assert new == old
+        return "budget"
+    (new_layers, new_nodes), (old_layers, old_nodes) = new, old
+    assert new_nodes == old_nodes
+    if old_layers is None:
+        assert new_layers is None
+        return old_nodes
+    # Each layer as the set of its gates, each gate as the set of its edges.
+    assert {frozenset(map(frozenset, layer)) for layer in new_layers} == {
+        frozenset(frozenset(members) for _, members in layer) for layer in old_layers
+    }
+    return old_nodes
+
+
+def test_merge_searches_of_the_benchmark_shape_match_the_reference():
+    # 16-20 variables, 30-60 monomials of width 2..L, the width limit L, a
+    # budget of 5000 nodes: the merge searches the search-exact workload runs.
+    rng = random.Random(1301)
+    results = []
+    for _ in range(12):
+        limit = rng.randint(3, 4)
+        supports = random_hypergraph_supports(
+            rng, rng.randint(16, 20), rng.randint(30, 60), max_width=limit
+        )
+        h = hypergraph(supports)
+        incumbent = len(first_fit_classes(absorb_subsets(h, limit)))
+        results.append(
+            assert_same_search(h, limit, 5000, incumbent, lower=_merge_lower_bound(h, limit))
+        )
+    assert "budget" in results and any(r != "budget" for r in results)
+
+
+def test_coloring_searches_match_the_reference():
+    # color_exact's call: no merging, the conflict clique opens the first
+    # layers and the search stops at the combinatorial lower bound.  One
+    # layer above first-fit as the incumbent makes the trees deeper.
+    rng = random.Random(1311)
+    instances = []
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(8, 14), rng.uniform(0.3, 0.8))
+        instances.append(hypergraph([(f"x{u}", f"x{v}") for u, v in g.edges]))
+        supports = random_hypergraph_supports(
+            rng, rng.randint(8, 14), rng.randint(15, 40), rng.randint(3, 4)
+        )
+        instances.append(hypergraph(supports))
+    results = [
+        assert_same_search(
+            h, 0, 3000, len(first_fit_classes(h)) + extra,
+            seed=h.conflict_clique, lower=combinatorial_lower_bound(h),
+        )
+        for h in instances
+        for extra in (0, 1)
+    ]
+    assert "budget" in results and any(r not in ("budget", 0) for r in results)
+
+
+def test_small_searches_match_the_reference():
+    # Whole trees: no incumbent and no lower bound to stop at, with and
+    # without merging, and budgets around the node count.
+    rng = random.Random(1307)
+    for _ in range(60):
+        width = rng.randint(2, 4)
+        h = hypergraph(random_hypergraph_supports(rng, rng.randint(3, 7), rng.randint(1, 9), width))
+        limit = rng.choice((0, width, width + 1))
+        seed = h.conflict_clique if rng.random() < 0.5 else ()
+        m = len(h.edges)
+        nodes = assert_same_search(h, limit, 10**6, m + 1, seed)
+        for budget in (nodes - 1, nodes, rng.randint(0, nodes)):
+            assert_same_search(h, limit, budget, m + 1, seed)
+        assert_same_search(h, limit, 10**6, rng.randint(1, m + 1), seed, rng.randint(0, m))
+
+
+def test_negative_budget_is_rejected():
+    h = hypergraph([("x1", "x2"), ("x2", "x3")])
+    with pytest.raises(InvalidInputError):
+        search_layers(h, 0, -1, 3)
+    with pytest.raises(BudgetExceededError):  # a budget of 0 is valid, and spent at the root
+        search_layers(h, 0, 0, 3)
