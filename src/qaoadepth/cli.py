@@ -30,7 +30,7 @@ from . import io as io_mod
 from .dualize import dualize, verify_penalty
 from .errors import InvalidInputError, QaoaDepthError
 from .phasesim import check_equivalence
-from .pipeline import DEFAULT_EXACT_EDGE_LIMIT, run_pipeline
+from .pipeline import DEFAULT_EXACT_EDGE_LIMIT, check_settings, run_pipeline
 from .hypergraph import DEFAULT_EXACT_BUDGET
 from .poly import EXACT_ENUMERATION_LIMIT
 from .problems import (
@@ -296,6 +296,7 @@ def _run(args) -> int:
             f"--format dot applies to 'graph' and 'color' only, not {args.command!r}"
         )
     if args.command == "dualize":
+        check_settings(args.gate_width, args.iterations, args.budget)
         result = SimpleNamespace(problem=problem, pubo=dualize(problem), budget_exceeded=False)
     else:
         result = run_pipeline(

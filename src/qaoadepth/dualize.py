@@ -316,31 +316,19 @@ def verify_penalty(
         _bits(z, n_orig) for z, value in enumerate(projected) if value == pubo_best
     )
 
+    passed = bool(constrained_argmin) and pubo_argmin == constrained_argmin
+    witness, detail = None, ""
     if not constrained_argmin:
-        return PenaltyVerification(
-            passed=False,
-            constrained_argmin=(),
-            pubo_argmin=tuple(pubo_argmin),
-            variable_order=tuple(original),
-            detail="original problem has no feasible assignment",
-        )
-
-    if pubo_argmin == constrained_argmin:
-        return PenaltyVerification(
-            passed=True,
-            constrained_argmin=tuple(constrained_argmin),
-            pubo_argmin=tuple(pubo_argmin),
-            variable_order=tuple(original),
-        )
-
-    sym_diff = set(pubo_argmin).symmetric_difference(constrained_argmin)
-    witness = min(sym_diff)
-    side = "penalty form" if witness in set(pubo_argmin) else "constrained problem"
+        detail = "original problem has no feasible assignment"
+    elif not passed:
+        witness = min(set(pubo_argmin).symmetric_difference(constrained_argmin))
+        side = "penalty form" if witness in set(pubo_argmin) else "constrained problem"
+        detail = f"assignment {witness} is optimal only for the {side}"
     return PenaltyVerification(
-        passed=False,
+        passed=passed,
         constrained_argmin=tuple(constrained_argmin),
         pubo_argmin=tuple(pubo_argmin),
         variable_order=tuple(original),
         counterexample=witness,
-        detail=f"assignment {witness} is optimal only for the {side}",
+        detail=detail,
     )

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .coloring import BoundRef, EdgeColoring
+from .coloring import EdgeColoring
 from .dualize import ConstraintDualization, ExpansionDiff, Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
@@ -92,10 +93,14 @@ def _reject_floats(value, path: str) -> None:
 
 def _jsonify(value):
     """Recursively convert Fractions and tuples into JSON-plain values."""
+    if isinstance(value, (list, tuple)):
+        out = []
+        for item in value:
+            kind = type(item)  # an int or str, such as a MaxCut edge's end, costs no call
+            out.append(item if kind is int or kind is str else _jsonify(item))
+        return out
     if isinstance(value, Fraction):
         return rational_to_json(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     return value
@@ -437,24 +442,13 @@ def hypergraph_to_json(h: DerivedHypergraph) -> dict:
     }
 
 
-def bound_ref_to_json(ref: BoundRef) -> dict:
-    return {
-        "name": ref.name,
-        "kind": ref.kind,
-        "status": ref.status,
-        "applies": ref.applies,
-        "value": ref.value,
-        "note": ref.note,
-    }
-
-
 def coloring_to_json(coloring: EdgeColoring) -> dict:
     return {
         "method": coloring.method,
         "num_colors": coloring.num_colors,
         "classes": [list(cls) for cls in coloring.classes],
         "lower_bound": coloring.lower_bound,
-        "upper_bounds": [bound_ref_to_json(r) for r in coloring.upper_bound_refs],
+        "upper_bounds": [asdict(r) for r in coloring.upper_bound_refs],
     }
 
 
@@ -504,12 +498,15 @@ def dumps(data) -> str:
     """Canonical JSON text: sorted keys, stable indentation, trailing newline.
 
     The text is byte-identical to ``json.dumps(data, indent=2,
-    sort_keys=True) + "\\n"``.  Accepted values are exactly dicts with
-    ``str`` keys, lists, tuples, strings, ints, bools and ``None``; anything
-    else, including a float or a non-``str`` key, raises ``TypeError``.  With
-    ``indent`` set, ``json.dumps`` runs its pure-Python generator encoder;
-    this one builds each container with one ``str.join`` and escapes strings
-    with the same C function ``json`` uses.
+    sort_keys=True) + "\\n"``, which runs a pure-Python generator.  Accepted
+    values are exactly dicts with ``str`` keys, lists, tuples, strings, ints,
+    bools and ``None``; anything else, including a float or a non-``str``
+    key, raises ``TypeError``.  Strings are escaped by the C function
+    ``json`` uses.  Each container loops into a ``parts`` list (a list
+    comprehension costs a function frame per container), encodes a ``str``
+    or ``int`` child inline, and returns one join with its brackets folded
+    into the first and last part: one buffer for the whole text raised peak
+    RSS, and brackets added around the join copied each container twice.
     """
     return _encode(data, "\n") + "\n"
 
@@ -525,17 +522,30 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
+        parts = []
         # Sorted by the raw key, as json does: escaping changes the order.
         # _quote raises TypeError on a key that is not a str.
-        body = ("," + inner).join(
-            [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
-        )
-        return "{" + inner + body + newline + "}"
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            item = (_quote(item) if kind is str else int.__repr__(item) if kind is int
+                    else _encode(item, inner))
+            parts.append(f"{_quote(key)}: {item}")
+        parts[0] = "{" + inner + parts[0]
+        parts[-1] += newline + "}"
+        return ("," + inner).join(parts)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + newline + "]"
+        parts = []
+        for item in value:
+            kind = type(item)
+            parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int
+                         else _encode(item, inner))
+        parts[0] = "[" + inner + parts[0]
+        parts[-1] += newline + "]"
+        return ("," + inner).join(parts)
     if value is None:
         return "null"
     if kind is bool:

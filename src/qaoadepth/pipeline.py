@@ -35,6 +35,16 @@ def _heuristic_coloring(h: DerivedHypergraph) -> EdgeColoring:
     return coloring_mod.color_greedy(h)
 
 
+def check_settings(gate_width: int, p: int, budget: int) -> None:
+    """Reject a setting no stage accepts, before any stage runs."""
+    if budget < 0:
+        raise InvalidInputError(f"search budget must be >= 0, got {budget}")
+    if gate_width < 2:
+        raise InvalidInputError(f"gate width limit must be >= 2, got {gate_width}")
+    if p < 1:
+        raise InvalidInputError(f"iteration count must be >= 1, got {p}")
+
+
 def run_pipeline(
     problem: Problem,
     gate_width: int = 2,
@@ -48,10 +58,9 @@ def run_pipeline(
     ``method`` selects the coloring: "auto" tries the exact search when the
     hypergraph has at most ``exact_edge_limit`` edges and falls back to a
     heuristic (flagged, not fatal) if the node budget runs out; the explicit
-    methods raise instead of falling back.  ``budget`` must be >= 0.
+    methods raise instead of falling back.  :func:`check_settings` runs first.
     """
-    if budget < 0:
-        raise InvalidInputError(f"search budget must be >= 0, got {budget}")
+    check_settings(gate_width, p, budget)
     pubo = dualize(problem)
     h = hypergraph_mod.absorb_subsets(hypergraph_mod.build(pubo), gate_width)
     hypergraph_mod.check_gate_width(h, gate_width)

@@ -173,10 +173,7 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        other = _as_polynomial(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):

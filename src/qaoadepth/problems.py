@@ -9,6 +9,7 @@ inputs and tag the result so depth analyzers can recognize the family later.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -134,15 +135,8 @@ class InstanceGraph:
     def weight(self, index: int) -> Scalar:
         return self.weights[index] if self.weights is not None else 1
 
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def max_degree(self) -> int:
-        return max(self.degrees().values(), default=0)
+        return max(Counter(v for edge in self.edges for v in edge).values(), default=0)
 
 
 def _vertex_var(i: int) -> str:

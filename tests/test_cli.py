@@ -398,6 +398,23 @@ def test_negative_budget_is_invalid_input(capsys, fixture_dir, method):
     assert code in (0, 4) and "budget must be" not in err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--budget", "-3", "search budget must be >= 0, got -3"),
+        ("--gate-width", "1", "gate width limit must be >= 2, got 1"),
+        ("--iterations", "0", "iteration count must be >= 1, got 0"),
+    ],
+)
+def test_every_subcommand_rejects_a_bad_setting_alike(capsys, fixture_dir, option, value, message):
+    # dualize used to exit 0 and echo the bad value into its config.
+    graph = str(fixture_dir / "petersen.dimacs")
+    for command in ("dualize", "graph", "color", "schedule", "analyze", "verify"):
+        argv = (command, "--family", "maxcut", "--graph", graph, option, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+
+
 def test_dot_rejected_for_other_commands(capsys, fixture_dir):
     code, _, err = run_cli(
         capsys,

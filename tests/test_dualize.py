@@ -446,6 +446,17 @@ def test_verify_penalty_detects_a_broken_pubo(general_problem):
     assert report.counterexample is not None
 
 
+def test_verify_penalty_fails_a_jointly_infeasible_problem():
+    # Each constraint alone is satisfiable, so dualize accepts the problem.
+    x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
+    constraints = (Constraint(lhs=x1 + x2, rhs=0), Constraint(lhs=-x1 - x2, rhs=-1))
+    problem = Problem("max", x1 + x2, constraints, ("x1", "x2"))
+    report = verify_penalty(dualize(problem), problem)
+    assert (report.passed, report.constrained_argmin, report.counterexample) == (False, (), None)
+    assert report.detail == "original problem has no feasible assignment"
+    assert report.pubo_argmin == ((0, 1), (1, 0))
+
+
 def test_verify_penalty_respects_variable_limit(w6):
     problem = with_penalty_weight(make_maxindset(w6), 2)
     with pytest.raises(InvalidInputError):

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from qaoadepth import (
     schedule,
     with_penalty_weight,
 )
+from qaoadepth.cli import main as cli_main
 from qaoadepth.io import (
     dumps,
     hypergraph_to_dot,
@@ -261,6 +264,9 @@ _json_values = st.recursive(
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_json_values)
 @example({'a"': 1, "a#": [True, 1], "caf\u00e9": {}, "z": ()})  # raw and escaped key orders differ
+@example([1, True, 0])  # a bool is not encoded as an int
+@example({"a": False, "b": 0})
+@example((("a", 'q"'), ("", "caf\u00e9")))
 def test_dumps_matches_json_dumps(value):
     assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
@@ -272,8 +278,37 @@ def test_golden_json_is_a_fixed_point_of_dumps(path):
 
 
 @pytest.mark.parametrize(
-    "value", [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "x"}, {"a": {True: 1}}, {None: 1}, b"x"]
+    "value",
+    [
+        1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "x"}, {"a": {True: 1}}, {None: 1}, b"x",
+        {"a": 1, "b": 0.5}, [1, "x", 2.5],
+    ],
 )
 def test_dumps_rejects_values_json_cannot_hold_exactly(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
+    # Each container joins its own parts once, so the peak is about twice
+    # the text.  One list of pieces for the whole document holds every piece
+    # at once (about 8x) and raises the process's peak RSS.
+    rng = random.Random(1000)
+    edges = set()
+    while len(edges) < 1500:
+        u, v = sorted(rng.sample(range(1, 1001), 2))
+        edges.add((u, v))
+    graph = tmp_path / "g1000.dimacs"
+    graph.write_text("p edge 1000 1500\n" + "".join(f"e {u} {v}\n" for u, v in sorted(edges)))
+    out = tmp_path / "artifact.json"
+    argv = ["analyze", "--family", "maxcut", "--graph", str(graph), "--out", str(out)]
+    assert cli_main(argv) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        text = dumps(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == out.read_text(encoding="utf-8")
+    assert peak <= 5 * len(text)
