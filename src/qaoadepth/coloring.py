@@ -80,7 +80,7 @@ def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
     # max degree) or a triangle (3), so there the clique only counts below 3.
     if bound < 3 or not h.is_simple_graph():
         bound = max(bound, len(h.conflict_clique))
-    touched = len(h.touched_vertices())
+    touched = len(h.incident)
     min_size = min(len(e.support) for e in h.edges)
     max_matching = touched // min_size  # no class can pack more disjoint edges
     if max_matching:
@@ -91,7 +91,7 @@ def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
 def bounds(h: DerivedHypergraph) -> tuple[int, tuple[BoundRef, ...]]:
     """Lower bound plus annotated documented upper bounds with applicability."""
     lower = combinatorial_lower_bound(h)
-    n = len(h.touched_vertices())
+    n = len(h.incident)
     linear = h.is_linear()
     two_uniform = h.uniform_size() == 2
     uppers = (

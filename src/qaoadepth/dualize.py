@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import and_
 from typing import Container
 
 from .errors import InfeasibleConstraintError, InvalidInputError
@@ -28,6 +29,18 @@ from .problems import MINIMIZE, Problem
 
 def _bits(z: int, width: int) -> tuple[int, ...]:
     return tuple((z >> i) & 1 for i in range(width))
+
+
+def _indices(values: list, target) -> list[int]:
+    """Every index at which ``values`` holds ``target``, each found by a C-level scan."""
+    found, start = [], 0
+    try:
+        while True:
+            start = values.index(target, start)
+            found.append(start)
+            start += 1
+    except ValueError:
+        return found
 
 
 def _scaled_values(poly: Polynomial, order: list[str]) -> tuple[list[int], int]:
@@ -290,31 +303,28 @@ def verify_penalty(
     for con in problem.constraints:
         lhs_values, scale = _scaled_values(con.lhs, original)
         high = math.floor(con.rhs * scale)
-        if con.lower is None:
-            feasible = [ok and v <= high for ok, v in zip(feasible, lhs_values)]
-        else:
+        feasible = list(map(and_, feasible, map(high.__ge__, lhs_values)))
+        if con.lower is not None:
             low = math.ceil(con.lower * scale)
-            feasible = [ok and low <= v <= high for ok, v in zip(feasible, lhs_values)]
+            feasible = list(map(and_, feasible, map(low.__le__, lhs_values)))
     objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
     objective_values, _ = _scaled_values(objective, original)
+    # With no feasible point best_value is None, which no entry equals.
     best_value = min(compress(objective_values, feasible), default=None)
     constrained_argmin = sorted(
-        _bits(z, n_orig)
-        for z in compress(range(1 << n_orig), feasible)
-        if objective_values[z] == best_value
+        _bits(z, n_orig) for z in _indices(objective_values, best_value) if feasible[z]
     )
 
     # PUBO side: minimize over slack bits for every original assignment.
     # Original variables occupy the low bit positions, so each slack block
     # of 2**n_orig consecutive indices scans the same original assignments.
-    pubo_values, _ = _scaled_values(pubo.objective, original + slack)
-    block = 1 << n_orig
-    slack_blocks = [pubo_values[start : start + block] for start in range(0, len(pubo_values), block)]
-    projected = list(map(min, zip(*slack_blocks)))
-    pubo_best = min(projected)
-    pubo_argmin = sorted(
-        _bits(z, n_orig) for z, value in enumerate(projected) if value == pubo_best
-    )
+    projected, _ = _scaled_values(pubo.objective, original + slack)
+    if slack:
+        block = 1 << n_orig
+        projected = list(
+            map(min, *[projected[start : start + block] for start in range(0, len(projected), block)])
+        )
+    pubo_argmin = sorted(_bits(z, n_orig) for z in _indices(projected, min(projected)))
 
     passed = bool(constrained_argmin) and pubo_argmin == constrained_argmin
     witness, detail = None, ""

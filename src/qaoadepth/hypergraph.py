@@ -66,9 +66,6 @@ class DerivedHypergraph:
     def max_degree(self) -> int:
         return max(map(len, self.incident.values()), default=0)
 
-    def touched_vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.incident))
-
     @cached_property
     def conflicts(self) -> tuple[tuple[int, ...], ...]:
         """For each edge, the sorted indices of the other edges sharing a vertex with it.

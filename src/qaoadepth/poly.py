@@ -17,8 +17,10 @@ equality rather than tolerances.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
-from operator import add
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingAssignmentError
@@ -32,6 +34,20 @@ EXACT_ENUMERATION_LIMIT = 20
 
 
 Scalar = int | Fraction
+
+
+def _blank_field(code: str) -> array:
+    """One signed field of offset-binary zero, -2**(w-1), as a one-item array."""
+    field = array(code, [0])
+    field[0] = -1 << (field.itemsize * 8 - 1)
+    return field
+
+
+#: The blank field of every width w that an ``array`` typecode holds, by w;
+#: ``values_over_cube`` packs and reads wider fields as bytes.
+_BLANK_FIELDS = {field.itemsize * 8: field for field in map(_blank_field, "bhiq")}
+_ORDER = sys.byteorder
+_DENOMINATOR = attrgetter("denominator")
 
 
 def canonical(value: Scalar) -> Scalar:
@@ -232,49 +248,88 @@ class Polynomial:
 
     def common_denominator(self) -> int:
         """Least common multiple of the coefficients' denominators (1 when all are integers)."""
-        return math.lcm(*(c.denominator for c in self._terms.values()))
+        return math.lcm(*map(_DENOMINATOR, self._terms.values()))
 
     def values_over_cube(self, order: Sequence[str] | None = None) -> list:
         """Values at every binary assignment, as a list indexed by bitmask.
 
         Assignment ``z`` sets variable ``order[i]`` to bit i of ``z``.  Uses
         the subset-sum (zeta) transform, so the cost is O(2**n * n) additions
-        rather than one full evaluation per point.  The additions are on ints
-        only: rational coefficients are first scaled by their common
-        denominator, and each bit's pass adds whole slices at a time.
-        Entries are exact: int when every coefficient is an integer,
-        otherwise Fraction (the sums divided back by the common denominator).
+        rather than one full evaluation per point.  Entries are exact: int
+        when every coefficient is an integer, otherwise Fraction (integer
+        sums over the coefficients times their common denominator, divided
+        back once).
+
+        The table is one Python int of 2**n fields of w bits, field z at
+        bits z*w to z*w + w - 1, so each bit's pass is a few whole-table
+        integer operations.  A field holds its value v in offset binary,
+        v + 2**(w-1); ``offsets`` is the table of zeros.  The width w is the
+        smallest of 8, 16, 32, 64, 128, ... with sum(|c|) < 2**(w-1) over
+        the scaled coefficients c.  Every value the transform makes is a sum
+        of some of the coefficients, so every field stays within [0, 2**w).
+        The pass for bit i adds each field z with bit i clear, less its
+        offset, to field z + 2**i.  With ``low`` the all-ones fields at
+        those z, that is
+        ``packed += ((packed & low) - (offsets & low)) << (2**i * w)``.
+        This is exact integer arithmetic on the whole table, whatever
+        borrows cross the field boundaries on the way.  Every field of the
+        result is in range, so the result has one field decomposition, and
+        it is the transformed table.  Fields of at most 64 bits are filled
+        and read through an ``array``; wider ones byte by byte.
         """
         variables = self.variables()
-        names = list(variables if order is None else order)
+        names = variables if order is None else list(order)
         position = {name: i for i, name in enumerate(names)}
         if order is not None:
             missing = set(variables) - set(names)
             if missing:
                 raise ValueError(f"order does not cover variables: {sorted(missing)}")
         scale = self.common_denominator()
+        terms = self._scaled_terms(scale)
         size = 1 << len(names)
-        values = [0] * size
-        for support, coeff in self._scaled_terms(scale).items():
+        width = 8
+        total = sum(map(abs, terms.values()))
+        while total >> (width - 1):
+            width *= 2
+        field_bytes = width >> 3
+        # -2**(w-1) in two's complement is 0 in offset binary, and for any
+        # v in range, v ^ zero is v in offset binary read as two's complement.
+        zero = -1 << (width - 1)
+        blank = _BLANK_FIELDS.get(width)
+        if blank:
+            cells = blank * size
+        else:
+            cells = bytearray(zero.to_bytes(field_bytes, _ORDER, signed=True) * size)
+        offsets = int.from_bytes(cells, _ORDER)
+        for support, coeff in terms.items():
             mask = 0
             for name in support:
                 mask |= 1 << position[name]
-            values[mask] += coeff
-        bit = 1
-        while bit < size:
-            step = 2 * bit
-            if bit * step <= size:
-                # No more offsets than blocks: the points with this bit clear
-                # are offset + k*step for offset < bit.
-                for offset in range(bit):
-                    high = slice(offset + bit, size, step)
-                    values[high] = map(add, values[high], values[offset:size:step])
+            if blank:
+                cells[mask] = coeff ^ zero
             else:
-                # Few blocks, each a contiguous run of ``bit`` points.
-                for start in range(bit, size, step):
-                    high = slice(start, start + bit)
-                    values[high] = map(add, values[high], values[start - bit:start])
-            bit = step
+                start = mask * field_bytes
+                cells[start:start + field_bytes] = (coeff ^ zero).to_bytes(
+                    field_bytes, _ORDER, signed=True
+                )
+        packed = int.from_bytes(cells, _ORDER)
+        # The passes commute, so they run from the top bit down.
+        shift = size * width >> 1  # bit n-1 moves a field up this many bits
+        low = (1 << shift) - 1  # all-ones fields where bit n-1 is clear
+        for _ in names:
+            packed += ((packed & low) - (offsets & low)) << shift
+            # Down one bit: the runs of ones halve, and each run's upper
+            # half moves up into the gap after it.
+            shift >>= 1
+            low ^= low << shift
+        table = (packed ^ offsets).to_bytes(size * field_bytes, _ORDER)
+        if blank:
+            values = array(blank.typecode, table).tolist()
+        else:
+            values = [
+                int.from_bytes(table[start:start + field_bytes], _ORDER, signed=True)
+                for start in range(0, len(table), field_bytes)
+            ]
         if scale != 1:
             return [Fraction(v, scale) for v in values]
         return values

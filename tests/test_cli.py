@@ -312,6 +312,19 @@ def test_float_in_family_info_is_invalid_input(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_malformed_family_edges_are_invalid_input(capsys, tmp_path):
+    path = tmp_path / "triple_edge.json"
+    path.write_text(
+        '{"sense": "min", "variables": ["a", "b"],'
+        ' "objective": [{"vars": ["a"], "coeff": 1}], "family": "vertex_cover",'
+        ' "family_info": {"n": 3, "edges": [[1, 2, 3]]}}'
+    )
+    code, out, err = run_cli(capsys, "analyze", "--problem", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: problem.family_info.edges[0]: expected a pair of integers")
+    assert "Traceback" not in err
+
+
 def test_exit_code_infeasible(capsys, tmp_path):
     problem = Problem(
         sense="min",

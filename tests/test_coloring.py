@@ -272,7 +272,7 @@ def lower_bound_with_the_clique(h) -> int:
     m = len(h.edges)
     if m == 0:
         return 0
-    max_matching = len(h.touched_vertices()) // min(len(e.support) for e in h.edges)
+    max_matching = len(h.incident) // min(len(e.support) for e in h.edges)
     counting = -(-m // max_matching) if max_matching else 0
     return max(h.max_degree(), len(h.conflict_clique), counting)
 

@@ -508,3 +508,62 @@ def test_verify_penalty_thresholds_match_the_fraction_reference():
                     assert report.counterexample == min(set(projected) ^ set(expected))
                 verdicts.add(report.passed)
     assert verdicts == {True, False}
+
+
+def assert_oracle_matches_the_references(problem):
+    """verify_penalty against the Fraction enumerations of both argmin sets."""
+    pubo = dualize(problem)
+    report = verify_penalty(pubo, problem)
+    expected = sorted(constrained_argmin(problem))
+    projected = pubo_argmin_reference(pubo)
+    assert report.constrained_argmin == tuple(expected)
+    assert report.pubo_argmin == tuple(projected)
+    assert report.passed == (bool(expected) and projected == expected)
+    return pubo, report
+
+
+def test_verify_penalty_matches_the_references_without_slack_bits():
+    # No constraint means no slack bit: one block, nothing to project out.
+    rng = random.Random(53)
+    for n in range(1, 7):
+        names = [f"x{i}" for i in range(1, n + 1)]
+        for sense in ("min", "max"):
+            objective = random_polynomial(rng, names, max_terms=6)
+            problem = Problem(sense, objective, (), tuple(names))
+            pubo, report = assert_oracle_matches_the_references(problem)
+            assert pubo.slack_names() == () and report.passed
+
+
+def test_verify_penalty_keeps_every_point_of_a_constant_objective():
+    names = ("x1", "x2", "x3", "x4")
+    every_point = tuple(sorted(itertools.product((0, 1), repeat=4)))
+    for objective in (Polynomial.zero(), Polynomial.constant(Fraction(-7, 2))):
+        problem = Problem("min", objective, (), names)
+        _, report = assert_oracle_matches_the_references(problem)
+        assert report.passed and report.pubo_argmin == every_point
+    # With a constraint, every feasible point is optimal, slack bits and all.
+    budget = Constraint(lhs=Polynomial.from_terms(((name,), 1) for name in names), rhs=2)
+    problem = Problem("max", Polynomial.constant(5), (budget,), names)
+    pubo, report = assert_oracle_matches_the_references(problem)
+    assert pubo.slack_names() and report.passed
+    assert report.constrained_argmin == tuple(p for p in every_point if sum(p) <= 2)
+
+
+def test_verify_penalty_projects_out_many_slack_bits():
+    problem = make_knapsack((3, 5, 4, 6), (7, 11, 13, 17), 40)
+    pubo, report = assert_oracle_matches_the_references(problem)
+    assert len(pubo.slack_names()) >= 5
+    assert report.passed
+
+
+def test_verify_penalty_matches_the_references_on_an_infeasible_problem():
+    # Each constraint alone is satisfiable and takes a slack bit; together
+    # they ask for at most one and at least two of the three variables.
+    names = ("x1", "x2", "x3")
+    total = Polynomial.from_terms(((name,), 1) for name in names)
+    constraints = (Constraint(lhs=total, rhs=1), Constraint(lhs=-total, rhs=-2))
+    problem = Problem("min", Polynomial({("x1", "x3"): 2, ("x2",): -1}), constraints, names)
+    pubo, report = assert_oracle_matches_the_references(problem)
+    assert len(pubo.slack_names()) == 2
+    assert (report.passed, report.constrained_argmin, report.counterexample) == (False, (), None)
+    assert report.detail == "original problem has no feasible assignment"

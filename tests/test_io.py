@@ -131,6 +131,27 @@ def test_floats_in_family_info_are_rejected():
     assert problem_from_json({**base, "family_info": info}).family_info == info
 
 
+@pytest.mark.parametrize(
+    "edges, where",
+    [
+        ({"u": 1}, r"edges: expected a list of integer pairs"),
+        (None, r"edges: expected a list of integer pairs"),
+        ([[0, 1], [1, 2, 3]], r"edges\[1\]: expected a pair of integers"),
+        ([[0]], r"edges\[0\]: expected a pair of integers"),
+        ([[0, "1"]], r"edges\[0\]: expected a pair of integers"),
+        ([[True, 1]], r"edges\[0\]: expected a pair of integers"),
+        ([7], r"edges\[0\]: expected a pair of integers"),
+    ],
+    ids=["object", "null", "triple", "single", "string-end", "bool-end", "bare-int"],
+)
+def test_family_edges_must_be_integer_pairs(edges, where):
+    base = {"sense": "min", "variables": ["a"], "objective": []}
+    with pytest.raises(InvalidInputError, match=r"problem\.family_info\." + where):
+        problem_from_json({**base, "family_info": {"edges": edges}})
+    info = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    assert problem_from_json({**base, "family_info": info}).family_info == info
+
+
 def test_empty_constraint_list_is_unconstrained():
     problem = problem_from_json(
         {"sense": "min", "variables": ["x1"], "objective": [{"vars": ["x1"], "coeff": 1}]}

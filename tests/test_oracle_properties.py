@@ -11,6 +11,11 @@ A second strategy draws mixed-sign objectives whose best points are all
 infeasible by exactly 1, the case in which the default penalty weight must
 exceed the objective's whole range, not just its largest absolute value.
 
+Objective coefficients are -3..3 or 2**60..2**70 in size.  The large ones
+make the default penalty weight, and with it the penalty form's
+coefficients, so large that the oracle's cube tables need fields wider
+than 64 bits.
+
 Constraint data are integers only.  The default penalty weight assumes that
 every violation is at least 1, which rational data break (ROADMAP item 1A);
 rational constraints join this test once that is fixed.
@@ -29,6 +34,8 @@ from qaoadepth import (
 )
 
 METHODS = ("auto", "exact", "merge-exact", "greedy", "misra-gries")
+#: Objective coefficients of 2**60 to 2**70 in size, either sign.
+LARGE = st.builds(lambda sign, size: sign * size, st.sampled_from((-1, 1)), st.integers(2**60, 2**70))
 
 
 @st.composite
@@ -41,11 +48,11 @@ def integer_problems(draw):
     bits = draw(st.lists(st.integers(0, 1), min_size=len(names), max_size=len(names)))
     witness = dict(zip(names, bits))
 
-    def polynomial(max_width):
+    def polynomial(max_width, coefficients=st.integers(-3, 3)):
         supports = draw(
             st.lists(st.sets(st.sampled_from(names), max_size=max_width), min_size=1, max_size=5)
         )
-        return Polynomial.from_terms((support, draw(st.integers(-3, 3))) for support in supports)
+        return Polynomial.from_terms((support, draw(coefficients)) for support in supports)
 
     constraints = []
     for _ in range(draw(st.integers(1, 2))):
@@ -57,7 +64,7 @@ def integer_problems(draw):
         constraints.append(Constraint(lhs=lhs, rhs=rhs, lower=lower))
     problem = Problem(
         sense=draw(st.sampled_from(("min", "max"))),
-        objective=polynomial(min(width, 3)),
+        objective=polynomial(min(width, 3), st.integers(-3, 3) | LARGE),
         constraints=tuple(constraints),
         variables=tuple(names),
     )

@@ -231,7 +231,7 @@ def random_rational_polynomial(rng, names, max_terms=10):
 def test_values_over_cube_matches_the_reference_transform():
     rng = random.Random(41)
     checked = {"int": 0, "rational": 0}
-    for n in range(11):
+    for n in range(13):
         order = [f"v{i}" for i in range(n)]
         rng.shuffle(order)
         # Some polynomials use only part of the order: the rest are absent.
@@ -254,6 +254,40 @@ def test_values_over_cube_matches_the_reference_transform():
             for z, assignment in enumerate(assignments(reversed(order))):
                 assert values[z] == p.evaluate(assignment)
     assert min(checked.values()) >= 30
+
+
+def split_total(total, signs):
+    """Integers with these signs whose absolute values sum to ``total``, none zero."""
+    parts = [total // len(signs)] * len(signs)
+    parts[-1] += total - sum(parts)
+    return [sign * part for sign, part in zip(signs, parts)]
+
+
+@pytest.mark.parametrize(
+    "total",
+    [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 10**30],
+)
+def test_values_over_cube_is_exact_at_every_field_width_boundary(total):
+    # sum(|coefficient|) < 2**(w-1) fits fields of w bits, and a sum of
+    # exactly 2**(w-1) needs the next width: with every sign positive the
+    # all-ones point reaches +total, with every sign negative -total.
+    order = ["a", "b", "c", "d"]
+    supports = [(), ("a",), ("b", "c"), ("a", "c", "d"), ("a", "b", "c", "d")]
+    sign_sets = {
+        "positive": [1] * 5,
+        "negative": [-1] * 5,
+        "mixed": [1, -1, 1, -1, 1],
+    }
+    for kind, signs in sign_sets.items():
+        p = Polynomial(dict(zip(supports, split_total(total, signs))))
+        values = p.values_over_cube(order)
+        assert values == values_over_cube_reference(p, order), kind
+        assert all(type(v) is int for v in values)
+        if kind != "mixed":
+            assert values[-1] == signs[0] * total
+        # A rational version of the same table, scaled back by 3.
+        q = p * Fraction(1, 3)
+        assert q.values_over_cube(order) == [Fraction(v, 3) for v in values]
 
 
 def test_nonlinear_cube_extremes_enumerate_integer_tables(monkeypatch):
