@@ -23,6 +23,11 @@ Problem JSON schema::
       "family": <string, optional>,
       "family_info": <object, optional>
     }
+
+``family`` picks which of the paper's closed-form figures the depth report
+quotes; the figure itself is computed from the problem's own structure.
+``family_info`` is float-free metadata: it is copied into every artifact
+and never read.
 """
 
 from __future__ import annotations
@@ -236,16 +241,6 @@ def problem_from_json(data, path: str = "problem") -> Problem:
         raise InvalidInputError(f"{path}.family_info: expected an object")
     # family_info is carried through to every artifact, which holds no floats.
     _reject_floats(family_info, f"{path}.family_info")
-    # The family depth figures count the instance's edges as integer pairs.
-    if "edges" in family_info:
-        edges = family_info["edges"]
-        if not isinstance(edges, list):
-            raise InvalidInputError(f"{path}.family_info.edges: expected a list of integer pairs")
-        for i, edge in enumerate(edges):
-            if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
-                raise InvalidInputError(
-                    f"{path}.family_info.edges[{i}]: expected a pair of integers"
-                )
 
     return Problem(
         sense=sense,

@@ -22,6 +22,7 @@ uses beta.  Angles stay symbolic here: tuning them is out of scope.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -162,38 +163,33 @@ def total_depth(report: DepthReport, p: int) -> int:
     return p * report.structural_depth
 
 
-def _is_star(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    """True for K(1, n-1): one hub on every edge, all other vertices degree 1."""
-    if n < 2 or len(edges) != n - 1:
+def _is_star(n: int, pairs: Sequence[tuple[str, ...]]) -> bool:
+    """True for K(1, n-1): n - 1 distinct pairs that all share one hub."""
+    if n < 2 or len(pairs) != n - 1:
         return False
-    candidates = set(edges[0]) if edges else set()
-    for u, v in edges:
-        candidates &= {u, v}
-    if len(candidates) != 1:
-        return False
-    hub = candidates.pop()
-    leaves = [u if v == hub else v for u, v in edges]
-    return len(set(leaves)) == len(leaves)
+    return n - 1 in Counter(name for pair in pairs for name in pair).values()
 
 
-def _sat_formula_degrees(clauses: Sequence[Sequence[int]]) -> dict[str, int]:
+def _sat_formula_degrees(problem: Problem) -> dict[str, int]:
     """Closed-form degree per variable: |union of touching constraint supports| - 1
-    plus two slack bits per touching clause.  Each clause support includes its
-    violation indicator."""
-    degrees: dict[str, int] = {}
-    variables = sorted({abs(lit) for clause in clauses for lit in clause})
-    for i in variables:
-        touching = [
-            (index, clause)
-            for index, clause in enumerate(clauses, start=1)
-            if i in {abs(lit) for lit in clause}
-        ]
-        union: set[str] = set()
-        for index, clause in touching:
-            union.update(f"x{abs(lit)}" for lit in clause)
-            union.add(f"z{index}")
-        degrees[f"x{i}"] = len(union) - 1 + 2 * len(touching)
-    return degrees
+    plus two slack bits per touching clause.
+
+    A degree is keyed on each constraint variable the objective does not
+    count, in the problem's variable order; each clause's violation
+    indicator is in the objective, so it stays in the supports and out of
+    the keys.
+    """
+    touching: dict[str, list[tuple[str, ...]]] = {}
+    for con in problem.constraints:
+        support = con.lhs.variables()
+        for name in support:
+            touching.setdefault(name, []).append(support)
+    counted = set(problem.objective.variables())
+    return {
+        name: len(set().union(*touching[name])) - 1 + 2 * len(touching[name])
+        for name in problem.variables
+        if name in touching and name not in counted
+    }
 
 
 def analyze_family(
@@ -202,22 +198,24 @@ def analyze_family(
     h: DerivedHypergraph,
     sched: CircuitSchedule,
 ) -> DepthReport:
-    """Depth report with the recognized family's closed-form figure attached.
+    """Depth report with the tagged family's closed-form figure attached.
 
-    The structural depth is always the pipeline's own count; the family
-    figure is quoted next to it and a discrepancy is flagged rather than
-    reconciled when the two disagree.
+    ``problem.family`` picks which figure is quoted; every quantity in it is
+    read from the problem's own structure (its variables, constraints and
+    penalty form), never from the metadata that travels with the tag.  The
+    star test runs on the degree-2 supports of the penalty form, not on
+    ``h``, whose gates may be merged.  The structural depth is always the
+    pipeline's own count; the family figure is quoted next to it and a
+    discrepancy is flagged rather than reconciled when the two disagree.
     """
     structural = sched.structural_depth
     notes: list[str] = []
     bound: FamilyBound | None = None
-    info = problem.family_info
+    n = len(problem.variables)
 
     if problem.family in ("maxcut", "maxindset"):
-        n = info.get("n", 0)
-        edges = [tuple(e) for e in info.get("edges", [])]
         chi = sched.coloring_depth
-        if _is_star(n, edges):
+        if _is_star(n, [s for s in pubo.objective.supports() if len(s) == 2]):
             bound = FamilyBound(
                 family=problem.family,
                 formula="n",
@@ -237,21 +235,24 @@ def analyze_family(
                 note="+1 for the mixer; +2 when single-qubit phases need their own layer",
             )
     elif problem.family == "vertex_cover":
+        constraints_on = Counter(
+            name for con in problem.constraints for name in con.lhs.variables()
+        )
         bound = FamilyBound(
             family="vertex_cover",
             formula="2*chi(G) + 1",
             value=None,
             matches_structural=None,
-            details={"instance_max_degree": _instance_max_degree(info)},
+            details={"instance_max_degree": max(constraints_on.values(), default=0)},
             note=(
                 "quoted formula uses chi(G) ambiguously (vertex vs edge chromatic "
                 "number); the structural depth above is the computed figure"
             ),
         )
     elif problem.family == "knapsack":
-        n = info.get("n", 0)
         slack_bits = sum(d.bit_count for d in pubo.dualizations)
-        argument = "max_weight" if info.get("preprocess") else "capacity"
+        two_sided = any(con.lower is not None for con in problem.constraints)
+        argument = "max_weight" if two_sided else "capacity"
         value = n + slack_bits
         bound = FamilyBound(
             family="knapsack",
@@ -266,7 +267,6 @@ def analyze_family(
             note="quoted ln is read as the binary slack-bit count",
         )
     elif problem.family == "tsp":
-        n = info.get("n_edge_vars", 0)
         n_dualized = sum(1 for d in pubo.dualizations if not d.dropped)
         value = n - 1 + 2 * n_dualized
         bound = FamilyBound(
@@ -281,8 +281,7 @@ def analyze_family(
             },
         )
     elif problem.family == "sat":
-        clauses = info.get("clauses", [])
-        formula_degrees = _sat_formula_degrees(clauses)
+        formula_degrees = _sat_formula_degrees(problem)
         actual = _actual_degrees(h)
         comparison = {
             name: {"formula": deg, "derived_graph": actual.get(name, 0)}
@@ -311,14 +310,6 @@ def analyze_family(
         )
 
     return DepthReport(schedule=sched, family_bound=bound, notes=tuple(notes))
-
-
-def _instance_max_degree(info: dict) -> int:
-    degree: dict[int, int] = {}
-    for u, v in info.get("edges", []):
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    return max(degree.values(), default=0)
 
 
 def _actual_degrees(h: DerivedHypergraph) -> dict[str, int]:

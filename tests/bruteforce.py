@@ -507,6 +507,26 @@ def maxcut_objective_reference(g: InstanceGraph) -> Polynomial:
     return Polynomial.from_terms(terms)
 
 
+def sat_formula_degrees_reference(clauses: Sequence[Sequence[int]]) -> dict[str, int]:
+    """The SAT degree figure from the clause list: per variable, |union of the
+    touching clauses' supports| - 1 plus two slack bits per touching clause,
+    where clause c's support holds its variables and its indicator z_c."""
+    degrees: dict[str, int] = {}
+    variables = sorted({abs(lit) for clause in clauses for lit in clause})
+    for i in variables:
+        touching = [
+            (index, clause)
+            for index, clause in enumerate(clauses, start=1)
+            if i in {abs(lit) for lit in clause}
+        ]
+        union: set[str] = set()
+        for index, clause in touching:
+            union.update(f"x{abs(lit)}" for lit in clause)
+            union.add(f"z{index}")
+        degrees[f"x{i}"] = len(union) - 1 + 2 * len(touching)
+    return degrees
+
+
 def random_graph(rng, n: int, p: float) -> InstanceGraph:
     edges = [
         (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p

@@ -9,10 +9,15 @@ import pytest
 
 from qaoadepth import cli
 from qaoadepth.cli import main
-from qaoadepth.io import write_problem
+from qaoadepth.io import problem_to_json, write_problem
 from qaoadepth.problems import (
     Constraint,
+    InstanceGraph,
     Problem,
+    make_knapsack,
+    make_maxcut,
+    make_sat,
+    make_tsp,
 )
 from qaoadepth.poly import Polynomial
 
@@ -312,17 +317,69 @@ def test_float_in_family_info_is_invalid_input(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-def test_malformed_family_edges_are_invalid_input(capsys, tmp_path):
+def test_malformed_family_edges_are_passed_through(capsys, tmp_path):
+    # family_info is metadata: a triple "edge" is neither checked nor read.
+    info = {"n": 3, "edges": [[1, 2, 3]]}
     path = tmp_path / "triple_edge.json"
     path.write_text(
         '{"sense": "min", "variables": ["a", "b"],'
         ' "objective": [{"vars": ["a"], "coeff": 1}], "family": "vertex_cover",'
-        ' "family_info": {"n": 3, "edges": [[1, 2, 3]]}}'
+        ' "family_info": ' + json.dumps(info) + "}"
     )
     code, out, err = run_cli(capsys, "analyze", "--problem", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: problem.family_info.edges[0]: expected a pair of integers")
-    assert "Traceback" not in err
+    assert (code, err) == (0, "")
+    artifact = json.loads(out)
+    assert artifact["problem"]["family_info"] == info
+    assert artifact["depth"]["family_bound"]["details"] == {"instance_max_degree": 0}
+
+
+def analyze_tagged(capsys, tmp_path, problem, family_info, *flags) -> dict:
+    """The analyze artifact of ``problem`` carrying ``family_info`` as its metadata."""
+    data = problem_to_json(problem)
+    data["family_info"] = family_info
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "analyze", "--problem", str(path), *flags)
+    assert (code, err) == (0, ""), err
+    artifact = json.loads(out)
+    assert artifact["problem"]["family_info"] == family_info
+    return artifact["depth"]["family_bound"]
+
+
+SAT_FORMULA = "|union(c in C_x)| - 1 + 2*|C_x| per variable"
+
+
+@pytest.mark.parametrize(
+    "problem, info, formula, value",
+    [
+        (make_knapsack((1, 2, 3), (1, 2, 3), 4), {"n": "x"}, "n + ln(capacity)", 6),
+        (make_sat([(1, 2, -3)]), {"clauses": [[1, "a"]]}, SAT_FORMULA, 5),
+        (make_sat([(1, 2, -3)]), {"clauses": 5}, SAT_FORMULA, 5),
+        (
+            make_tsp(InstanceGraph(3, ((1, 2), (1, 3), (2, 3)), weights=(1, 1, 1))),
+            {"n_edge_vars": "3"},
+            "n - 1 + 2*N_c",
+            8,
+        ),
+        (make_maxcut(InstanceGraph(2, ((1, 2),))), {"n": "2"}, "n", 2),
+        (make_maxcut(InstanceGraph(2, ((1, 2),))), {"n": [2]}, "n", 2),
+    ],
+    ids=["knapsack-n-str", "sat-clause-str", "sat-clauses-int", "tsp-n-str", "maxcut-n-str",
+         "maxcut-n-list"],
+)
+def test_family_info_values_are_never_read(capsys, tmp_path, problem, info, formula, value):
+    bound = analyze_tagged(capsys, tmp_path, problem, info)
+    assert (bound["family"], bound["formula"], bound["value"]) == (problem.family, formula, value)
+    if problem.family == "sat":
+        assert bound["details"]["degrees"]["x1"] == {"formula": 5, "derived_graph": 5}
+
+
+@pytest.mark.parametrize("flags", [(), ("--method", "merge-exact", "--gate-width", "3")],
+                         ids=["auto", "merge-exact"])
+def test_star_figure_follows_the_structure_not_the_metadata(capsys, tmp_path, flags):
+    star = make_maxcut(InstanceGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5))))
+    bound = analyze_tagged(capsys, tmp_path, star, {"n": 99}, *flags)
+    assert (bound["formula"], bound["value"]) == ("n", 5)
 
 
 def test_exit_code_infeasible(capsys, tmp_path):

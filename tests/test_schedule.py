@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from qaoadepth import (
     dualize,
     make_knapsack,
     make_maxcut,
+    make_maxindset,
     make_sat,
     make_tsp,
     make_vertex_cover,
@@ -27,7 +30,7 @@ from qaoadepth import (
 )
 from qaoadepth.coloring import EdgeColoring
 
-from bruteforce import pubo_from_polynomial, random_graph
+from bruteforce import pubo_from_polynomial, random_graph, sat_formula_degrees_reference
 
 
 def pipeline_parts(problem, gate_width=2):
@@ -249,6 +252,84 @@ def test_knapsack_figures_with_and_without_preprocessing():
     assert fb2.formula == "n + ln(max_weight)"
     assert fb2.details["slack_bits"] == 2
     assert fb2.value == 5
+
+    # Every item fits, so the builder keeps no constraint and no two-sided bound.
+    with pytest.warns(UserWarning, match="redundant"):
+        redundant = make_knapsack((1, 2, 3), (1, 2, 3), 10, preprocess=True)
+    fb3 = run_pipeline(redundant).report.family_bound
+    assert fb3.formula == "n + ln(capacity)"
+    assert (fb3.value, fb3.details["n"], fb3.details["slack_bits"]) == (3, 3, 0)
+
+
+def test_zero_weight_star_edge_gets_the_general_figure():
+    # A zero-weight edge has no term and so no gate: the penalty form is no star.
+    star = InstanceGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)), weights=(1, 1, 1, 0))
+    fb = run_pipeline(make_maxcut(star)).report.family_bound
+    assert fb.formula == "chromatic_index + 1 or chromatic_index + 2"
+    assert fb.value == fb.details["chromatic_index"] + 2 == 5
+
+
+def random_family_instance(family: str, rng, trial: int):
+    """A seeded instance of ``family`` and the natural input it was built from."""
+    if family in ("maxcut", "maxindset", "vertex_cover"):
+        n = rng.randint(2, 7)
+        if trial % 3 == 0:
+            g = InstanceGraph(n, tuple((1, v) for v in range(2, n + 1)))
+        else:
+            g = random_graph(rng, n, 0.5)
+        build_family = {
+            "maxcut": make_maxcut, "maxindset": make_maxindset, "vertex_cover": make_vertex_cover,
+        }[family]
+        return build_family(g), g
+    if family.startswith("knapsack"):
+        weights = sorted(rng.randint(1, 9) for _ in range(rng.randint(2, 6)))
+        values = [rng.randint(1, 9) for _ in weights]
+        capacity = rng.randint(1, sum(weights) - 1)
+        preprocess = family == "knapsack-preprocess"
+        return make_knapsack(values, weights, capacity, preprocess=preprocess), weights
+    if family == "tsp":
+        n = rng.randint(4, 5)
+        edges = tuple(itertools.combinations(range(1, n + 1), 2))
+        g = InstanceGraph(n, edges, weights=tuple(rng.randint(1, 9) for _ in edges))
+        return make_tsp(g, [rng.sample(range(1, n + 1), 3)]), g
+    if trial == 0:
+        # x2 and x3 meet in both clauses with opposite signs: their interaction cancels.
+        clauses = [(1, 2, -3), (2, 3, 4)]
+    else:
+        clauses = [
+            tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+    return make_sat(clauses), clauses
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["maxcut", "maxindset", "vertex_cover", "knapsack", "knapsack-preprocess", "tsp", "sat"],
+)
+def test_every_family_figure_is_read_from_the_structure(family):
+    rng = random.Random(f"family-figures:{family}")
+    for trial in range(10):
+        problem, source = random_family_instance(family, rng, trial)
+        result = run_pipeline(replace(problem, family_info={}))
+        fb = result.report.family_bound
+        if family in ("maxcut", "maxindset"):
+            g, chi = source, result.schedule.coloring_depth
+            if g.n >= 2 and len(g.edges) == g.n - 1 and g.max_degree() == g.n - 1:
+                assert (fb.formula, fb.value) == ("n", g.n)
+            else:
+                general = "chromatic_index + 1 or chromatic_index + 2"
+                assert (fb.formula, fb.value) == (general, chi + 2)
+        elif family == "vertex_cover":
+            assert fb.details["instance_max_degree"] == source.max_degree()
+        elif family.startswith("knapsack"):
+            argument = "max_weight" if family == "knapsack-preprocess" else "capacity"
+            assert (fb.formula, fb.details["n"]) == (f"n + ln({argument})", len(source))
+        elif family == "tsp":
+            assert fb.details["n_edge_vars"] == len(source.edges)
+        else:
+            formula = {name: pair["formula"] for name, pair in fb.details["degrees"].items()}
+            assert list(formula.items()) == list(sat_formula_degrees_reference(source).items())
 
 
 def test_untagged_problem_gets_structural_report_only(general_problem):
