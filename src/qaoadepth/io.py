@@ -32,11 +32,12 @@ and never read.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain, compress, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import is_, itemgetter
 from typing import Any
 
 from .coloring import EdgeColoring
@@ -363,7 +364,7 @@ def hypergraph_to_dot(h: DerivedHypergraph, coloring: EdgeColoring | None = None
         lines.append(f"  {_dot_quote(name)};")
     # Box nodes are gate0, gate1, ..., skipping any name a vertex already uses.
     taken = set(h.vertices)
-    boxes = (aux for aux in map("gate{}".format, itertools.count()) if aux not in taken)
+    boxes = (aux for aux in map("gate{}".format, count()) if aux not in taken)
     for index, edge in enumerate(h.edges):
         if len(edge.support) == 2:
             u, v = map(_dot_quote, edge.support)
@@ -507,11 +508,19 @@ def dumps(data) -> str:
     values are exactly dicts with ``str`` keys, lists, tuples, strings, ints,
     bools and ``None``; anything else, including a float or a non-``str``
     key, raises ``TypeError``.  Strings are escaped by the C function
-    ``json`` uses.  Each container loops into a ``parts`` list (a list
-    comprehension costs a function frame per container), encodes a ``str``
-    or ``int`` child inline, and returns one join with its brackets folded
-    into the first and last part: one buffer for the whole text raised peak
-    RSS, and brackets added around the join copied each container twice.
+    ``json`` uses.
+
+    The envelope and each section dict are encoded one at a time, but the
+    items of a list are encoded together, a column at a time (``_texts``):
+    all strings or all ints with one ``map``; dicts of one key set as one
+    column per key, zipped between constant key prefixes; lists as one
+    column of all their items, regrouped by length.  Mixed types become one
+    column per type, read back in the items' order, and dicts of differing
+    key sets become runs of one key set.  So the Python work grows with the
+    number of shapes and the nesting depth, not with the number of terms and
+    gates.  Texts stay lazy iterators until a list joins its items,
+    once, with its brackets folded into the first and last item, so the
+    peak memory stays about twice the text.
     """
     return _encode(data, "\n") + "\n"
 
@@ -534,7 +543,7 @@ def _encode(value, newline: str) -> str:
             item = value[key]
             kind = type(item)
             item = (_quote(item) if kind is str else int.__repr__(item) if kind is int
-                    else _encode(item, inner))
+                    else "null" if item is None else _encode(item, inner))
             parts.append(f"{_quote(key)}: {item}")
         parts[0] = "{" + inner + parts[0]
         parts[-1] += newline + "}"
@@ -543,11 +552,7 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        parts = []
-        for item in value:
-            kind = type(item)
-            parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int
-                         else _encode(item, inner))
+        parts = list(_texts(value, inner))
         parts[0] = "[" + inner + parts[0]
         parts[-1] += newline + "]"
         return ("," + inner).join(parts)
@@ -556,6 +561,52 @@ def _encode(value, newline: str) -> str:
     if kind is bool:
         return "true" if value else "false"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _texts(items, newline: str):
+    """An iterator over ``_encode(item, newline)`` for each of ``items``, in order."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:  # one column per type, read back in the items' order
+        order = list(map(type, items))
+        columns = {kind: _texts(list(compress(items, map(is_, order, repeat(kind)))), newline)
+                   for kind in kinds}
+        return map(next, map(columns.__getitem__, order))
+    kind = kinds.pop()
+    if kind is str:
+        return map(_quote, items)
+    if kind is int:
+        return map(int.__repr__, items)
+    inner = newline + "  "
+    if kind is dict:
+        keys = sorted(items[0])
+        try:  # one key set: each dict has every key of the first, and no more
+            columns = [list(map(itemgetter(key), items)) for key in keys]
+        except KeyError:
+            columns = None
+        if columns is None or len(set(map(len, items))) != 1:  # runs of one key set
+            return chain.from_iterable(
+                _texts(list(run), newline) for _, run in groupby(items, dict.keys))
+        if not keys:
+            return repeat("{}", len(items))
+        # One column per sorted key, zipped between constant key prefixes.
+        texts = []
+        for i, (key, column) in enumerate(zip(keys, columns)):
+            texts.append(repeat(("," if i else "{") + inner + _quote(key) + ": "))
+            texts.append(_texts(column, inner))
+        texts.append(repeat(newline + "}"))
+        return map("".join, zip(*texts))
+    if kind is list or kind is tuple:
+        # Every item's items in one column, regrouped by each item's length.
+        # body.join((open, close)) is open + body + close; an empty item is "[]".
+        lengths = list(map(len, items))
+        flat = _texts(list(chain.from_iterable(items)), inner)
+        brackets = (("[", "]"), ("[" + inner, newline + "]"))
+        size = lengths[0]
+        if size and lengths.count(size) == len(lengths):  # equal lengths: zip regroups
+            return map(str.join, map(("," + inner).join, zip(*[flat] * size)), repeat(brackets[1]))
+        return map(str.join, map(("," + inner).join, map(islice, repeat(flat), lengths)),
+                   map(brackets.__getitem__, map(bool, lengths)))
+    return map(_encode, items, repeat(newline))  # None, bool, or TypeError
 
 
 # -- text rendering ----------------------------------------------------------
@@ -576,24 +627,19 @@ def render_schedule_text(sched: CircuitSchedule, color: bool = False) -> str:
             cost_index += 1
             headers.append(f"L{cost_index}")
 
-    grid: list[list[str]] = []
-    for name in sched.variables:
-        row = []
-        for layer in sched.layers:
-            prefix = "B" if layer.kind == "mixer" else "C"
-            label = "."
-            for gate in layer.gates:
-                if name in gate.support:
-                    label = f"{prefix}({','.join(gate.support)})"
-                    break
-            row.append(label)
-        grid.append(row)
+    columns = []  # one label per qubit for each layer: the first gate on it, else "."
+    for layer in sched.layers:
+        prefix = "B" if layer.kind == "mixer" else "C"
+        labels: dict[str, str] = {}
+        for gate in layer.gates:
+            label = f"{prefix}({','.join(gate.support)})"
+            for name in gate.support:
+                labels.setdefault(name, label)
+        columns.append([labels.get(name, ".") for name in sched.variables])
 
     name_width = max((len(n) for n in sched.variables), default=0)
-    widths = [
-        max(len(headers[i]), max((len(row[i]) for row in grid), default=1))
-        for i in range(len(sched.layers))
-    ]
+    widths = [max(len(header), max(map(len, column), default=1))
+              for header, column in zip(headers, columns)]
 
     def paint(text: str, layer_index: int) -> str:
         if not color or text == ".":
@@ -607,8 +653,8 @@ def render_schedule_text(sched: CircuitSchedule, color: bool = False) -> str:
     for v, name in enumerate(sched.variables):
         cells = []
         for i in range(len(sched.layers)):
-            text = grid[v][i].ljust(widths[i])
-            cells.append(paint(text, i) if grid[v][i] != "." else text)
+            text = columns[i][v].ljust(widths[i])
+            cells.append(paint(text, i) if columns[i][v] != "." else text)
         lines.append(" ".join([name.ljust(name_width)] + cells))
     if sched.iterations > 1:
         lines.append(f"(repeated {sched.iterations} times; angles gamma_k, beta_k per iteration)")

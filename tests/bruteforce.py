@@ -706,3 +706,49 @@ def search_layers_reference(
 
     dfs(len(layers))
     return best, nodes
+
+
+def render_schedule_text_reference(sched: CircuitSchedule, color: bool = False) -> str:
+    """``io.render_schedule_text`` by scanning every gate of a layer for each qubit."""
+    headers = []
+    cost_index = 0
+    for layer in sched.layers:
+        if layer.kind == "mixer":
+            headers.append("mixer")
+        elif layer.kind == "singleton":
+            headers.append("1q")
+        else:
+            cost_index += 1
+            headers.append(f"L{cost_index}")
+
+    grid: list[list[str]] = []
+    for name in sched.variables:
+        row = []
+        for layer in sched.layers:
+            prefix = "B" if layer.kind == "mixer" else "C"
+            label = "."
+            for gate in layer.gates:
+                if name in gate.support:
+                    label = f"{prefix}({','.join(gate.support)})"
+                    break
+            row.append(label)
+        grid.append(row)
+
+    name_width = max((len(n) for n in sched.variables), default=0)
+    widths = [
+        max(len(headers[i]), max((len(row[i]) for row in grid), default=1))
+        for i in range(len(sched.layers))
+    ]
+    palette = (31, 32, 33, 34, 35, 36, 91, 92, 93, 94, 95, 96)
+    lines = [" ".join([" " * name_width] + [h.ljust(w) for h, w in zip(headers, widths)])]
+    for v, name in enumerate(sched.variables):
+        cells = []
+        for i in range(len(sched.layers)):
+            text = grid[v][i].ljust(widths[i])
+            if color and grid[v][i] != ".":
+                text = f"\x1b[{palette[i % len(palette)]}m{text}\x1b[0m"
+            cells.append(text)
+        lines.append(" ".join([name.ljust(name_width)] + cells))
+    if sched.iterations > 1:
+        lines.append(f"(repeated {sched.iterations} times; angles gamma_k, beta_k per iteration)")
+    return "\n".join(lines) + "\n"

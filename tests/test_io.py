@@ -21,6 +21,7 @@ from qaoadepth import (
     make_sat,
     make_tsp,
     make_vertex_cover,
+    merge_exact,
     schedule,
     with_penalty_weight,
 )
@@ -41,7 +42,7 @@ from qaoadepth.io import (
     write_problem,
 )
 
-from bruteforce import pubo_from_polynomial
+from bruteforce import pubo_from_polynomial, random_polynomial, render_schedule_text_reference
 
 
 def roundtrip_canonical(problem) -> None:
@@ -252,6 +253,24 @@ def test_render_schedule_text_plain_and_ansi(w6):
     assert "\x1b[" in colored
 
 
+def test_render_schedule_text_matches_the_per_qubit_scan():
+    # Singleton layers, gates merged up to 4 qubits, up to 3 iterations, and
+    # qubits idle in a layer.
+    rng = random.Random(11)
+    names = [f"q{i}" for i in range(7)] + ["long_name"]
+    for trial in range(30):
+        objective = random_polynomial(rng, names[: rng.randint(3, 8)], max_terms=14)
+        h = build(pubo_from_polynomial(objective))
+        if trial % 2:
+            merged = merge_exact(h, rng.randint(3, 4))
+            h, coloring = merged.hypergraph, merged.coloring
+        else:
+            coloring = color_exact(h)
+        sched = schedule(h, coloring, p=rng.randint(1, 3))
+        for color in (False, True):
+            assert render_schedule_text(sched, color) == render_schedule_text_reference(sched, color)
+
+
 def test_dumps_is_deterministic(general_problem):
     assert dumps(problem_to_json(general_problem)) == dumps(problem_to_json(general_problem))
 
@@ -267,13 +286,41 @@ _scalars = (
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**300)
     | st.integers(max_value=-(2**64)) | _strings
 )
+_keys = st.sampled_from(["a", "b", 'a"', "a#"])  # few keys, so key sets repeat and overlap
+
+
+def _records(inner):
+    """Lists of dicts that share one key set, and lists whose key sets differ."""
+    shared = st.lists(_keys, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({key: inner for key in keys}), max_size=5)
+    )
+    return shared | st.lists(st.dictionaries(_keys, inner, max_size=3), max_size=5)
+
+
+def _nested(inner):
+    """Lists of lists, some or all empty, with tuples mixed in."""
+    member = st.lists(inner, max_size=3) | st.just([]) | st.lists(inner, max_size=3).map(tuple)
+    return st.lists(member, max_size=5) | st.lists(st.just([]), min_size=1, max_size=3)
+
+
+# One column mixing every kind a JSON value can take.
+_mixed = st.integers() | st.booleans() | st.none() | _strings
+_mixed_column = st.lists(
+    st.fixed_dictionaries(
+        {"k": _mixed | st.dictionaries(_keys, _mixed, max_size=2) | st.lists(_mixed, max_size=2)}
+    ),
+    max_size=6,
+)
+
 _json_values = st.recursive(
     _scalars
     | st.lists(st.booleans() | st.integers(), max_size=6)
-    | st.just([]) | st.just({}) | st.just([[], {}, [[]]]),
+    | st.just([]) | st.just({}) | st.just([[], {}, [[]]]) | _mixed_column,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
-    | st.dictionaries(_strings, inner, max_size=5),
+    | st.dictionaries(_strings, inner, max_size=5)
+    | _records(inner)
+    | _nested(inner),
     max_leaves=25,
 )
 
@@ -284,6 +331,14 @@ _json_values = st.recursive(
 @example([1, True, 0])  # a bool is not encoded as an int
 @example({"a": False, "b": 0})
 @example((("a", 'q"'), ("", "caf\u00e9")))
+@example([{"a#": 1, 'a"': [2]}, {'a"': [], "a#": "x"}])  # one key set, in any insertion order
+@example([{"a": 1}, {"b": 2}, {"a": 3}, {}, {"a": 4, "b": 5}])  # key sets differ
+@example([{"a": 1}, {"a": 2, "b": 3}])  # every dict has the first's keys, one has more
+@example([[1, 2], [], [3], [], [[]]])  # some members empty
+@example([[], [], ()])  # all members empty
+@example([{"k": 1}, {"k": True}, {"k": None}, {"k": "s"}, {"k": {"a": 0}}, {"k": [False]},
+          {"k": 2}, {"k": {}}, {"k": []}, {"k": False}])  # one column of every kind
+@example([[1, "a"], ("b", 2), [], (), [[3]], ([4],)])  # lists and tuples in one list
 def test_dumps_matches_json_dumps(value):
     assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
@@ -299,6 +354,8 @@ def test_golden_json_is_a_fixed_point_of_dumps(path):
     [
         1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "x"}, {"a": {True: 1}}, {None: 1}, b"x",
         {"a": 1, "b": 0.5}, [1, "x", 2.5],
+        [{"a": 1}, {"a": 0.5}], [[1], [2.5]], [[], [0.5]], [{1: 2}, {1: 3}],
+        [{"a": [1.5]}, {"a": [2]}],
     ],
 )
 def test_dumps_rejects_values_json_cannot_hold_exactly(value):
@@ -307,9 +364,10 @@ def test_dumps_rejects_values_json_cannot_hold_exactly(value):
 
 
 def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
-    # Each container joins its own parts once, so the peak is about twice
-    # the text.  One list of pieces for the whole document holds every piece
-    # at once (about 8x) and raises the process's peak RSS.
+    # A list's items stay lazy iterators until the list joins them once, with
+    # its brackets folded into the first and last item, so the peak is about
+    # twice the text (2.00x here).  Materialized columns, or brackets added
+    # around a join, copy the text again and raise the process's peak RSS.
     rng = random.Random(1000)
     edges = set()
     while len(edges) < 1500:
@@ -328,4 +386,67 @@ def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
     finally:
         tracemalloc.stop()
     assert text == out.read_text(encoding="utf-8")
-    assert peak <= 5 * len(text)
+    assert peak <= 2.5 * len(text)
+
+
+def _random_coeff(rng):
+    """A nonzero int or, half the time, a non-integral rational."""
+    num = rng.choice([-3, -2, -1, 1, 2, 3])
+    return num if rng.random() < 0.5 else {"num": 2 * num + 1, "den": rng.choice([2, 4])}
+
+
+def _general_problem_json(rng) -> dict:
+    """Six variables, rational data, one redundant constraint (dropped) and two kept."""
+    names = [f"x{i}" for i in range(1, 7)]
+    objective = [
+        {"vars": sorted(rng.sample(names, rng.randint(1, 3))), "coeff": _random_coeff(rng)}
+        for _ in range(8)
+    ]
+    pairs = [sorted(rng.sample(names, 2)) for _ in range(3)]
+    constraints = [
+        {"terms": [{"vars": pair, "coeff": 1} for pair in pairs], "rhs": 3, "label": "loose"},
+        {"terms": [{"vars": [name], "coeff": {"num": 3, "den": 2}} for name in names[:3]],
+         "rhs": 2, "label": "tight"},
+        {"terms": [{"vars": pairs[0], "coeff": 2}, {"vars": [names[5]], "coeff": 1}],
+         "rhs": 2, "lower": 1},
+    ]
+    return {"sense": "max", "variables": names, "objective": objective, "constraints": constraints}
+
+
+def test_every_json_subcommand_writes_canonical_text(tmp_path):
+    # Real artifacts hold every shape the encoder takes apart: coefficient
+    # columns mixing ints and {"num", "den"}, dualization records whose key
+    # sets differ (dropped or kept), mixer gates without terms, knapsack
+    # slack bits and merged gates.
+    rng = random.Random(2008)
+    general = tmp_path / "general.json"
+    general.write_text(json.dumps(_general_problem_json(rng)), encoding="utf-8")
+    clauses = [[rng.choice([1, -1]) * v for v in rng.sample(range(1, 6), 3)] for _ in range(3)]
+    sat = tmp_path / "sat.json"
+    write_problem(make_sat(clauses), str(sat))
+    edges = sorted({tuple(sorted(rng.sample(range(1, 9), 2))) for _ in range(12)})
+    graph = tmp_path / "g.dimacs"
+    graph.write_text(f"p edge 8 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    sources = {
+        "general": ["--problem", str(general), "--gate-width", "3"],
+        "sat": ["--problem", str(sat)],
+        "maxindset": ["--family", "maxindset", "--graph", str(graph)],
+        "knapsack": ["--family", "knapsack", "--values", "3,1/2,4,2", "--weights", "1,2,3,4",
+                     "--capacity", "6", "--preprocess"],
+    }
+    flag_sets = [[], ["--iterations", "3"], ["--method", "merge-exact", "--gate-width", "4"]]
+    seen_dropped = set()
+    for name, source in sources.items():
+        for command in ("dualize", "graph", "color", "schedule", "analyze", "verify"):
+            for flags in flag_sets:
+                out = tmp_path / f"{name}-{command}-{len(flags)}.json"
+                assert cli_main([command, *source, *flags, "--out", str(out)]) == 0
+                text = out.read_text(encoding="utf-8")
+                data = json.loads(text)
+                assert text == dumps(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+                for record in data.get("pubo", {}).get("dualization", []):
+                    seen_dropped.add(record["dropped"])
+    assert seen_dropped == {True, False} and {type(v) for v in seen_dropped} == {bool}
+    analyze = json.loads((tmp_path / "general-analyze-0.json").read_text(encoding="utf-8"))
+    coeffs = [term["coeff"] for term in analyze["problem"]["objective"]]
+    assert {type(c) for c in coeffs} == {int, dict}
