@@ -510,13 +510,14 @@ def dumps(data) -> str:
     key, raises ``TypeError``.  Strings are escaped by the C function
     ``json`` uses.
 
-    The envelope and each section dict are encoded one at a time, but the
-    items of a list are encoded together, a column at a time (``_texts``):
-    all strings or all ints with one ``map``; dicts of one key set as one
-    column per key, zipped between constant key prefixes; lists as one
-    column of all their items, regrouped by length.  Mixed types become one
-    column per type, read back in the items' order, and dicts of differing
-    key sets become runs of one key set.  So the Python work grows with the
+    The envelope, each section dict and a list of one item are encoded one
+    value at a time, but the items of a longer list are encoded together, a
+    column at a time (``_texts``): all strings or all ints with one ``map``;
+    dicts of one key set as one column per key, zipped between constant key
+    prefixes; lists as one column of all their items, regrouped by length.
+    Mixed types become one column per type, read back in the items' order,
+    and dicts of differing key sets become runs of one key set, a run of one
+    taking the direct path.  So the Python work grows with the
     number of shapes and the nesting depth, not with the number of terms and
     gates.  Texts stay lazy iterators until a list joins its items,
     once, with its brackets folded into the first and last item, so the
@@ -565,6 +566,8 @@ def _encode(value, newline: str) -> str:
 
 def _texts(items, newline: str):
     """An iterator over ``_encode(item, newline)`` for each of ``items``, in order."""
+    if len(items) == 1:  # a single value, as in a run of one key set, keeps the direct path
+        return iter((_encode(items[0], newline),))
     kinds = set(map(type, items))
     if len(kinds) != 1:  # one column per type, read back in the items' order
         order = list(map(type, items))
@@ -602,7 +605,7 @@ def _texts(items, newline: str):
         flat = _texts(list(chain.from_iterable(items)), inner)
         brackets = (("[", "]"), ("[" + inner, newline + "]"))
         size = lengths[0]
-        if size and lengths.count(size) == len(lengths):  # equal lengths: zip regroups
+        if size and lengths.count(size) == len(lengths):  # equal lengths: zip, no islice per item
             return map(str.join, map(("," + inner).join, zip(*[flat] * size)), repeat(brackets[1]))
         return map(str.join, map(("," + inner).join, map(islice, repeat(flat), lengths)),
                    map(brackets.__getitem__, map(bool, lengths)))
