@@ -153,7 +153,7 @@ def _config_snapshot(args) -> dict:
     )
     snapshot = {key: getattr(args, key, None) for key in keys}
     if args.penalty_weight is not None:
-        snapshot["lambda"] = io_mod.rational_to_json(args.penalty_weight)
+        snapshot["lambda"] = args.penalty_weight
     return snapshot
 
 
@@ -162,8 +162,8 @@ def _penalty_oracle(result, args) -> dict:
     return {
         "passed": check.passed,
         "detail": check.detail,
-        "optima": [list(bits) for bits in check.constrained_argmin],
-        "variable_order": list(check.variable_order),
+        "optima": check.constrained_argmin,
+        "variable_order": check.variable_order,
     }
 
 
@@ -183,7 +183,7 @@ _SECTIONS = {
     "flags": lambda r, args: {
         "budget_exceeded": r.budget_exceeded,
         "coloring_exact": r.coloring.method == "exact",
-        "notes": list(r.notes),
+        "notes": r.notes,
     },
     "penalty_oracle": _penalty_oracle,
     "phase_oracle": _phase_oracle,

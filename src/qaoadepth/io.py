@@ -28,6 +28,12 @@ Problem JSON schema::
 quotes; the figure itself is computed from the problem's own structure.
 ``family_info`` is float-free metadata: it is copied into every artifact
 and never read.
+
+The ``*_to_json`` builders return what :func:`dumps` writes, not plain
+``json`` values: they pass the model's ints, Fractions and tuples through
+as they are, and only the encoder knows the ``{"num", "den"}`` format
+(with :func:`rational_from_json`, which reads it back).  Every artifact is
+written through :func:`dumps`.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ TOOL_NAME = "qaoadepth"
 
 
 def rational_to_json(value: Scalar):
+    """The JSON value :func:`dumps` writes for an exact number."""
     if value.denominator == 1:
         return value.numerator
     return {"num": value.numerator, "den": value.denominator}
@@ -97,27 +104,12 @@ def _reject_floats(value, path: str) -> None:
             _reject_floats(item, f"{path}[{i}]")
 
 
-def _jsonify(value):
-    """Recursively convert Fractions and tuples into JSON-plain values."""
-    if isinstance(value, (list, tuple)):
-        out = []
-        for item in value:
-            kind = type(item)  # an int or str, such as a MaxCut edge's end, costs no call
-            out.append(item if kind is int or kind is str else _jsonify(item))
-        return out
-    if isinstance(value, Fraction):
-        return rational_to_json(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    return value
-
-
 # -- polynomials -------------------------------------------------------------
 
 
 def _terms_to_json(pairs) -> list[dict]:
     """``{"vars", "coeff"}`` records of (support, coefficient) pairs, in the given order."""
-    return [{"vars": list(s), "coeff": rational_to_json(c)} for s, c in pairs]
+    return [{"vars": s, "coeff": c} for s, c in pairs]
 
 
 def polynomial_to_json(p: Polynomial) -> list[dict]:
@@ -155,21 +147,21 @@ def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
 def problem_to_json(problem: Problem) -> dict:
     out: dict[str, Any] = {
         "sense": problem.sense,
-        "variables": list(problem.variables),
+        "variables": problem.variables,
         "objective": polynomial_to_json(problem.objective),
         "constraints": [],
     }
     for con in problem.constraints:
         entry: dict[str, Any] = {
             "terms": polynomial_to_json(con.lhs),
-            "rhs": rational_to_json(con.rhs),
+            "rhs": con.rhs,
         }
         if con.weight is not None:
-            entry["lambda"] = rational_to_json(con.weight)
+            entry["lambda"] = con.weight
         if con.lower is not None:
-            entry["lower"] = rational_to_json(con.lower)
+            entry["lower"] = con.lower
         if con.slack_bound is not None:
-            entry["slack_bound"] = rational_to_json(con.slack_bound)
+            entry["slack_bound"] = con.slack_bound
         if con.label:
             entry["label"] = con.label
         if con.reference_expansion is not None:
@@ -178,7 +170,7 @@ def problem_to_json(problem: Problem) -> dict:
     if problem.family is not None:
         out["family"] = problem.family
     if problem.family_info:
-        out["family_info"] = _jsonify(problem.family_info)
+        out["family_info"] = problem.family_info
     return out
 
 
@@ -265,8 +257,10 @@ def read_problem(path: str) -> Problem:
 
 
 def write_problem(problem: Problem, path: str) -> None:
+    # Encoded before the file is opened, so a value dumps rejects leaves it as it was.
+    text = dumps(problem_to_json(problem))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(problem_to_json(problem)))
+        handle.write(text)
 
 
 # -- DIMACS edge files -------------------------------------------------------
@@ -387,11 +381,7 @@ def expansion_diff_to_json(diff: ExpansionDiff) -> dict:
         "missing_in_reference": _terms_to_json(sorted(diff.missing_in_reference)),
         "unexpected_in_reference": _terms_to_json(sorted(diff.unexpected_in_reference)),
         "coefficient_mismatches": [
-            {
-                "vars": list(s),
-                "computed": rational_to_json(a),
-                "reference": rational_to_json(b),
-            }
+            {"vars": s, "computed": a, "reference": b}
             for s, a, b in sorted(diff.coefficient_mismatches)
         ],
     }
@@ -406,16 +396,16 @@ def dualization_to_json(record: ConstraintDualization) -> dict:
     if record.dropped:
         out["reason"] = record.reason
     if record.cube_min is not None:
-        out["cube_min"] = rational_to_json(record.cube_min)
+        out["cube_min"] = record.cube_min
         out["cube_min_exact"] = record.cube_min_exact
     if not record.dropped:
-        out["slack_range"] = rational_to_json(record.slack_range)
+        out["slack_range"] = record.slack_range
         out["slack_bits"] = record.bit_count
-        out["slack_vars"] = list(record.slack_vars)
-        out["penalty_weight"] = rational_to_json(record.weight)
+        out["slack_vars"] = record.slack_vars
+        out["penalty_weight"] = record.weight
         out["penalty"] = polynomial_to_json(record.penalty)
     if record.notes:
-        out["notes"] = list(record.notes)
+        out["notes"] = record.notes
     if record.expansion_diff is not None:
         out["expansion_diff"] = expansion_diff_to_json(record.expansion_diff)
     return out
@@ -424,24 +414,20 @@ def dualization_to_json(record: ConstraintDualization) -> dict:
 def pubo_to_json(pubo: Pubo) -> dict:
     return {
         "objective": polynomial_to_json(pubo.objective),
-        "constant_offset": rational_to_json(pubo.constant_offset),
+        "constant_offset": pubo.constant_offset,
         "original_sense": pubo.original_sense,
-        "variables": list(pubo.variables),
-        "slack_variables": list(pubo.slack_names()),
+        "variables": pubo.variables,
+        "slack_variables": pubo.slack_names(),
         "dualization": [dualization_to_json(r) for r in pubo.dualizations],
     }
 
 
 def hypergraph_to_json(h: DerivedHypergraph) -> dict:
     return {
-        "vertices": list(h.vertices),
-        "edges": [
-            {"support": list(e.support), "terms": len(e.monomials)} for e in h.edges
-        ],
-        "singletons": [
-            {"var": name, "coeff": rational_to_json(coeff)} for name, coeff in h.singletons
-        ],
-        "constant": rational_to_json(h.constant),
+        "vertices": h.vertices,
+        "edges": [{"support": e.support, "terms": len(e.monomials)} for e in h.edges],
+        "singletons": [{"var": name, "coeff": coeff} for name, coeff in h.singletons],
+        "constant": h.constant,
         "max_degree": h.max_degree(),
         "linear": h.is_linear(),
         "uniform_size": h.uniform_size(),
@@ -452,7 +438,7 @@ def coloring_to_json(coloring: EdgeColoring) -> dict:
     return {
         "method": coloring.method,
         "num_colors": coloring.num_colors,
-        "classes": [list(cls) for cls in coloring.classes],
+        "classes": coloring.classes,
         "lower_bound": coloring.lower_bound,
         "upper_bounds": [asdict(r) for r in coloring.upper_bound_refs],
     }
@@ -464,13 +450,13 @@ def schedule_to_json(sched: CircuitSchedule) -> dict:
         angle = "beta" if layer.kind == "mixer" else "gamma"
         gates = []
         for gate in layer.gates:
-            entry: dict[str, Any] = {"qubits": list(gate.support)}
+            entry: dict[str, Any] = {"qubits": gate.support}
             if layer.kind != "mixer":
                 entry["terms"] = _terms_to_json(gate.monomials)
             gates.append(entry)
         layers.append({"kind": layer.kind, "angle": angle, "gates": gates})
     return {
-        "variables": list(sched.variables),
+        "variables": sched.variables,
         "iterations": sched.iterations,
         "structural_depth": sched.structural_depth,
         "total_depth": sched.iterations * sched.structural_depth,
@@ -479,40 +465,32 @@ def schedule_to_json(sched: CircuitSchedule) -> dict:
 
 
 def depth_report_to_json(report: DepthReport) -> dict:
-    out: dict[str, Any] = {
+    fb = report.family_bound
+    return {
         "structural_depth": report.structural_depth,
         "coloring_depth": report.coloring_depth,
         "singleton_overhead": report.singleton_overhead,
-        "notes": list(report.notes),
+        "notes": report.notes,
+        "family_bound": None if fb is None else asdict(fb),
     }
-    if report.family_bound is not None:
-        fb = report.family_bound
-        out["family_bound"] = {
-            "family": fb.family,
-            "formula": fb.formula,
-            "value": fb.value,
-            "matches_structural": fb.matches_structural,
-            "details": _jsonify(fb.details),
-            "note": fb.note,
-        }
-    else:
-        out["family_bound"] = None
-    return out
 
 
 def dumps(data) -> str:
     """Canonical JSON text: sorted keys, stable indentation, trailing newline.
 
-    The text is byte-identical to ``json.dumps(data, indent=2,
-    sort_keys=True) + "\\n"``, which runs a pure-Python generator.  Accepted
-    values are exactly dicts with ``str`` keys, lists, tuples, strings, ints,
-    bools and ``None``; anything else, including a float or a non-``str``
-    key, raises ``TypeError``.  Strings are escaped by the C function
-    ``json`` uses.
+    Accepted values are exactly dicts with ``str`` keys, lists, tuples,
+    strings, ints, ``Fraction``s, bools and ``None``; anything else,
+    including a float or a non-``str`` key, raises ``TypeError``.  A
+    ``Fraction`` is written as :func:`rational_to_json` gives it: a whole
+    one as its int, any other as ``{"num", "den"}``.  With every Fraction so
+    replaced, the text is byte-identical to ``json.dumps(data, indent=2,
+    sort_keys=True) + "\\n"``, which runs a pure-Python generator.  Strings
+    are escaped by the C function ``json`` uses.
 
     The envelope, each section dict and a list of one item are encoded one
     value at a time, but the items of a longer list are encoded together, a
     column at a time (``_texts``): all strings or all ints with one ``map``;
+    Fractions as the column of their ints and ``{"num", "den"}`` dicts;
     dicts of one key set as one column per key, zipped between constant key
     prefixes; lists as one column of all their items, regrouped by length.
     Mixed types become one column per type, read back in the items' order,
@@ -557,6 +535,8 @@ def _encode(value, newline: str) -> str:
         parts[0] = "[" + inner + parts[0]
         parts[-1] += newline + "]"
         return ("," + inner).join(parts)
+    if kind is Fraction:
+        return _encode(rational_to_json(value), newline)
     if value is None:
         return "null"
     if kind is bool:
@@ -579,6 +559,8 @@ def _texts(items, newline: str):
         return map(_quote, items)
     if kind is int:
         return map(int.__repr__, items)
+    if kind is Fraction:  # ints and {"num", "den"} dicts, which take their own columns
+        return _texts(list(map(rational_to_json, items)), newline)
     inner = newline + "  "
     if kind is dict:
         keys = sorted(items[0])

@@ -337,12 +337,12 @@ class Polynomial:
     def minimum_over_cube(self) -> tuple[Scalar, bool]:
         """Minimum over all binary assignments, and whether it is exact.
 
-        Exact in closed form for degree <= 1: the constant plus
-        sum(min(0, coeff)) over the variables, each set on its own.  A
-        nonlinear polynomial is enumerated when at most
-        ``EXACT_ENUMERATION_LIMIT`` variables occur; otherwise the interval
-        lower bound sum(min(0, coeff)) is returned, which never exceeds the
-        true minimum.
+        When no two terms share a variable (degree <= 1, or one term), each
+        term reaches ``min(0, coeff)`` on its own variables, so the constant
+        plus those minima is exact in closed form.  Otherwise the polynomial
+        is enumerated when at most ``EXACT_ENUMERATION_LIMIT`` variables
+        occur; above that the same closed form is returned, flagged inexact:
+        an interval lower bound that never exceeds the true minimum.
         """
         return self._cube_extreme(min)
 
@@ -351,16 +351,16 @@ class Polynomial:
         return self._cube_extreme(max)
 
     def _cube_extreme(self, pick) -> tuple[Scalar, bool]:
-        # Every branch works on ints, the coefficients times their common
-        # denominator, and divides back once.
+        # Both branches work on ints, the coefficients times their common
+        # denominator, and divide back once.
         scale = self.common_denominator()
-        if self.degree() <= 1:
+        size = len(self.variables())
+        disjoint = sum(map(len, self._terms)) == size
+        if disjoint or size > EXACT_ENUMERATION_LIMIT:
             scaled = self._scaled_terms(scale)
             value = scaled.get((), 0) + sum([pick(0, c) for s, c in scaled.items() if s])
-            return ratio(value, scale), True
-        if len(self.variables()) <= EXACT_ENUMERATION_LIMIT:
-            return ratio(pick((self * scale).values_over_cube()), scale), True
-        return ratio(sum([pick(0, c) for c in self._scaled_terms(scale).values()]), scale), False
+            return ratio(value, scale), disjoint
+        return ratio(pick((self * scale).values_over_cube()), scale), True
 
     def _scaled_terms(self, scale: int) -> dict[Support, int]:
         """The terms times ``scale``, a multiple of every denominator, as ints."""

@@ -336,8 +336,7 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
         ]
         lhs = Polynomial.from_terms(((name,), 1) for name in members)
         rhs = len(q) - 1
-        upper = sum([max(0, c) for _, c in lhs.terms()])
-        if upper <= rhs:
+        if lhs.maximum_over_cube()[0] <= rhs:
             warnings.warn(f"subtour constraint on {q} can never bind; dropping it")
             continue
         constraints.append(Constraint(lhs=lhs, rhs=rhs, label=f"subtour({','.join(map(str, q))})"))

@@ -12,6 +12,7 @@ from qaoadepth import (
     InstanceGraph,
     InvalidInputError,
     Polynomial,
+    Problem,
     color_exact,
     build,
     dualize,
@@ -80,7 +81,7 @@ def test_roundtrip_preserves_semantics(tmp_path, general_problem):
 
 def test_rationals_survive_the_json_trip():
     poly = Polynomial({("x1",): Fraction(1, 3), (): Fraction(-5, 2)})
-    data = polynomial_to_json(poly)
+    data = json.loads(dumps(polynomial_to_json(poly)))
     assert {"vars": ["x1"], "coeff": {"num": 1, "den": 3}} in data
     assert polynomial_from_json(data, {"x1"}, "poly") == poly
 
@@ -282,9 +283,11 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _strings = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
     ["", "\x00\x1f\x7f", 'q"uo\\te', "caf\u00e9", "\u2028\ud800", "\U0001f600", "a#", 'a"']
 )
+# Fractions: whole ones too, which are written as their ints.
+_fractions = st.fractions(max_denominator=12) | st.integers(-5, 5).map(Fraction)
 _scalars = (
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**300)
-    | st.integers(max_value=-(2**64)) | _strings
+    | st.integers(max_value=-(2**64)) | _strings | _fractions
 )
 _keys = st.sampled_from(["a", "b", 'a"', "a#"])  # few keys, so key sets repeat and overlap
 
@@ -304,7 +307,7 @@ def _nested(inner):
 
 
 # One column mixing every kind a JSON value can take.
-_mixed = st.integers() | st.booleans() | st.none() | _strings
+_mixed = st.integers() | _fractions | st.booleans() | st.none() | _strings
 _mixed_column = st.lists(
     st.fixed_dictionaries(
         {"k": _mixed | st.dictionaries(_keys, _mixed, max_size=2) | st.lists(_mixed, max_size=2)}
@@ -315,6 +318,7 @@ _mixed_column = st.lists(
 _json_values = st.recursive(
     _scalars
     | st.lists(st.booleans() | st.integers(), max_size=6)
+    | st.lists(st.integers() | _fractions, max_size=6)
     | st.just([]) | st.just({}) | st.just([[], {}, [[]]]) | _mixed_column,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
@@ -323,6 +327,19 @@ _json_values = st.recursive(
     | _nested(inner),
     max_leaves=25,
 )
+
+
+def _plain(value):
+    """``value`` with each Fraction as its int or ``{"num", "den"}`` and each tuple a list."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -339,8 +356,25 @@ _json_values = st.recursive(
 @example([{"k": 1}, {"k": True}, {"k": None}, {"k": "s"}, {"k": {"a": 0}}, {"k": [False]},
           {"k": 2}, {"k": {}}, {"k": []}, {"k": False}])  # one column of every kind
 @example([[1, "a"], ("b", 2), [], (), [[3]], ([4],)])  # lists and tuples in one list
+@example(Fraction(4, 2))  # a whole Fraction is its int
+@example([Fraction(-1, 3)])  # a list of one item takes the direct path
+@example([{"vars": ("x1",), "coeff": 2}, {"vars": (), "coeff": Fraction(-5, 2)},
+          {"vars": ("x1", "x2"), "coeff": Fraction(1, 3)}])  # an int/Fraction coefficient column
+# Fractions inside dicts of one key set
+@example([{"a": Fraction(1, 2), "b": [Fraction(3)]}, {"b": (), "a": Fraction(-7, 4)}])
 def test_dumps_matches_json_dumps(value):
-    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert dumps(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+
+
+def test_family_info_with_a_non_str_key_is_rejected_on_write(tmp_path):
+    problem = Problem("min", Polynomial.variable("a"), (), ("a",), family_info={1: "x"})
+    with pytest.raises(TypeError):
+        dumps(problem_to_json(problem))
+    path = tmp_path / "problem.json"
+    path.write_text("{}\n")
+    with pytest.raises(TypeError):
+        write_problem(problem, str(path))
+    assert path.read_text() == "{}\n"
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)

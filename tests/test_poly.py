@@ -120,7 +120,7 @@ def test_minimum_over_cube_interval_fallback_is_lower_bound(monkeypatch):
         names = [f"x{i}" for i in range(1, rng.randint(2, 7))]
         p = random_polynomial(rng, names)
         bound, exact = p.minimum_over_cube()
-        assert exact == (p.degree() <= 1)
+        assert exact == (sum(map(len, p.supports())) == len(p.variables()))
         if exact:
             assert bound == exhaustive_minimum(p)
         else:
@@ -163,6 +163,48 @@ def test_wide_linear_lhs_is_bounded_without_enumeration(monkeypatch):
     high = 3 + sum(Fraction(2 * i - 27, 4) for i in range(14, 26))
     assert p.minimum_over_cube() == (low, True)
     assert p.maximum_over_cube() == (high, True)
+
+
+def test_disjoint_supports_are_bounded_without_enumeration(monkeypatch):
+    def no_enumeration(self, order=None):
+        raise AssertionError("values_over_cube called for terms sharing no variable")
+
+    rng = random.Random(29)
+    cases = []
+    for _ in range(60):
+        names = [f"x{i}" for i in range(1, rng.randint(2, 10))]
+        rng.shuffle(names)
+        terms = [((), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))]
+        while names:  # consecutive groups of 1-4 names, one term each
+            size = rng.randint(1, 4)
+            group, names = names[:size], names[size:]
+            coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            terms.append((group, coeff))
+        p = Polynomial.from_terms(terms)
+        cases.append((p, exhaustive_minimum(p), -exhaustive_minimum(-p)))
+    assert any(p.degree() > 1 for p, _, _ in cases)
+    monkeypatch.setattr(Polynomial, "values_over_cube", no_enumeration)
+    for p, low, high in cases:
+        assert p.minimum_over_cube() == (low, True)
+        assert p.maximum_over_cube() == (high, True)
+    # 25 disjoint pairs: past the enumeration limit, still exact.
+    coeffs = [Fraction(2 * i - 25, 3) for i in range(25)]  # negative for i < 13
+    wide = Polynomial.from_terms([((), 2)] + [((f"a{i}", f"b{i}"), c) for i, c in enumerate(coeffs)])
+    assert len(wide.variables()) > poly_mod.EXACT_ENUMERATION_LIMIT
+    assert wide.minimum_over_cube() == (2 + sum(coeffs[:13]), True)
+    assert wide.maximum_over_cube() == (2 + sum(coeffs[13:]), True)
+
+
+def test_interval_bound_keeps_the_constant(monkeypatch):
+    # x1*x2 and x2*x3 share x2, so above the limit both extremes are interval bounds.
+    monkeypatch.setattr(poly_mod, "EXACT_ENUMERATION_LIMIT", 0)
+    terms = {("x1", "x2"): 1, ("x2", "x3"): -2, ("x1", "x3", "x4"): 3}
+    low, exact = Polynomial({(): 5, **terms}).minimum_over_cube()
+    assert (low, exact) == (3, False)
+    assert low <= exhaustive_minimum(Polynomial({(): 5, **terms}))
+    high, exact = Polynomial({(): -5, **terms}).maximum_over_cube()
+    assert (high, exact) == (-1, False)
+    assert high >= -exhaustive_minimum(-Polynomial({(): -5, **terms}))
 
 
 def test_maximum_over_cube_interval_fallback_is_upper_bound(monkeypatch):
@@ -302,7 +344,10 @@ def test_nonlinear_cube_extremes_enumerate_integer_tables(monkeypatch):
     rng = random.Random(43)
     for _ in range(40):
         names = [f"x{i}" for i in range(1, rng.randint(3, 7))]
-        p = random_rational_polynomial(rng, names) + Polynomial({tuple(names[:2]): Fraction(1, 5)})
+        # x1*x2 and x2 (or x2*x3) share x2, so no closed form applies.
+        overlap = Polynomial({tuple(names[:2]): Fraction(1, 5),
+                              tuple(names[1:3]): Fraction(1, 7)})
+        p = random_rational_polynomial(rng, names) + overlap
         low, high = p.minimum_over_cube(), p.maximum_over_cube()
         assert low == (exhaustive_minimum(p), True)
         assert high == (-exhaustive_minimum(-p), True)
