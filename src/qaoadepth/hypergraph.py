@@ -17,8 +17,13 @@ Two reductions shrink the gate count under a hardware width limit L:
 
 :func:`search_layers` is the one branch-and-bound search: ``merge_exact``
 runs it with the width limit, the exact edge coloring with merging off.
-Its state is integer qubit masks, changed in place and undone on backtrack;
-its DSATUR branching order and tie-breaks set the node counts the tests pin.
+Its DSATUR branching order and tie-breaks set the node counts the tests pin.
+Its state is integers: gates and layers are masks over qubits, and sets of
+edges are masks over edges, with the bits in branching-preference order.
+Each layer keeps the mask of edges it touches (saturation) and of edges it
+bars (no gate of width L could take them in it); the saturation counts are
+bit-sliced over a few digit masks, so a node picks its edge and rejects a
+layer with a handful of whole-mask operations.
 """
 
 from __future__ import annotations
@@ -171,10 +176,14 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
 
     Chains collapse into their maximal element.  Edges wider than the limit
     are kept as-is (they can absorb nothing and will be rejected by the
-    width check downstream).
+    width check downstream).  When nothing is absorbed and ``h`` is already
+    in the order the result is built in (as :func:`build` and this function
+    leave it), ``h`` itself is returned, with the properties it has cached.
     """
     if limit < 2:
         raise InvalidInputError(f"gate width limit must be >= 2, got {limit}")
+    if all(len(e.support) >= limit for e in h.edges) and _in_built_order(h.edges):
+        return h  # no edge is narrow enough to be absorbed
 
     def rank(i: int) -> tuple[int, Support]:
         """Widest first, ties by support: the order edges are visited and hosts preferred."""
@@ -204,12 +213,21 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
         else:
             kept[host].extend(edge.monomials)
 
+    if len(kept) == len(h.edges) and _in_built_order(h.edges):
+        return h
     new_edges = [
         Hyperedge(support=h.edges[index].support, monomials=tuple(sorted(monomials)))
         for index, monomials in kept.items()
     ]
     new_edges.sort(key=lambda e: e.support)
     return replace(h, edges=tuple(new_edges))
+
+
+def _in_built_order(edges: Sequence[Hyperedge]) -> bool:
+    """True when ``edges`` are sorted by support and each one's monomials are sorted."""
+    return all(a.support <= b.support for a, b in zip(edges, edges[1:])) and all(
+        list(e.monomials) == sorted(e.monomials) for e in edges if len(e.monomials) > 1
+    )
 
 
 @dataclass(frozen=True)
@@ -240,9 +258,21 @@ def search_layers(
     must pairwise conflict, open the first layers, one each.  The search
     stops at a solution with ``lower`` layers.
 
-    Supports are bit masks over the touched vertices, and a layer is its
-    ``[mask, members]`` gates next to their union mask, changed in place
-    and undone on backtrack.
+    Supports are bit masks over the touched vertices.  Sets of edges are bit
+    masks too, each edge's bit at its rank in the tie-break order (conflict
+    degree, then -index), so the highest bit of a set is the edge preferred.
+    Per edge, ``near`` holds its conflicts and ``clash`` those of them that
+    no gate of width ``limit`` can hold together with it (with ``limit=0``,
+    all of them).  Per layer, next to its ``[mask, members]`` gates and
+    their union mask, ``touching`` holds the edges conflicting with a member
+    and ``barred`` the edges clashing with one: a barred edge is rejected
+    without a look at the gates, any other still gets the full width check.
+    Saturations are bit-sliced: bit b of ``digits[d]`` is digit d of edge
+    b's count, and a placement adds one, by ripple carry, to the edges it
+    newly touches.  ``max(incumbent, len(seed)).bit_length()`` digits hold
+    any count, as none exceeds the number of layers.  Layers and their
+    masks change in place and are restored on backtrack; the digits and the
+    unplaced edges are passed down.
 
     Returns the member lists of each layer's gates in the best solution
     (None if none beats ``incumbent``) and the number of nodes explored.
@@ -252,45 +282,51 @@ def search_layers(
         raise InvalidInputError(f"search budget must be >= 0, got {budget}")
     if incumbent <= lower:
         return None, 0
-    bit = {name: 1 << position for position, name in enumerate(h.incident)}
-    masks = [sum(bit[name] for name in e.support) for e in h.edges]
+    qubit = {name: 1 << position for position, name in enumerate(h.incident)}
     conflicts = h.conflicts
-    m = len(masks)
-    # score[i] = saturation * m + rank of (conflict degree, -i), kept up to
-    # date as edges come and go; a placed edge's score is m * (m + 1) lower,
-    # so the branching edge is the one with the highest score.
-    score = [0] * m
-    for rank, edge in enumerate(sorted(range(m), key=lambda i: (len(conflicts[i]), -i))):
-        score[edge] = rank
-    placed_shift = m * (m + 1)
-    # in_layer[i][k]: placed edges conflicting with edge i that sit in layer k
-    in_layer = [[0] * max(incumbent, len(seed)) for _ in range(m)]
-    layers = [[[masks[edge], [edge]]] for edge in seed]  # per layer, its [mask, members] gates
-    unions = [masks[edge] for edge in seed]  # per layer, the mask of all qubits it acts on
+    m = len(conflicts)
+    edge_at = sorted(range(m), key=lambda i: (len(conflicts[i]), -i))  # rank -> edge
+    rank = {edge: position for position, edge in enumerate(edge_at)}
+    masks = [sum(qubit[name] for name in h.edges[edge].support) for edge in edge_at]
+    near = [sum(1 << rank[j] for j in conflicts[edge]) for edge in edge_at]
+    clash = [
+        sum(1 << rank[j] for j in conflicts[edge] if (mask | masks[rank[j]]).bit_count() > limit)
+        for mask, edge in zip(masks, edge_at)
+    ]
+    layers: list[list[list]] = []  # per layer, its [mask, members] gates
+    unions: list[int] = []  # per layer, the mask of all qubits it acts on
+    touching: list[int] = []
+    barred: list[int] = []
     best: list[list[list[int]]] | None = None
     best_count = incumbent
     nodes = 0
 
-    def place(edge: int, index: int) -> None:
-        score[edge] -= placed_shift
-        for j in conflicts[edge]:
-            row = in_layer[j]
-            row[index] += 1
-            if row[index] == 1:
-                score[j] += m
+    def place(position: int, index: int, digits: tuple[int, ...]) -> tuple[int, ...]:
+        """Add edge ``position`` to the masks of layer ``index``; the raised digits."""
+        rising = near[position] & ~touching[index]
+        touching[index] |= near[position]
+        barred[index] |= clash[position]
+        raised = []
+        for digit in digits:
+            raised.append(digit ^ rising)
+            rising &= digit
+        return tuple(raised)
 
-    def unplace(edge: int, index: int) -> None:
-        score[edge] += placed_shift
-        for j in conflicts[edge]:
-            row = in_layer[j]
-            row[index] -= 1
-            if not row[index]:
-                score[j] -= m
+    def open_layer(position: int, digits: tuple[int, ...]) -> tuple[int, ...]:
+        """Put edge ``position`` into a new last layer; the raised digits."""
+        layers.append([[masks[position], [edge_at[position]]]])
+        unions.append(masks[position])
+        touching.append(0)
+        barred.append(0)
+        return place(position, len(layers) - 1, digits)
 
-    for index, edge in enumerate(seed):
-        place(edge, index)
+    digits = (0,) * max(incumbent, len(seed)).bit_length()
+    unplaced = (1 << m) - 1
+    for edge in seed:
+        digits = open_layer(rank[edge], digits)
+        unplaced &= ~(1 << rank[edge])
 
-    def dfs(placed: int) -> bool:
+    def dfs(unplaced: int, digits: tuple[int, ...]) -> bool:
         """Extend the partial layers; True once a solution with ``lower`` layers is found."""
         nonlocal nodes, best, best_count
         nodes += 1
@@ -299,17 +335,26 @@ def search_layers(
             raise BudgetExceededError(budget, what)
         if len(layers) >= best_count:
             return False
-        if placed == m:
+        if not unplaced:
             best, best_count = [[ids for _, ids in gates] for gates in layers], len(layers)
             return best_count <= lower
-        edge = score.index(max(score))
-        mask = masks[edge]
+        # The most saturated unplaced edges, narrowed one digit at a time
+        # from the top; the highest bit left is the branching edge.
+        candidates = unplaced
+        for digit in reversed(digits):
+            if candidates & digit:
+                candidates &= digit
+        position = candidates.bit_length() - 1
+        bit = 1 << position
+        edge = edge_at[position]
+        mask = masks[position]
+        rest_unplaced = unplaced & ~bit
         for index in range(len(layers)):
+            if barred[index] & bit:
+                continue
             union, gates = unions[index], layers[index]
             if not union & mask:
                 gates.append([mask, [edge]])
-            elif not limit:
-                continue
             else:
                 merged = mask
                 for gate_mask, _ in gates:
@@ -322,9 +367,9 @@ def search_layers(
                 rest.append([merged, members + [edge]])
                 layers[index] = rest
             unions[index] = union | mask
-            place(edge, index)
-            stop = dfs(placed + 1)
-            unplace(edge, index)
+            saved = touching[index], barred[index]
+            stop = dfs(rest_unplaced, place(position, index, digits))
+            touching[index], barred[index] = saved
             unions[index] = union
             if layers[index] is gates:
                 gates.pop()
@@ -334,16 +379,14 @@ def search_layers(
                 return True
         if len(layers) + 1 >= best_count:
             return False
-        place(edge, len(layers))
-        layers.append([[mask, [edge]]])
-        unions.append(mask)
-        stop = dfs(placed + 1)
+        stop = dfs(rest_unplaced, open_layer(position, digits))
+        barred.pop()
+        touching.pop()
         unions.pop()
         layers.pop()
-        unplace(edge, len(layers))
         return stop
 
-    dfs(len(layers))
+    dfs(unplaced, digits)
     return best, nodes
 
 

@@ -447,13 +447,19 @@ def coloring_to_json(coloring: EdgeColoring) -> dict:
 def schedule_to_json(sched: CircuitSchedule) -> dict:
     layers = []
     for layer in sched.layers:
-        angle = "beta" if layer.kind == "mixer" else "gamma"
-        gates = []
-        for gate in layer.gates:
-            entry: dict[str, Any] = {"qubits": gate.support}
-            if layer.kind != "mixer":
-                entry["terms"] = _terms_to_json(gate.monomials)
-            gates.append(entry)
+        if layer.kind == "mixer":
+            angle, gates = "beta", [{"qubits": gate.support} for gate in layer.gates]
+        else:
+            # The layer's term records in one pass, then handed out gate by gate.
+            terms = iter([{"vars": s, "coeff": c} for gate in layer.gates for s, c in gate.monomials])
+            angle, gates = "gamma", [
+                {
+                    "qubits": gate.support,
+                    "terms": [next(terms)] if len(gate.monomials) == 1
+                    else list(islice(terms, len(gate.monomials))),
+                }
+                for gate in layer.gates
+            ]
         layers.append({"kind": layer.kind, "angle": angle, "gates": gates})
     return {
         "variables": sched.variables,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -158,6 +159,54 @@ def test_absorption_through_the_vertex_index_matches_the_scan():
             assert result == absorb_subsets_scan(h, limit)
             absorbed += len(h.edges) - len(result.edges)
     assert absorbed > 300
+
+
+def test_absorption_returns_its_argument_when_it_absorbs_nothing(w6, general_problem):
+    maxcut = build(dualize(make_maxcut(w6)))
+    assert absorb_subsets(maxcut, 2) is maxcut  # no edge narrower than the limit
+    assert absorb_subsets(maxcut, 3) is maxcut  # narrower edges, but no host
+    rng = random.Random(47)
+    for _ in range(40):
+        supports = random_hypergraph_supports(rng, rng.randint(3, 7), rng.randint(1, 14), 4)
+        h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+        for limit in (2, 3, 4):
+            absorbed = absorb_subsets(h, limit)
+            assert absorb_subsets(absorbed, limit) is absorbed
+    # Out of support order, the rebuilt hypergraph differs, so it is returned.
+    shuffled = replace(maxcut, edges=maxcut.edges[::-1])
+    assert absorb_subsets(shuffled, 2) == maxcut
+    merged = merge_exact(absorb_subsets(build(dualize(general_problem)), 3), 3).hypergraph
+    resorted = absorb_subsets(merged, 3)
+    assert resorted.edges == tuple(sorted(merged.edges, key=lambda e: e.support))
+
+
+def test_merge_exact_on_an_absorbed_hypergraph_computes_its_conflicts_once(
+    general_problem, monkeypatch
+):
+    computed = []
+    conflicts = DerivedHypergraph.conflicts
+    original = conflicts.func
+
+    def counted(h):
+        computed.append(h)
+        return original(h)
+
+    monkeypatch.setattr(conflicts, "func", counted)
+    rng = random.Random(53)
+    instances = [absorb_subsets(build(dualize(general_problem)), 3)]
+    for width in (2, 3, 2, 3, 2, 3):
+        supports = random_hypergraph_supports(rng, rng.randint(6, 12), rng.randint(10, 20), width)
+        h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+        instances.append(absorb_subsets(h, 3))  # as run_pipeline passes it on
+    improved = 0
+    for h in instances:
+        computed.clear()
+        result = merge_exact(h, 3)
+        # Once for the incumbent and the search; a better merge is a new
+        # hypergraph, whose bounds need its own.
+        improved += result.hypergraph is not h
+        assert computed == ([h] if result.hypergraph is h else [h, result.hypergraph])
+    assert 0 < improved < len(instances)
 
 
 def test_zero_polynomial_gives_empty_hypergraph():

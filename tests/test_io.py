@@ -272,6 +272,30 @@ def test_render_schedule_text_matches_the_per_qubit_scan():
             assert render_schedule_text(sched, color) == render_schedule_text_reference(sched, color)
 
 
+def test_schedule_gate_records_match_one_record_per_gate():
+    # Gates merged from several monomials sit next to one-monomial gates,
+    # one-qubit phase gates and mixers; each gate gets its own terms, in order.
+    rng = random.Random(13)
+    sizes = set()
+    for trial in range(20):
+        objective = random_polynomial(rng, [f"q{i}" for i in range(rng.randint(3, 7))], max_terms=14)
+        h = build(pubo_from_polynomial(objective))
+        merged = merge_exact(h, rng.randint(3, 4))
+        sched = schedule(merged.hypergraph, merged.coloring, p=rng.randint(1, 2))
+        layers = schedule_to_json(sched)["layers"]
+        assert len(layers) == len(sched.layers)
+        for layer, record in zip(sched.layers, layers):
+            expected = [
+                {"qubits": gate.support}
+                if layer.kind == "mixer"
+                else {"qubits": gate.support, "terms": [{"vars": s, "coeff": c} for s, c in gate.monomials]}
+                for gate in layer.gates
+            ]
+            assert record["gates"] == expected
+            sizes.update(len(gate.monomials) for gate in layer.gates if layer.kind != "mixer")
+    assert {1, 2} <= sizes
+
+
 def test_dumps_is_deterministic(general_problem):
     assert dumps(problem_to_json(general_problem)) == dumps(problem_to_json(general_problem))
 

@@ -110,6 +110,37 @@ def test_small_searches_match_the_reference():
         assert_same_search(h, limit, 10**6, rng.randint(1, m + 1), seed, rng.randint(0, m))
 
 
+def test_a_merge_of_pairwise_narrow_edges_can_still_be_too_wide():
+    # Any two of ab, bc, cd fit one gate of width 3, so no pair clashes, but
+    # the three together act on 4 qubits: only the full width check sees it.
+    h = hypergraph([("a", "b"), ("b", "c"), ("c", "d")])
+    for seed in ((), (1,)):
+        for incumbent in (2, 3, 4):
+            assert_same_search(h, 3, 10**6, incumbent, seed)
+    layers, _ = search_layers(h, 3, 10**6, 4)
+    assert len(layers) == 2
+    assert_same_search(h, 4, 10**6, 4)  # one gate of width 4 holds all three
+
+
+@pytest.mark.parametrize("incumbent", [2, 3, 4, 5, 8, 9, 16, 17])
+def test_saturations_near_a_power_of_two_match_the_reference(incumbent):
+    # With an incumbent of 2^k + 1 a saturation can reach 2^k, the largest
+    # count its k + 1 counter digits must hold; 2^k is the other side of the
+    # step.  Complete graphs and dense hypergraphs saturate edges fastest.
+    rng = random.Random(1319)
+    instances = [
+        hypergraph([(f"x{u}", f"x{v}") for u in range(n) for v in range(u + 1, n)])
+        for n in range(5, 10)
+    ]
+    instances += [hypergraph(random_hypergraph_supports(rng, 7, 25, 3)) for _ in range(3)]
+    results = [
+        assert_same_search(h, limit, 3000, incumbent, seed)
+        for h in instances
+        for limit, seed in ((0, h.conflict_clique), (0, ()), (3, ()))
+    ]
+    assert any(r not in ("budget", 0) for r in results)
+
+
 def test_negative_budget_is_rejected():
     h = hypergraph([("x1", "x2"), ("x2", "x3")])
     with pytest.raises(InvalidInputError):
