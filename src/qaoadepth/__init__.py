@@ -65,7 +65,6 @@ from .schedule import (
     FamilyBound,
     analyze_family,
     schedule,
-    total_depth,
 )
 
 __version__ = "0.1.0"
@@ -116,7 +115,6 @@ __all__ = [
     "merge_exact",
     "run_pipeline",
     "schedule",
-    "total_depth",
     "verify_penalty",
     "with_penalty_weight",
 ]

@@ -30,9 +30,8 @@ from . import io as io_mod
 from .dualize import dualize, verify_penalty
 from .errors import InvalidInputError, QaoaDepthError
 from .phasesim import check_equivalence
-from .pipeline import DEFAULT_EXACT_EDGE_LIMIT, check_settings, run_pipeline
+from .pipeline import check_settings, run_pipeline
 from .hypergraph import DEFAULT_EXACT_BUDGET
-from .poly import EXACT_ENUMERATION_LIMIT
 from .problems import (
     Problem, make_knapsack, make_maxcut, make_maxindset, make_vertex_cover, with_penalty_weight,
 )
@@ -81,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="penalty weight applied to every constraint")
         p.add_argument("--gate-width", type=int, default=2, metavar="L",
                        help="max qubits per gate (default 2)")
-        p.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_EDGE_LIMIT, metavar="N",
-                       help="edge-count cutoff for the exact coloring (default %(default)s)")
         p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET, metavar="NODES",
                        help="node budget for exact searches (default %(default)s)")
         p.add_argument("--method", default="auto",
@@ -102,13 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("analyze", "run the full pipeline and emit the depth artifact"),
         ("verify", "run the penalty and phase correctness oracles"),
     ):
-        command = sub.add_parser(name, help=help_text)
-        add_common(command)
-        if name == "verify":
-            command.add_argument(
-                "--var-limit", type=int, default=EXACT_ENUMERATION_LIMIT, metavar="N",
-                help="max total variables the penalty oracle enumerates (default %(default)s)",
-            )
+        add_common(sub.add_parser(name, help=help_text))
 
     return parser
 
@@ -148,8 +139,8 @@ def _emit(text: str, args) -> None:
 
 def _config_snapshot(args) -> dict:
     keys = (
-        "command", "problem", "family", "graph", "gate_width", "exact_limit",
-        "budget", "method", "iterations", "format",
+        "command", "problem", "family", "graph", "gate_width", "budget", "method",
+        "iterations", "format",
     )
     snapshot = {key: getattr(args, key, None) for key in keys}
     if args.penalty_weight is not None:
@@ -158,7 +149,7 @@ def _config_snapshot(args) -> dict:
 
 
 def _penalty_oracle(result, args) -> dict:
-    check = verify_penalty(result.pubo, result.problem, var_limit=args.var_limit)
+    check = verify_penalty(result.pubo, result.problem)
     return {
         "passed": check.passed,
         "detail": check.detail,
@@ -253,8 +244,7 @@ def _render_analyze(result, args) -> str:
         f"lower bound {result.coloring.lower_bound}",
         f"depth per iteration: {report.structural_depth} "
         f"({report.coloring_depth} cost + {report.singleton_overhead} singleton + 1 mixer)",
-        f"total depth (p={result.schedule.iterations}): "
-        f"{result.schedule.iterations * report.structural_depth}",
+        f"total depth (p={result.schedule.iterations}): {result.schedule.total_depth}",
     ]
     if report.family_bound is not None:
         fb = report.family_bound
@@ -302,7 +292,6 @@ def _run(args) -> int:
         result = run_pipeline(
             problem,
             gate_width=args.gate_width,
-            exact_edge_limit=args.exact_limit,
             p=args.iterations,
             method=args.method,
             budget=args.budget,

@@ -143,17 +143,19 @@ def make_coloring(
     h: DerivedHypergraph,
     classes: Sequence[Sequence[int]],
     method: str,
-    lower_bound: int | None = None,
     known_bounds: tuple[int, tuple[BoundRef, ...]] | None = None,
 ) -> EdgeColoring:
     """Validate and package a coloring, attaching the bound annotations.
 
-    ``known_bounds`` is :func:`bounds` of ``h`` when the caller already has it.
+    An "exact" coloring comes from an exhausted search, which certifies its
+    class count as the lower bound; any other method reports the
+    combinatorial bound.  ``known_bounds`` is :func:`bounds` of ``h`` when
+    the caller already has it.
     """
     check_proper(h, classes)
     lower, uppers = bounds(h) if known_bounds is None else known_bounds
-    if lower_bound is not None:
-        lower = max(lower, lower_bound)
+    if method == "exact":
+        lower = len(classes)
     return EdgeColoring(
         classes=tuple(tuple(cls) for cls in classes),
         method=method,
@@ -285,12 +287,7 @@ def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> Edg
         constructive = _misra_gries_classes(h)
         if len(constructive) < len(classes):
             classes = constructive
-    layers, _ = search_layers(
-        h, limit=0, budget=budget, incumbent=len(classes),
-        seed=h.conflict_clique, lower=known[0],
-    )
+    layers, _ = search_layers(h, limit=0, budget=budget, incumbent=len(classes), lower=known[0])
     if layers is not None:
         classes = [sorted(edge for gate in layer for edge in gate) for layer in layers]
-    return make_coloring(
-        h, classes, method="exact", lower_bound=len(classes), known_bounds=known
-    )
+    return make_coloring(h, classes, method="exact", known_bounds=known)

@@ -276,20 +276,21 @@ class PenaltyVerification:
     detail: str = ""
 
 
-def verify_penalty(
-    pubo: Pubo, problem: Problem, var_limit: int = EXACT_ENUMERATION_LIMIT
-) -> PenaltyVerification:
+def verify_penalty(pubo: Pubo, problem: Problem) -> PenaltyVerification:
     """Exhaustively confirm the penalty form preserves the constrained argmin.
 
     Enumerates every assignment of all PUBO variables, projects out the slack
     bits by minimization, and compares the resulting argmin set with the
     argmin set of the original constrained problem.  Deliberately ignorant of
-    how dualization works so it can serve as an independent oracle.
+    how dualization works so it can serve as an independent oracle.  Raises
+    :class:`InvalidInputError` above ``EXACT_ENUMERATION_LIMIT`` variables,
+    problem and slack together.
     """
     order = list(pubo.variables)
-    if len(order) > var_limit:
+    if len(order) > EXACT_ENUMERATION_LIMIT:
         raise InvalidInputError(
-            f"verification needs {len(order)} variables but the limit is {var_limit}"
+            f"verification needs {len(order)} variables "
+            f"but the limit is {EXACT_ENUMERATION_LIMIT}"
         )
     slack_names = set(pubo.slack_names())
     original = [name for name in order if name not in slack_names]

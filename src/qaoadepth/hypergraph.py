@@ -110,6 +110,12 @@ class DerivedHypergraph:
                 common.intersection_update(self.conflicts[i])
         return tuple(clique)
 
+    @cached_property
+    def _support_masks(self) -> tuple[int, ...]:
+        """Each edge's support as a bit mask, a bit per vertex of :attr:`incident`."""
+        qubit = {name: 1 << position for position, name in enumerate(self.incident)}
+        return tuple(sum(qubit[name] for name in edge.support) for edge in self.edges)
+
     def is_simple_graph(self) -> bool:
         """True when every hyperedge is a pair and no pair occurs twice."""
         return self._simple_graph
@@ -242,7 +248,6 @@ def search_layers(
     limit: int,
     budget: int,
     incumbent: int,
-    seed: Sequence[int] = (),
     lower: int = 0,
 ) -> tuple[list[list[list[int]]] | None, int]:
     """Fewest layers covering the edges of ``h``, by branch and bound.
@@ -254,9 +259,11 @@ def search_layers(
     so far.  A layer takes an edge disjoint from its gates as a gate of its
     own, or merges it with the gates it overlaps when the merged gate acts
     on at most ``limit`` qubits (never with ``limit=0``).  Only solutions
-    with fewer than ``incumbent`` layers count.  The ``seed`` edges, which
-    must pairwise conflict, open the first layers, one each.  The search
-    stops at a solution with ``lower`` layers.
+    with fewer than ``incumbent`` layers count.  Without merging, the edges
+    of :attr:`~DerivedHypergraph.conflict_clique` open the first layers, one
+    each, to break the symmetry between layers; with merging they could
+    share a gate, so nothing is placed in advance.  The search stops at a
+    solution with ``lower`` layers.
 
     Supports are bit masks over the touched vertices.  Sets of edges are bit
     masks too, each edge's bit at its rank in the tie-break order (conflict
@@ -269,10 +276,10 @@ def search_layers(
     without a look at the gates, any other still gets the full width check.
     Saturations are bit-sliced: bit b of ``digits[d]`` is digit d of edge
     b's count, and a placement adds one, by ripple carry, to the edges it
-    newly touches.  ``max(incumbent, len(seed)).bit_length()`` digits hold
-    any count, as none exceeds the number of layers.  Layers and their
-    masks change in place and are restored on backtrack; the digits and the
-    unplaced edges are passed down.
+    newly touches.  ``max(incumbent, len(seed)).bit_length()`` digits, with
+    ``seed`` the edges placed in advance, hold any count, as none exceeds
+    the number of layers.  Layers and their masks change in place and are
+    restored on backtrack; the digits and the unplaced edges are passed down.
 
     Returns the member lists of each layer's gates in the best solution
     (None if none beats ``incumbent``) and the number of nodes explored.
@@ -282,12 +289,12 @@ def search_layers(
         raise InvalidInputError(f"search budget must be >= 0, got {budget}")
     if incumbent <= lower:
         return None, 0
-    qubit = {name: 1 << position for position, name in enumerate(h.incident)}
+    seed = () if limit else h.conflict_clique
     conflicts = h.conflicts
     m = len(conflicts)
     edge_at = sorted(range(m), key=lambda i: (len(conflicts[i]), -i))  # rank -> edge
     rank = {edge: position for position, edge in enumerate(edge_at)}
-    masks = [sum(qubit[name] for name in h.edges[edge].support) for edge in edge_at]
+    masks = [h._support_masks[edge] for edge in edge_at]
     near = [sum(1 << rank[j] for j in conflicts[edge]) for edge in edge_at]
     clash = [
         sum(1 << rank[j] for j in conflicts[edge] if (mask | masks[rank[j]]).bit_count() > limit)
@@ -398,13 +405,14 @@ def _merge_lower_bound(h: DerivedHypergraph, limit: int) -> int:
     greedily at each vertex, widest first; with ``limit=0`` this is the
     maximum degree.
     """
-    supports = [frozenset(e.support) for e in h.edges]
+    masks = h._support_masks
     best = 0
     for edges in h.incident.values():
-        apart: list[frozenset] = []
-        for edge in sorted(edges, key=lambda i: -len(supports[i])):
-            if all(len(supports[edge] | other) > limit for other in apart):
-                apart.append(supports[edge])
+        apart: list[int] = []
+        for edge in sorted(edges, key=lambda i: -len(h.edges[i].support)):
+            mask = masks[edge]
+            if all((mask | other).bit_count() > limit for other in apart):
+                apart.append(mask)
         best = max(best, len(apart))
     return best
 
@@ -449,8 +457,6 @@ def merge_exact(
         merged = replace(h, edges=tuple(gates))
     return MergeResult(
         hypergraph=merged,
-        coloring=coloring_mod.make_coloring(
-            merged, classes, method="exact", lower_bound=len(classes)
-        ),
+        coloring=coloring_mod.make_coloring(merged, classes, method="exact"),
         nodes_explored=nodes,
     )

@@ -465,7 +465,7 @@ def schedule_to_json(sched: CircuitSchedule) -> dict:
         "variables": sched.variables,
         "iterations": sched.iterations,
         "structural_depth": sched.structural_depth,
-        "total_depth": sched.iterations * sched.structural_depth,
+        "total_depth": sched.total_depth,
         "layers": layers,
     }
 

@@ -13,8 +13,8 @@ from .hypergraph import DEFAULT_EXACT_BUDGET, DerivedHypergraph
 from .problems import Problem
 from .schedule import CircuitSchedule, DepthReport, analyze_family, schedule
 
-#: Above this many hyperedges the exact coloring search is not attempted.
-DEFAULT_EXACT_EDGE_LIMIT = 20
+#: Above this many hyperedges ``method="auto"`` does not try the exact search.
+EXACT_EDGE_LIMIT = 20
 
 
 @dataclass
@@ -48,7 +48,6 @@ def check_settings(gate_width: int, p: int, budget: int) -> None:
 def run_pipeline(
     problem: Problem,
     gate_width: int = 2,
-    exact_edge_limit: int = DEFAULT_EXACT_EDGE_LIMIT,
     p: int = 1,
     method: str = "auto",
     budget: int = DEFAULT_EXACT_BUDGET,
@@ -56,9 +55,10 @@ def run_pipeline(
     """Run dualization, gate absorption, coloring, and scheduling.
 
     ``method`` selects the coloring: "auto" tries the exact search when the
-    hypergraph has at most ``exact_edge_limit`` edges and falls back to a
-    heuristic (flagged, not fatal) if the node budget runs out; the explicit
-    methods raise instead of falling back.  :func:`check_settings` runs first.
+    hypergraph has at most :data:`EXACT_EDGE_LIMIT` edges and falls back to a
+    heuristic (flagged, not fatal) if the node budget runs out; larger
+    hypergraphs get the heuristic outright.  The explicit methods raise
+    instead of falling back.  :func:`check_settings` runs first.
     """
     check_settings(gate_width, p, budget)
     pubo = dualize(problem)
@@ -68,7 +68,7 @@ def run_pipeline(
     notes: list[str] = []
     budget_exceeded = False
     if method == "auto":
-        if len(h.edges) <= exact_edge_limit:
+        if len(h.edges) <= EXACT_EDGE_LIMIT:
             try:
                 coloring = coloring_mod.color_exact(h, budget=budget)
             except BudgetExceededError:
@@ -82,7 +82,7 @@ def run_pipeline(
             coloring = _heuristic_coloring(h)
             notes.append(
                 f"{len(h.edges)} hyperedges exceed the exact-coloring cutoff "
-                f"{exact_edge_limit}; heuristic {coloring.method} coloring used"
+                f"{EXACT_EDGE_LIMIT}; heuristic {coloring.method} coloring used"
             )
     elif method == "exact":
         coloring = coloring_mod.color_exact(h, budget=budget)

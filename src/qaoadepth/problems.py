@@ -169,7 +169,7 @@ def make_maxcut(g: InstanceGraph) -> Problem:
         constraints=(),
         variables=tuple(names[1:]),
         family="maxcut",
-        family_info={"n": g.n, "edges": list(g.edges)},
+        family_info={"n": g.n, "edges": g.edges},
     )
 
 
@@ -198,7 +198,7 @@ def make_maxindset(g: InstanceGraph) -> Problem:
         constraints=constraints,
         variables=tuple(_vertex_var(i) for i in range(1, g.n + 1)),
         family="maxindset",
-        family_info={"n": g.n, "edges": list(g.edges)},
+        family_info={"n": g.n, "edges": g.edges},
     )
 
 
@@ -219,7 +219,7 @@ def make_vertex_cover(g: InstanceGraph) -> Problem:
         constraints=constraints,
         variables=tuple(_vertex_var(i) for i in range(1, g.n + 1)),
         family="vertex_cover",
-        family_info={"n": g.n, "edges": list(g.edges)},
+        family_info={"n": g.n, "edges": g.edges},
     )
 
 
@@ -409,5 +409,5 @@ def make_sat(clauses: Sequence[Sequence[int]]) -> Problem:
         constraints=tuple(constraints),
         variables=tuple(x_names + z_names),
         family="sat",
-        family_info={"n_vars": max_var, "clauses": [list(c) for c in clauses]},
+        family_info={"n_vars": max_var, "clauses": tuple(map(tuple, clauses))},
     )

@@ -63,6 +63,11 @@ class CircuitSchedule:
         return len(self.layers)
 
     @property
+    def total_depth(self) -> int:
+        """Depth over every iteration; each one repeats the same layers."""
+        return self.iterations * len(self.layers)
+
+    @property
     def coloring_depth(self) -> int:
         return sum(layer.kind == "cost" for layer in self.layers)
 
@@ -154,13 +159,6 @@ class DepthReport:
     @property
     def singleton_overhead(self) -> int:
         return self.schedule.singleton_overhead
-
-
-def total_depth(report: DepthReport, p: int) -> int:
-    """Total circuit depth over p iterations; every iteration has equal depth."""
-    if p < 1:
-        raise InvalidInputError(f"iteration count must be >= 1, got {p}")
-    return p * report.structural_depth
 
 
 def _is_star(n: int, pairs: Sequence[tuple[str, ...]]) -> bool:

@@ -708,6 +708,19 @@ def search_layers_reference(
     return best, nodes
 
 
+def merge_lower_bound_reference(h: DerivedHypergraph, limit: int) -> int:
+    """``hypergraph._merge_lower_bound`` on frozensets, as it was before masks."""
+    supports = [frozenset(e.support) for e in h.edges]
+    best = 0
+    for edges in h.incident.values():
+        apart: list[frozenset] = []
+        for edge in sorted(edges, key=lambda i: -len(supports[i])):
+            if all(len(supports[edge] | other) > limit for other in apart):
+                apart.append(supports[edge])
+        best = max(best, len(apart))
+    return best
+
+
 def render_schedule_text_reference(sched: CircuitSchedule, color: bool = False) -> str:
     """``io.render_schedule_text`` by scanning every gate of a layer for each qubit."""
     headers = []

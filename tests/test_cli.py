@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -423,14 +425,13 @@ def _dense_graph_dimacs(tmp_path):
     return path
 
 
-def test_exit_code_budget_exceeded_emits_heuristic_results(capsys, tmp_path):
-    path = _dense_graph_dimacs(tmp_path)
+def test_exit_code_budget_exceeded_emits_heuristic_results(capsys, fixture_dir):
+    # Petersen's 15 edges are under the auto cutoff, so the search runs.
     code, out, _ = run_cli(
         capsys,
         "analyze",
         "--family", "maxcut",
-        "--graph", str(path),
-        "--exact-limit", "50",
+        "--graph", str(fixture_dir / "petersen.dimacs"),
         "--budget", "2",
     )
     assert code == 4
@@ -553,3 +554,21 @@ def test_merge_exact_method_via_cli(capsys, fixture_dir):
     )
     assert code == 0
     assert json.loads(out)["coloring"]["num_colors"] == 7
+
+
+def test_readme_lists_the_flags_the_parser_defines():
+    # The "Command line" section of the README names every flag of every
+    # subcommand, and no flag the parser does not define.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        option
+        for command in (parser, *commands.choices.values())
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    } - {"--help", "--version"}
+    assert documented == defined

@@ -91,12 +91,14 @@ def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
     clique = DerivedHypergraph.conflict_clique
     monkeypatch.setattr(clique, "func", counting("conflict_clique", clique.func))
     petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
-    for graph in (w6, petersen):
-        for search, cliques in ((color_exact, 1), (lambda h: merge_exact(h, 2), 0)):
+    # The exact coloring's search seeds itself with the clique, and runs only
+    # when Misra-Gries leaves a gap: not on the wheel (Delta colors), but on
+    # Petersen (Delta + 1).  The lower bound of a simple graph of max degree
+    # >= 3 does without the clique, and the merge search takes no seed.
+    for graph, exact_cliques in ((w6, 0), (petersen, 1)):
+        for search, cliques in ((color_exact, exact_cliques), (lambda h: merge_exact(h, 2), 0)):
             calls.update(dict.fromkeys(calls, 0))
             search(graph_hypergraph(graph))
-            # The exact coloring seeds its search with the clique; the lower
-            # bound of a simple graph of max degree >= 3 does without it.
             assert calls == {"bounds": 1, "combinatorial_lower_bound": 1, "conflict_clique": cliques}
 
 

@@ -457,10 +457,14 @@ def test_verify_penalty_fails_a_jointly_infeasible_problem():
     assert report.pubo_argmin == ((0, 1), (1, 0))
 
 
-def test_verify_penalty_respects_variable_limit(w6):
-    problem = with_penalty_weight(make_maxindset(w6), 2)
-    with pytest.raises(InvalidInputError):
-        verify_penalty(dualize(problem), problem, var_limit=3)
+def test_verify_penalty_respects_variable_limit():
+    # MaxIndSet on a path needs no slack: 21 vertices are 21 PUBO variables.
+    path = InstanceGraph(21, tuple((v, v + 1) for v in range(1, 21)))
+    problem = with_penalty_weight(make_maxindset(path), 2)
+    pubo = dualize(problem)
+    assert len(pubo.variables) == 21
+    with pytest.raises(InvalidInputError, match="needs 21 variables but the limit is 20"):
+        verify_penalty(pubo, problem)
 
 
 def test_verify_penalty_agrees_with_bruteforce_on_random_covers():

@@ -25,7 +25,6 @@ from qaoadepth import (
     make_vertex_cover,
     run_pipeline,
     schedule,
-    total_depth,
     with_penalty_weight,
 )
 from qaoadepth.coloring import EdgeColoring
@@ -84,13 +83,12 @@ def test_empty_problem_is_mixer_only():
 
 
 def test_total_depth_scales_linearly(w6):
-    problem = make_maxcut(w6)
-    pubo, h, _, sched = pipeline_parts(problem)
-    report = analyze_family(problem, pubo, h, sched)
-    assert total_depth(report, 1) == 7
-    assert total_depth(report, 3) == 21
+    _, h, coloring, _ = pipeline_parts(make_maxcut(w6))
+    for p in (1, 3):
+        sched = schedule(h, coloring, p=p)
+        assert (sched.structural_depth, sched.total_depth) == (7, 7 * p)
     with pytest.raises(InvalidInputError):
-        total_depth(report, 0)
+        schedule(h, coloring, p=0)
 
 
 def test_schedule_covers_every_monomial_exactly_once(w6, general_problem):

@@ -14,6 +14,7 @@ from qaoadepth.coloring import combinatorial_lower_bound, first_fit_classes
 from qaoadepth.hypergraph import _merge_lower_bound, search_layers
 
 from bruteforce import (
+    merge_lower_bound_reference,
     pubo_from_polynomial,
     random_graph,
     random_hypergraph_supports,
@@ -34,8 +35,10 @@ def outcome(search, h, *args, **kwargs):
     return layers, nodes
 
 
-def assert_same_search(h, limit, budget, incumbent, seed=(), lower=0):
-    new = outcome(search_layers, h, limit, budget, incumbent, seed, lower)
+def assert_same_search(h, limit, budget, incumbent, lower=0):
+    # The search seeds itself with the conflict clique when it does not merge.
+    seed = () if limit else h.conflict_clique
+    new = outcome(search_layers, h, limit, budget, incumbent, lower)
     old = outcome(search_layers_reference, h, limit, budget, incumbent, seed, lower)
     if old == ("budget",) or new == ("budget",):
         assert new == old
@@ -70,6 +73,23 @@ def test_merge_searches_of_the_benchmark_shape_match_the_reference():
     assert "budget" in results and any(r != "budget" for r in results)
 
 
+def test_merge_lower_bound_matches_the_frozenset_reference():
+    # The shapes of the search-exact merge searches: widths 2..4 over 16-20
+    # variables, at the limits they run with and without merging.
+    rng = random.Random(1303)
+    bounds = []
+    for _ in range(40):
+        supports = random_hypergraph_supports(
+            rng, rng.randint(16, 20), rng.randint(30, 60), max_width=4
+        )
+        h = hypergraph(supports)
+        for limit in (0, 3, 4):
+            bound = _merge_lower_bound(h, limit)
+            assert bound == merge_lower_bound_reference(h, limit)
+            bounds.append(bound)
+    assert len(set(bounds)) > 3
+
+
 def test_coloring_searches_match_the_reference():
     # color_exact's call: no merging, the conflict clique opens the first
     # layers and the search stops at the combinatorial lower bound.  One
@@ -85,8 +105,7 @@ def test_coloring_searches_match_the_reference():
         instances.append(hypergraph(supports))
     results = [
         assert_same_search(
-            h, 0, 3000, len(first_fit_classes(h)) + extra,
-            seed=h.conflict_clique, lower=combinatorial_lower_bound(h),
+            h, 0, 3000, len(first_fit_classes(h)) + extra, lower=combinatorial_lower_bound(h)
         )
         for h in instances
         for extra in (0, 1)
@@ -102,21 +121,19 @@ def test_small_searches_match_the_reference():
         width = rng.randint(2, 4)
         h = hypergraph(random_hypergraph_supports(rng, rng.randint(3, 7), rng.randint(1, 9), width))
         limit = rng.choice((0, width, width + 1))
-        seed = h.conflict_clique if rng.random() < 0.5 else ()
         m = len(h.edges)
-        nodes = assert_same_search(h, limit, 10**6, m + 1, seed)
+        nodes = assert_same_search(h, limit, 10**6, m + 1)
         for budget in (nodes - 1, nodes, rng.randint(0, nodes)):
-            assert_same_search(h, limit, budget, m + 1, seed)
-        assert_same_search(h, limit, 10**6, rng.randint(1, m + 1), seed, rng.randint(0, m))
+            assert_same_search(h, limit, budget, m + 1)
+        assert_same_search(h, limit, 10**6, rng.randint(1, m + 1), rng.randint(0, m))
 
 
 def test_a_merge_of_pairwise_narrow_edges_can_still_be_too_wide():
     # Any two of ab, bc, cd fit one gate of width 3, so no pair clashes, but
     # the three together act on 4 qubits: only the full width check sees it.
     h = hypergraph([("a", "b"), ("b", "c"), ("c", "d")])
-    for seed in ((), (1,)):
-        for incumbent in (2, 3, 4):
-            assert_same_search(h, 3, 10**6, incumbent, seed)
+    for incumbent in (2, 3, 4):
+        assert_same_search(h, 3, 10**6, incumbent)
     layers, _ = search_layers(h, 3, 10**6, 4)
     assert len(layers) == 2
     assert_same_search(h, 4, 10**6, 4)  # one gate of width 4 holds all three
@@ -134,9 +151,9 @@ def test_saturations_near_a_power_of_two_match_the_reference(incumbent):
     ]
     instances += [hypergraph(random_hypergraph_supports(rng, 7, 25, 3)) for _ in range(3)]
     results = [
-        assert_same_search(h, limit, 3000, incumbent, seed)
+        assert_same_search(h, limit, 3000, incumbent)
         for h in instances
-        for limit, seed in ((0, h.conflict_clique), (0, ()), (3, ()))
+        for limit in (0, 3)
     ]
     assert any(r not in ("budget", 0) for r in results)
 
