@@ -30,10 +30,11 @@ quotes; the figure itself is computed from the problem's own structure.
 and never read.
 
 The ``*_to_json`` builders return what :func:`dumps` writes, not plain
-``json`` values: they pass the model's ints, Fractions and tuples through
-as they are, and only the encoder knows the ``{"num", "den"}`` format
-(with :func:`rational_from_json`, which reads it back).  Every artifact is
-written through :func:`dumps`.
+``json`` values: lists of like records (terms, edges, gates) are ``_Table``
+columns read straight from the model, with no dict per record, and ints,
+Fractions and tuples pass through as they are.  Only the encoder knows the
+``{"num", "den"}`` format (with :func:`rational_from_json`, which reads it
+back).  Every artifact is written through :func:`dumps`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain, compress, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import is_, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Any
 
 from .coloring import EdgeColoring
@@ -104,16 +105,32 @@ def _reject_floats(value, path: str) -> None:
             _reject_floats(item, f"{path}[{i}]")
 
 
+# -- record tables -----------------------------------------------------------
+
+
+class _Table:
+    """Records of one key set, as one column per sorted key.  A column is a list of values,
+    a ``_Table``, or a ``(lengths, flat)`` pair: list i holds the next ``lengths[i]``
+    items of ``flat``, a list or a table."""
+
+    def __init__(self, columns: dict):
+        self.keys = tuple(sorted(columns))
+        self.columns = list(map(columns.__getitem__, self.keys))
+
+    def __len__(self) -> int:
+        return len(self.columns[0][0] if type(self.columns[0]) is tuple else self.columns[0])
+
+
+def _records(rows, *keys) -> _Table:
+    """The records of the list ``rows``, in its order: item i of each row under ``keys[i]``."""
+    return _Table({key: list(map(itemgetter(i), rows)) for i, key in enumerate(keys)})
+
+
 # -- polynomials -------------------------------------------------------------
 
 
-def _terms_to_json(pairs) -> list[dict]:
-    """``{"vars", "coeff"}`` records of (support, coefficient) pairs, in the given order."""
-    return [{"vars": s, "coeff": c} for s, c in pairs]
-
-
-def polynomial_to_json(p: Polynomial) -> list[dict]:
-    return _terms_to_json(p.terms())
+def polynomial_to_json(p: Polynomial) -> _Table:
+    return _Table({"vars": list(p.supports()), "coeff": list(map(itemgetter(1), p.terms()))})
 
 
 def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
@@ -128,8 +145,8 @@ def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
         if extra:
             raise InvalidInputError(f"{term_path}: unknown fields {sorted(extra)}")
         variables = term.get("vars", [])
-        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-            raise InvalidInputError(f"{term_path}.vars: expected a list of variable names")
+        if not isinstance(variables, list) or not all(isinstance(v, str) and v for v in variables):
+            raise InvalidInputError(f"{term_path}.vars: expected a list of non-empty variable names")
         if known is not None:
             for j, name in enumerate(variables):
                 if name not in known:
@@ -378,12 +395,10 @@ def hypergraph_to_dot(h: DerivedHypergraph, coloring: EdgeColoring | None = None
 def expansion_diff_to_json(diff: ExpansionDiff) -> dict:
     return {
         "has_differences": diff.has_differences,
-        "missing_in_reference": _terms_to_json(sorted(diff.missing_in_reference)),
-        "unexpected_in_reference": _terms_to_json(sorted(diff.unexpected_in_reference)),
-        "coefficient_mismatches": [
-            {"vars": s, "computed": a, "reference": b}
-            for s, a, b in sorted(diff.coefficient_mismatches)
-        ],
+        "missing_in_reference": _records(sorted(diff.missing_in_reference), "vars", "coeff"),
+        "unexpected_in_reference": _records(sorted(diff.unexpected_in_reference), "vars", "coeff"),
+        "coefficient_mismatches": _records(
+            sorted(diff.coefficient_mismatches), "vars", "computed", "reference"),
     }
 
 
@@ -425,8 +440,9 @@ def pubo_to_json(pubo: Pubo) -> dict:
 def hypergraph_to_json(h: DerivedHypergraph) -> dict:
     return {
         "vertices": h.vertices,
-        "edges": [{"support": e.support, "terms": len(e.monomials)} for e in h.edges],
-        "singletons": [{"var": name, "coeff": coeff} for name, coeff in h.singletons],
+        "edges": _Table({"support": [e.support for e in h.edges],
+                         "terms": [len(e.monomials) for e in h.edges]}),
+        "singletons": _records(h.singletons, "var", "coeff"),
         "constant": h.constant,
         "max_degree": h.max_degree(),
         "linear": h.is_linear(),
@@ -447,20 +463,13 @@ def coloring_to_json(coloring: EdgeColoring) -> dict:
 def schedule_to_json(sched: CircuitSchedule) -> dict:
     layers = []
     for layer in sched.layers:
-        if layer.kind == "mixer":
-            angle, gates = "beta", [{"qubits": gate.support} for gate in layer.gates]
-        else:
-            # The layer's term records in one pass, then handed out gate by gate.
-            terms = iter([{"vars": s, "coeff": c} for gate in layer.gates for s, c in gate.monomials])
-            angle, gates = "gamma", [
-                {
-                    "qubits": gate.support,
-                    "terms": [next(terms)] if len(gate.monomials) == 1
-                    else list(islice(terms, len(gate.monomials))),
-                }
-                for gate in layer.gates
-            ]
-        layers.append({"kind": layer.kind, "angle": angle, "gates": gates})
+        gates = {"qubits": [gate.support for gate in layer.gates]}
+        if layer.kind != "mixer":  # each gate's terms: their counts, and the layer's terms
+            monomials = [gate.monomials for gate in layer.gates]
+            terms = _records(list(chain.from_iterable(monomials)), "vars", "coeff")
+            gates["terms"] = (list(map(len, monomials)), terms)
+        angle = "beta" if layer.kind == "mixer" else "gamma"
+        layers.append({"kind": layer.kind, "angle": angle, "gates": _Table(gates)})
     return {
         "variables": sched.variables,
         "iterations": sched.iterations,
@@ -485,27 +494,29 @@ def dumps(data) -> str:
     """Canonical JSON text: sorted keys, stable indentation, trailing newline.
 
     Accepted values are exactly dicts with ``str`` keys, lists, tuples,
-    strings, ints, ``Fraction``s, bools and ``None``; anything else,
-    including a float or a non-``str`` key, raises ``TypeError``.  A
-    ``Fraction`` is written as :func:`rational_to_json` gives it: a whole
-    one as its int, any other as ``{"num", "den"}``.  With every Fraction so
-    replaced, the text is byte-identical to ``json.dumps(data, indent=2,
-    sort_keys=True) + "\\n"``, which runs a pure-Python generator.  Strings
-    are escaped by the C function ``json`` uses.
+    ``_Table``s (each written as its list of dicts), strings, ints,
+    ``Fraction``s, bools and ``None``; anything else, including a float or
+    a non-``str`` key, raises ``TypeError``.  A ``Fraction`` is written as
+    :func:`rational_to_json` gives it: a whole one as its int, any other as
+    ``{"num", "den"}``.  With every Fraction and table so replaced, the text
+    is byte-identical to ``json.dumps(data, indent=2, sort_keys=True) +
+    "\\n"``, which runs a pure-Python generator.  Strings are escaped by the
+    C function ``json`` uses.
 
     The envelope, each section dict and a list of one item are encoded one
     value at a time, but the items of a longer list are encoded together, a
     column at a time (``_texts``): all strings or all ints with one ``map``;
     Fractions as the column of their ints and ``{"num", "den"}`` dicts;
-    dicts of one key set as one column per key, zipped between constant key
-    prefixes; lists as one column of all their items, regrouped by length.
-    Mixed types become one column per type, read back in the items' order,
-    and dicts of differing key sets become runs of one key set, a run of one
-    taking the direct path.  So the Python work grows with the
-    number of shapes and the nesting depth, not with the number of terms and
-    gates.  Texts stay lazy iterators until a list joins its items,
-    once, with its brackets folded into the first and last item, so the
-    peak memory stays about twice the text.
+    records of one key set, dicts or a table's, as one column per key zipped
+    between constant key prefixes (``_rows``); lists and tables as one column
+    of all their items, regrouped by length (``_grouped``), with each run of
+    tables of one key set joined into one table first.  Mixed types become
+    one column per type, read back in the items' order, and dicts of
+    differing key sets become runs of one key set, a run of one taking the
+    direct path.  So the Python work grows with the number of shapes and the
+    nesting depth, not with the number of terms and gates.  Texts stay lazy
+    iterators until a list joins its items, once, with its brackets folded
+    into the first and last item, so the peak memory stays about twice the text.
     """
     return _encode(data, "\n") + "\n"
 
@@ -533,7 +544,7 @@ def _encode(value, newline: str) -> str:
         parts[0] = "{" + inner + parts[0]
         parts[-1] += newline + "}"
         return ("," + inner).join(parts)
-    if kind is list or kind is tuple:
+    if kind is list or kind is tuple or kind is _Table:
         if not value:
             return "[]"
         inner = newline + "  "
@@ -552,6 +563,8 @@ def _encode(value, newline: str) -> str:
 
 def _texts(items, newline: str):
     """An iterator over ``_encode(item, newline)`` for each of ``items``, in order."""
+    if type(items) is _Table:
+        return _rows(items, newline)
     if len(items) == 1:  # a single value, as in a run of one key set, keeps the direct path
         return iter((_encode(items[0], newline),))
     kinds = set(map(type, items))
@@ -569,35 +582,62 @@ def _texts(items, newline: str):
         return _texts(list(map(rational_to_json, items)), newline)
     inner = newline + "  "
     if kind is dict:
-        keys = sorted(items[0])
         try:  # one key set: each dict has every key of the first, and no more
-            columns = [list(map(itemgetter(key), items)) for key in keys]
+            table = _Table({key: list(map(itemgetter(key), items)) for key in items[0]})
         except KeyError:
-            columns = None
-        if columns is None or len(set(map(len, items))) != 1:  # runs of one key set
+            table = None
+        if table is None or len(set(map(len, items))) != 1:  # runs of one key set
             return chain.from_iterable(
                 _texts(list(run), newline) for _, run in groupby(items, dict.keys))
-        if not keys:
-            return repeat("{}", len(items))
-        # One column per sorted key, zipped between constant key prefixes.
-        texts = []
-        for i, (key, column) in enumerate(zip(keys, columns)):
-            texts.append(repeat(("," if i else "{") + inner + _quote(key) + ": "))
-            texts.append(_texts(column, inner))
-        texts.append(repeat(newline + "}"))
-        return map("".join, zip(*texts))
-    if kind is list or kind is tuple:
-        # Every item's items in one column, regrouped by each item's length.
-        # body.join((open, close)) is open + body + close; an empty item is "[]".
-        lengths = list(map(len, items))
-        flat = _texts(list(chain.from_iterable(items)), inner)
-        brackets = (("[", "]"), ("[" + inner, newline + "]"))
-        size = lengths[0]
-        if size and lengths.count(size) == len(lengths):  # equal lengths: zip, no islice per item
-            return map(str.join, map(("," + inner).join, zip(*[flat] * size)), repeat(brackets[1]))
-        return map(str.join, map(("," + inner).join, map(islice, repeat(flat), lengths)),
-                   map(brackets.__getitem__, map(bool, lengths)))
+        return _rows(table, newline) if table.keys else repeat("{}", len(items))
+    if kind is list or kind is tuple or kind is _Table:  # every item's items in one column
+        if kind is _Table:  # each run of one key set joined into one table first
+            runs = (_joined(list(run)) for _, run in groupby(items, attrgetter("keys")))
+            flat = chain.from_iterable(map(_texts, chain.from_iterable(runs), repeat(inner)))
+        else:
+            flat = _texts(list(chain.from_iterable(items)), inner)
+        return _grouped(list(map(len, items)), flat, newline)
     return map(_encode, items, repeat(newline))  # None, bool, or TypeError
+
+
+def _rows(table: _Table, newline: str):
+    """An iterator over the texts of ``table``'s records: its columns zipped between key prefixes."""
+    inner = newline + "  "
+    texts = []
+    for i, (key, column) in enumerate(zip(table.keys, table.columns)):
+        texts.append(repeat(("," if i else "{") + inner + _quote(key) + ": "))
+        texts.append(_grouped(column[0], _texts(column[1], inner + "  "), inner)
+                     if type(column) is tuple else _texts(column, inner))
+    texts.append(repeat(newline + "}"))
+    return map("".join, zip(*texts))
+
+
+def _grouped(lengths: list, flat, newline: str):
+    """Texts of lists, list i holding the next ``lengths[i]`` of the item texts ``flat``."""
+    # body.join((open, close)) is open + body + close; an empty list is "[]".
+    inner = newline + "  "
+    brackets = (("[", "]"), ("[" + inner, newline + "]"))
+    if lengths and lengths[0] and lengths.count(lengths[0]) == len(lengths):  # equal: zip, no islice
+        return map(str.join, map(("," + inner).join, zip(*[flat] * lengths[0])), repeat(brackets[1]))
+    return map(str.join, map(("," + inner).join, map(islice, repeat(flat), lengths)),
+               map(brackets.__getitem__, map(bool, lengths)))
+
+
+def _joined(columns: list) -> list:
+    """``[column]``, the values of ``columns`` in order, or ``columns`` if their forms differ."""
+    first = columns[0]
+    kind = type(first)
+    if len(columns) == 1 or len(set(map(type, columns))) > 1 or (
+            kind is _Table and len(set(map(attrgetter("keys"), columns))) > 1):
+        return columns
+    if kind is list:
+        return [list(chain.from_iterable(columns))]
+    # The pairs' lengths and flat columns, or the tables' columns, each joined.
+    parts = [_joined(list(part)) for part in zip(*(getattr(c, "columns", c) for c in columns))]
+    if any(len(part) != 1 for part in parts):
+        return columns
+    parts = [part for part, in parts]
+    return [_Table(dict(zip(first.keys, parts))) if kind is _Table else tuple(parts)]
 
 
 # -- text rendering ----------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from qaoadepth import cli
 from qaoadepth.cli import main
-from qaoadepth.io import problem_to_json, write_problem
+from qaoadepth.io import dumps, problem_to_json, write_problem
 from qaoadepth.problems import (
     Constraint,
     InstanceGraph,
@@ -319,6 +319,25 @@ def test_float_in_family_info_is_invalid_input(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "dualize", "graph"])
+def test_empty_name_in_reference_expansion_is_invalid_input(capsys, tmp_path, command):
+    # reference_expansion may name slack bits, so its names are not checked
+    # against the variables; an empty one still ends in one error line.
+    path = tmp_path / "empty_name.json"
+    path.write_text(json.dumps({
+        "sense": "max", "variables": ["a", "b"],
+        "objective": [{"vars": ["a", "b"], "coeff": 1}],
+        "constraints": [{"terms": [{"vars": ["a"], "coeff": 1}], "rhs": 1,
+                         "reference_expansion": [{"vars": [""], "coeff": 1}]}],
+    }))
+    artifact = tmp_path / "artifact.json"
+    code, out, err = run_cli(capsys, command, "--problem", str(path), "--out", str(artifact))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: problem.constraints[0].reference_expansion[0].vars: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not artifact.exists()
+
+
 def test_malformed_family_edges_are_passed_through(capsys, tmp_path):
     # family_info is metadata: a triple "edge" is neither checked nor read.
     info = {"n": 3, "edges": [[1, 2, 3]]}
@@ -337,7 +356,7 @@ def test_malformed_family_edges_are_passed_through(capsys, tmp_path):
 
 def analyze_tagged(capsys, tmp_path, problem, family_info, *flags) -> dict:
     """The analyze artifact of ``problem`` carrying ``family_info`` as its metadata."""
-    data = problem_to_json(problem)
+    data = json.loads(dumps(problem_to_json(problem)))
     data["family_info"] = family_info
     path = tmp_path / "tagged.json"
     path.write_text(json.dumps(data))

@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,17 @@ from qaoadepth import (
 )
 from qaoadepth.cli import main as cli_main
 from qaoadepth.io import (
+    _Table,
+    coloring_to_json,
+    depth_report_to_json,
     dumps,
     hypergraph_to_dot,
+    hypergraph_to_json,
     polynomial_from_json,
     polynomial_to_json,
     problem_from_json,
     problem_to_json,
+    pubo_to_json,
     rational_from_json,
     rational_to_json,
     read_dimacs_graph,
@@ -42,6 +48,7 @@ from qaoadepth.io import (
     schedule_to_json,
     write_problem,
 )
+from qaoadepth.pipeline import run_pipeline
 
 from bruteforce import pubo_from_polynomial, random_polynomial, render_schedule_text_reference
 
@@ -226,11 +233,17 @@ def test_dot_box_names_avoid_vertex_names():
     assert len(declared) == len(set(declared)) == 5 + 2
 
 
+@pytest.mark.parametrize("known", [None, {"a"}, {"", "a"}])
+def test_polynomial_from_json_rejects_an_empty_name(known):
+    with pytest.raises(InvalidInputError, match=r"p\[1\]\.vars: expected a list of non-empty"):
+        polynomial_from_json([{"vars": ["a"]}, {"vars": ["a", ""], "coeff": 2}], known, "p")
+
+
 def test_schedule_json_shape(w6):
     pubo = dualize(make_maxcut(w6))
     h = build(pubo)
     sched = schedule(h, color_exact(h), p=2)
-    data = schedule_to_json(sched)
+    data = json.loads(dumps(schedule_to_json(sched)))
     assert data["iterations"] == 2
     assert data["structural_depth"] == 7
     assert data["total_depth"] == 14
@@ -282,7 +295,7 @@ def test_schedule_gate_records_match_one_record_per_gate():
         h = build(pubo_from_polynomial(objective))
         merged = merge_exact(h, rng.randint(3, 4))
         sched = schedule(merged.hypergraph, merged.coloring, p=rng.randint(1, 2))
-        layers = schedule_to_json(sched)["layers"]
+        layers = json.loads(dumps(schedule_to_json(sched)))["layers"]
         assert len(layers) == len(sched.layers)
         for layer, record in zip(sched.layers, layers):
             expected = [
@@ -291,7 +304,7 @@ def test_schedule_gate_records_match_one_record_per_gate():
                 else {"qubits": gate.support, "terms": [{"vars": s, "coeff": c} for s, c in gate.monomials]}
                 for gate in layer.gates
             ]
-            assert record["gates"] == expected
+            assert record["gates"] == json.loads(dumps(expected))
             sizes.update(len(gate.monomials) for gate in layer.gates if layer.kind != "mixer")
     assert {1, 2} <= sizes
 
@@ -330,6 +343,31 @@ def _nested(inner):
     return st.lists(member, max_size=5) | st.lists(st.just([]), min_size=1, max_size=3)
 
 
+def _flat(size, inner, depth):
+    """A list, or while ``depth`` lasts a table, of ``size`` values."""
+    values = st.lists(inner, min_size=size, max_size=size)
+    return values | _table_of(size, inner, depth - 1) if depth else values
+
+
+def _column(size, inner, depth):
+    """A ``_Table`` column of ``size`` values: a list, a table or a (lengths, flat) pair."""
+    lengths = st.lists(st.integers(0, 3), min_size=size, max_size=size)
+    grouped = lengths.flatmap(lambda ls: _flat(sum(ls), inner, depth).map(lambda flat: (ls, flat)))
+    return _flat(size, inner, depth) | grouped
+
+
+def _table_of(size, inner, depth):
+    """Tables of ``size`` records, with one to three keys."""
+    return st.lists(_keys, min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.tuples(*(_column(size, inner, depth) for _ in keys)).map(
+            lambda columns: _Table(dict(zip(keys, columns)))))
+
+
+def _tables(inner):
+    """Tables of up to four records, which may hold tables and (lengths, flat) pairs."""
+    return st.integers(0, 4).flatmap(lambda size: _table_of(size, inner, 1))
+
+
 # One column mixing every kind a JSON value can take.
 _mixed = st.integers() | _fractions | st.booleans() | st.none() | _strings
 _mixed_column = st.lists(
@@ -348,13 +386,29 @@ _json_values = st.recursive(
     | st.lists(inner, max_size=5).map(tuple)
     | st.dictionaries(_strings, inner, max_size=5)
     | _records(inner)
-    | _nested(inner),
+    | _nested(inner)
+    | _tables(inner)
+    | st.lists(_tables(inner), max_size=5),
     max_leaves=25,
 )
 
 
+def _values(column):
+    """The values a ``_Table`` column stands for: dicts for a table, lists for a pair."""
+    if isinstance(column, _Table):
+        return [dict(zip(column.keys, row)) for row in zip(*map(_values, column.columns))]
+    if isinstance(column, tuple):
+        lengths, flat = column
+        flat = iter(_values(flat))
+        return [list(islice(flat, n)) for n in lengths]
+    return column
+
+
 def _plain(value):
-    """``value`` with each Fraction as its int or ``{"num", "den"}`` and each tuple a list."""
+    """``value`` with each Fraction as its int or ``{"num", "den"}``, each tuple a list
+    and each table its list of dicts."""
+    if isinstance(value, _Table):
+        return _plain(_values(value))
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return value.numerator
@@ -386,6 +440,28 @@ def _plain(value):
           {"vars": ("x1", "x2"), "coeff": Fraction(1, 3)}])  # an int/Fraction coefficient column
 # Fractions inside dicts of one key set
 @example([{"a": Fraction(1, 2), "b": [Fraction(3)]}, {"b": (), "a": Fraction(-7, 4)}])
+# Tables: empty ones, one record, empty groups, an int/Fraction coefficient column
+@example(_Table({"a": []}))
+@example([_Table({"a": []}), _Table({"a": ([], [])}), _Table({"b": []})])
+@example({"t": _Table({"b": [], "a": ([], _Table({"c": []}))})})
+@example(_Table({"vars": [("x1", "x2")], "coeff": [Fraction(1, 2)]}))
+@example([_Table({"a": [1]}), _Table({"a": [2]}), [_Table({"a": [3]})]])
+@example(_Table({"terms": ([0, 2, 0], _Table({"vars": [("a",), ()], "coeff": [1, Fraction(-1, 3)]}))}))
+@example(_Table({"a": ([0, 0], []), "b": ["x", "y"]}))
+@example(_Table({"vars": [("x1",), (), ("x1", "x2")], "coeff": [2, Fraction(-5, 2), Fraction(4, 2)]}))
+# A column of tables whose key sets differ: cost gates with terms, then mixer gates
+@example([
+    {"kind": "cost", "gates": _Table({"qubits": [("a", "b"), ("c",)], "terms": (
+        [1, 2], _Table({"vars": [("a", "b"), ("c",), ()], "coeff": [1, Fraction(1, 2), -3]}))})},
+    {"kind": "cost", "gates": _Table({"qubits": [("b", "c")], "terms": (
+        [1], _Table({"vars": [("b", "c")], "coeff": [Fraction(-7, 4)]}))})},
+    {"kind": "mixer", "gates": _Table({"qubits": [("a",), ("b",), ("c",)]})},
+])
+# Tables of one key set whose columns differ in form, or in a nested key set, are not joined
+@example([_Table({"a": [1]}), _Table({"a": ([1], [2])}), _Table({"a": _Table({"b": [3]})}),
+          _Table({"a": ([2], _Table({"b": [5, 6]}))})])
+@example([_Table({"a": _Table({"b": [3]})}), _Table({"a": _Table({"c": [4]})})])
+@example([_Table({"a": ([1], _Table({"b": [3]}))}), _Table({"a": ([1], _Table({"c": [4]}))})])
 def test_dumps_matches_json_dumps(value):
     assert dumps(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
 
@@ -414,6 +490,7 @@ def test_golden_json_is_a_fixed_point_of_dumps(path):
         {"a": 1, "b": 0.5}, [1, "x", 2.5],
         [{"a": 1}, {"a": 0.5}], [[1], [2.5]], [[], [0.5]], [{1: 2}, {1: 3}],
         [{"a": [1.5]}, {"a": [2]}],
+        _Table({"a": [0.5]}), [_Table({"a": [1]}), _Table({"a": ([1], [2.5])})],
     ],
 )
 def test_dumps_rejects_values_json_cannot_hold_exactly(value):
@@ -421,11 +498,8 @@ def test_dumps_rejects_values_json_cannot_hold_exactly(value):
         dumps(value)
 
 
-def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
-    # A list's items stay lazy iterators until the list joins them once, with
-    # its brackets folded into the first and last item, so the peak is about
-    # twice the text (2.00x here).  Materialized columns, or brackets added
-    # around a join, copy the text again and raise the process's peak RSS.
+def _graph_1000(tmp_path) -> Path:
+    """A DIMACS file of a random graph with 1000 vertices and 1500 edges."""
     rng = random.Random(1000)
     edges = set()
     while len(edges) < 1500:
@@ -433,6 +507,15 @@ def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
         edges.add((u, v))
     graph = tmp_path / "g1000.dimacs"
     graph.write_text("p edge 1000 1500\n" + "".join(f"e {u} {v}\n" for u, v in sorted(edges)))
+    return graph
+
+
+def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
+    # A list's items stay lazy iterators until the list joins them once, with
+    # its brackets folded into the first and last item, so the peak is about
+    # twice the text (2.00x here).  Materialized columns, or brackets added
+    # around a join, copy the text again and raise the process's peak RSS.
+    graph = _graph_1000(tmp_path)
     out = tmp_path / "artifact.json"
     argv = ["analyze", "--family", "maxcut", "--graph", str(graph), "--out", str(out)]
     assert cli_main(argv) == 0
@@ -445,6 +528,31 @@ def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
         tracemalloc.stop()
     assert text == out.read_text(encoding="utf-8")
     assert peak <= 2.5 * len(text)
+
+
+def test_built_sections_are_small_beside_the_text(tmp_path):
+    # The builders hand dumps tables whose columns are read from the model,
+    # not a dict per term, edge and gate: the sections hold 0.14x the text
+    # here (1.68x with a dict per record), and the peak of building and
+    # writing them is 2.64x (4.18x).
+    result = run_pipeline(make_maxcut(read_dimacs_graph(str(_graph_1000(tmp_path)))))
+    builders = {
+        "problem": (problem_to_json, result.problem), "pubo": (pubo_to_json, result.pubo),
+        "hypergraph": (hypergraph_to_json, result.hypergraph),
+        "coloring": (coloring_to_json, result.coloring),
+        "depth": (depth_report_to_json, result.report),
+        "schedule": (schedule_to_json, result.schedule),
+    }
+    tracemalloc.start()
+    try:
+        sections = {name: build_section(model) for name, (build_section, model) in builders.items()}
+        built = tracemalloc.get_traced_memory()[0]
+        text = dumps(sections)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < 0.25 * len(text)
+    assert peak < 3 * len(text)
 
 
 def _random_coeff(rng):
