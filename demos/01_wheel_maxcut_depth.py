@@ -1,9 +1,11 @@
 """MaxCut on the six-vertex wheel, end to end.
 
 The wheel (hub x1 joined to the cycle x2..x6) is the canonical small example:
-its interaction graph is the wheel itself, five colors suffice for the ten
-edge gates, and the hub's single-qubit phase can never share a layer with a
-cost gate, so one extra layer appears before the mixer.
+its interaction graph is the wheel itself and five colors suffice for the
+ten edge gates.  The hub is busy in every one of those layers, so its
+single-qubit phase could never get a layer slot of its own; it rides inside
+one of its edge gates instead, as every vertex's phase does, and the depth
+per iteration is the chromatic index plus the mixer.
 """
 
 from qaoadepth import (
@@ -29,7 +31,9 @@ print()
 pubo = dualize(problem)  # no constraints, so this is a pass-through
 h = build(pubo)
 print(f"interaction graph: {len(h.vertices)} qubits, {len(h.edges)} two-qubit gates,")
-print(f"{len(h.singletons)} single-qubit phase terms, max degree {h.max_degree()}")
+folded = sum(len(term[0]) == 1 for edge in h.edges for term in edge.monomials)
+print(f"{folded} single-qubit phases folded into those gates, {len(h.singletons)} left over,")
+print(f"max degree {h.max_degree()}")
 print()
 
 coloring = color_exact(h)
@@ -44,7 +48,7 @@ report = analyze_family(problem, pubo, h, sched)
 print(render_schedule_text(sched))
 print(
     f"depth per iteration: {report.structural_depth} = "
-    f"{report.coloring_depth} cost layers + {report.singleton_overhead} singleton layer + 1 mixer"
+    f"{report.coloring_depth} cost layers + 1 mixer"
 )
 print(f"three iterations would need depth {3 * report.structural_depth}")
 

@@ -20,6 +20,7 @@ declares its own code.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -316,15 +317,27 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
+    """Run one command line; the collector is paused for the run.
+
+    A run leaves only a few cyclic objects behind (a search's recursive
+    closure), which the next collection frees, while the generation-0
+    collections its allocations would trigger cost time.  The caller's own
+    collector state is restored on every exit.
+    """
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _run(args)
     except QaoaDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

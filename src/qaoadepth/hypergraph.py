@@ -2,9 +2,12 @@
 
 Vertices are the problem's variables (original and slack); every monomial
 touching at least two variables becomes a hyperedge, i.e. one multi-qubit
-diagonal gate.  Single-variable terms are kept aside (they become one-qubit
-phase gates that the scheduler places separately) and the constant term is
-recorded as an offset.
+diagonal gate.  A single-variable term rides inside a gate on its qubit:
+in the binary encoding x_u x_v = (1 - Z_u - Z_v + Z_u Z_v)/4, so the
+diagonal gate of an edge on u already turns u's Z phase, and a linear term
+on u only changes that angle (Hadfield, arXiv:1804.09130).  Only qubits no
+edge acts on keep a one-qubit phase gate, and the constant term is recorded
+as an offset.
 
 Two reductions shrink the gate count under a hardware width limit L:
 
@@ -56,7 +59,7 @@ class Hyperedge:
 class DerivedHypergraph:
     vertices: tuple[str, ...]
     edges: tuple[Hyperedge, ...]
-    singletons: tuple[tuple[str, Scalar], ...]
+    singletons: tuple[tuple[str, Scalar], ...]  # the phases of qubits no edge acts on
     constant: Scalar = 0
 
     @cached_property
@@ -147,22 +150,43 @@ class DerivedHypergraph:
 
 
 def build(pubo: Pubo) -> DerivedHypergraph:
-    """One hyperedge per distinct monomial support of size >= 2."""
-    singletons: list[tuple[str, Scalar]] = []
-    edges: list[Hyperedge] = []
+    """One hyperedge per distinct monomial support of size >= 2, phases folded in.
+
+    Each single-variable term joins the monomials of the widest edge on its
+    qubit, the first by support among equals; only a qubit no edge acts on
+    keeps its term in :attr:`DerivedHypergraph.singletons`.  Edges are in
+    support order and each one's monomials sorted, so :func:`absorb_subsets`
+    can return the result itself.
+    """
+    phases: list[tuple[str, Scalar]] = []
+    supports: list[Support] = []
+    monomials: list[list[tuple[Support, Scalar]]] = []
     constant = 0
-    for support, coeff in pubo.objective.terms():
+    for support, coeff in pubo.objective.terms():  # in support order
         if len(support) == 0:
             constant = coeff
         elif len(support) == 1:
-            singletons.append((support[0], coeff))
+            phases.append((support[0], coeff))
         else:
-            edges.append(Hyperedge(support=support, monomials=((support, coeff),)))
-    edges.sort(key=lambda e: e.support)
-    singletons.sort()
+            supports.append(support)
+            monomials.append([(support, coeff)])
+    host: dict[str, int] = {}  # qubit -> index of the widest, first-sorted edge on it
+    for index, support in enumerate(supports):
+        for name in support:
+            if name not in host or len(support) > len(supports[host[name]]):
+                host[name] = index
+    singletons = []
+    for name, coeff in phases:
+        if name in host:
+            monomials[host[name]].append(((name,), coeff))
+        else:
+            singletons.append((name, coeff))
     return DerivedHypergraph(
         vertices=pubo.variables,
-        edges=tuple(edges),
+        edges=tuple(
+            Hyperedge(support=support, monomials=tuple(sorted(terms)))
+            for support, terms in zip(supports, monomials)
+        ),
         singletons=tuple(singletons),
         constant=constant,
     )
@@ -180,9 +204,9 @@ def check_gate_width(h: DerivedHypergraph, limit: int) -> None:
 def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     """Fold each hyperedge into a containing hyperedge of width <= limit.
 
-    Chains collapse into their maximal element.  Edges wider than the limit
-    are kept as-is (they can absorb nothing and will be rejected by the
-    width check downstream).  When nothing is absorbed and ``h`` is already
+    Chains collapse into their maximal element, and a folded phase moves
+    with its edge.  Edges wider than the limit are kept as-is (they can
+    absorb nothing and will be rejected by the width check downstream).  When nothing is absorbed and ``h`` is already
     in the order the result is built in (as :func:`build` and this function
     leave it), ``h`` itself is returned, with the properties it has cached.
     """

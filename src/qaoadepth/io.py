@@ -32,9 +32,12 @@ and never read.
 The ``*_to_json`` builders return what :func:`dumps` writes, not plain
 ``json`` values: lists of like records (terms, edges, gates) are ``_Table``
 columns read straight from the model, with no dict per record, and ints,
-Fractions and tuples pass through as they are.  Only the encoder knows the
-``{"num", "den"}`` format (with :func:`rational_from_json`, which reads it
-back).  Every artifact is written through :func:`dumps`.
+Fractions and tuples pass through as they are.  Constraint and dualization
+records, whose optional keys differ, are ``_Runs`` of tables of one key
+set, and all the terms of a run's polynomials make one table.  Only the
+encoder knows the ``{"num", "den"}`` format (with
+:func:`rational_from_json`, which reads it back).  Every artifact is
+written through :func:`dumps`.
 """
 
 from __future__ import annotations
@@ -121,9 +124,32 @@ class _Table:
         return len(self.columns[0][0] if type(self.columns[0]) is tuple else self.columns[0])
 
 
+class _Runs(list):
+    """A list of ``_Table``s, written as one list of all their records in turn."""
+
+
 def _records(rows, *keys) -> _Table:
     """The records of the list ``rows``, in its order: item i of each row under ``keys[i]``."""
     return _Table({key: list(map(itemgetter(i), rows)) for i, key in enumerate(keys)})
+
+
+def _with_terms(records: list[dict], key: str) -> _Runs:
+    """``records``, whose values under ``key`` are polynomials, as runs of one key set.
+
+    Each run is a table whose ``key`` column is one table of all its
+    polynomials' terms with each record's count of them, so a record's
+    polynomial costs no table of its own.
+    """
+    runs = _Runs()
+    for _, run in groupby(records, dict.keys):
+        run = list(run)
+        columns = {name: list(map(itemgetter(name), run)) for name in run[0]}
+        polys = columns.get(key)
+        if polys is not None:
+            terms = list(chain.from_iterable(map(Polynomial.terms, polys)))
+            columns[key] = (list(map(Polynomial.num_terms, polys)), _records(terms, "vars", "coeff"))
+        runs.append(_Table(columns))
+    return runs
 
 
 # -- polynomials -------------------------------------------------------------
@@ -162,17 +188,9 @@ def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
 
 
 def problem_to_json(problem: Problem) -> dict:
-    out: dict[str, Any] = {
-        "sense": problem.sense,
-        "variables": problem.variables,
-        "objective": polynomial_to_json(problem.objective),
-        "constraints": [],
-    }
+    constraints = []
     for con in problem.constraints:
-        entry: dict[str, Any] = {
-            "terms": polynomial_to_json(con.lhs),
-            "rhs": con.rhs,
-        }
+        entry: dict[str, Any] = {"terms": con.lhs, "rhs": con.rhs}
         if con.weight is not None:
             entry["lambda"] = con.weight
         if con.lower is not None:
@@ -183,7 +201,13 @@ def problem_to_json(problem: Problem) -> dict:
             entry["label"] = con.label
         if con.reference_expansion is not None:
             entry["reference_expansion"] = polynomial_to_json(con.reference_expansion)
-        out["constraints"].append(entry)
+        constraints.append(entry)
+    out: dict[str, Any] = {
+        "sense": problem.sense,
+        "variables": problem.variables,
+        "objective": polynomial_to_json(problem.objective),
+        "constraints": _with_terms(constraints, "terms"),
+    }
     if problem.family is not None:
         out["family"] = problem.family
     if problem.family_info:
@@ -402,7 +426,8 @@ def expansion_diff_to_json(diff: ExpansionDiff) -> dict:
     }
 
 
-def dualization_to_json(record: ConstraintDualization) -> dict:
+def _dualization_record(record: ConstraintDualization) -> dict:
+    """The record of one constraint's dualization, with its penalty as the polynomial."""
     out: dict[str, Any] = {
         "index": record.index,
         "label": record.label,
@@ -418,7 +443,7 @@ def dualization_to_json(record: ConstraintDualization) -> dict:
         out["slack_bits"] = record.bit_count
         out["slack_vars"] = record.slack_vars
         out["penalty_weight"] = record.weight
-        out["penalty"] = polynomial_to_json(record.penalty)
+        out["penalty"] = record.penalty
     if record.notes:
         out["notes"] = record.notes
     if record.expansion_diff is not None:
@@ -433,7 +458,7 @@ def pubo_to_json(pubo: Pubo) -> dict:
         "original_sense": pubo.original_sense,
         "variables": pubo.variables,
         "slack_variables": pubo.slack_names(),
-        "dualization": [dualization_to_json(r) for r in pubo.dualizations],
+        "dualization": _with_terms(list(map(_dualization_record, pubo.dualizations)), "penalty"),
     }
 
 
@@ -494,7 +519,8 @@ def dumps(data) -> str:
     """Canonical JSON text: sorted keys, stable indentation, trailing newline.
 
     Accepted values are exactly dicts with ``str`` keys, lists, tuples,
-    ``_Table``s (each written as its list of dicts), strings, ints,
+    ``_Table``s (each written as its list of dicts), ``_Runs`` (written as
+    one list of all their tables' dicts), strings, ints,
     ``Fraction``s, bools and ``None``; anything else, including a float or
     a non-``str`` key, raises ``TypeError``.  A ``Fraction`` is written as
     :func:`rational_to_json` gives it: a whole one as its int, any other as
@@ -544,11 +570,11 @@ def _encode(value, newline: str) -> str:
         parts[0] = "{" + inner + parts[0]
         parts[-1] += newline + "}"
         return ("," + inner).join(parts)
-    if kind is list or kind is tuple or kind is _Table:
-        if not value:
-            return "[]"
+    if kind is list or kind is tuple or kind is _Table or kind is _Runs:
         inner = newline + "  "
         parts = list(_texts(value, inner))
+        if not parts:
+            return "[]"
         parts[0] = "[" + inner + parts[0]
         parts[-1] += newline + "]"
         return ("," + inner).join(parts)
@@ -565,6 +591,8 @@ def _texts(items, newline: str):
     """An iterator over ``_encode(item, newline)`` for each of ``items``, in order."""
     if type(items) is _Table:
         return _rows(items, newline)
+    if type(items) is _Runs:
+        return chain.from_iterable(map(_rows, items, repeat(newline)))
     if len(items) == 1:  # a single value, as in a run of one key set, keeps the direct path
         return iter((_encode(items[0], newline),))
     kinds = set(map(type, items))

@@ -1,22 +1,26 @@
 """Layered circuit schedules and depth reports.
 
 A proper coloring turns into one cost layer per color class: gates in a
-class act on disjoint qubits, so they run in parallel.  Single-variable
-phase terms are packed onto idle qubits of existing layers when every one of
-them fits; otherwise they form one dedicated layer, mirroring the usual
-circuit drawings.  Each iteration ends with the mixer layer of single-qubit
-X rotations, so
+class act on disjoint qubits, so they run in parallel.  A single-variable
+phase term on a qubit some gate acts on is already folded into that gate
+(:func:`~qaoadepth.hypergraph.build`); the others sit on qubits that are
+idle in every cost layer, so they join the first one.  Only a hypergraph
+with no edge at all gets a layer of its own for its phases, the
+``singleton`` layer.  Each iteration ends with the mixer layer of
+single-qubit X rotations, so
 
-    structural depth per iteration = color classes + singleton layer (0 or 1) + 1
+    structural depth per iteration = color classes + 1
+
+and 1 + 1 for phases without any interaction.
 
 Every gate is a :class:`~qaoadepth.hypergraph.Hyperedge`: a cost gate is
-the hypergraph's own edge, a singleton gate carries its one linear term and
+the hypergraph's own edge, a phase gate carries its one linear term and
 a mixer gate carries none.  The layer's ``kind`` tells them apart, and every
 depth figure is a count of layers by kind.  Properness is checked once, when
 :func:`~qaoadepth.coloring.make_coloring` builds the coloring; a layer still
 rejects gates that overlap.
 
-Cost and singleton gates share the iteration's gamma angle; the mixer layer
+Cost and phase gates share the iteration's gamma angle; the mixer layer
 uses beta.  Angles stay symbolic here: tuning them is out of scope.
 """
 
@@ -85,10 +89,9 @@ class CircuitSchedule:
 def schedule(h: DerivedHypergraph, coloring: EdgeColoring, p: int = 1) -> CircuitSchedule:
     """Turn a proper coloring into a layered schedule.
 
-    Layers are emitted largest class first.  Singleton packing is all or
-    nothing: if every single-variable term finds an idle qubit in some cost
-    layer they are packed there; as soon as one cannot (its qubit is busy in
-    every layer), all of them go to one dedicated layer instead.
+    Layers are emitted largest class first.  The phases of gate-free qubits
+    (``h.singletons``) join the first cost layer, or form the one
+    ``singleton`` layer when ``h`` has no edge.
 
     The coloring is not checked for properness again: every
     :class:`EdgeColoring` the package builds comes from
@@ -106,24 +109,12 @@ def schedule(h: DerivedHypergraph, coloring: EdgeColoring, p: int = 1) -> Circui
         sorted((h.edges[i] for i in cls), key=lambda edge: edge.support)
         for cls in ordered_classes
     ]
-    occupied = [{name for gate in gates for name in gate.support} for gates in layer_gates]
-
-    placement: dict[str, int] = {}
-    for name, _ in h.singletons:
-        target = next((i for i, busy in enumerate(occupied) if name not in busy), None)
-        if target is None:
-            placement = {}
-            break
-        placement[name] = target
-        occupied[target].add(name)
-
-    singletons = [Hyperedge((name,), (((name,), coeff),)) for name, coeff in h.singletons]
-    if placement:
-        for gate in singletons:
-            layer_gates[placement[gate.support[0]]].append(gate)
+    phases = [Hyperedge((name,), (((name,), coeff),)) for name, coeff in h.singletons]
+    if layer_gates:
+        layer_gates[0].extend(phases)
     layers = [CircuitLayer("cost", tuple(gates)) for gates in layer_gates]
-    if singletons and not placement:
-        layers.append(CircuitLayer("singleton", tuple(singletons)))
+    if phases and not layer_gates:
+        layers.append(CircuitLayer("singleton", tuple(phases)))
     layers.append(CircuitLayer("mixer", tuple(Hyperedge((name,), ()) for name in h.vertices)))
     return CircuitSchedule(variables=h.vertices, layers=tuple(layers), iterations=p)
 
@@ -213,7 +204,17 @@ def analyze_family(
 
     if problem.family in ("maxcut", "maxindset"):
         chi = sched.coloring_depth
-        if _is_star(n, [s for s in pubo.objective.supports() if len(s) == 2]):
+        if not h.edges:
+            phases = int(any(len(s) == 1 for s in pubo.objective.supports()))
+            bound = FamilyBound(
+                family=problem.family,
+                formula="phase layer + 1",
+                value=phases + 1,
+                matches_structural=(structural == phases + 1),
+                details={"chromatic_index": 0, "phase_layer": phases},
+                note="no interaction: one-qubit phases, if any, take one layer before the mixer",
+            )
+        elif _is_star(n, [s for s in pubo.objective.supports() if len(s) == 2]):
             bound = FamilyBound(
                 family=problem.family,
                 formula="n",
@@ -223,14 +224,13 @@ def analyze_family(
                 note="star instance: every edge needs its own color",
             )
         else:
-            matches = structural in (chi + 1, chi + 2)
             bound = FamilyBound(
                 family=problem.family,
-                formula="chromatic_index + 1 or chromatic_index + 2",
-                value=chi + 2,
-                matches_structural=matches,
+                formula="chromatic_index + 1",
+                value=chi + 1,
+                matches_structural=(structural == chi + 1),
                 details={"chromatic_index": chi},
-                note="+1 for the mixer; +2 when single-qubit phases need their own layer",
+                note="+1 for the mixer; one-qubit phases ride inside the cost gates",
             )
     elif problem.family == "vertex_cover":
         constraints_on = Counter(

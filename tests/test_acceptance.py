@@ -62,10 +62,10 @@ def test_criterion_1_wheel_maxcut_fixture():
     coloring = color_exact(h)
     assert coloring.num_colors == 5
     sched = schedule(h, coloring)
-    assert sched.structural_depth == 7
+    assert sched.structural_depth == 6  # five cost layers + mixer; the phases ride in the gates
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    print(f"\nACCEPTANCE 1 PASS: wheel fixture 6v/10e, chi'=5, depth 7 ({elapsed:.3f}s)")
+    print(f"\nACCEPTANCE 1 PASS: wheel fixture 6v/10e, chi'=5, depth 6 ({elapsed:.3f}s)")
 
 
 def test_criterion_2_general_fixture_with_reference_divergence(fixture_dir):

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -39,7 +40,7 @@ def test_analyze_wheel_maxcut(capsys, fixture_dir):
     assert code == 0
     artifact = json.loads(out)
     assert artifact["coloring"]["num_colors"] == 5
-    assert artifact["depth"]["structural_depth"] == 7
+    assert artifact["depth"]["structural_depth"] == 6
     assert artifact["depth"]["coloring_depth"] == 5
     assert artifact["flags"]["coloring_exact"] is True
     assert len(artifact["hypergraph"]["edges"]) == 10
@@ -263,7 +264,32 @@ def test_output_file_writing(tmp_path, capsys, fixture_dir):
     )
     assert code == 0
     assert out == ""
-    assert json.loads(out_path.read_text())["depth"]["structural_depth"] == 7
+    assert json.loads(out_path.read_text())["depth"]["structural_depth"] == 6
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["ok", "error"])
+def test_main_pauses_the_collector_and_restores_the_callers_state(
+        enabled, outcome, capsys, monkeypatch, fixture_dir):
+    seen = []
+    run_pipeline = cli.run_pipeline
+    monkeypatch.setattr(
+        cli, "run_pipeline", lambda *a, **k: seen.append(gc.isenabled()) or run_pipeline(*a, **k))
+    argv = ["analyze", "--problem", str(fixture_dir / "indset_w6.json")]
+    if outcome == "error":
+        argv += ["--lambda", "-1"]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False] if outcome == "ok" else [])  # the pipeline ran with it paused
+    if outcome == "ok":
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, fixture_dir):

@@ -52,10 +52,18 @@ def test_w6_derived_graph_is_the_wheel_itself(w6):
     h = build(pubo)
     assert len(h.vertices) == 6
     assert len(h.edges) == 10
-    assert len(h.singletons) == 6
+    assert h.singletons == ()  # every vertex has an edge, so its phase is folded into one
     assert {e.support for e in h.edges} == {
         (f"x{u}", f"x{v}") for u, v in w6.edges
     }
+    # Each phase joins its vertex's first edge by support; the hub x1 is in all of them.
+    folded = {
+        support[0]: edge.support
+        for edge in h.edges for support, _ in edge.monomials if len(support) == 1
+    }
+    assert folded == {"x1": ("x1", "x2"), "x2": ("x1", "x2"), **{
+        f"x{v}": ("x1", f"x{v}") for v in range(3, 7)
+    }}
     assert h.max_degree() == 5
     assert h.uniform_size() == 2
     assert h.is_linear()

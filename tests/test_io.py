@@ -29,6 +29,7 @@ from qaoadepth import (
 )
 from qaoadepth.cli import main as cli_main
 from qaoadepth.io import (
+    _Runs,
     _Table,
     coloring_to_json,
     depth_report_to_json,
@@ -245,11 +246,9 @@ def test_schedule_json_shape(w6):
     sched = schedule(h, color_exact(h), p=2)
     data = json.loads(dumps(schedule_to_json(sched)))
     assert data["iterations"] == 2
-    assert data["structural_depth"] == 7
-    assert data["total_depth"] == 14
-    assert [layer["kind"] for layer in data["layers"]] == (
-        ["cost"] * 5 + ["singleton", "mixer"]
-    )
+    assert data["structural_depth"] == 6
+    assert data["total_depth"] == 12
+    assert [layer["kind"] for layer in data["layers"]] == ["cost"] * 5 + ["mixer"]
     assert data["layers"][-1]["angle"] == "beta"
     assert all(layer["angle"] == "gamma" for layer in data["layers"][:-1])
     mixer_gates = data["layers"][-1]["gates"]
@@ -261,7 +260,7 @@ def test_render_schedule_text_plain_and_ansi(w6):
     h = build(pubo)
     sched = schedule(h, color_exact(h))
     plain = render_schedule_text(sched, color=False)
-    assert "B(x1)" in plain and "C(x1)" in plain
+    assert "B(x1)" in plain and "C(x1,x2)" in plain
     assert "\x1b[" not in plain
     colored = render_schedule_text(sched, color=True)
     assert "\x1b[" in colored
@@ -388,7 +387,8 @@ _json_values = st.recursive(
     | _records(inner)
     | _nested(inner)
     | _tables(inner)
-    | st.lists(_tables(inner), max_size=5),
+    | st.lists(_tables(inner), max_size=5)
+    | st.lists(_tables(inner), max_size=3).map(_Runs),
     max_leaves=25,
 )
 
@@ -405,8 +405,10 @@ def _values(column):
 
 
 def _plain(value):
-    """``value`` with each Fraction as its int or ``{"num", "den"}``, each tuple a list
-    and each table its list of dicts."""
+    """``value`` with each Fraction as its int or ``{"num", "den"}``, each tuple a list,
+    each table its list of dicts and each run of tables the list of all their dicts."""
+    if isinstance(value, _Runs):
+        return [record for table in value for record in _plain(table)]
     if isinstance(value, _Table):
         return _plain(_values(value))
     if isinstance(value, Fraction):
@@ -462,6 +464,12 @@ def _plain(value):
           _Table({"a": ([2], _Table({"b": [5, 6]}))})])
 @example([_Table({"a": _Table({"b": [3]})}), _Table({"a": _Table({"c": [4]})})])
 @example([_Table({"a": ([1], _Table({"b": [3]}))}), _Table({"a": ([1], _Table({"c": [4]}))})])
+# Runs of tables: none, only empty ones, key sets that differ, and runs inside a list
+@example(_Runs())
+@example(_Runs([_Table({"a": []}), _Table({"b": []})]))
+@example({"c": _Runs([_Table({"a": [1, 2], "t": ([1, 0], _Table({"v": [("x",)]}))}),
+                      _Table({"b": [Fraction(1, 2)]}), _Table({"a": [3]})])})
+@example([_Runs([_Table({"a": [1]})]), _Runs(), [_Table({"a": [2]})], _Runs([_Table({"b": [3]})])])
 def test_dumps_matches_json_dumps(value):
     assert dumps(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
 

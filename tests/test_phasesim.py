@@ -114,16 +114,18 @@ def test_equivalence_has_no_variable_limit():
     sched = schedule(h, color_misra_gries(h))
     assert len(sched.variables) == 30
     assert check_equivalence(sched, pubo).equivalent
-    # Dropping one gate is reported at the state with just its two qubits set.
+    # Dropping one gate is reported at the state with just the qubits of its
+    # first monomial in bitmask order set: here the phase of x1 folded into it.
     layer = sched.layers[0]
     dropped = layer.gates[0]
+    assert dropped.support == ("x1", "x17") and (("x1",), -5) in dropped.monomials
     pruned = replace(
         sched,
         layers=(CircuitLayer(kind=layer.kind, gates=layer.gates[1:]),) + sched.layers[1:],
     )
     report = check_equivalence(pruned, pubo)
     assert not report.equivalent
-    assert {name for name, bit in report.mismatch_assignment.items() if bit} == set(dropped.support)
+    assert {name for name, bit in report.mismatch_assignment.items() if bit} == {"x1"}
     assert -report.delta == Polynomial.from_terms(dropped.monomials).evaluate(report.mismatch_assignment)
 
 

@@ -43,29 +43,30 @@ def pipeline_parts(problem, gate_width=2):
 def test_w6_maxcut_schedule_layout(w6):
     pubo, h, coloring, sched = pipeline_parts(make_maxcut(w6))
     assert coloring.num_colors == 5
-    assert sched.structural_depth == 7
+    assert sched.structural_depth == 6
     kinds = [layer.kind for layer in sched.layers]
-    assert kinds == ["cost"] * 5 + ["singleton", "mixer"]
-    # the hub term can never pack (it appears in every class), so all six
-    # single-qubit phases sit together in the dedicated layer
-    singleton_layer = sched.layers[5]
-    assert len(singleton_layer.gates) == 6
-    assert sched.singleton_overhead == 1
+    assert kinds == ["cost"] * 5 + ["mixer"]
+    # the hub x1 is busy in every cost layer, so no layer has an idle qubit
+    # for its phase: all six phases ride inside the edge gates instead
+    assert sched.singleton_overhead == 0
     assert sched.coloring_depth == 5
     assert all(len(gate.support) == 2 for layer in sched.layers[:5] for gate in layer.gates)
+    phases = [term for layer in sched.layers[:5] for gate in layer.gates
+              for term in gate.monomials if len(term[0]) == 1]
+    assert len(phases) == 6
 
 
-def test_general_example_schedule_packs_all_singletons(general_problem):
+def test_general_example_schedule_folds_every_phase(general_problem):
     pubo, h, coloring, sched = pipeline_parts(general_problem, gate_width=3)
     assert coloring.num_colors == 7
     assert sched.singleton_overhead == 0
     assert sched.coloring_depth == 7
     assert sched.structural_depth == 8
-    packed = [
-        gate for layer in sched.layers if layer.kind == "cost"
-        for gate in layer.gates if len(gate.support) == 1
-    ]
-    assert len(packed) == len(h.singletons) == 5
+    assert h.singletons == ()
+    assert all(len(gate.support) == 3 or gate.support == ("s1_1", "s1_2")
+               for layer in sched.layers[:-1] for gate in layer.gates)
+    folded = [term for edge in h.edges for term in edge.monomials if len(term[0]) == 1]
+    assert len(folded) == 5
 
 
 def test_matching_without_singletons_has_depth_two():
@@ -86,7 +87,7 @@ def test_total_depth_scales_linearly(w6):
     _, h, coloring, _ = pipeline_parts(make_maxcut(w6))
     for p in (1, 3):
         sched = schedule(h, coloring, p=p)
-        assert (sched.structural_depth, sched.total_depth) == (7, 7 * p)
+        assert (sched.structural_depth, sched.total_depth) == (6, 6 * p)
     with pytest.raises(InvalidInputError):
         schedule(h, coloring, p=0)
 
@@ -165,17 +166,17 @@ def test_fewer_classes_never_deepen_the_circuit():
 # -- family analyzers ---------------------------------------------------------
 
 
-def test_star_maxcut_reports_vertex_count_figure_and_flags_gap():
+def test_star_maxcut_reports_vertex_count_figure_that_matches():
     star = InstanceGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
     problem = make_maxcut(star)
     pubo, h, coloring, sched = pipeline_parts(problem)
     report = analyze_family(problem, pubo, h, sched)
     assert report.family_bound.formula == "n"
     assert report.family_bound.value == 5
-    # the hub phase gate cannot pack, so the structural depth is n + 1
-    assert report.structural_depth == 6
-    assert report.family_bound.matches_structural is False
-    assert any("differs" in note for note in report.notes)
+    # the hub's phase rides in one of its four gates, so the depth is chi' + 1 = n
+    assert report.structural_depth == 5
+    assert report.family_bound.matches_structural is True
+    assert report.notes == ()
 
 
 def test_wheel_maxcut_family_figure_matches(w6):
@@ -263,8 +264,9 @@ def test_zero_weight_star_edge_gets_the_general_figure():
     # A zero-weight edge has no term and so no gate: the penalty form is no star.
     star = InstanceGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)), weights=(1, 1, 1, 0))
     fb = run_pipeline(make_maxcut(star)).report.family_bound
-    assert fb.formula == "chromatic_index + 1 or chromatic_index + 2"
-    assert fb.value == fb.details["chromatic_index"] + 2 == 5
+    assert fb.formula == "chromatic_index + 1"
+    assert fb.value == fb.details["chromatic_index"] + 1 == 4
+    assert fb.matches_structural is True
 
 
 def random_family_instance(family: str, rng, trial: int):
@@ -313,11 +315,14 @@ def test_every_family_figure_is_read_from_the_structure(family):
         fb = result.report.family_bound
         if family in ("maxcut", "maxindset"):
             g, chi = source, result.schedule.coloring_depth
-            if g.n >= 2 and len(g.edges) == g.n - 1 and g.max_degree() == g.n - 1:
+            if not g.edges:  # MaxIndSet's phases take a layer; MaxCut has none
+                assert (fb.formula, fb.value) == ("phase layer + 1", 1 + (family == "maxindset"))
+            elif g.n >= 2 and len(g.edges) == g.n - 1 and g.max_degree() == g.n - 1:
                 assert (fb.formula, fb.value) == ("n", g.n)
             else:
-                general = "chromatic_index + 1 or chromatic_index + 2"
-                assert (fb.formula, fb.value) == (general, chi + 2)
+                assert (fb.formula, fb.value) == ("chromatic_index + 1", chi + 1)
+            assert fb.matches_structural is True
+            assert fb.value == result.report.structural_depth
         elif family == "vertex_cover":
             assert fb.details["instance_max_degree"] == source.max_degree()
         elif family.startswith("knapsack"):
