@@ -1,9 +1,10 @@
 """Comparing the three coloring methods on random interaction graphs.
 
 The exact branch-and-bound settles the chromatic index; the constructive
-method guarantees max-degree-plus-one on ordinary graphs; first-fit greedy
-works on any hypergraph but overshoots. The exact count always lands on
-Delta or Delta+1 for simple graphs.
+method finds Delta colors by Kempe-chain swaps when it can and guarantees
+max-degree-plus-one on ordinary graphs; first-fit greedy works on any
+hypergraph but overshoots. The exact count always lands on Delta or Delta+1
+for simple graphs.
 """
 
 import random

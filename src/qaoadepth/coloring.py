@@ -6,8 +6,9 @@ provided:
 
 * :func:`color_exact` - branch and bound, returns the true chromatic index
   (with the exhausted search as certificate) within a node budget;
-* :func:`color_misra_gries` - constructive Delta+1 coloring for ordinary
-  (2-uniform) graphs;
+* :func:`color_misra_gries` - constructive coloring for ordinary (2-uniform)
+  graphs: Delta colors by Kempe-chain recoloring where it finds them, which
+  certifies the graph class 1, else Misra-Gries's Delta+1;
 * :func:`color_greedy` - first-fit fallback for arbitrary hypergraphs.
 
 Every coloring, whatever the method (``merge_exact`` included), is checked
@@ -183,14 +184,198 @@ def color_greedy(h: DerivedHypergraph) -> EdgeColoring:
 
 
 def color_misra_gries(h: DerivedHypergraph) -> EdgeColoring:
-    """Constructive proper coloring of a 2-uniform hypergraph with <= Delta+1 colors."""
+    """Constructive proper coloring of a 2-uniform hypergraph with Delta or Delta+1 colors.
+
+    A Vizing-type recoloring: :func:`_delta_classes` looks for Delta colors
+    by Kempe swaps, which meet the max-degree lower bound and so certify
+    the graph class 1.  Where it gets stuck, Misra-Gries colors the graph
+    with Delta+1 instead.
+    """
     for edge in h.edges:
         if len(edge.support) != 2:
             raise InvalidInputError(
                 "misra-gries needs a 2-uniform hypergraph; "
                 f"edge {edge.support} has width {len(edge.support)}"
             )
-    return make_coloring(h, _misra_gries_classes(h), method="misra_gries")
+    return make_coloring(h, _vizing_classes(h), method="misra_gries")
+
+
+def _vizing_classes(h: DerivedHypergraph) -> list[list[int]]:
+    """Delta color classes when :func:`_delta_classes` finds them, else Misra-Gries's Delta+1."""
+    classes = _delta_classes(h)
+    return _misra_gries_classes(h) if classes is None else classes
+
+
+def _delta_classes(h: DerivedHypergraph) -> list[list[int]] | None:
+    """Color classes of a 2-uniform hypergraph with Delta colors, or None.
+
+    Each edge (u, v), u its fan centre, takes the lowest color free at both
+    ends.  Otherwise, for a color a free at u and b free at v, it walks the
+    path from v whose edges alternate a and b.  When the path does not reach
+    u, swapping a and b along it frees a at v, and the edge takes a.  (The
+    b/a path from u is the same path, so one walk decides a pair.)  When no
+    pair works, Misra-Gries's fan step centred at u runs with Delta colors;
+    it needs a free color at the fan's last vertex and is stuck without one.
+
+    The edges are colored in index order, each centred at its first end.  If
+    that gets stuck, they are colored again in the order of
+    :func:`_fournier_order`, where the fan step never gets stuck; that order
+    exists when the vertices of degree Delta induce a forest.  None when
+    both passes get stuck.  Each vertex keeps the colors on its edges as a
+    bit mask, so a free color is one bit operation.
+    """
+    delta = h.max_degree()
+    full = (1 << delta) - 1
+    number = {name: position for position, name in enumerate(h.incident)}
+    ends = [(number[a], number[b]) for a, b in (edge.support for edge in h.edges)]
+    across = [u ^ v for u, v in ends]  # x ^ across[e] is the other end of e from x
+
+    def attempt(order) -> list[list[int]] | None:
+        used = [0] * len(number)  # per vertex, a bit per color on its edges
+        at = [[-1] * delta for _ in number]  # per vertex and color, the edge holding it
+        color = [0] * len(ends)
+
+        def paint(e: int, c: int) -> None:
+            u, v = ends[e]
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            at[u][c] = at[v][c] = e
+            color[e] = c
+
+        def walk(x: int, a: int, b: int, stop: int) -> tuple[list[int], int] | None:
+            """The edges and far end of the a/b path from x; None if it reaches stop."""
+            path, c = [], a
+            while used[x] >> c & 1:
+                f = at[x][c]
+                path.append(f)
+                x ^= across[f]
+                if x == stop:
+                    return None
+                c ^= a ^ b
+            return path, x
+
+        def swap(x: int, path: list[int], end: int, a: int, b: int) -> None:
+            """Exchange a and b along the path from x to end."""
+            used[x] ^= (1 << a) | (1 << b)  # each end holds one of the two
+            used[end] ^= (1 << a) | (1 << b)
+            for f in path:
+                color[f] ^= a ^ b
+                row = at[x]
+                row[a], row[b] = row[b], row[a]
+                x ^= across[f]
+            row = at[x]
+            row[a], row[b] = row[b], row[a]
+
+        def kempe(e: int, u: int, v: int) -> bool:
+            for a in _bits(full & ~used[u]):
+                for b in _bits(full & ~used[v]):
+                    found = walk(v, a, b, u)
+                    if found is not None:
+                        swap(v, *found, a, b)
+                        paint(e, a)
+                        return True
+            return False
+
+        def fan(e: int, u: int, v: int) -> bool:
+            # Each next fan edge's color is free at the previous edge's far
+            # end; the edges at u are told apart by their colors.
+            edges, tip, taken = [e], v, 0
+            while step := used[u] & ~used[tip] & ~taken:
+                c = _lowest(step)
+                edges.append(at[u][c])
+                taken |= 1 << c
+                tip = u ^ across[edges[-1]]
+            if not full & ~used[tip]:
+                return False
+            c = _lowest(full & ~used[u])
+            d = _lowest(full & ~used[tip])
+            if used[u] >> d & 1:
+                swap(u, *walk(u, d, c, -1), d, c)  # the d/c path from u; d is then free at u
+            pivot = next(i for i, f in enumerate(edges) if not used[u ^ across[f]] >> d & 1)
+            shifted = [color[f] for f in edges[1:pivot + 1]] + [d]
+            for f in edges[1:pivot + 1]:
+                x, y = ends[f]
+                used[x] ^= 1 << color[f]
+                used[y] ^= 1 << color[f]
+            for f, c in zip(edges, shifted):
+                paint(f, c)
+            return True
+
+        for e, u in order:
+            v = u ^ across[e]
+            shared = full & ~used[u] & ~used[v]
+            if shared:
+                paint(e, _lowest(shared))
+            elif not (kempe(e, u, v) or fan(e, u, v)):
+                return None
+        classes: list[list[int]] = [[] for _ in range(delta)]
+        for e, c in enumerate(color):
+            classes[c].append(e)
+        return classes
+
+    classes = attempt((e, u) for e, (u, _) in enumerate(ends))
+    if classes is None:
+        order = _fournier_order(h, ends, across, delta)
+        if order is not None:
+            classes = attempt(order)
+    return classes
+
+
+def _fournier_order(
+    h: DerivedHypergraph, ends: list[tuple[int, int]], across: list[int], delta: int
+) -> list[tuple[int, int]] | None:
+    """Edges with their fan centres, in an order the Delta-palette fan step colors.
+
+    While some vertex u of degree Delta has at most one neighbor of degree
+    Delta, the edge to that neighbor, or else u's first edge, is taken out
+    with u as its centre; degrees drop as edges go.  The edges never taken
+    out come first, in index order, as no vertex then has degree Delta; the
+    others follow in reverse.  So when an edge at u is colored, every other
+    neighbor of u has an edge still uncolored or degree below Delta, and
+    with it a free color.  This proves Fournier's theorem (1973): a graph
+    whose degree-Delta vertices induce a forest is class 1.  None when those
+    vertices keep a cycle.
+    """
+    incident = list(h.incident.values())  # by vertex position, as in ``ends``
+    degree = [len(edges) for edges in incident]
+    core = [sum(degree[x ^ across[f]] == delta for f in edges) for x, edges in enumerate(incident)]
+    out = [False] * len(across)
+    stack = [x for x, d in enumerate(degree) if d == delta and core[x] <= 1]
+    stripped = []
+    while stack:
+        u = stack.pop()
+        if degree[u] < delta:
+            continue
+        live = [f for f in incident[u] if not out[f]]
+        f = next((f for f in live if degree[u ^ across[f]] == delta), live[0])
+        out[f] = True
+        stripped.append((f, u))
+        for x in (u, u ^ across[f]):
+            if degree[x] == delta:  # x leaves the degree-Delta vertices
+                for g in incident[x]:
+                    z = x ^ across[g]
+                    if not out[g] and degree[z] == delta:
+                        core[z] -= 1
+                        if core[z] == 1:
+                            stack.append(z)
+            degree[x] -= 1
+    if delta in degree:
+        return None
+    kept = [(f, u) for f, (u, _) in enumerate(ends) if not out[f]]
+    return kept + stripped[::-1]
+
+
+def _lowest(mask: int) -> int:
+    """The position of the lowest set bit of ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _misra_gries_classes(h: DerivedHypergraph) -> list[list[int]]:
@@ -273,18 +458,21 @@ def _misra_gries_classes(h: DerivedHypergraph) -> list[list[int]]:
 def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> EdgeColoring:
     """Exact chromatic index by branch and bound.
 
-    Runs :func:`~qaoadepth.hypergraph.search_layers` with merging off.  A
+    The incumbent is the better of first-fit and, on a 2-uniform hypergraph,
+    :func:`color_misra_gries`'s classes; when it already meets the
+    combinatorial lower bound no search runs.  Otherwise
+    :func:`~qaoadepth.hypergraph.search_layers` runs with merging off.  A
     maximal clique of pairwise intersecting edges opens the first layers to
-    break palette symmetry, and the search stops at the combinatorial lower
-    bound.  The exhausted search certifies optimality.  Raises
+    break palette symmetry, and the search stops at the lower bound.  The
+    exhausted search certifies optimality.  Raises
     :class:`BudgetExceededError` when the node budget runs out.
     """
     known = bounds(h)
     classes = first_fit_classes(h)
     if h.uniform_size() == 2:
-        # Delta+1 construction is a far better incumbent than first-fit and
-        # instantly certifies class-2 graphs whose lower bound is Delta+1.
-        constructive = _misra_gries_classes(h)
+        # Delta colors, or Delta+1 where the counting bound is Delta+1 (odd
+        # K_m), meet the lower bound, and the search returns at once.
+        constructive = _vizing_classes(h)
         if len(constructive) < len(classes):
             classes = constructive
     layers, _ = search_layers(h, limit=0, budget=budget, incumbent=len(classes), lower=known[0])

@@ -49,6 +49,9 @@ class Hyperedge:
 
     Interaction edges act on two or more qubits; a schedule also uses this
     type for its one-qubit phase gates and, with no monomials, its mixers.
+    The monomials are sorted: :func:`build`, :func:`absorb_subsets` and
+    :func:`merge_exact` sort them, so :func:`absorb_subsets` can return its
+    argument without checking them.
     """
 
     support: tuple[str, ...]
@@ -206,13 +209,14 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
 
     Chains collapse into their maximal element, and a folded phase moves
     with its edge.  Edges wider than the limit are kept as-is (they can
-    absorb nothing and will be rejected by the width check downstream).  When nothing is absorbed and ``h`` is already
-    in the order the result is built in (as :func:`build` and this function
-    leave it), ``h`` itself is returned, with the properties it has cached.
+    absorb nothing and will be rejected by the width check downstream).
+    When nothing is absorbed and the edges of ``h`` are already in support
+    order (as :func:`build` and this function leave them), ``h`` itself is
+    returned, with the properties it has cached.
     """
     if limit < 2:
         raise InvalidInputError(f"gate width limit must be >= 2, got {limit}")
-    if all(len(e.support) >= limit for e in h.edges) and _in_built_order(h.edges):
+    if all(len(e.support) >= limit for e in h.edges) and _in_support_order(h.edges):
         return h  # no edge is narrow enough to be absorbed
 
     def rank(i: int) -> tuple[int, Support]:
@@ -243,7 +247,7 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
         else:
             kept[host].extend(edge.monomials)
 
-    if len(kept) == len(h.edges) and _in_built_order(h.edges):
+    if len(kept) == len(h.edges) and _in_support_order(h.edges):
         return h
     new_edges = [
         Hyperedge(support=h.edges[index].support, monomials=tuple(sorted(monomials)))
@@ -253,11 +257,9 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     return replace(h, edges=tuple(new_edges))
 
 
-def _in_built_order(edges: Sequence[Hyperedge]) -> bool:
-    """True when ``edges`` are sorted by support and each one's monomials are sorted."""
-    return all(a.support <= b.support for a, b in zip(edges, edges[1:])) and all(
-        list(e.monomials) == sorted(e.monomials) for e in edges if len(e.monomials) > 1
-    )
+def _in_support_order(edges: Sequence[Hyperedge]) -> bool:
+    """True when ``edges`` are sorted by support, the order the rebuild leaves them in."""
+    return all(a.support <= b.support for a, b in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)

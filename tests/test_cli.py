@@ -456,20 +456,6 @@ def test_exit_code_gate_width(capsys, fixture_dir):
     assert "gate width" in err
 
 
-def _dense_graph_dimacs(tmp_path):
-    """A graph whose exact coloring genuinely needs search (greedy > max degree)."""
-    import random
-
-    from bruteforce import random_graph
-
-    g = random_graph(random.Random(3), 9, 0.7)
-    path = tmp_path / "dense.dimacs"
-    lines = [f"p edge {g.n} {len(g.edges)}"]
-    lines += [f"e {u} {v}" for u, v in g.edges]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def test_exit_code_budget_exceeded_emits_heuristic_results(capsys, fixture_dir):
     # Petersen's 15 edges are under the auto cutoff, so the search runs.
     code, out, _ = run_cli(
@@ -487,13 +473,14 @@ def test_exit_code_budget_exceeded_emits_heuristic_results(capsys, fixture_dir):
     assert any("budget" in note for note in artifact["flags"]["notes"])
 
 
-def test_forced_exact_budget_exhaustion_is_fatal(capsys, tmp_path):
-    path = _dense_graph_dimacs(tmp_path)
+def test_forced_exact_budget_exhaustion_is_fatal(capsys, fixture_dir):
+    # Petersen is class 2, so the search runs: the constructive Delta + 1
+    # coloring does not meet the lower bound Delta.
     code, out, err = run_cli(
         capsys,
         "color",
         "--family", "maxcut",
-        "--graph", str(path),
+        "--graph", str(fixture_dir / "petersen.dimacs"),
         "--method", "exact",
         "--budget", "2",
     )

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaoadepth import (
     BudgetExceededError,
@@ -19,6 +22,7 @@ from qaoadepth import (
     make_maxindset,
     make_vertex_cover,
     merge_exact,
+    run_pipeline,
 )
 from qaoadepth import coloring as coloring_mod
 from qaoadepth.coloring import check_proper, make_coloring
@@ -70,10 +74,12 @@ def test_exact_empty_and_single_edge():
     assert coloring.lower_bound == 1
 
 
-def test_exact_budget_exhaustion_signals():
-    g = random_graph(random.Random(3), 9, 0.7)
+def test_exact_budget_exhaustion_signals(fixture_dir):
+    # Petersen is class 2: the constructive step leaves Delta + 1 against the
+    # lower bound Delta, so the search runs and spends its budget.
+    petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
     with pytest.raises(BudgetExceededError):
-        color_exact(graph_hypergraph(g), budget=2)
+        color_exact(graph_hypergraph(petersen), budget=2)
 
 
 def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
@@ -92,8 +98,8 @@ def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
     monkeypatch.setattr(clique, "func", counting("conflict_clique", clique.func))
     petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
     # The exact coloring's search seeds itself with the clique, and runs only
-    # when Misra-Gries leaves a gap: not on the wheel (Delta colors), but on
-    # Petersen (Delta + 1).  The lower bound of a simple graph of max degree
+    # when the constructive step leaves a gap: not on the wheel (Delta
+    # colors), but on Petersen (Delta + 1).  The lower bound of a simple graph of max degree
     # >= 3 does without the clique, and the merge search takes no seed.
     for graph, exact_cliques in ((w6, 0), (petersen, 1)):
         for search, cliques in ((color_exact, exact_cliques), (lambda h: merge_exact(h, 2), 0)):
@@ -108,6 +114,10 @@ def test_color_exact_node_counts_are_pinned(monkeypatch):
     # its calls of search_layers (no merging, the conflict clique first) are
     # counted here.  The counts come from the search on frozensets, before
     # its state became integer masks; the mask search must branch the same way.
+    # Every graph here gets Delta colors from the constructive step, which
+    # meets the lower bound, so color_exact's graph searches stop at 0 nodes;
+    # searching from the Misra-Gries incumbent (Delta + 1) keeps the counts
+    # of the graph searches pinned.
     counts = []
     search = coloring_mod.search_layers
 
@@ -117,15 +127,24 @@ def test_color_exact_node_counts_are_pinned(monkeypatch):
         return layers, nodes
 
     monkeypatch.setattr(coloring_mod, "search_layers", counted)
+    graph_counts = []
     rng = random.Random(74)
     for _ in range(20):
-        color_exact(graph_hypergraph(random_graph(rng, rng.randint(10, 18), rng.uniform(0.3, 0.8))))
+        h = graph_hypergraph(random_graph(rng, rng.randint(10, 18), rng.uniform(0.3, 0.8)))
+        color_exact(h)
+        incumbent = min(
+            len(coloring_mod.first_fit_classes(h)), len(coloring_mod._misra_gries_classes(h))
+        )
+        graph_counts.append(search(h, 0, 10**6, incumbent, lower=bounds(h)[0])[1])
         supports = random_hypergraph_supports(
             rng, rng.randint(10, 16), rng.randint(20, 50), rng.randint(3, 4)
         )
         color_exact(build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports))))
-    assert sum(counts) == 1587
-    assert counts[:8] == [111, 0, 73, 0, 93, 0, 0, 43]
+    assert counts[0::2] == [0] * 20
+    assert sum(counts) == 739
+    assert counts[1:8:2] == [0, 0, 0, 43]
+    assert sum(graph_counts) == 848
+    assert graph_counts[:4] == [111, 73, 93, 0]
 
 
 def test_misra_gries_w6(w6):
@@ -185,6 +204,100 @@ def test_misra_gries_matches_the_name_keyed_reference():
         assert coloring_mod._misra_gries_classes(h) == misra_gries_reference(h)
 
 
+@st.composite
+def simple_graphs(draw, max_vertices=12):
+    """A simple graph on 2 to ``max_vertices`` vertices, about a quarter to three quarters dense."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    density = draw(st.integers(1, 3))
+    draws = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return InstanceGraph(n, tuple(p for p, d in zip(pairs, draws) if d < density))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(simple_graphs())
+def test_delta_step_colors_with_delta_or_falls_back_to_delta_plus_one(g):
+    h = graph_hypergraph(g)
+    delta = h.max_degree()
+    coloring = color_misra_gries(h)  # make_coloring checks properness
+    assert coloring.num_colors in (delta, delta + 1)
+    classes = coloring_mod._delta_classes(h)
+    if classes is not None:
+        check_proper(h, classes)
+        assert len(classes) == delta
+        assert [list(c) for c in coloring.classes] == classes
+    if g.n <= 9:
+        exact = color_exact(h).num_colors
+        assert exact <= coloring.num_colors
+        if classes is not None:
+            assert exact == delta  # so the step never returns on a class-2 graph
+
+
+def max_degree_vertices_induce_a_forest(g: InstanceGraph) -> bool:
+    degree = [0] * (g.n + 1)
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    core = {x for x in range(1, g.n + 1) if degree[x] == max(degree)}
+    root = {x: x for x in core}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in g.edges:
+        if u in core and v in core:
+            if find(u) == find(v):
+                return False
+            root[find(u)] = find(v)
+    return True
+
+
+def test_graphs_with_a_forest_of_max_degree_vertices_get_delta_colors(monkeypatch):
+    # Fournier's theorem: such a graph is class 1.  Index order alone misses
+    # some of them; the second pass, in the order of _fournier_order, must
+    # reach every one.
+    orders = []
+    fournier_order = coloring_mod._fournier_order
+
+    def recorded(*args):
+        orders.append(fournier_order(*args))
+        return orders[-1]
+
+    monkeypatch.setattr(coloring_mod, "_fournier_order", recorded)
+    rng = random.Random(5)
+    forests = 0
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(3, 14), rng.uniform(0.15, 0.9))
+        if not g.edges or not max_degree_vertices_induce_a_forest(g):
+            continue
+        forests += 1
+        coloring = color_misra_gries(graph_hypergraph(g))
+        assert coloring.num_colors == g.max_degree() == coloring.lower_bound
+    assert forests > 1000
+    assert len(orders) >= 10 and None not in orders
+
+
+@pytest.mark.parametrize("n, degree", [(30, 3), (45, 4), (60, 5), (80, 6), (100, 4), (140, 5), (100, 12)])
+def test_benchmark_shaped_graphs_are_certified(n, degree):
+    rng = random.Random(n * 100 + degree)
+    for _ in range(2):
+        result = run_pipeline(make_maxcut(random_graph(rng, n, degree / (n - 1))))
+        assert len(result.hypergraph.edges) > 20  # past the exact-search cutoff
+        assert result.coloring.method == "misra_gries"
+        assert result.coloring.num_colors == result.coloring.lower_bound
+
+
+def test_petersen_keeps_four_colors_certified_only_by_the_search(fixture_dir):
+    h = graph_hypergraph(read_dimacs_graph(str(fixture_dir / "petersen.dimacs")))
+    assert coloring_mod._delta_classes(h) is None
+    constructive = color_misra_gries(h)
+    assert (constructive.num_colors, constructive.lower_bound) == (4, 3)
+    exact = color_exact(h)
+    assert (exact.num_colors, exact.lower_bound) == (4, 4)
+
+
 def test_greedy_on_matchings_and_stars():
     matching = build(pubo_from_polynomial(Polynomial({("a", "b"): 1, ("c", "d"): 1})))
     assert color_greedy(matching).num_colors == 1
@@ -194,11 +307,15 @@ def test_greedy_on_matchings_and_stars():
 
 def test_complete_graphs_have_known_chromatic_index():
     # knapsack-style derived graphs are complete; chi' is m-1 (even m) or m (odd)
-    for m in (4, 5, 6, 7, 8):
+    for m in range(2, 13):
         edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
         h = graph_hypergraph(InstanceGraph(m, tuple(edges)))
         expected = m - 1 if m % 2 == 0 else m
         assert color_exact(h).num_colors == expected
+        # The Delta step colors even K_m; odd K_m falls back to m colors,
+        # which the counting bound (at most (m-1)/2 edges a class) certifies.
+        constructive = color_misra_gries(h)
+        assert constructive.num_colors == constructive.lower_bound == expected
         # first-fit stays proper but overshoots on complete graphs
         assert color_greedy(h).num_colors >= expected
 

@@ -34,6 +34,7 @@ from bruteforce import (
     random_polynomial,
     total_polynomial,
 )
+from qaoadepth.schedule import schedule
 
 GENERAL_SUPPORTS_AFTER_ABSORB = {
     ("s1_1", "s1_2"),
@@ -186,6 +187,38 @@ def test_absorption_returns_its_argument_when_it_absorbs_nothing(w6, general_pro
     merged = merge_exact(absorb_subsets(build(dualize(general_problem)), 3), 3).hypergraph
     resorted = absorb_subsets(merged, 3)
     assert resorted.edges == tuple(sorted(merged.edges, key=lambda e: e.support))
+
+
+def test_every_gate_producer_keeps_the_monomials_sorted(general_problem):
+    # absorb_subsets returns its argument without looking at the monomials,
+    # so every producer of gates must leave them sorted.  Phases on every
+    # qubit fold into the edges, so most gates carry several monomials.
+    def assert_sorted(edges):
+        for edge in edges:
+            assert list(edge.monomials) == sorted(edge.monomials)
+
+    rng = random.Random(83)
+    instances = [build(dualize(general_problem))]
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        supports = random_hypergraph_supports(rng, n, rng.randint(1, 8), 4)
+        phases = [((f"x{i}",), rng.randint(-3, 3)) for i in range(1, n + 1)]
+        poly = Polynomial.from_terms([(s, rng.randint(1, 3)) for s in supports] + phases)
+        instances.append(build(pubo_from_polynomial(poly)))
+    folded = merges = 0
+    for h in instances:
+        assert_sorted(h.edges)
+        folded += sum(len(edge.monomials) > 1 for edge in h.edges)
+        for limit in (2, 3, 4):
+            absorbed = absorb_subsets(h, limit)
+            assert_sorted(absorbed.edges)
+            if limit >= max(len(e.support) for e in h.edges):
+                merged = merge_exact(absorbed, limit).hypergraph
+                merges += 1
+                assert_sorted(merged.edges)
+                sched = schedule(merged, color_exact(merged))
+                assert_sorted(gate for layer in sched.layers for gate in layer.gates)
+    assert folded > 30 and merges > 30
 
 
 def test_merge_exact_on_an_absorbed_hypergraph_computes_its_conflicts_once(

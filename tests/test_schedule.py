@@ -260,6 +260,21 @@ def test_knapsack_figures_with_and_without_preprocessing():
     assert (fb3.value, fb3.details["n"], fb3.details["slack_bits"]) == (3, 3, 0)
 
 
+@pytest.mark.parametrize("capacity, m", [(3, 10), (15, 12), (7, 11), (31, 13)])
+def test_knapsack_figure_matches_even_m_and_is_flagged_for_odd_m(capacity, m):
+    # Eight items plus the capacity's slack bits are m qubits, and the
+    # squared constraint couples every pair: the cost graph is K_m, past the
+    # exact-search cutoff.  chi'(K_m) is m - 1 for even m, so the depth with
+    # the mixer is m, the figure n + slack bits; odd K_m needs m colors.
+    result = run_pipeline(make_knapsack(range(1, 9), range(1, 9), capacity))
+    fb = result.report.family_bound
+    assert len(result.hypergraph.edges) == m * (m - 1) // 2 > 20
+    assert result.coloring.num_colors == result.coloring.lower_bound
+    assert fb.value == m
+    assert result.report.structural_depth == m + m % 2
+    assert fb.matches_structural is (m % 2 == 0)
+
+
 def test_zero_weight_star_edge_gets_the_general_figure():
     # A zero-weight edge has no term and so no gate: the penalty form is no star.
     star = InstanceGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)), weights=(1, 1, 1, 0))
