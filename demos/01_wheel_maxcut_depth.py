@@ -16,7 +16,6 @@ from qaoadepth import (
     dualize,
     make_maxcut,
     schedule,
-    analyze_family,
 )
 from qaoadepth.io import render_schedule_text
 
@@ -44,13 +43,12 @@ for c, cls in enumerate(coloring.classes):
 print()
 
 sched = schedule(h, coloring, p=1)
-report = analyze_family(problem, pubo, h, sched)
 print(render_schedule_text(sched))
 print(
-    f"depth per iteration: {report.structural_depth} = "
-    f"{report.coloring_depth} cost layers + 1 mixer"
+    f"depth per iteration: {sched.structural_depth} = "
+    f"{sched.coloring_depth} cost layers + 1 mixer"
 )
-print(f"three iterations would need depth {3 * report.structural_depth}")
+print(f"three iterations would need depth {3 * sched.structural_depth}")
 
 oracle = check_equivalence(sched, pubo)
 print(f"\nphase oracle confirms the schedule reproduces the objective: {oracle.equivalent}")

@@ -26,7 +26,7 @@ def show(title, result):
         f"   qubits {len(result.hypergraph.vertices)}, gates {len(result.hypergraph.edges)}, "
         f"colors {result.coloring.num_colors} ({result.coloring.method})"
     )
-    line = f"   depth/iteration {report.structural_depth}"
+    line = f"   depth/iteration {result.schedule.structural_depth}"
     if fb is not None:
         value = "n/a" if fb.value is None else fb.value
         line += f"   family figure: {fb.formula} = {value}"

@@ -12,9 +12,10 @@ Subcommands mirror the pipeline stages::
                comparing coefficients
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible constraint, 3 gate
-width violation, 4 exact-search budget exceeded (heuristic results are still
-emitted, flagged as such).  Each error class in :mod:`qaoadepth.errors`
-declares its own code.
+width violation, 4 exact-search budget exceeded (under ``--method auto`` the
+heuristic results are still emitted, flagged as such; under ``--method
+exact`` or ``merge-exact`` no artifact is printed).  Each error class in
+:mod:`qaoadepth.errors` declares its own code.
 """
 
 from __future__ import annotations
@@ -237,15 +238,15 @@ def _render_schedule(result, args) -> str:
 
 
 def _render_analyze(result, args) -> str:
-    report = result.report
+    report, sched = result.report, result.schedule
     lines = [
         f"hypergraph: {len(result.hypergraph.edges)} gates over "
         f"{len(result.hypergraph.vertices)} qubits, max degree {result.hypergraph.max_degree()}",
         f"coloring: {result.coloring.num_colors} classes ({result.coloring.method}), "
         f"lower bound {result.coloring.lower_bound}",
-        f"depth per iteration: {report.structural_depth} "
-        f"({report.coloring_depth} cost + {report.singleton_overhead} singleton + 1 mixer)",
-        f"total depth (p={result.schedule.iterations}): {result.schedule.total_depth}",
+        f"depth per iteration: {sched.structural_depth} "
+        f"({sched.coloring_depth} cost + {sched.singleton_overhead} singleton + 1 mixer)",
+        f"total depth (p={sched.iterations}): {sched.total_depth}",
     ]
     if report.family_bound is not None:
         fb = report.family_bound

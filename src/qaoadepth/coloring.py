@@ -7,8 +7,9 @@ provided:
 * :func:`color_exact` - branch and bound, returns the true chromatic index
   (with the exhausted search as certificate) within a node budget;
 * :func:`color_misra_gries` - constructive coloring for ordinary (2-uniform)
-  graphs: Delta colors by Kempe-chain recoloring where it finds them, which
-  certifies the graph class 1, else Misra-Gries's Delta+1;
+  graphs by one Kempe-chain and fan recoloring in three passes: Delta
+  colors in index order, then in Fournier's order, which certify the graph
+  class 1 when they finish, else Misra-Gries's Delta+1;
 * :func:`color_greedy` - first-fit fallback for arbitrary hypergraphs.
 
 Every coloring, whatever the method (``merge_exact`` included), is checked
@@ -19,7 +20,7 @@ applicable documented upper bounds; the schedule does not check it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 from .hypergraph import DEFAULT_EXACT_BUDGET, DerivedHypergraph, search_layers
@@ -186,10 +187,11 @@ def color_greedy(h: DerivedHypergraph) -> EdgeColoring:
 def color_misra_gries(h: DerivedHypergraph) -> EdgeColoring:
     """Constructive proper coloring of a 2-uniform hypergraph with Delta or Delta+1 colors.
 
-    A Vizing-type recoloring: :func:`_delta_classes` looks for Delta colors
-    by Kempe swaps, which meet the max-degree lower bound and so certify
-    the graph class 1.  Where it gets stuck, Misra-Gries colors the graph
-    with Delta+1 instead.
+    One Vizing-type recoloring, :func:`_recolor`, runs up to three passes
+    (:func:`_vizing_classes`).  The two passes with Delta colors meet the
+    max-degree lower bound when they finish, and so certify the graph class
+    1.  Where both get stuck, the same recoloring with one more color is
+    Misra-Gries's Delta+1.
     """
     for edge in h.edges:
         if len(edge.support) != 2:
@@ -201,129 +203,137 @@ def color_misra_gries(h: DerivedHypergraph) -> EdgeColoring:
 
 
 def _vizing_classes(h: DerivedHypergraph) -> list[list[int]]:
-    """Delta color classes when :func:`_delta_classes` finds them, else Misra-Gries's Delta+1."""
-    classes = _delta_classes(h)
-    return _misra_gries_classes(h) if classes is None else classes
+    """The color classes of :func:`color_misra_gries`; every edge has width 2.
 
-
-def _delta_classes(h: DerivedHypergraph) -> list[list[int]] | None:
-    """Color classes of a 2-uniform hypergraph with Delta colors, or None.
-
-    Each edge (u, v), u its fan centre, takes the lowest color free at both
-    ends.  Otherwise, for a color a free at u and b free at v, it walks the
-    path from v whose edges alternate a and b.  When the path does not reach
-    u, swapping a and b along it frees a at v, and the edge takes a.  (The
-    b/a path from u is the same path, so one walk decides a pair.)  When no
-    pair works, Misra-Gries's fan step centred at u runs with Delta colors;
-    it needs a free color at the fan's last vertex and is stuck without one.
-
-    The edges are colored in index order, each centred at its first end.  If
-    that gets stuck, they are colored again in the order of
-    :func:`_fournier_order`, where the fan step never gets stuck; that order
-    exists when the vertices of degree Delta induce a forest.  None when
-    both passes get stuck.  Each vertex keeps the colors on its edges as a
-    bit mask, so a free color is one bit operation.
+    :func:`_recolor` with Delta colors in index order, then with Delta
+    colors in the order of :func:`_fournier_order`, then with Delta+1
+    colors in index order, which never gets stuck.  The first pass that
+    finishes gives the classes.
     """
     delta = h.max_degree()
-    full = (1 << delta) - 1
+    classes = _recolor(h, delta)
+    if classes is None:
+        order = _fournier_order(h, delta)
+        if order is not None:
+            classes = _recolor(h, delta, order)
+    return _recolor(h, delta + 1) if classes is None else classes
+
+
+def _ends(h: DerivedHypergraph) -> tuple[list[tuple[int, int]], list[int]]:
+    """Each edge's two ends as positions in ``h.incident``, and the xor of the two."""
     number = {name: position for position, name in enumerate(h.incident)}
     ends = [(number[a], number[b]) for a, b in (edge.support for edge in h.edges)]
-    across = [u ^ v for u, v in ends]  # x ^ across[e] is the other end of e from x
+    return ends, [u ^ v for u, v in ends]
 
-    def attempt(order) -> list[list[int]] | None:
-        used = [0] * len(number)  # per vertex, a bit per color on its edges
-        at = [[-1] * delta for _ in number]  # per vertex and color, the edge holding it
-        color = [0] * len(ends)
 
-        def paint(e: int, c: int) -> None:
-            u, v = ends[e]
-            used[u] |= 1 << c
-            used[v] |= 1 << c
-            at[u][c] = at[v][c] = e
-            color[e] = c
+def _recolor(
+    h: DerivedHypergraph, palette: int, order: Iterable[tuple[int, int]] | None = None
+) -> list[list[int]] | None:
+    """Color classes of a 2-uniform hypergraph from ``palette`` colors, or None when stuck.
 
-        def walk(x: int, a: int, b: int, stop: int) -> tuple[list[int], int] | None:
-            """The edges and far end of the a/b path from x; None if it reaches stop."""
-            path, c = [], a
-            while used[x] >> c & 1:
-                f = at[x][c]
-                path.append(f)
-                x ^= across[f]
-                if x == stop:
-                    return None
-                c ^= a ^ b
-            return path, x
+    The edges are colored one at a time in ``order``, each with its fan
+    centre; by default in index order, each centred at its first end.  Edge
+    (u, v), u its centre, takes the lowest color free at both ends.
+    Otherwise, with a palette of Delta, for a color a free at u and b free
+    at v, it walks the path from v whose edges alternate a and b.  When the
+    path does not reach u, swapping a and b along it frees a at v, and the
+    edge takes a.  (The b/a path from u is the same path, so one walk
+    decides a pair.)  When no pair works, or the palette has a spare color,
+    Misra-Gries's fan step centred at u runs.  It needs a free color at the
+    fan's last vertex and is stuck without one, which a spare color rules
+    out; with Delta+1 colors the pass is Misra-Gries's algorithm exactly.
+    Empty classes are dropped.  Each vertex keeps the colors on its edges as
+    a bit mask, so a free color is one bit operation.
+    """
+    tight = palette == h.max_degree()  # no spare color, so Kempe swaps go first
+    full = (1 << palette) - 1
+    ends, across = _ends(h)  # x ^ across[e] is the other end of e from x
+    used = [0] * len(h.incident)  # per vertex, a bit per color on its edges
+    at = [[-1] * palette for _ in h.incident]  # per vertex and color, the edge holding it
+    color = [0] * len(ends)
 
-        def swap(x: int, path: list[int], end: int, a: int, b: int) -> None:
-            """Exchange a and b along the path from x to end."""
-            used[x] ^= (1 << a) | (1 << b)  # each end holds one of the two
-            used[end] ^= (1 << a) | (1 << b)
-            for f in path:
-                color[f] ^= a ^ b
-                row = at[x]
-                row[a], row[b] = row[b], row[a]
-                x ^= across[f]
+    def paint(e: int, c: int) -> None:
+        u, v = ends[e]
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+        at[u][c] = at[v][c] = e
+        color[e] = c
+
+    def walk(x: int, a: int, b: int, stop: int) -> tuple[list[int], int] | None:
+        """The edges and far end of the a/b path from x; None if it reaches stop."""
+        path, c = [], a
+        while used[x] >> c & 1:
+            f = at[x][c]
+            path.append(f)
+            x ^= across[f]
+            if x == stop:
+                return None
+            c ^= a ^ b
+        return path, x
+
+    def swap(x: int, path: list[int], end: int, a: int, b: int) -> None:
+        """Exchange a and b along the path from x to end."""
+        used[x] ^= (1 << a) | (1 << b)  # each end holds one of the two
+        used[end] ^= (1 << a) | (1 << b)
+        for f in path:
+            color[f] ^= a ^ b
             row = at[x]
             row[a], row[b] = row[b], row[a]
+            x ^= across[f]
+        row = at[x]
+        row[a], row[b] = row[b], row[a]
 
-        def kempe(e: int, u: int, v: int) -> bool:
-            for a in _bits(full & ~used[u]):
-                for b in _bits(full & ~used[v]):
-                    found = walk(v, a, b, u)
-                    if found is not None:
-                        swap(v, *found, a, b)
-                        paint(e, a)
-                        return True
+    def kempe(e: int, u: int, v: int) -> bool:
+        for a in _bits(full & ~used[u]):
+            for b in _bits(full & ~used[v]):
+                found = walk(v, a, b, u)
+                if found is not None:
+                    swap(v, *found, a, b)
+                    paint(e, a)
+                    return True
+        return False
+
+    def fan(e: int, u: int, v: int) -> bool:
+        # Each next fan edge's color is free at the previous edge's far
+        # end; the edges at u are told apart by their colors.
+        edges, tip, taken = [e], v, 0
+        while step := used[u] & ~used[tip] & ~taken:
+            c = _lowest(step)
+            edges.append(at[u][c])
+            taken |= 1 << c
+            tip = u ^ across[edges[-1]]
+        if not full & ~used[tip]:
             return False
+        c = _lowest(full & ~used[u])
+        d = _lowest(full & ~used[tip])
+        if used[u] >> d & 1:
+            swap(u, *walk(u, d, c, -1), d, c)  # the d/c path from u; d is then free at u
+        pivot = next(i for i, f in enumerate(edges) if not used[u ^ across[f]] >> d & 1)
+        shifted = [color[f] for f in edges[1:pivot + 1]] + [d]
+        for f in edges[1:pivot + 1]:
+            x, y = ends[f]
+            used[x] ^= 1 << color[f]
+            used[y] ^= 1 << color[f]
+        for f, c in zip(edges, shifted):
+            paint(f, c)
+        return True
 
-        def fan(e: int, u: int, v: int) -> bool:
-            # Each next fan edge's color is free at the previous edge's far
-            # end; the edges at u are told apart by their colors.
-            edges, tip, taken = [e], v, 0
-            while step := used[u] & ~used[tip] & ~taken:
-                c = _lowest(step)
-                edges.append(at[u][c])
-                taken |= 1 << c
-                tip = u ^ across[edges[-1]]
-            if not full & ~used[tip]:
-                return False
-            c = _lowest(full & ~used[u])
-            d = _lowest(full & ~used[tip])
-            if used[u] >> d & 1:
-                swap(u, *walk(u, d, c, -1), d, c)  # the d/c path from u; d is then free at u
-            pivot = next(i for i, f in enumerate(edges) if not used[u ^ across[f]] >> d & 1)
-            shifted = [color[f] for f in edges[1:pivot + 1]] + [d]
-            for f in edges[1:pivot + 1]:
-                x, y = ends[f]
-                used[x] ^= 1 << color[f]
-                used[y] ^= 1 << color[f]
-            for f, c in zip(edges, shifted):
-                paint(f, c)
-            return True
-
-        for e, u in order:
-            v = u ^ across[e]
-            shared = full & ~used[u] & ~used[v]
-            if shared:
-                paint(e, _lowest(shared))
-            elif not (kempe(e, u, v) or fan(e, u, v)):
-                return None
-        classes: list[list[int]] = [[] for _ in range(delta)]
-        for e, c in enumerate(color):
-            classes[c].append(e)
-        return classes
-
-    classes = attempt((e, u) for e, (u, _) in enumerate(ends))
-    if classes is None:
-        order = _fournier_order(h, ends, across, delta)
-        if order is not None:
-            classes = attempt(order)
-    return classes
+    if order is None:
+        order = ((e, u) for e, (u, _) in enumerate(ends))
+    for e, u in order:
+        v = u ^ across[e]
+        shared = full & ~used[u] & ~used[v]
+        if shared:
+            paint(e, _lowest(shared))
+        elif not ((tight and kempe(e, u, v)) or fan(e, u, v)):
+            return None
+    classes: list[list[int]] = [[] for _ in range(palette)]
+    for e, c in enumerate(color):
+        classes[c].append(e)
+    return [cls for cls in classes if cls]
 
 
-def _fournier_order(
-    h: DerivedHypergraph, ends: list[tuple[int, int]], across: list[int], delta: int
-) -> list[tuple[int, int]] | None:
+def _fournier_order(h: DerivedHypergraph, delta: int) -> list[tuple[int, int]] | None:
     """Edges with their fan centres, in an order the Delta-palette fan step colors.
 
     While some vertex u of degree Delta has at most one neighbor of degree
@@ -336,6 +346,7 @@ def _fournier_order(
     whose degree-Delta vertices induce a forest is class 1.  None when those
     vertices keep a cycle.
     """
+    ends, across = _ends(h)
     incident = list(h.incident.values())  # by vertex position, as in ``ends``
     degree = [len(edges) for edges in incident]
     core = [sum(degree[x ^ across[f]] == delta for f in edges) for x, edges in enumerate(incident)]
@@ -376,83 +387,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _misra_gries_classes(h: DerivedHypergraph) -> list[list[int]]:
-    """The color classes of :func:`color_misra_gries`; every edge has width 2."""
-    max_degree = h.max_degree()
-    palette = range(1, max_degree + 2)
-    ends = [edge.support for edge in h.edges]
-    color = [0] * len(ends)  # 0 while uncolored
-    at: dict[str, dict[int, int]] = {v: {} for v in h.incident}  # vertex -> {color: edge}
-
-    def other(e: int, v: str) -> str:
-        a, b = ends[e]
-        return b if a == v else a
-
-    def paint(e: int, c: int) -> None:
-        """Recolor edge e with c, or uncolor it when c is 0."""
-        a, b = ends[e]
-        if color[e]:
-            del at[a][color[e]], at[b][color[e]]
-        color[e] = c
-        if c:
-            at[a][c] = at[b][c] = e
-
-    def repaint(edges: list[int], colors: list[int]) -> None:
-        # Uncolor first: recoloring in place would transiently give two
-        # incident edges the same color and corrupt the bookkeeping.
-        for e in edges:
-            paint(e, 0)
-        for e, c in zip(edges, colors):
-            paint(e, c)
-
-    def free_color(v: str) -> int:
-        used = at[v]
-        for c in palette:
-            if c not in used:
-                return c
-        raise AssertionError(f"no free color at {v}; palette too small")
-
-    for e, (u, v) in enumerate(ends):
-        # Shortcut: a color free at both endpoints colors the edge directly.
-        shared = next((c for c in palette if c not in at[u] and c not in at[v]), None)
-        if shared is not None:
-            paint(e, shared)
-            continue
-        # Maximal fan of u starting at e: each next edge's color is free at
-        # the far end of the previous fan edge.
-        fan = [e]
-        around = sorted(at[u].items())
-        while True:
-            tip = at[other(fan[-1], u)]
-            extension = next((f for c, f in around if f not in fan and c not in tip), None)
-            if extension is None:
-                break
-            fan.append(extension)
-
-        c = free_color(u)
-        d = free_color(other(fan[-1], u))
-        if c != d:
-            # Invert the maximal path from u alternating colors d, c.
-            path, x, k = [], u, d
-            while k in at[x]:
-                path.append(at[x][k])
-                x = other(path[-1], x)
-                k = c if k == d else d
-            repaint(path, [c if color[f] == d else d for f in path])
-
-        # d is now free at u; find the first fan edge whose far end has d
-        # free and rotate the fan prefix onto it.
-        pivot = next((i for i, f in enumerate(fan) if d not in at[other(f, u)]), None)
-        if pivot is None:
-            raise AssertionError("no fan edge with the free color; fan invariant broken")
-        repaint(fan[:pivot + 1], [color[f] for f in fan[1:pivot + 1]] + [d])
-
-    classes: list[list[int]] = [[] for _ in range(max_degree + 2)]
-    for e, c in enumerate(color):
-        classes[c].append(e)
-    return [cls for cls in classes if cls]
 
 
 def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> EdgeColoring:

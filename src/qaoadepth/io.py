@@ -505,11 +505,11 @@ def schedule_to_json(sched: CircuitSchedule) -> dict:
 
 
 def depth_report_to_json(report: DepthReport) -> dict:
-    fb = report.family_bound
+    fb, sched = report.family_bound, report.schedule
     return {
-        "structural_depth": report.structural_depth,
-        "coloring_depth": report.coloring_depth,
-        "singleton_overhead": report.singleton_overhead,
+        "structural_depth": sched.structural_depth,
+        "coloring_depth": sched.coloring_depth,
+        "singleton_overhead": sched.singleton_overhead,
         "notes": report.notes,
         "family_bound": None if fb is None else asdict(fb),
     }

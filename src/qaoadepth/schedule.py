@@ -139,18 +139,6 @@ class DepthReport:
     family_bound: FamilyBound | None = None
     notes: tuple[str, ...] = ()
 
-    @property
-    def structural_depth(self) -> int:
-        return self.schedule.structural_depth
-
-    @property
-    def coloring_depth(self) -> int:
-        return self.schedule.coloring_depth
-
-    @property
-    def singleton_overhead(self) -> int:
-        return self.schedule.singleton_overhead
-
 
 def _is_star(n: int, pairs: Sequence[tuple[str, ...]]) -> bool:
     """True for K(1, n-1): n - 1 distinct pairs that all share one hub."""

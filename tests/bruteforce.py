@@ -248,8 +248,9 @@ def misra_gries_reference(h: DerivedHypergraph) -> list[list[int]]:
     """Misra-Gries Delta+1 classes on vertex names, kept as the identity reference.
 
     Two synchronised maps (vertex -> color -> other endpoint, and sorted name
-    pair -> color); the same tie-breaks as ``coloring._misra_gries_classes``,
-    which must return identical classes.  Every edge has width 2.
+    pair -> color); the same tie-breaks as the Delta+1 pass of
+    ``coloring._recolor``, which must return identical classes.  Every edge
+    has width 2.
     """
     max_degree = h.max_degree()
     palette = range(1, max_degree + 2)

@@ -29,17 +29,22 @@ def test_tracer_records_a_span_for_every_layer(benchtrace, capsys, fixture_dir):
     tracer = benchtrace.Tracer()
     tracer.install(modules)
     general = ("--problem", str(fixture_dir / "general_example.json"), "--gate-width", "3")
-    runs = (
-        ("analyze", "--problem", str(fixture_dir / "indset_w6.json")),
-        ("verify", "--problem", str(fixture_dir / "indset_w6.json")),
-        ("analyze", *general, "--method", "exact"),
-        ("analyze", *general, "--method", "merge-exact"),
+    petersen = ("--family", "maxcut", "--graph", str(fixture_dir / "petersen.dimacs"))
+    runs = (  # each with its exit code
+        (0, "analyze", "--problem", str(fixture_dir / "indset_w6.json")),
+        (0, "verify", "--problem", str(fixture_dir / "indset_w6.json")),
+        (0, "analyze", *general, "--method", "exact"),
+        (0, "analyze", *general, "--method", "merge-exact"),
+        (0, "analyze", *general, "--method", "greedy"),
+        # Out of budget, auto falls back to misra-gries and exits 4.
+        (4, "analyze", *petersen, "--budget", "2"),
     )
     try:
-        assert modules["cli"].main(list(runs[0])) == 0
+        code, *argv = runs[0]
+        assert modules["cli"].main(argv) == code
         penalty_run = {span.name for span in tracer.spans}
-        for argv in runs[1:]:
-            assert modules["cli"].main(list(argv)) == 0
+        for code, *argv in runs[1:]:
+            assert modules["cli"].main(argv) == code
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -55,6 +60,8 @@ def test_tracer_records_a_span_for_every_layer(benchtrace, capsys, fixture_dir):
         "io.write",
         "schedule.schedule",
         "coloring.exact",
+        "coloring.misra_gries",
+        "coloring.greedy",
         "hypergraph.merge_exact",
     }
     merges = [span for span in tracer.spans if span.name == "hypergraph.merge_exact"]

@@ -116,8 +116,8 @@ def test_color_exact_node_counts_are_pinned(monkeypatch):
     # its state became integer masks; the mask search must branch the same way.
     # Every graph here gets Delta colors from the constructive step, which
     # meets the lower bound, so color_exact's graph searches stop at 0 nodes;
-    # searching from the Misra-Gries incumbent (Delta + 1) keeps the counts
-    # of the graph searches pinned.
+    # searching from the Misra-Gries incumbent (Delta + 1, from the reference)
+    # keeps the counts of the graph searches pinned.
     counts = []
     search = coloring_mod.search_layers
 
@@ -132,9 +132,7 @@ def test_color_exact_node_counts_are_pinned(monkeypatch):
     for _ in range(20):
         h = graph_hypergraph(random_graph(rng, rng.randint(10, 18), rng.uniform(0.3, 0.8)))
         color_exact(h)
-        incumbent = min(
-            len(coloring_mod.first_fit_classes(h)), len(coloring_mod._misra_gries_classes(h))
-        )
+        incumbent = min(len(coloring_mod.first_fit_classes(h)), len(misra_gries_reference(h)))
         graph_counts.append(search(h, 0, 10**6, incumbent, lower=bounds(h)[0])[1])
         supports = random_hypergraph_supports(
             rng, rng.randint(10, 16), rng.randint(20, 50), rng.randint(3, 4)
@@ -150,7 +148,7 @@ def test_color_exact_node_counts_are_pinned(monkeypatch):
 def test_misra_gries_w6(w6):
     h = graph_hypergraph(w6)
     coloring = color_misra_gries(h)
-    assert coloring.num_colors <= 6
+    assert (coloring.num_colors, coloring.lower_bound) == (5, 5)  # class 1: Delta colors
     assert coloring.method == "misra_gries"
 
 
@@ -163,7 +161,7 @@ def test_complete_graph_on_four_vertices_is_class_one():
     k4 = InstanceGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
     h = graph_hypergraph(k4)
     assert color_exact(h).num_colors == 3
-    assert color_misra_gries(h).num_colors <= 4
+    assert color_misra_gries(h).num_colors == 3
 
 
 def test_misra_gries_rejects_wider_edges(general_problem):
@@ -183,9 +181,14 @@ def test_misra_gries_respects_vizing_on_random_graphs():
         assert coloring.num_colors <= g.max_degree() + 1
 
 
-def test_misra_gries_matches_the_name_keyed_reference():
-    # Sparse graphs up to 60 vertices, complete graphs up to 7; the
-    # vertex-cover hypergraphs add one slack vertex per edge.
+def test_misra_gries_matches_the_name_keyed_reference(fixture_dir):
+    # The Delta + 1 pass alone, on sparse graphs up to 60 vertices and
+    # complete graphs up to 7; the vertex-cover hypergraphs add one slack
+    # vertex per edge.  Petersen and odd K_m are class 2, so
+    # color_misra_gries reaches this pass on them.
+    def delta_plus_one(h):
+        return coloring_mod._recolor(h, h.max_degree() + 1)
+
     rng = random.Random(61)
     graphs = []
     for _ in range(300):
@@ -196,12 +199,19 @@ def test_misra_gries_matches_the_name_keyed_reference():
         for make in (make_maxcut, make_maxindset, make_vertex_cover):
             h = build(dualize(make(g)))
             assert h.uniform_size() in (2, None)
-            assert coloring_mod._misra_gries_classes(h) == misra_gries_reference(h)
+            assert delta_plus_one(h) == misra_gries_reference(h)
             checked += bool(h.edges)
     assert checked > 600
     for n, degree in ((1000, 3), (100, 12)):
         h = graph_hypergraph(random_graph(rng, n, degree / (n - 1)))
-        assert coloring_mod._misra_gries_classes(h) == misra_gries_reference(h)
+        assert delta_plus_one(h) == misra_gries_reference(h)
+    class_two = [read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))]
+    for m in range(3, 42, 2):
+        class_two.append(InstanceGraph(m, tuple(itertools.combinations(range(1, m + 1), 2))))
+    for g in class_two:
+        h = graph_hypergraph(g)
+        assert delta_plus_one(h) == misra_gries_reference(h)
+        assert coloring_mod._vizing_classes(h) == misra_gries_reference(h)
 
 
 @st.composite
@@ -221,16 +231,10 @@ def test_delta_step_colors_with_delta_or_falls_back_to_delta_plus_one(g):
     delta = h.max_degree()
     coloring = color_misra_gries(h)  # make_coloring checks properness
     assert coloring.num_colors in (delta, delta + 1)
-    classes = coloring_mod._delta_classes(h)
-    if classes is not None:
-        check_proper(h, classes)
-        assert len(classes) == delta
-        assert [list(c) for c in coloring.classes] == classes
+    if coloring.num_colors > delta:  # both Delta passes got stuck
+        assert [list(c) for c in coloring.classes] == misra_gries_reference(h)
     if g.n <= 9:
-        exact = color_exact(h).num_colors
-        assert exact <= coloring.num_colors
-        if classes is not None:
-            assert exact == delta  # so the step never returns on a class-2 graph
+        assert color_exact(h).num_colors <= coloring.num_colors
 
 
 def max_degree_vertices_induce_a_forest(g: InstanceGraph) -> bool:
@@ -291,8 +295,8 @@ def test_benchmark_shaped_graphs_are_certified(n, degree):
 
 def test_petersen_keeps_four_colors_certified_only_by_the_search(fixture_dir):
     h = graph_hypergraph(read_dimacs_graph(str(fixture_dir / "petersen.dimacs")))
-    assert coloring_mod._delta_classes(h) is None
     constructive = color_misra_gries(h)
+    assert constructive.num_colors > h.max_degree()  # both Delta passes get stuck
     assert (constructive.num_colors, constructive.lower_bound) == (4, 3)
     exact = color_exact(h)
     assert (exact.num_colors, exact.lower_bound) == (4, 4)

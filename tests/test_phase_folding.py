@@ -110,7 +110,7 @@ def test_edgeless_problem_has_a_singleton_layer_and_the_mixer():
     assert result.hypergraph.edges == ()
     assert [name for name, _ in result.hypergraph.singletons] == ["x1", "x2", "x3"]
     assert [layer.kind for layer in result.schedule.layers] == ["singleton", "mixer"]
-    assert result.report.structural_depth == 2
+    assert result.schedule.structural_depth == 2
     fb = result.report.family_bound
     assert (fb.formula, fb.value, fb.matches_structural) == ("phase layer + 1", 2, True)
     assert check_equivalence(result.schedule, result.pubo).equivalent

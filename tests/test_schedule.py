@@ -174,7 +174,7 @@ def test_star_maxcut_reports_vertex_count_figure_that_matches():
     assert report.family_bound.formula == "n"
     assert report.family_bound.value == 5
     # the hub's phase rides in one of its four gates, so the depth is chi' + 1 = n
-    assert report.structural_depth == 5
+    assert report.schedule.structural_depth == 5
     assert report.family_bound.matches_structural is True
     assert report.notes == ()
 
@@ -271,7 +271,7 @@ def test_knapsack_figure_matches_even_m_and_is_flagged_for_odd_m(capacity, m):
     assert len(result.hypergraph.edges) == m * (m - 1) // 2 > 20
     assert result.coloring.num_colors == result.coloring.lower_bound
     assert fb.value == m
-    assert result.report.structural_depth == m + m % 2
+    assert result.schedule.structural_depth == m + m % 2
     assert fb.matches_structural is (m % 2 == 0)
 
 
@@ -337,7 +337,7 @@ def test_every_family_figure_is_read_from_the_structure(family):
             else:
                 assert (fb.formula, fb.value) == ("chromatic_index + 1", chi + 1)
             assert fb.matches_structural is True
-            assert fb.value == result.report.structural_depth
+            assert fb.value == result.schedule.structural_depth
         elif family == "vertex_cover":
             assert fb.details["instance_max_degree"] == source.max_degree()
         elif family.startswith("knapsack"):
@@ -354,4 +354,4 @@ def test_untagged_problem_gets_structural_report_only(general_problem):
     pubo, h, coloring, sched = pipeline_parts(general_problem, gate_width=3)
     report = analyze_family(general_problem, pubo, h, sched)
     assert report.family_bound is None
-    assert report.structural_depth == 8
+    assert report.schedule.structural_depth == 8
