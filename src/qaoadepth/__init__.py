@@ -27,7 +27,6 @@ from .dualize import (
     verify_penalty,
 )
 from .errors import (
-    BudgetExceededError,
     GateWidthError,
     InfeasibleConstraintError,
     InvalidInputError,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundRef",
-    "BudgetExceededError",
     "CircuitLayer",
     "CircuitSchedule",
     "Constraint",

@@ -12,10 +12,11 @@ Subcommands mirror the pipeline stages::
                comparing coefficients
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible constraint, 3 gate
-width violation, 4 exact-search budget exceeded (under ``--method auto`` the
-heuristic results are still emitted, flagged as such; under ``--method
-exact`` or ``merge-exact`` no artifact is printed).  Each error class in
-:mod:`qaoadepth.errors` declares its own code.
+width violation, 4 an exact search (``--method auto``, ``exact`` or
+``merge-exact``) stopped at its node budget or Python's recursion limit:
+the best coloring it found is still emitted, flagged ``budget_exceeded``
+and not ``coloring_exact``.  Each error class in :mod:`qaoadepth.errors`
+declares its own code.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ _SECTIONS = {
     "schedule": lambda r, args: io_mod.schedule_to_json(r.schedule),
     "flags": lambda r, args: {
         "budget_exceeded": r.budget_exceeded,
-        "coloring_exact": r.coloring.method == "exact",
+        "coloring_exact": r.coloring.method == "exact" and not r.budget_exceeded,
         "notes": r.notes,
     },
     "penalty_oracle": _penalty_oracle,

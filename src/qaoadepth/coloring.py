@@ -5,7 +5,8 @@ a set of gates that can run in one circuit layer.  Three methods are
 provided:
 
 * :func:`color_exact` - branch and bound, returns the true chromatic index
-  (with the exhausted search as certificate) within a node budget;
+  (with the exhausted search as certificate), or within its node budget
+  the best coloring found;
 * :func:`color_misra_gries` - constructive coloring for ordinary (2-uniform)
   graphs by one Kempe-chain and fan recoloring in three passes: Delta
   colors in index order, then in Fournier's order, which certify the graph
@@ -149,15 +150,11 @@ def make_coloring(
 ) -> EdgeColoring:
     """Validate and package a coloring, attaching the bound annotations.
 
-    An "exact" coloring comes from an exhausted search, which certifies its
-    class count as the lower bound; any other method reports the
-    combinatorial bound.  ``known_bounds`` is :func:`bounds` of ``h`` when
-    the caller already has it.
+    ``known_bounds`` defaults to :func:`bounds` of ``h``.  A search passes
+    its own: a finished one certifies its class count as the lower bound.
     """
     check_proper(h, classes)
     lower, uppers = bounds(h) if known_bounds is None else known_bounds
-    if method == "exact":
-        lower = len(classes)
     return EdgeColoring(
         classes=tuple(tuple(cls) for cls in classes),
         method=method,
@@ -398,10 +395,11 @@ def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> Edg
     :func:`~qaoadepth.hypergraph.search_layers` runs with merging off.  A
     maximal clique of pairwise intersecting edges opens the first layers to
     break palette symmetry, and the search stops at the lower bound.  The
-    exhausted search certifies optimality.  Raises
-    :class:`BudgetExceededError` when the node budget runs out.
+    exhausted search certifies optimality.  A search that stops short gives
+    its best coloring, or the incumbent, with the combinatorial lower bound,
+    which it fell short of.
     """
-    known = bounds(h)
+    lower, uppers = bounds(h)
     classes = first_fit_classes(h)
     if h.uniform_size() == 2:
         # Delta colors, or Delta+1 where the counting bound is Delta+1 (odd
@@ -409,7 +407,8 @@ def color_exact(h: DerivedHypergraph, budget: int = DEFAULT_EXACT_BUDGET) -> Edg
         constructive = _vizing_classes(h)
         if len(constructive) < len(classes):
             classes = constructive
-    layers, _ = search_layers(h, limit=0, budget=budget, incumbent=len(classes), lower=known[0])
+    layers, _, finished = search_layers(h, 0, budget, incumbent=len(classes), lower=lower)
     if layers is not None:
         classes = [sorted(edge for gate in layer for edge in gate) for layer in layers]
+    known = (len(classes) if finished else lower, uppers)
     return make_coloring(h, classes, method="exact", known_bounds=known)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Each class declares the process exit code the CLI returns for it, so
-library code should raise the most specific class that applies.
+library code should raise the most specific class that applies.  A search
+that runs out of its node budget is not an error: it returns the best it
+found, flagged, and the CLI exits 4 with the artifact.
 """
 
 
@@ -55,16 +57,3 @@ class GateWidthError(QaoaDepthError):
             f"gate width limit {limit} exceeded by interaction(s): {names}"
         )
 
-
-class BudgetExceededError(QaoaDepthError):
-    """An exact search ran out of its node budget before finishing."""
-
-    exit_code = 4
-
-    def __init__(self, budget: int, context: str = ""):
-        self.budget = budget
-        self.context = context
-        msg = f"search budget of {budget} nodes exceeded"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)

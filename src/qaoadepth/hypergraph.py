@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .dualize import Pubo
-from .errors import BudgetExceededError, GateWidthError, InvalidInputError
+from .errors import GateWidthError, InvalidInputError
 from .poly import Scalar, Support
 
 #: Default node budget for the exact searches, :func:`merge_exact` and ``color_exact``.
@@ -275,7 +275,7 @@ def search_layers(
     budget: int,
     incumbent: int,
     lower: int = 0,
-) -> tuple[list[list[list[int]]] | None, int]:
+) -> tuple[list[list[list[int]]] | None, int, bool]:
     """Fewest layers covering the edges of ``h``, by branch and bound.
 
     Each node branches on the unplaced edge with the most distinct layers
@@ -308,13 +308,15 @@ def search_layers(
     restored on backtrack; the digits and the unplaced edges are passed down.
 
     Returns the member lists of each layer's gates in the best solution
-    (None if none beats ``incumbent``) and the number of nodes explored.
-    Raises :class:`BudgetExceededError` when the node budget runs out.
+    (None if none beats ``incumbent``), the number of nodes explored, and
+    whether the search finished.  It stops short, keeping the best it found,
+    when its next node would pass ``budget``, or when its dive, one stack
+    frame per placed edge, reaches Python's recursion limit.
     """
     if budget < 0:
         raise InvalidInputError(f"search budget must be >= 0, got {budget}")
     if incumbent <= lower:
-        return None, 0
+        return None, 0, True
     seed = () if limit else h.conflict_clique
     conflicts = h.conflicts
     m = len(conflicts)
@@ -360,12 +362,11 @@ def search_layers(
         unplaced &= ~(1 << rank[edge])
 
     def dfs(unplaced: int, digits: tuple[int, ...]) -> bool:
-        """Extend the partial layers; True once a solution with ``lower`` layers is found."""
+        """Extend the partial layers; True to stop, at ``lower`` layers or out of budget."""
         nonlocal nodes, best, best_count
         nodes += 1
         if nodes > budget:
-            what = "exact gate merge" if limit else "exact edge coloring"
-            raise BudgetExceededError(budget, what)
+            return True
         if len(layers) >= best_count:
             return False
         if not unplaced:
@@ -419,8 +420,11 @@ def search_layers(
         layers.pop()
         return stop
 
-    dfs(unplaced, digits)
-    return best, nodes
+    try:
+        dfs(unplaced, digits)
+    except RecursionError:
+        return best, nodes, False
+    return best, min(nodes, budget), nodes <= budget
 
 
 def _merge_lower_bound(h: DerivedHypergraph, limit: int) -> int:
@@ -452,21 +456,18 @@ def merge_exact(
     gate must have a combined support of at most ``limit`` qubits, and gates
     within one layer act on disjoint qubits.  Minimizes the number of layers
     over all gate groupings simultaneously with the coloring, through
-    :func:`search_layers`.  Raises :class:`BudgetExceededError` when the node
-    budget runs out; there is no fallback, so ``--method merge-exact`` then
-    exits 4 and prints no artifact.  Subset absorption plus first-fit
-    coloring is only the search's incumbent.
+    :func:`search_layers`, from the incumbent of subset absorption plus
+    first-fit coloring.  A finished search certifies its layer count as the
+    lower bound.  A stopped one reports its best layering, or the incumbent,
+    with :func:`_merge_lower_bound` as the lower bound, which it fell short of.
     """
     from . import coloring as coloring_mod
 
     check_gate_width(h, limit)
-    # Incumbent: subset absorption plus first-fit coloring. The search only
-    # has to beat it, and if it cannot, exhausting the tree certifies optimality.
     absorbed = absorb_subsets(h, limit)
     incumbent = coloring_mod.first_fit_classes(absorbed)
-    best, nodes = search_layers(
-        h, limit, budget, len(incumbent), lower=_merge_lower_bound(h, limit)
-    )
+    lower = _merge_lower_bound(h, limit)
+    best, nodes, finished = search_layers(h, limit, budget, len(incumbent), lower)
 
     merged, classes = absorbed, incumbent
     if best is not None:
@@ -481,8 +482,10 @@ def merge_exact(
                 layer_gates.append(Hyperedge(tuple(sorted(support)), tuple(sorted(monomials))))
             gates.extend(sorted(layer_gates, key=lambda gate: gate.support))
         merged = replace(h, edges=tuple(gates))
+    uppers = coloring_mod.bounds(merged)[1]
+    known = (len(classes) if finished else lower, uppers)
     return MergeResult(
         hypergraph=merged,
-        coloring=coloring_mod.make_coloring(merged, classes, method="exact"),
+        coloring=coloring_mod.make_coloring(merged, classes, method="exact", known_bounds=known),
         nodes_explored=nodes,
     )

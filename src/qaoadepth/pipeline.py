@@ -8,7 +8,7 @@ from . import coloring as coloring_mod
 from . import hypergraph as hypergraph_mod
 from .coloring import EdgeColoring
 from .dualize import Pubo, dualize
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import InvalidInputError
 from .hypergraph import DEFAULT_EXACT_BUDGET, DerivedHypergraph
 from .problems import Problem
 from .schedule import CircuitSchedule, DepthReport, analyze_family, schedule
@@ -27,12 +27,6 @@ class PipelineResult:
     report: DepthReport
     budget_exceeded: bool = False
     notes: tuple[str, ...] = ()
-
-
-def _heuristic_coloring(h: DerivedHypergraph) -> EdgeColoring:
-    if h.uniform_size() == 2:
-        return coloring_mod.color_misra_gries(h)
-    return coloring_mod.color_greedy(h)
 
 
 def check_settings(gate_width: int, p: int, budget: int) -> None:
@@ -54,11 +48,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run dualization, gate absorption, coloring, and scheduling.
 
-    ``method`` selects the coloring: "auto" tries the exact search when the
-    hypergraph has at most :data:`EXACT_EDGE_LIMIT` edges and falls back to a
-    heuristic (flagged, not fatal) if the node budget runs out; larger
-    hypergraphs get the heuristic outright.  The explicit methods raise
-    instead of falling back.  :func:`check_settings` runs first.
+    ``method`` selects the coloring: "auto" runs the exact search when the
+    hypergraph has at most :data:`EXACT_EDGE_LIMIT` edges, and a heuristic
+    otherwise.  A search that stops short of its lower bound, under "auto",
+    "exact" or "merge-exact", gives the best coloring it found, uncertified,
+    and sets ``budget_exceeded`` with a note.  :func:`check_settings` runs
+    first.
     """
     check_settings(gate_width, p, budget)
     pubo = dualize(problem)
@@ -66,26 +61,17 @@ def run_pipeline(
     hypergraph_mod.check_gate_width(h, gate_width)
 
     notes: list[str] = []
-    budget_exceeded = False
-    if method == "auto":
-        if len(h.edges) <= EXACT_EDGE_LIMIT:
-            try:
-                coloring = coloring_mod.color_exact(h, budget=budget)
-            except BudgetExceededError:
-                budget_exceeded = True
-                coloring = _heuristic_coloring(h)
-                notes.append(
-                    f"exact coloring exceeded the {budget}-node budget; "
-                    f"heuristic {coloring.method} coloring reported instead"
-                )
-        else:
-            coloring = _heuristic_coloring(h)
-            notes.append(
-                f"{len(h.edges)} hyperedges exceed the exact-coloring cutoff "
-                f"{EXACT_EDGE_LIMIT}; heuristic {coloring.method} coloring used"
-            )
-    elif method == "exact":
+    if method == "exact" or (method == "auto" and len(h.edges) <= EXACT_EDGE_LIMIT):
         coloring = coloring_mod.color_exact(h, budget=budget)
+    elif method == "auto":
+        if h.uniform_size() == 2:
+            coloring = coloring_mod.color_misra_gries(h)
+        else:
+            coloring = coloring_mod.color_greedy(h)
+        notes.append(
+            f"{len(h.edges)} hyperedges exceed the exact-coloring cutoff "
+            f"{EXACT_EDGE_LIMIT}; heuristic {coloring.method} coloring used"
+        )
     elif method == "misra-gries":
         coloring = coloring_mod.color_misra_gries(h)
     elif method == "greedy":
@@ -96,6 +82,13 @@ def run_pipeline(
         coloring = merged.coloring
     else:
         raise InvalidInputError(f"unknown coloring method {method!r}")
+    # Only a search that stopped short leaves an exact coloring above its lower bound.
+    budget_exceeded = coloring.method == "exact" and coloring.lower_bound < coloring.num_colors
+    if budget_exceeded:
+        notes.append(
+            f"exact search stopped at its {budget}-node budget or Python's recursion "
+            "limit; best coloring found reported, uncertified"
+        )
 
     sched = schedule(h, coloring, p=p)
     report = analyze_family(problem, pubo, h, sched)

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from qaoadepth import (
-    BudgetExceededError,
     CircuitSchedule,
     DerivedHypergraph,
     EquivalenceReport,
@@ -588,9 +587,10 @@ def phase_table_reference(sched: CircuitSchedule, pubo: Pubo) -> EquivalenceRepo
 
 
 # The branch and bound of ``hypergraph.search_layers`` as it was on frozensets,
-# copied unchanged apart from its name: a new gate list for every layer
-# tried, a dict per edge for the DSATUR counts, and ``max`` with a key for
-# the branching edge.  The integer-mask search must visit the same nodes and
+# copied unchanged apart from its name and its budget stop, which returns
+# the best found instead of raising: a new gate list for every layer tried,
+# a dict per edge for the DSATUR counts, and ``max`` with a key for the
+# branching edge.  The integer-mask search must visit the same nodes and
 # return the same layers.
 
 #: A circuit layer: its gates, each as (qubits acted on, indices of the edges covered).
@@ -624,7 +624,7 @@ def search_layers_reference(
     incumbent: int,
     seed: Sequence[int] = (),
     lower: int = 0,
-) -> tuple[list[Layer] | None, int]:
+) -> tuple[list[Layer] | None, int, bool]:
     """Fewest layers covering the edges of ``h``, by branch and bound.
 
     Each node branches on the unplaced edge with the most distinct layers
@@ -636,12 +636,12 @@ def search_layers_reference(
     must pairwise conflict, open the first layers, one each.  The search
     stops at a solution with ``lower`` layers.
 
-    Returns the best layers found (None if none beat ``incumbent``) and the
-    number of nodes explored.  Raises :class:`BudgetExceededError` when the
-    node budget runs out.
+    Returns the best layers found (None if none beat ``incumbent``), the
+    number of nodes explored, and whether the search finished: when the
+    node budget runs out it stops, with the best found and the whole budget.
     """
     if incumbent <= lower:
-        return None, 0
+        return None, 0, True
     supports = [frozenset(e.support) for e in h.edges]
     conflicts = h.conflicts
     m = len(supports)
@@ -675,8 +675,7 @@ def search_layers_reference(
         nonlocal nodes, best, best_count
         nodes += 1
         if nodes > budget:
-            what = "exact gate merge" if limit else "exact edge coloring"
-            raise BudgetExceededError(budget, what)
+            raise _OutOfBudget
         if len(layers) >= best_count:
             return False
         if placed == m:
@@ -705,8 +704,15 @@ def search_layers_reference(
         place(edge, len(layers), -1)
         return stop
 
-    dfs(len(layers))
-    return best, nodes
+    try:
+        dfs(len(layers))
+    except _OutOfBudget:
+        return best, budget, False
+    return best, nodes, True
+
+
+class _OutOfBudget(Exception):
+    """Unwinds the reference search when its node budget runs out."""
 
 
 def merge_lower_bound_reference(h: DerivedHypergraph, limit: int) -> int:

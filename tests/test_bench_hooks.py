@@ -36,8 +36,7 @@ def test_tracer_records_a_span_for_every_layer(benchtrace, capsys, fixture_dir):
         (0, "analyze", *general, "--method", "exact"),
         (0, "analyze", *general, "--method", "merge-exact"),
         (0, "analyze", *general, "--method", "greedy"),
-        # Out of budget, auto falls back to misra-gries and exits 4.
-        (4, "analyze", *petersen, "--budget", "2"),
+        (0, "analyze", *petersen, "--method", "misra-gries"),
     )
     try:
         code, *argv = runs[0]

@@ -3,6 +3,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qaoadepth import cli
+from qaoadepth import absorb_subsets, build, cli, color_greedy, color_misra_gries, dualize
 from qaoadepth.cli import main
 from qaoadepth.io import dumps, problem_to_json, write_problem
 from qaoadepth.problems import (
@@ -24,6 +25,7 @@ from qaoadepth.problems import (
 )
 from qaoadepth.poly import Polynomial
 
+from bruteforce import random_hypergraph_supports
 from test_golden import CASES, REPO_ROOT, golden_path
 
 
@@ -456,26 +458,26 @@ def test_exit_code_gate_width(capsys, fixture_dir):
     assert "gate width" in err
 
 
-def test_exit_code_budget_exceeded_emits_heuristic_results(capsys, fixture_dir):
-    # Petersen's 15 edges are under the auto cutoff, so the search runs.
-    code, out, _ = run_cli(
-        capsys,
-        "analyze",
-        "--family", "maxcut",
-        "--graph", str(fixture_dir / "petersen.dimacs"),
-        "--budget", "2",
-    )
-    assert code == 4
-    artifact = json.loads(out)
-    assert artifact["flags"]["budget_exceeded"] is True
-    assert artifact["flags"]["coloring_exact"] is False
-    assert artifact["coloring"]["method"] in ("misra_gries", "greedy")
-    assert any("budget" in note for note in artifact["flags"]["notes"])
+def test_exit_code_budget_exceeded_emits_the_best_coloring_found(capsys, fixture_dir):
+    # Petersen's 15 edges are under the auto cutoff, so every method searches,
+    # and Petersen is class 2: no search reaches the lower bound Delta.
+    petersen = ("--family", "maxcut", "--graph", str(fixture_dir / "petersen.dimacs"))
+    for method in ("auto", "exact", "merge-exact"):
+        code, out, err = run_cli(capsys, "analyze", *petersen, "--method", method, "--budget", "2")
+        assert (code, err) == (4, ""), method
+        artifact = json.loads(out)
+        assert artifact["flags"]["budget_exceeded"] is True
+        assert artifact["flags"]["coloring_exact"] is False
+        assert any("2-node budget" in note for note in artifact["flags"]["notes"])
+        coloring = artifact["coloring"]
+        assert coloring["method"] == "exact"
+        assert (coloring["lower_bound"], coloring["num_colors"]) == (3, 4)
 
 
-def test_forced_exact_budget_exhaustion_is_fatal(capsys, fixture_dir):
+def test_forced_exact_budget_exhaustion_emits_its_best_coloring(capsys, fixture_dir):
     # Petersen is class 2, so the search runs: the constructive Delta + 1
-    # coloring does not meet the lower bound Delta.
+    # coloring does not meet the lower bound Delta.  The stopped search
+    # still prints the coloring, with the lower bound it fell short of.
     code, out, err = run_cli(
         capsys,
         "color",
@@ -484,8 +486,80 @@ def test_forced_exact_budget_exhaustion_is_fatal(capsys, fixture_dir):
         "--method", "exact",
         "--budget", "2",
     )
-    assert code == 4
-    assert out == ""
+    assert (code, err) == (4, "")
+    coloring = json.loads(out)["coloring"]
+    assert (coloring["method"], coloring["lower_bound"], coloring["num_colors"]) == ("exact", 3, 4)
+
+
+def test_a_search_deeper_than_the_recursion_limit_stops_like_a_budget_stop(capsys, tmp_path):
+    # A random cubic graph on 1,000 vertices (three random perfect matchings;
+    # one repeated edge leaves 1,514 edges in all) plus a disjoint Petersen
+    # graph, so the search cannot stop at Delta colors.  The search places
+    # one edge per stack frame, and its first dive passes Python's recursion
+    # limit, which used to end in a RecursionError traceback.
+    rng = random.Random(3)
+    edges = set()
+    for _ in range(3):
+        perm = list(range(1, 1001))
+        rng.shuffle(perm)
+        edges |= {tuple(sorted(perm[i:i + 2])) for i in range(0, 1000, 2)}
+    petersen = [(i, i % 5 + 1) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)]
+    petersen += [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    edges |= {(u + 1000, v + 1000) for u, v in petersen}
+    path = tmp_path / "deep.dimacs"
+    path.write_text(f"p edge 1010 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in sorted(edges)))
+    assert len(edges) == 1514
+    for method in ("exact", "merge-exact"):
+        argv = ("analyze", "--family", "maxcut", "--graph", str(path), "--method", method)
+        code, out, err = run_cli(capsys, *argv, "--budget", "50000")
+        assert (code, err) == (4, ""), method
+        artifact = json.loads(out)
+        assert artifact["flags"]["budget_exceeded"] is True
+        assert artifact["flags"]["coloring_exact"] is False
+        assert artifact["coloring"]["lower_bound"] < artifact["coloring"]["num_colors"]
+
+
+@pytest.fixture
+def benchcheck(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    module = importlib.import_module("benchcheck")
+    yield module
+    sys.modules.pop("benchcheck", None)
+
+
+def test_a_stopped_search_is_never_worse_than_the_old_fallback(capsys, tmp_path, benchcheck):
+    # Out of budget, auto and exact used to report Misra-Gries (2-uniform) or
+    # first-fit, and merge-exact nothing, so --method greedy (first-fit) stood
+    # in.  A stopped search starts from those colorings and keeps its best.
+    rng = random.Random(2708)
+    stopped = dict.fromkeys(("auto", "exact", "merge-exact"), 0)
+    for index in range(60):
+        width = 2 + index % 3
+        supports = random_hypergraph_supports(rng, rng.randint(10, 14), rng.randint(12, 20), width)
+        problem = Problem(
+            sense="min",
+            objective=Polynomial.from_terms((s, rng.choice((-2, -1, 1, 3))) for s in supports),
+            variables=tuple(sorted({name for s in supports for name in s})),
+        )
+        path = tmp_path / f"in{index}.json"
+        write_problem(problem, str(path))
+        argv = ("analyze", "--problem", str(path), "--gate-width", str(width))
+        h = absorb_subsets(build(dualize(problem)), width)  # the pipeline's hypergraph
+        greedy = color_greedy(h).num_colors
+        old = color_misra_gries(h).num_colors if h.uniform_size() == 2 else greedy
+        budget = str(rng.randint(0, 50))
+        for method, fallback in (("auto", old), ("exact", old), ("merge-exact", greedy)):
+            code, out, _ = run_cli(capsys, *argv, "--method", method, "--budget", budget)
+            artifact = json.loads(out)
+            benchcheck.check_analyze(artifact)
+            coloring, flags = artifact["coloring"], artifact["flags"]
+            assert coloring["num_colors"] <= fallback
+            assert flags["budget_exceeded"] is (code == 4)
+            if code == 4:
+                stopped[method] += 1
+                assert coloring["method"] == "exact" and not flags["coloring_exact"]
+                assert coloring["lower_bound"] < coloring["num_colors"]
+    assert min(stopped.values()) >= 3, stopped
 
 
 @pytest.mark.parametrize("method", ["exact", "merge-exact", "auto"])

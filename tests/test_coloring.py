@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoadepth import (
-    BudgetExceededError,
     DerivedHypergraph,
     InstanceGraph,
     InvalidInputError,
@@ -76,10 +75,14 @@ def test_exact_empty_and_single_edge():
 
 def test_exact_budget_exhaustion_signals(fixture_dir):
     # Petersen is class 2: the constructive step leaves Delta + 1 against the
-    # lower bound Delta, so the search runs and spends its budget.
-    petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
-    with pytest.raises(BudgetExceededError):
-        color_exact(graph_hypergraph(petersen), budget=2)
+    # lower bound Delta, so the search runs and spends its budget.  The
+    # stopped search keeps the Delta + 1 incumbent, labelled exact, with the
+    # lower bound it fell short of; with the default budget it finishes.
+    h = graph_hypergraph(read_dimacs_graph(str(fixture_dir / "petersen.dimacs")))
+    for budget, lower in ((0, 3), (2, 3), (10**6, 4)):
+        coloring = color_exact(h, budget=budget)
+        check_proper(h, coloring.classes)
+        assert (coloring.method, coloring.num_colors, coloring.lower_bound) == ("exact", 4, lower)
 
 
 def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
@@ -122,9 +125,9 @@ def test_color_exact_node_counts_are_pinned(monkeypatch):
     search = coloring_mod.search_layers
 
     def counted(*args, **kwargs):
-        layers, nodes = search(*args, **kwargs)
+        layers, nodes, finished = search(*args, **kwargs)
         counts.append(nodes)
-        return layers, nodes
+        return layers, nodes, finished
 
     monkeypatch.setattr(coloring_mod, "search_layers", counted)
     graph_counts = []

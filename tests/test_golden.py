@@ -48,7 +48,7 @@ CASES = {
     "analyze_indset_w6": (0, ("analyze", *INDSET_W6)),
     "analyze_indset_w6_text": (0, ("analyze", *INDSET_W6, *TEXT)),
     "analyze_general_example": (0, ("analyze", *GENERAL_W3)),
-    # The exact search runs out of budget: exit 4 with the heuristic artifact.
+    # The exact search runs out of budget: exit 4 with the best coloring it found.
     "analyze_maxcut_petersen_budget": (
         4, ("analyze", "--family", "maxcut", "--graph", "fixtures/petersen.dimacs",
             "--budget", "5"),

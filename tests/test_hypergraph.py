@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 from qaoadepth import (
-    BudgetExceededError,
     DerivedHypergraph,
     GateWidthError,
     Hyperedge,
@@ -14,12 +13,14 @@ from qaoadepth import (
     build,
     check_gate_width,
     color_exact,
+    color_greedy,
     dualize,
     make_maxcut,
     make_maxindset,
     merge_exact,
     with_penalty_weight,
 )
+from qaoadepth.hypergraph import _merge_lower_bound
 from qaoadepth.io import read_dimacs_graph
 
 from bruteforce import (
@@ -308,8 +309,6 @@ def test_merge_exact_certifies_from_its_lower_bound_without_searching():
 
 
 def test_merge_exact_never_beaten_by_absorb_plus_greedy():
-    from qaoadepth import color_greedy
-
     rng = random.Random(43)
     for _ in range(10):
         names = [f"x{i}" for i in range(1, 6)]
@@ -356,11 +355,19 @@ def test_merge_exact_node_counts_are_pinned():
 
 
 def test_merge_exact_budget_exhaustion_signals():
+    # The stopped search reports the whole budget as its node count, and its
+    # best layering, labelled exact, with the lower bound it fell short of.
     g = random_graph(random.Random(5), 7, 0.8)
     pubo = dualize(make_maxcut(g))
     h = build(pubo)
-    with pytest.raises(BudgetExceededError):
-        merge_exact(h, 2, budget=3)
+    stopped = merge_exact(h, 2, budget=3)
+    coloring = stopped.coloring
+    assert stopped.nodes_explored == 3
+    assert coloring.method == "exact"
+    assert coloring.lower_bound == _merge_lower_bound(h, 2) < coloring.num_colors
+    assert coloring.num_colors <= color_greedy(absorb_subsets(h, 2)).num_colors
+    finished = merge_exact(h, 2)
+    assert finished.coloring.lower_bound == finished.coloring.num_colors <= coloring.num_colors
 
 
 def test_merge_exact_rejects_oversized_gates(general_problem):

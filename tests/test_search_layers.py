@@ -1,15 +1,16 @@
 """The integer-mask branch and bound against the frozenset one it replaced.
 
-``bruteforce.search_layers_reference`` is that search, unchanged.  On the
-same input both must visit the same number of nodes, return the same layers
-made of the same gates, and run out of budget in exactly the same cases.
+``bruteforce.search_layers_reference`` is that search, unchanged apart from
+its budget stop.  On the same input both must visit the same number of
+nodes, return the same layers made of the same gates, and run out of budget
+in exactly the same cases, each then returning the best layers it found.
 """
 
 import random
 
 import pytest
 
-from qaoadepth import BudgetExceededError, InvalidInputError, Polynomial, absorb_subsets, build
+from qaoadepth import InvalidInputError, Polynomial, absorb_subsets, build
 from qaoadepth.coloring import combinatorial_lower_bound, first_fit_classes
 from qaoadepth.hypergraph import _merge_lower_bound, search_layers
 
@@ -26,33 +27,24 @@ def hypergraph(supports):
     return build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
 
 
-def outcome(search, h, *args, **kwargs):
-    """("budget",) when the search runs out of budget, else what it returns."""
-    try:
-        layers, nodes = search(h, *args, **kwargs)
-    except BudgetExceededError:
-        return ("budget",)
-    return layers, nodes
-
-
 def assert_same_search(h, limit, budget, incumbent, lower=0):
+    """The node count of both searches, or "budget" when both ran out of it."""
     # The search seeds itself with the conflict clique when it does not merge.
     seed = () if limit else h.conflict_clique
-    new = outcome(search_layers, h, limit, budget, incumbent, lower)
-    old = outcome(search_layers_reference, h, limit, budget, incumbent, seed, lower)
-    if old == ("budget",) or new == ("budget",):
-        assert new == old
-        return "budget"
-    (new_layers, new_nodes), (old_layers, old_nodes) = new, old
-    assert new_nodes == old_nodes
+    new_layers, new_nodes, new_finished = search_layers(h, limit, budget, incumbent, lower)
+    old_layers, old_nodes, old_finished = search_layers_reference(
+        h, limit, budget, incumbent, seed, lower
+    )
+    assert (new_nodes, new_finished) == (old_nodes, old_finished)
+    assert new_nodes <= budget
     if old_layers is None:
         assert new_layers is None
-        return old_nodes
-    # Each layer as the set of its gates, each gate as the set of its edges.
-    assert {frozenset(map(frozenset, layer)) for layer in new_layers} == {
-        frozenset(frozenset(members) for _, members in layer) for layer in old_layers
-    }
-    return old_nodes
+    else:
+        # Each layer as the set of its gates, each gate as the set of its edges.
+        assert {frozenset(map(frozenset, layer)) for layer in new_layers} == {
+            frozenset(frozenset(members) for _, members in layer) for layer in old_layers
+        }
+    return old_nodes if old_finished else "budget"
 
 
 def test_merge_searches_of_the_benchmark_shape_match_the_reference():
@@ -134,7 +126,7 @@ def test_a_merge_of_pairwise_narrow_edges_can_still_be_too_wide():
     h = hypergraph([("a", "b"), ("b", "c"), ("c", "d")])
     for incumbent in (2, 3, 4):
         assert_same_search(h, 3, 10**6, incumbent)
-    layers, _ = search_layers(h, 3, 10**6, 4)
+    layers, _, _ = search_layers(h, 3, 10**6, 4)
     assert len(layers) == 2
     assert_same_search(h, 4, 10**6, 4)  # one gate of width 4 holds all three
 
@@ -162,5 +154,5 @@ def test_negative_budget_is_rejected():
     h = hypergraph([("x1", "x2"), ("x2", "x3")])
     with pytest.raises(InvalidInputError):
         search_layers(h, 0, -1, 3)
-    with pytest.raises(BudgetExceededError):  # a budget of 0 is valid, and spent at the root
-        search_layers(h, 0, 0, 3)
+    # A budget of 0 is valid, and spent at the root: a stopped search.
+    assert search_layers(h, 0, 0, 3) == (None, 0, False)
