@@ -57,18 +57,17 @@ class EdgeColoring:
 def check_proper(h: DerivedHypergraph, classes: Sequence[Sequence[int]]) -> None:
     """Raise unless the classes form a proper coloring covering every edge."""
     seen: set[int] = set()
-    for cls in classes:
-        used_vertices: set[str] = set()
+    last = [-1] * len(h.qubits)  # per qubit, the last class with an edge on it
+    for color, cls in enumerate(classes):
         for index in cls:
             if index in seen:
                 raise InvalidInputError(f"edge {index} colored twice")
             seen.add(index)
-            support = set(h.edges[index].support)
-            if used_vertices & support:
-                raise InvalidInputError(
-                    f"edges in one class share vertices {sorted(used_vertices & support)}"
-                )
-            used_vertices |= support
+            shared = [h.qubits[x] for x in h.ends[index] if last[x] == color]
+            if shared:
+                raise InvalidInputError(f"edges in one class share vertices {sorted(shared)}")
+            for x in h.ends[index]:
+                last[x] = color
     if seen != set(range(len(h.edges))):
         raise InvalidInputError("coloring does not cover every edge exactly once")
 
@@ -83,9 +82,8 @@ def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
     # max degree) or a triangle (3), so there the clique only counts below 3.
     if bound < 3 or not h.is_simple_graph():
         bound = max(bound, len(h.conflict_clique))
-    touched = len(h.incident)
-    min_size = min(len(e.support) for e in h.edges)
-    max_matching = touched // min_size  # no class can pack more disjoint edges
+    # a class packs at most (touched qubits // narrowest width) disjoint edges
+    max_matching = len(h.qubits) // min(map(len, h.ends))
     if max_matching:
         bound = max(bound, -(-m // max_matching))  # ceil(m / max_matching)
     return bound
@@ -94,7 +92,7 @@ def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
 def bounds(h: DerivedHypergraph) -> tuple[int, tuple[BoundRef, ...]]:
     """Lower bound plus annotated documented upper bounds with applicability."""
     lower = combinatorial_lower_bound(h)
-    n = len(h.incident)
+    n = len(h.qubits)
     linear = h.is_linear()
     two_uniform = h.uniform_size() == 2
     uppers = (
@@ -216,13 +214,6 @@ def _vizing_classes(h: DerivedHypergraph) -> list[list[int]]:
     return _recolor(h, delta + 1) if classes is None else classes
 
 
-def _ends(h: DerivedHypergraph) -> tuple[list[tuple[int, int]], list[int]]:
-    """Each edge's two ends as positions in ``h.incident``, and the xor of the two."""
-    number = {name: position for position, name in enumerate(h.incident)}
-    ends = [(number[a], number[b]) for a, b in (edge.support for edge in h.edges)]
-    return ends, [u ^ v for u, v in ends]
-
-
 def _recolor(
     h: DerivedHypergraph, palette: int, order: Iterable[tuple[int, int]] | None = None
 ) -> list[list[int]] | None:
@@ -239,14 +230,15 @@ def _recolor(
     Misra-Gries's fan step centred at u runs.  It needs a free color at the
     fan's last vertex and is stuck without one, which a spare color rules
     out; with Delta+1 colors the pass is Misra-Gries's algorithm exactly.
-    Empty classes are dropped.  Each vertex keeps the colors on its edges as
+    Empty classes are dropped.  Each qubit keeps the colors on its edges as
     a bit mask, so a free color is one bit operation.
     """
     tight = palette == h.max_degree()  # no spare color, so Kempe swaps go first
     full = (1 << palette) - 1
-    ends, across = _ends(h)  # x ^ across[e] is the other end of e from x
-    used = [0] * len(h.incident)  # per vertex, a bit per color on its edges
-    at = [[-1] * palette for _ in h.incident]  # per vertex and color, the edge holding it
+    ends = h.ends
+    across = [u ^ v for u, v in ends]  # x ^ across[e] is the other end of e from x
+    used = [0] * len(h.qubits)  # per qubit, a bit per color on its edges
+    at = [[-1] * palette for _ in h.qubits]  # per qubit and color, the edge holding it
     color = [0] * len(ends)
 
     def paint(e: int, c: int) -> None:
@@ -343,8 +335,7 @@ def _fournier_order(h: DerivedHypergraph, delta: int) -> list[tuple[int, int]] |
     whose degree-Delta vertices induce a forest is class 1.  None when those
     vertices keep a cycle.
     """
-    ends, across = _ends(h)
-    incident = list(h.incident.values())  # by vertex position, as in ``ends``
+    incident, across = h.incident, [u ^ v for u, v in h.ends]
     degree = [len(edges) for edges in incident]
     core = [sum(degree[x ^ across[f]] == delta for f in edges) for x, edges in enumerate(incident)]
     out = [False] * len(across)
@@ -369,7 +360,7 @@ def _fournier_order(h: DerivedHypergraph, delta: int) -> list[tuple[int, int]] |
             degree[x] -= 1
     if delta in degree:
         return None
-    kept = [(f, u) for f, (u, _) in enumerate(ends) if not out[f]]
+    kept = [(f, u) for f, (u, _) in enumerate(h.ends) if not out[f]]
     return kept + stripped[::-1]
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 from .dualize import Pubo
@@ -60,22 +61,46 @@ class Hyperedge:
 
 @dataclass(frozen=True)
 class DerivedHypergraph:
+    """The derived graph G, whose chromatic index bounds the cost layers below.
+
+    ``vertices`` are all the variables, and the mixer acts on every one.
+    :attr:`qubits` are the touched ones, numbered by first use: edges in
+    index order, names in support order.  Every stage reads that numbering;
+    it is internal, and artifacts keep names.
+    """
+
     vertices: tuple[str, ...]
     edges: tuple[Hyperedge, ...]
     singletons: tuple[tuple[str, Scalar], ...]  # the phases of qubits no edge acts on
     constant: Scalar = 0
 
     @cached_property
-    def incident(self) -> dict[str, tuple[int, ...]]:
-        """For each touched vertex, the ascending indices of the edges acting on it."""
-        incident: dict[str, list[int]] = {}
-        for index, edge in enumerate(self.edges):
+    def qubits(self) -> tuple[str, ...]:
+        """The names of the touched vertices, by qubit number."""
+        return tuple(dict.fromkeys([name for edge in self.edges for name in edge.support]))
+
+    @cached_property
+    def ends(self) -> tuple[tuple[int, ...], ...]:
+        """Each edge's support as qubit numbers, in support order."""
+        number = dict(zip(self.qubits, range(len(self.qubits))))
+        ends: list[list[int]] = []
+        for edge in self.edges:  # plain loops take half the time of a comprehension per edge
+            ends.append(row := [])
             for name in edge.support:
-                incident.setdefault(name, []).append(index)
-        return {name: tuple(edges) for name, edges in incident.items()}
+                row.append(number[name])
+        return tuple(map(tuple, ends))
+
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """For each qubit, the ascending indices of the edges acting on it."""
+        incident: list[list[int]] = [[] for _ in self.qubits]
+        for index, ends in enumerate(self.ends):
+            for x in ends:
+                incident[x].append(index)
+        return tuple(map(tuple, incident))
 
     def max_degree(self) -> int:
-        return max(map(len, self.incident.values()), default=0)
+        return max(map(len, self.incident), default=0)
 
     @cached_property
     def conflicts(self) -> tuple[tuple[int, ...], ...]:
@@ -84,8 +109,8 @@ class DerivedHypergraph:
         Built from :attr:`incident` in O(sum of degree^2).
         """
         return tuple(
-            tuple(sorted({j for name in edge.support for j in self.incident[name]} - {index}))
-            for index, edge in enumerate(self.edges)
+            tuple(sorted({j for x in ends for j in self.incident[x]} - {index}))
+            for index, ends in enumerate(self.ends)
         )
 
     @cached_property
@@ -118,9 +143,8 @@ class DerivedHypergraph:
 
     @cached_property
     def _support_masks(self) -> tuple[int, ...]:
-        """Each edge's support as a bit mask, a bit per vertex of :attr:`incident`."""
-        qubit = {name: 1 << position for position, name in enumerate(self.incident)}
-        return tuple(sum(qubit[name] for name in edge.support) for edge in self.edges)
+        """Each edge's support as a bit mask, bit x for qubit x."""
+        return tuple(sum(1 << x for x in ends) for ends in self.ends)
 
     def is_simple_graph(self) -> bool:
         """True when every hyperedge is a pair and no pair occurs twice."""
@@ -128,7 +152,7 @@ class DerivedHypergraph:
 
     @cached_property
     def _simple_graph(self) -> bool:
-        supports = {frozenset(e.support) for e in self.edges}
+        supports = set(map(frozenset, self.ends))
         return len(supports) == len(self.edges) and all(len(s) == 2 for s in supports)
 
     def is_linear(self) -> bool:
@@ -139,13 +163,8 @@ class DerivedHypergraph:
     def _linear(self) -> bool:
         if self._simple_graph:
             return True  # two distinct pairs share at most one vertex
-        supports = [frozenset(e.support) for e in self.edges]
-        return all(
-            len(supports[i] & supports[j]) <= 1
-            for i, others in enumerate(self.conflicts)
-            for j in others
-            if j > i
-        )
+        pairs = [pair for ends in self.ends for pair in combinations(sorted(ends), 2)]
+        return len(set(pairs)) == len(pairs)  # no pair of qubits in two edges
 
     def uniform_size(self) -> int | None:
         sizes = {len(e.support) for e in self.edges}
@@ -231,7 +250,7 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
         if width < limit:
             # A host contains the whole support, so it is incident to its rarest vertex.
             support = set(edge.support)
-            rarest = min(edge.support, key=lambda name: len(h.incident[name]))
+            rarest = min(h.ends[index], key=lambda x: len(h.incident[x]))
             host = min(
                 (
                     c for c in h.incident[rarest]
@@ -291,7 +310,7 @@ def search_layers(
     share a gate, so nothing is placed in advance.  The search stops at a
     solution with ``lower`` layers.
 
-    Supports are bit masks over the touched vertices.  Sets of edges are bit
+    Supports are bit masks over the qubit numbers.  Sets of edges are bit
     masks too, each edge's bit at its rank in the tie-break order (conflict
     degree, then -index), so the highest bit of a set is the edge preferred.
     Per edge, ``near`` holds its conflicts and ``clash`` those of them that
@@ -437,7 +456,7 @@ def _merge_lower_bound(h: DerivedHypergraph, limit: int) -> int:
     """
     masks = h._support_masks
     best = 0
-    for edges in h.incident.values():
+    for edges in h.incident:
         apart: list[int] = []
         for edge in sorted(edges, key=lambda i: -len(h.edges[i].support)):
             mask = masks[edge]

@@ -299,9 +299,6 @@ def analyze_family(
 
 
 def _actual_degrees(h: DerivedHypergraph) -> dict[str, int]:
-    """Distinct-neighbor count per vertex in the derived structure."""
-    neighbors: dict[str, set[str]] = {v: set() for v in h.vertices}
-    for edge in h.edges:
-        for name in edge.support:
-            neighbors[name].update(other for other in edge.support if other != name)
-    return {name: len(peers) for name, peers in neighbors.items()}
+    """Distinct-neighbor count per touched qubit in the derived structure."""
+    neighbors = ({y for e in edges for y in h.ends[e]} for edges in h.incident)
+    return {name: len(peers) - 1 for name, peers in zip(h.qubits, neighbors)}

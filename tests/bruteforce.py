@@ -376,6 +376,12 @@ def is_linear_pairwise(supports) -> bool:
     )
 
 
+def is_simple_graph_by_names(supports) -> bool:
+    """True when every support is a pair and no pair repeats, on frozensets of names."""
+    pairs = {frozenset(s) for s in supports}
+    return len(pairs) == len(supports) and all(len(pair) == 2 for pair in pairs)
+
+
 def absorb_subsets_scan(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     """Subset absorption that scans every kept edge for a host, pair by pair.
 
@@ -719,7 +725,7 @@ def merge_lower_bound_reference(h: DerivedHypergraph, limit: int) -> int:
     """``hypergraph._merge_lower_bound`` on frozensets, as it was before masks."""
     supports = [frozenset(e.support) for e in h.edges]
     best = 0
-    for edges in h.incident.values():
+    for edges in h.incident:
         apart: list[frozenset] = []
         for edge in sorted(edges, key=lambda i: -len(supports[i])):
             if all(len(supports[edge] | other) > limit for other in apart):

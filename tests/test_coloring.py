@@ -284,6 +284,22 @@ def test_graphs_with_a_forest_of_max_degree_vertices_get_delta_colors(monkeypatc
         assert coloring.num_colors == g.max_degree() == coloring.lower_bound
     assert forests > 1000
     assert len(orders) >= 10 and None not in orders
+    # The stack order of _fournier_order follows the qubit numbering, and so
+    # do the classes of this graph (Delta = 10), where index order gets stuck.
+    orders.clear()
+    neighbors = {
+        1: (2, 3, 5, 6, 8, 10, 12, 13), 2: (5, 6, 7, 9, 10, 13, 14),
+        3: (4, 6, 7, 8, 10, 11, 13), 4: (6, 7, 8, 9, 10, 11, 12), 5: (8, 10, 14),
+        6: (7, 9, 11, 14), 7: (9, 12, 13, 14), 8: (9, 10, 12, 13, 14),
+        9: (10, 11, 12, 13, 14), 10: (11, 13, 14), 11: (12,), 12: (14,), 13: (14,),
+    }
+    g = InstanceGraph(n=14, edges=tuple((u, v) for u, vs in neighbors.items() for v in vs))
+    assert coloring_mod._vizing_classes(graph_hypergraph(g)) == [
+        [7, 14, 17, 27, 41, 43, 53], [3, 9, 19, 22, 45, 55], [4, 11, 20, 23, 31, 34, 54],
+        [1, 8, 28, 38, 44, 48, 51], [0, 18, 24, 32, 35, 39, 49], [5, 12, 21, 25, 30, 33, 47],
+        [6, 13, 26, 29, 36], [2, 10, 40, 46, 50], [15, 42, 52], [16, 37],
+    ]
+    assert len(orders) == 1 and orders[0] is not None
 
 
 @pytest.mark.parametrize("n, degree", [(30, 3), (45, 4), (60, 5), (80, 6), (100, 4), (140, 5), (100, 12)])
@@ -352,12 +368,22 @@ def test_exact_agrees_with_partition_enumeration_on_hypergraphs():
 
 def test_properness_is_machine_checked(w6):
     h = graph_hypergraph(w6)
-    with pytest.raises(InvalidInputError):
-        check_proper(h, [list(range(len(h.edges)))])
-    with pytest.raises(InvalidInputError):
+    m = len(h.edges)
+    with pytest.raises(InvalidInputError, match=r"share vertices \['x1'\]$"):
+        check_proper(h, [list(range(m))])
+    # x1x2 and x3x4, then x1x3 meets both
+    with pytest.raises(InvalidInputError, match=r"share vertices \['x1', 'x3'\]$"):
+        check_proper(h, [[0, 7, 1]])
+    with pytest.raises(InvalidInputError, match="does not cover"):
         make_coloring(h, [[0]], method="greedy")  # misses edges
-    with pytest.raises(InvalidInputError):
-        check_proper(h, [[0], [0] + list(range(1, len(h.edges)))])
+    with pytest.raises(InvalidInputError, match="edge 0 colored twice"):
+        check_proper(h, [[0], [0] + list(range(1, m))])
+    # every qubit in several classes: what one class marks, the next may reuse
+    check_proper(h, [[i] for i in range(m)])
+    check_proper(h, [list(c) for c in color_exact(h).classes])
+    # -1 names the last edge, but is not its index: the last edge is uncovered
+    with pytest.raises(InvalidInputError, match="does not cover"):
+        check_proper(h, [[-1]] + [[i] for i in range(m - 1)])
 
 
 def test_bounds_for_the_wheel(w6):

@@ -28,6 +28,7 @@ from bruteforce import (
     chromatic_index_bruteforce,
     conflicts_pairwise,
     is_linear_pairwise,
+    is_simple_graph_by_names,
     merge_layers_bruteforce,
     pubo_from_polynomial,
     random_graph,
@@ -74,20 +75,37 @@ def test_w6_derived_graph_is_the_wheel_itself(w6):
 @pytest.mark.parametrize("max_width", [2, 3, 4])
 def test_conflicts_and_linearity_match_the_pairwise_definition(max_width):
     rng = random.Random(60 + max_width)
-    outcomes = set()
+    outcomes, simple = set(), set()
     for trial in range(150):
         supports = random_hypergraph_supports(
             rng, rng.randint(max_width, 9), trial % 13, max_width=max_width
         )
         h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
         assert [e.support for e in h.edges] == supports
-        assert [list(c) for c in h.conflicts] == conflicts_pairwise(supports)
-        assert h.is_linear() == is_linear_pairwise(supports)
         outcomes.add((min(len(supports), 2), h.is_linear()))
+        # the edges reversed, and a pair repeated, as build() never does
+        repeated = tuple(e for e in h.edges if len(e.support) == 2)[:1]
+        for g in (h, replace(h, edges=h.edges[::-1]), replace(h, edges=h.edges + repeated)):
+            supports = [e.support for e in g.edges]
+            assert [list(c) for c in g.conflicts] == conflicts_pairwise(supports)
+            assert g.is_linear() == is_linear_pairwise(supports)
+            assert g.is_simple_graph() == is_simple_graph_by_names(supports)
+            simple.add(g.is_simple_graph())
+            first_use: list[str] = []
+            for support in supports:
+                first_use += [name for name in support if name not in first_use]
+            assert g.qubits == tuple(first_use)
+            assert [tuple(g.qubits[x] for x in ends) for ends in g.ends] == supports
+            assert g.incident == tuple(
+                tuple(i for i, support in enumerate(supports) if name in support)
+                for name in first_use
+            )
+            assert g._support_masks == tuple(sum(1 << x for x in ends) for ends in g.ends)
     # empty and single-edge hypergraphs, linear ones and (once edges are wider
     # than two, so two of them can share two vertices) non-linear ones all occurred
     expected = {(0, True), (1, True), (2, True)} | ({(2, False)} if max_width > 2 else set())
     assert outcomes == expected
+    assert simple == {True, False}
 
 
 @pytest.mark.parametrize(
