@@ -18,35 +18,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import and_
 from typing import Container
 
 from .errors import InfeasibleConstraintError, InvalidInputError
-from .poly import EXACT_ENUMERATION_LIMIT, Polynomial, Scalar, Support, canonical
+from .poly import (
+    EXACT_ENUMERATION_LIMIT,
+    CubeLayout,
+    Polynomial,
+    Scalar,
+    Support,
+    canonical,
+    pack_cube,
+)
 from .problems import MINIMIZE, Problem
 
 
 def _bits(z: int, width: int) -> tuple[int, ...]:
     return tuple((z >> i) & 1 for i in range(width))
-
-
-def _indices(values: list, target) -> list[int]:
-    """Every index at which ``values`` holds ``target``, each found by a C-level scan."""
-    found, start = [], 0
-    try:
-        while True:
-            start = values.index(target, start)
-            found.append(start)
-            start += 1
-    except ValueError:
-        return found
-
-
-def _scaled_values(poly: Polynomial, order: list[str]) -> tuple[list[int], int]:
-    """``poly`` times its common denominator d over the cube (all ints), and d."""
-    scale = poly.common_denominator()
-    return (poly * scale).values_over_cube(order), scale
 
 
 @dataclass(frozen=True)
@@ -285,6 +273,18 @@ def verify_penalty(pubo: Pubo, problem: Problem) -> PenaltyVerification:
     how dualization works so it can serve as an independent oracle.  Raises
     :class:`InvalidInputError` above ``EXACT_ENUMERATION_LIMIT`` variables,
     problem and slack together.
+
+    Every table is a packed :class:`~qaoadepth.poly.CubeLayout` table, and
+    each step is a whole-table integer operation on it: a feasibility test
+    per constraint bound, a minimum by halving, the slack projection by
+    halving over the slack bits, and an equality set whose indices are the
+    argmins.  The cost is the transforms plus O(n) such operations for n
+    PUBO variables; no int is made per assignment except for the argmins.
+    Each distinct polynomial is transformed once: the objective and the
+    constraint left-hand sides share one layout, so their sets combine with
+    ``&``, and the penalty form has its own.  A penalty form without slack
+    bits that equals the objective (an unconstrained problem) reads the
+    objective's table, and both argmin sets are still computed and compared.
     """
     order = list(pubo.variables)
     if len(order) > EXACT_ENUMERATION_LIMIT:
@@ -299,33 +299,33 @@ def verify_penalty(pubo: Pubo, problem: Problem) -> PenaltyVerification:
 
     # Every table holds a polynomial times its common denominator d, so it
     # is all ints.  For an integer v, v/d <= rhs exactly when
-    # v <= floor(rhs*d), and v/d >= lower exactly when v >= ceil(lower*d).
-    feasible = [True] * (1 << n_orig)
-    for con in problem.constraints:
-        lhs_values, scale = _scaled_values(con.lhs, original)
-        high = math.floor(con.rhs * scale)
-        feasible = list(map(and_, feasible, map(high.__ge__, lhs_values)))
-        if con.lower is not None:
-            low = math.ceil(con.lower * scale)
-            feasible = list(map(and_, feasible, map(low.__le__, lhs_values)))
+    # v <= floor(rhs*d), and v/d >= lower exactly when not
+    # v <= ceil(lower*d) - 1.
     objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
-    objective_values, _ = _scaled_values(objective, original)
-    # With no feasible point best_value is None, which no entry equals.
-    best_value = min(compress(objective_values, feasible), default=None)
-    constrained_argmin = sorted(
-        _bits(z, n_orig) for z in _indices(objective_values, best_value) if feasible[z]
-    )
+    polys = list(dict.fromkeys([objective, *(con.lhs for con in problem.constraints)]))
+    layout, packed = pack_cube(polys, original)
+    tables = dict(zip(polys, packed))
+    feasible = layout.guards
+    for con in problem.constraints:
+        values, scale = tables[con.lhs]
+        feasible &= layout.at_most(values, math.floor(con.rhs * scale))
+        if con.lower is not None:
+            feasible &= ~layout.at_most(values, math.ceil(con.lower * scale) - 1)
+    values, _ = tables[objective]
+    # With no feasible point the set below is empty, whatever the minimum.
+    optimal = layout.at_most(values, layout.minimum(values, feasible)) & feasible
+    constrained_argmin = sorted(_bits(z, n_orig) for z in layout.indices(optimal))
 
     # PUBO side: minimize over slack bits for every original assignment.
-    # Original variables occupy the low bit positions, so each slack block
-    # of 2**n_orig consecutive indices scans the same original assignments.
-    projected, _ = _scaled_values(pubo.objective, original + slack)
-    if slack:
-        block = 1 << n_orig
-        projected = list(
-            map(min, *[projected[start : start + block] for start in range(0, len(projected), block)])
-        )
-    pubo_argmin = sorted(_bits(z, n_orig) for z in _indices(projected, min(projected)))
+    # Original variables occupy the low bit positions, so the projection
+    # folds the table over its top len(slack) bits.  With no slack and the
+    # objective as the penalty form, ``layout`` and ``values`` hold its table.
+    if slack or pubo.objective != objective:
+        pubo_layout, [(values, _)] = pack_cube([pubo.objective], original + slack)
+        values = pubo_layout.fold(values, len(slack))
+        layout = CubeLayout(n_orig, pubo_layout.width)
+    optimal = layout.at_most(values, layout.minimum(values, layout.guards))
+    pubo_argmin = sorted(_bits(z, n_orig) for z in layout.indices(optimal))
 
     passed = bool(constrained_argmin) and pubo_argmin == constrained_argmin
     witness, detail = None, ""

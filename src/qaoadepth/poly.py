@@ -36,16 +36,12 @@ EXACT_ENUMERATION_LIMIT = 20
 Scalar = int | Fraction
 
 
-def _blank_field(code: str) -> array:
-    """One signed field of offset-binary zero, -2**(w-1), as a one-item array."""
-    field = array(code, [0])
-    field[0] = -1 << (field.itemsize * 8 - 1)
-    return field
-
-
-#: The blank field of every width w that an ``array`` typecode holds, by w;
-#: ``values_over_cube`` packs and reads wider fields as bytes.
-_BLANK_FIELDS = {field.itemsize * 8: field for field in map(_blank_field, "bhiq")}
+#: A one-field table of zeros, as a signed one-item array, for each field
+#: width w that an ``array`` typecode holds; see :class:`CubeLayout`.
+_BLANK_FIELDS = {
+    8 * item.itemsize: array(item.typecode, [1 << (8 * item.itemsize - 2)])
+    for item in map(array, "bhiq")
+}
 _ORDER = sys.byteorder
 _DENOMINATOR = attrgetter("denominator")
 
@@ -253,83 +249,14 @@ class Polynomial:
     def values_over_cube(self, order: Sequence[str] | None = None) -> list:
         """Values at every binary assignment, as a list indexed by bitmask.
 
-        Assignment ``z`` sets variable ``order[i]`` to bit i of ``z``.  Uses
-        the subset-sum (zeta) transform, so the cost is O(2**n * n) additions
-        rather than one full evaluation per point.  Entries are exact: int
-        when every coefficient is an integer, otherwise Fraction (integer
-        sums over the coefficients times their common denominator, divided
-        back once).
-
-        The table is one Python int of 2**n fields of w bits, field z at
-        bits z*w to z*w + w - 1, so each bit's pass is a few whole-table
-        integer operations.  A field holds its value v in offset binary,
-        v + 2**(w-1); ``offsets`` is the table of zeros.  The width w is the
-        smallest of 8, 16, 32, 64, 128, ... with sum(|c|) < 2**(w-1) over
-        the scaled coefficients c.  Every value the transform makes is a sum
-        of some of the coefficients, so every field stays within [0, 2**w).
-        The pass for bit i adds each field z with bit i clear, less its
-        offset, to field z + 2**i.  With ``low`` the all-ones fields at
-        those z, that is
-        ``packed += ((packed & low) - (offsets & low)) << (2**i * w)``.
-        This is exact integer arithmetic on the whole table, whatever
-        borrows cross the field boundaries on the way.  Every field of the
-        result is in range, so the result has one field decomposition, and
-        it is the transformed table.  Fields of at most 64 bits are filled
-        and read through an ``array``; wider ones byte by byte.
+        Assignment ``z`` sets variable ``order[i]`` to bit i of ``z``.  This
+        is the table :func:`pack_cube` builds, read out field by field.
+        Entries are exact: int when every coefficient is an integer,
+        otherwise Fraction (the integer table of the coefficients times their
+        common denominator, divided back once).
         """
-        variables = self.variables()
-        names = variables if order is None else list(order)
-        position = {name: i for i, name in enumerate(names)}
-        if order is not None:
-            missing = set(variables) - set(names)
-            if missing:
-                raise ValueError(f"order does not cover variables: {sorted(missing)}")
-        scale = self.common_denominator()
-        terms = self._scaled_terms(scale)
-        size = 1 << len(names)
-        width = 8
-        total = sum(map(abs, terms.values()))
-        while total >> (width - 1):
-            width *= 2
-        field_bytes = width >> 3
-        # -2**(w-1) in two's complement is 0 in offset binary, and for any
-        # v in range, v ^ zero is v in offset binary read as two's complement.
-        zero = -1 << (width - 1)
-        blank = _BLANK_FIELDS.get(width)
-        if blank:
-            cells = blank * size
-        else:
-            cells = bytearray(zero.to_bytes(field_bytes, _ORDER, signed=True) * size)
-        offsets = int.from_bytes(cells, _ORDER)
-        for support, coeff in terms.items():
-            mask = 0
-            for name in support:
-                mask |= 1 << position[name]
-            if blank:
-                cells[mask] = coeff ^ zero
-            else:
-                start = mask * field_bytes
-                cells[start:start + field_bytes] = (coeff ^ zero).to_bytes(
-                    field_bytes, _ORDER, signed=True
-                )
-        packed = int.from_bytes(cells, _ORDER)
-        # The passes commute, so they run from the top bit down.
-        shift = size * width >> 1  # bit n-1 moves a field up this many bits
-        low = (1 << shift) - 1  # all-ones fields where bit n-1 is clear
-        for _ in names:
-            packed += ((packed & low) - (offsets & low)) << shift
-            # Down one bit: the runs of ones halve, and each run's upper
-            # half moves up into the gap after it.
-            shift >>= 1
-            low ^= low << shift
-        table = (packed ^ offsets).to_bytes(size * field_bytes, _ORDER)
-        if blank:
-            values = array(blank.typecode, table).tolist()
-        else:
-            values = [
-                int.from_bytes(table[start:start + field_bytes], _ORDER, signed=True)
-                for start in range(0, len(table), field_bytes)
-            ]
+        layout, [(table, scale)] = pack_cube([self], self.variables() if order is None else order)
+        values = layout.values(table)
         if scale != 1:
             return [Fraction(v, scale) for v in values]
         return values
@@ -412,3 +339,178 @@ def _as_polynomial(value):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Polynomial.constant(value)
     return NotImplemented
+
+
+class CubeLayout:
+    """Tables over the binary cube, each packed into one Python int.
+
+    A table over n variables, in the order given to :func:`pack_cube`, holds
+    one value per assignment z, where z sets variable i to bit i of z.  It is
+    one int of 2**n fields of w bits, field z at bits z*w to z*w + w - 1, and
+    a field holds its value v as v + 2**(w-2).  Every value of every table in
+    a layout has |v| < 2**(w-2), so each field lies in [0, 2**(w-1)) and its
+    top bit, the guard bit, is clear.  ``offsets`` is the table of zeros,
+    ``ones`` holds 1 in every field and ``guards`` every guard bit.
+
+    A set of fields is a mask of their guard bits.  ``((a | guards) - b) &
+    guards`` is the set where a >= b: each field subtracts on its own, from
+    at least 2**(w-1), so no borrow crosses a field boundary.  ``(g << 1) -
+    (g >> (w-1))`` widens a set g to all-ones fields, which select fields
+    from one table or another.  This is broadword computing on packed fields
+    (Knuth, TAOCP 4A, section 7.1.3): every method below is a few integer
+    operations on the whole table, or on its halves, never a loop over
+    fields.
+    """
+
+    __slots__ = ("variables", "size", "width", "quarter", "offsets", "ones", "guards")
+
+    def __init__(self, variables: int, width: int):
+        self.variables = variables
+        self.size = 1 << variables
+        self.width = width
+        self.quarter = 1 << (width - 2)
+        self.offsets = int.from_bytes(
+            self.quarter.to_bytes(width >> 3, _ORDER) * self.size, _ORDER
+        )
+        self.ones = self.offsets >> (width - 2)
+        self.guards = self.offsets << 1
+
+    def values(self, table: int) -> list[int]:
+        """The values of a table as a list indexed by assignment, one int per field."""
+        # Flipping bit w-2 and copying it into bit w-1 turns v + 2**(w-2)
+        # into v in w-bit two's complement.
+        signed = table ^ self.offsets
+        signed |= (signed & self.offsets) << 1
+        field_bytes = self.width >> 3
+        data = signed.to_bytes(self.size * field_bytes, _ORDER)
+        blank = _BLANK_FIELDS.get(self.width)
+        if blank:
+            return array(blank.typecode, data).tolist()
+        return [
+            int.from_bytes(data[start:start + field_bytes], _ORDER, signed=True)
+            for start in range(0, len(data), field_bytes)
+        ]
+
+    def at_most(self, table: int, value: int) -> int:
+        """The set of fields of ``table`` that hold at most ``value``."""
+        # Every value lies strictly inside (-2**(w-2), 2**(w-2)), so moving
+        # ``value`` into [-2**(w-2), 2**(w-2)) changes no outcome, and its
+        # broadcast field then lies in [0, 2**(w-1)) like every other.
+        quarter = self.quarter
+        field = min(max(value, -quarter), quarter - 1) + quarter
+        return ((field * self.ones | self.guards) - table) & self.guards
+
+    def fold(self, table: int, bits: int) -> int:
+        """The fieldwise minimum over the top ``bits`` bits of the assignment.
+
+        Each step takes the minimum of the table's two halves, field by
+        field, so the result is a table of 2**(n - bits) fields in which field
+        z holds the least value over the assignments that agree with z on the
+        low n - bits bits.
+        """
+        width = self.width
+        guards = self.guards
+        shift = self.size * width
+        for _ in range(bits):
+            shift >>= 1
+            guards >>= shift
+            low = table & ((1 << shift) - 1)
+            high = table >> shift
+            higher = ((low | guards) - high) & guards
+            table = low ^ ((low ^ high) & ((higher << 1) - (higher >> (width - 1))))
+        return table
+
+    def minimum(self, table: int, where: int) -> int:
+        """The least value of ``table`` over the set of fields ``where``.
+
+        Fields outside ``where`` read as the largest field, 2**(w-1) - 1, so
+        over an empty set the result is 2**(w-2) - 1, the largest value.
+        """
+        fill = self.guards - self.ones
+        table = fill ^ ((table ^ fill) & ((where << 1) - (where >> (self.width - 1))))
+        return self.fold(table, self.variables) - self.quarter
+
+    def indices(self, fields: int) -> list[int]:
+        """The assignments in the set ``fields``, in increasing order."""
+        field_bytes = self.width >> 3
+        # One byte per field: the top one, which holds the guard bit.
+        flags = fields.to_bytes(self.size * field_bytes, _ORDER)[field_bytes - 1::field_bytes]
+        found, z = [], flags.find(0x80)
+        while z >= 0:
+            found.append(z)
+            z = flags.find(0x80, z + 1)
+        return found
+
+
+def pack_cube(
+    polys: Sequence[Polynomial], order: Sequence[str]
+) -> tuple[CubeLayout, list[tuple[int, int]]]:
+    """Each polynomial times its common denominator d over the cube, as (table, d).
+
+    The tables share one :class:`CubeLayout` over the variables ``order``,
+    whose width w is the smallest of 8, 16, 32, 64, 128, ... with sum(|c|) <
+    2**(w-2) over the scaled coefficients c of every polynomial.  Every
+    value is a sum of some of a polynomial's coefficients, so every value is
+    in range.  Raises ValueError when ``order`` misses a variable.
+
+    A table is built by the subset-sum (zeta) transform: O(2**n * n)
+    additions rather than one full evaluation per point.  Each coefficient is
+    written into the field of its support's bitmask, and the pass for bit i
+    adds each field z with bit i clear, less its offset, to field z + 2**i.
+    With ``low`` the all-ones fields at those z, that is
+    ``packed += ((packed & low) - (offsets & low)) << (2**i * w)``, a few
+    whole-table integer operations.  This is exact integer arithmetic,
+    whatever borrows cross the field boundaries on the way; every field of
+    the result is in range, so the result has one field decomposition, and
+    it is the transformed table.  Fields of at most 64 bits are filled
+    through an ``array``, wider ones byte by byte.
+    """
+    position = {name: i for i, name in enumerate(order)}
+    scaled = []
+    bound = 0
+    for poly in polys:
+        scale = poly.common_denominator()
+        terms = poly._scaled_terms(scale)
+        bound = max(bound, sum(map(abs, terms.values())))
+        scaled.append((terms, scale))
+    width = 8
+    while bound >> (width - 2):
+        width *= 2
+    layout = CubeLayout(len(order), width)
+    try:
+        return layout, [(_zeta(layout, terms, position), scale) for terms, scale in scaled]
+    except KeyError:
+        missing = set().union(*(poly.variables() for poly in polys)) - set(order)
+        raise ValueError(f"order does not cover variables: {sorted(missing)}") from None
+
+
+def _zeta(layout: CubeLayout, terms: Mapping[Support, int], position: Mapping[str, int]) -> int:
+    """The packed table of the integer ``terms``; see :func:`pack_cube`."""
+    width, size, quarter = layout.width, layout.size, layout.quarter
+    field_bytes = width >> 3
+    blank = _BLANK_FIELDS.get(width)
+    if blank:
+        cells = blank * size
+    else:
+        cells = bytearray(quarter.to_bytes(field_bytes, _ORDER) * size)
+    for support, coeff in terms.items():
+        mask = 0
+        for name in support:
+            mask |= 1 << position[name]
+        if blank:
+            cells[mask] = coeff + quarter
+        else:
+            start = mask * field_bytes
+            cells[start:start + field_bytes] = (coeff + quarter).to_bytes(field_bytes, _ORDER)
+    packed = int.from_bytes(cells, _ORDER)
+    offsets = layout.offsets
+    # The passes commute, so they run from the top bit down.
+    shift = size * width >> 1  # bit n-1 moves a field up this many bits
+    low = (1 << shift) - 1  # all-ones fields where bit n-1 is clear
+    for _ in range(layout.variables):
+        packed += ((packed & low) - (offsets & low)) << shift
+        # Down one bit: the runs of ones halve, and each run's upper
+        # half moves up into the gap after it.
+        shift >>= 1
+        low ^= low << shift
+    return packed

@@ -10,6 +10,8 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import compress
+from operator import and_
 from typing import Sequence
 
 from qaoadepth import (
@@ -18,10 +20,13 @@ from qaoadepth import (
     EquivalenceReport,
     Hyperedge,
     InstanceGraph,
+    InvalidInputError,
+    PenaltyVerification,
     Polynomial,
     Problem,
     Pubo,
 )
+from qaoadepth.poly import EXACT_ENUMERATION_LIMIT
 
 
 def pubo_from_polynomial(objective: Polynomial) -> Pubo:
@@ -161,6 +166,92 @@ def pubo_argmin_reference(pubo: Pubo) -> list[tuple[int, ...]]:
         )
     best = min(projected.values())
     return sorted(bits for bits, value in projected.items() if value == best)
+
+
+def _indices(values: list, target) -> list[int]:
+    """Every index at which ``values`` holds ``target``, each found by a C-level scan."""
+    found, start = [], 0
+    try:
+        while True:
+            start = values.index(target, start)
+            found.append(start)
+            start += 1
+    except ValueError:
+        return found
+
+
+def _scaled_values(poly: Polynomial, order: list[str]) -> tuple[list[int], int]:
+    """``poly`` times its common denominator d over the cube (all ints), and d."""
+    scale = poly.common_denominator()
+    return (poly * scale).values_over_cube(order), scale
+
+
+def _bits(z: int, width: int) -> tuple[int, ...]:
+    return tuple((z >> i) & 1 for i in range(width))
+
+
+def verify_penalty_reference(pubo: Pubo, problem: Problem) -> PenaltyVerification:
+    """``verify_penalty`` on list tables: one int per assignment, scanned entry by entry.
+
+    Feasibility is a per-entry comparison with the scaled thresholds, each
+    minimum a scan, the slack projection a per-entry ``min`` over the 2**k
+    slack blocks and the argmins ``list.index`` scans.  The report,
+    witness and detail included, must equal the packed oracle's.
+    """
+    order = list(pubo.variables)
+    if len(order) > EXACT_ENUMERATION_LIMIT:
+        raise InvalidInputError(
+            f"verification needs {len(order)} variables "
+            f"but the limit is {EXACT_ENUMERATION_LIMIT}"
+        )
+    slack_names = set(pubo.slack_names())
+    original = [name for name in order if name not in slack_names]
+    slack = [name for name in order if name in slack_names]
+    n_orig = len(original)
+
+    # For an integer v, v/d <= rhs exactly when v <= floor(rhs*d), and
+    # v/d >= lower exactly when v >= ceil(lower*d).
+    feasible = [True] * (1 << n_orig)
+    for con in problem.constraints:
+        lhs_values, scale = _scaled_values(con.lhs, original)
+        high = math.floor(con.rhs * scale)
+        feasible = list(map(and_, feasible, map(high.__ge__, lhs_values)))
+        if con.lower is not None:
+            low = math.ceil(con.lower * scale)
+            feasible = list(map(and_, feasible, map(low.__le__, lhs_values)))
+    objective_values, _ = _scaled_values(min_objective(problem), original)
+    # With no feasible point best_value is None, which no entry equals.
+    best_value = min(compress(objective_values, feasible), default=None)
+    constrained = sorted(
+        _bits(z, n_orig) for z in _indices(objective_values, best_value) if feasible[z]
+    )
+
+    # Original variables occupy the low bit positions, so each slack block
+    # of 2**n_orig consecutive indices scans the same original assignments.
+    projected, _ = _scaled_values(pubo.objective, original + slack)
+    if slack:
+        block = 1 << n_orig
+        projected = list(
+            map(min, *[projected[start : start + block] for start in range(0, len(projected), block)])
+        )
+    projected_argmin = sorted(_bits(z, n_orig) for z in _indices(projected, min(projected)))
+
+    passed = bool(constrained) and projected_argmin == constrained
+    witness, detail = None, ""
+    if not constrained:
+        detail = "original problem has no feasible assignment"
+    elif not passed:
+        witness = min(set(projected_argmin).symmetric_difference(constrained))
+        side = "penalty form" if witness in set(projected_argmin) else "constrained problem"
+        detail = f"assignment {witness} is optimal only for the {side}"
+    return PenaltyVerification(
+        passed=passed,
+        constrained_argmin=tuple(constrained),
+        pubo_argmin=tuple(projected_argmin),
+        variable_order=tuple(original),
+        counterexample=witness,
+        detail=detail,
+    )
 
 
 def chromatic_index_bruteforce(supports) -> int:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from qaoadepth import (
     InvalidInputError,
     Polynomial,
     Problem,
+    Pubo,
     dualize,
     expansion_diff,
     make_knapsack,
@@ -22,6 +24,7 @@ from qaoadepth import (
 )
 
 from qaoadepth.dualize import _slack_coefficients
+from qaoadepth.poly import pack_cube
 
 from bruteforce import (
     assignments,
@@ -32,6 +35,7 @@ from bruteforce import (
     pubo_argmin_reference,
     random_graph,
     random_polynomial,
+    verify_penalty_reference,
 )
 
 W6_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6))
@@ -446,6 +450,56 @@ def test_verify_penalty_detects_a_broken_pubo(general_problem):
     assert report.counterexample is not None
 
 
+def test_verify_penalty_builds_one_packed_table_per_polynomial_and_no_list(monkeypatch, w6):
+    x1, x2, x3 = (Polynomial.variable(f"x{i}") for i in (1, 2, 3))
+    total = x1 + x2 + x3
+    # Both constraints read one lhs table; the objective and the PUBO one each.
+    shared_lhs = Problem(
+        "min",
+        x1 - 2 * x2 + x3,
+        (Constraint(lhs=total, rhs=2), Constraint(lhs=total, rhs=3, lower=1)),
+        ("x1", "x2", "x3"),
+    )
+    # Unconstrained: the PUBO is the min-form objective, so one table serves both sides.
+    cases = [(make_maxcut(w6), 1), (shared_lhs, 3)]
+    pubos = [dualize(problem) for problem, _ in cases]
+
+    def no_enumeration(self, order=None):
+        raise AssertionError("values_over_cube called by the penalty oracle")
+
+    transformed = []
+
+    def counting(polys, order):
+        transformed.extend(polys)
+        return pack_cube(polys, order)
+
+    monkeypatch.setattr(Polynomial, "values_over_cube", no_enumeration)
+    # The package's ``dualize`` function shadows the module of that name.
+    monkeypatch.setattr(importlib.import_module("qaoadepth.dualize"), "pack_cube", counting)
+    for (problem, tables), pubo in zip(cases, pubos):
+        transformed.clear()
+        report = verify_penalty(pubo, problem)
+        assert report.passed
+        assert len(transformed) == tables
+
+
+def test_a_penalty_form_one_coefficient_off_the_objective_fails(w6):
+    # Unconstrained, so a faithful PUBO would share the objective's table.
+    problem = make_maxcut(w6)
+    pubo = dualize(problem)
+    assert problem.sense == "min" and pubo.objective == problem.objective
+    off = Pubo(
+        objective=pubo.objective + Polynomial({("x1",): -3}),
+        variables=pubo.variables,
+        dualizations=pubo.dualizations,
+        original_sense=pubo.original_sense,
+    )
+    report = verify_penalty(off, problem)
+    assert report == verify_penalty_reference(off, problem)
+    assert not report.passed and report.constrained_argmin
+    assert report.detail == f"assignment {report.counterexample} is optimal only for the constrained problem"
+
+
 def test_verify_penalty_fails_a_jointly_infeasible_problem():
     # Each constraint alone is satisfiable, so dualize accepts the problem.
     x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
@@ -571,3 +625,126 @@ def test_verify_penalty_matches_the_references_on_an_infeasible_problem():
     assert len(pubo.slack_names()) == 2
     assert (report.passed, report.constrained_argmin, report.counterexample) == (False, (), None)
     assert report.detail == "original problem has no feasible assignment"
+
+
+# -- the packed oracle against the list-table reference ------------------------
+
+FIELD_WIDTHS = (8, 16, 32, 64, 128)
+
+
+def draw_magnitude(rng, kind):
+    """A positive exact number of the draw's kind."""
+    if kind == "small":
+        return rng.randint(1, 5)
+    if kind == "rational":
+        return Fraction(rng.randint(1, 9), rng.randint(1, 6))
+    if kind == "huge":
+        return rng.randint(2**60, 2**70)
+    return 1 << (rng.choice(FIELD_WIDTHS) - 2)
+
+
+def draw_polynomial(rng, names, kind):
+    """One to four distinct supports of width 0-3, each with a coefficient of either sign.
+
+    A boundary polynomial's |coefficients| sum to 2**(w-2) - 1, 2**(w-2) or
+    2**(w-2) + 1: the largest sum that fields of w bits hold, and the two
+    sums past it.
+    """
+    supports = list(
+        dict.fromkeys(
+            tuple(sorted(rng.sample(names, rng.randint(0, min(3, len(names))))))
+            for _ in range(rng.randint(1, 4))
+        )
+    )
+    if kind == "boundary":
+        total = draw_magnitude(rng, kind) + rng.choice((-1, 0, 1))
+        parts = [total // len(supports)] * len(supports)
+        parts[-1] += total - sum(parts)
+    else:
+        parts = [draw_magnitude(rng, kind) for _ in supports]
+    return Polynomial.from_terms(
+        (support, part if rng.random() < 0.5 else -part) for support, part in zip(supports, parts)
+    )
+
+
+def draw_threshold(rng, values, kind):
+    """A constraint bound: a value the lhs takes, moved by a rational step, or far outside its range."""
+    choice = rng.randrange(6)
+    if choice == 0:
+        return rng.choice(values)
+    if choice == 1:
+        return rng.choice(values) + Fraction(rng.choice((-1, 1)), rng.randint(2, 5))
+    if choice == 2:
+        return max(values) + draw_magnitude(rng, kind)
+    if choice == 3:
+        return min(values) - draw_magnitude(rng, kind)
+    # A field's clamp edges, +-2**(w-2) + (-2, -1, 0 or 1), for some width w.
+    return rng.choice((-1, 1)) * (1 << (rng.choice(FIELD_WIDTHS) - 2)) + rng.randint(-2, 1)
+
+
+def draw_oracle_case(rng):
+    """A problem and a penalty form for it, or None when the form has too many variables to enumerate cheaply."""
+    names = [f"x{i}" for i in range(1, rng.randint(0, 6) + 1)]
+    kind = rng.choice(("small", "small", "rational", "boundary", "huge"))
+    if rng.random() < 0.1:
+        objective = Polynomial.constant(rng.choice((0, draw_magnitude(rng, kind))))
+    else:
+        objective = draw_polynomial(rng, names, kind)
+    constraints = []
+    for _ in range(rng.randint(0, 3)):
+        lhs = draw_polynomial(rng, names, rng.choice((kind, "small")))
+        values = lhs.values_over_cube(names)
+        rhs = draw_threshold(rng, values, kind)
+        lower = None
+        if rng.random() < 0.4:
+            lower = draw_threshold(rng, values, kind)
+            if lower >= rhs:
+                lower, rhs = rhs - (lower == rhs), lower
+        constraints.append(
+            Constraint(
+                lhs=lhs,
+                rhs=rhs,
+                lower=lower,
+                weight=rng.choice((None, None, 1, Fraction(1, 2))),
+                slack_bound=rng.choice((None, rng.randint(0, 7))),
+            )
+        )
+    problem = Problem(rng.choice(("min", "max")), objective, tuple(constraints), tuple(names))
+    # The penalty form of the problem, or of a problem missing its last
+    # constraint, so that some forms ignore a constraint the oracle checks.
+    dualized = constraints[:-1] if constraints and rng.random() < 0.15 else constraints
+    try:
+        pubo = dualize(Problem(problem.sense, objective, tuple(dualized), tuple(names)))
+    except InfeasibleConstraintError:
+        pubo = dualize(Problem(problem.sense, objective, (), tuple(names)))
+    if len(pubo.variables) > 13:
+        return None
+    if rng.random() < 0.15:
+        support = tuple(rng.sample(pubo.variables, rng.randint(0, min(2, len(pubo.variables)))))
+        pubo = Pubo(
+            objective=pubo.objective + Polynomial({support: draw_magnitude(rng, kind) * rng.choice((-1, 1))}),
+            variables=pubo.variables,
+            dualizations=pubo.dualizations,
+            original_sense=pubo.original_sense,
+        )
+    return problem, pubo
+
+
+def test_verify_penalty_equals_the_list_table_reference_on_random_problems():
+    rng = random.Random(2024)
+    compared = 0
+    seen = {"passed": 0, "failed": 0, "infeasible": 0, "constant": 0, "two-sided": 0, "no variables": 0}
+    while compared < 1000:
+        case = draw_oracle_case(rng)
+        if case is None:
+            continue
+        problem, pubo = case
+        report = verify_penalty(pubo, problem)
+        assert report == verify_penalty_reference(pubo, problem)
+        compared += 1
+        seen["passed" if report.passed else "failed"] += 1
+        seen["infeasible"] += not report.constrained_argmin
+        seen["constant"] += not problem.objective.variables()
+        seen["two-sided"] += any(con.lower is not None for con in problem.constraints)
+        seen["no variables"] += not problem.variables
+    assert min(seen.values()) >= 10, seen

@@ -307,12 +307,18 @@ def split_total(total, signs):
 
 @pytest.mark.parametrize(
     "total",
-    [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 10**30],
+    [
+        *(2**(w - 2) + step for w in (8, 16, 32, 64, 128) for step in (-1, 0)),
+        *(2**(w - 1) + step for w in (8, 16, 32, 64) for step in (-1, 0)),
+        10**30,
+    ],
 )
 def test_values_over_cube_is_exact_at_every_field_width_boundary(total):
-    # sum(|coefficient|) < 2**(w-1) fits fields of w bits, and a sum of
-    # exactly 2**(w-1) needs the next width: with every sign positive the
-    # all-ones point reaches +total, with every sign negative -total.
+    # sum(|coefficient|) < 2**(w-2) fits fields of w bits with a clear guard
+    # bit, and a sum of exactly 2**(w-2) needs the next width: with every
+    # sign positive the all-ones point reaches +total, with every sign
+    # negative -total.  The sums at 2**(w-1) were the boundaries before the
+    # guard bit.
     order = ["a", "b", "c", "d"]
     supports = [(), ("a",), ("b", "c"), ("a", "c", "d"), ("a", "b", "c", "d")]
     sign_sets = {
