@@ -91,11 +91,15 @@ def combinatorial_lower_bound(h: DerivedHypergraph) -> int:
 
 def bounds(h: DerivedHypergraph) -> tuple[int, tuple[BoundRef, ...]]:
     """Lower bound plus annotated documented upper bounds with applicability."""
-    lower = combinatorial_lower_bound(h)
+    return combinatorial_lower_bound(h), upper_bounds(h)
+
+
+def upper_bounds(h: DerivedHypergraph) -> tuple[BoundRef, ...]:
+    """The documented upper bounds, each marked with whether it applies to ``h``."""
     n = len(h.qubits)
     linear = h.is_linear()
     two_uniform = h.uniform_size() == 2
-    uppers = (
+    return (
         BoundRef(
             name="edge_count",
             kind="upper",
@@ -137,7 +141,6 @@ def bounds(h: DerivedHypergraph) -> tuple[int, tuple[BoundRef, ...]]:
             note="n + o(n) for linear hypergraphs; no finite value at fixed n",
         ),
     )
-    return lower, uppers
 
 
 def make_coloring(

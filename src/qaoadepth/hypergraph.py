@@ -16,7 +16,10 @@ Two reductions shrink the gate count under a hardware width limit L:
   all the qubits the narrower one needs.
 * :func:`merge_exact` searches for the depth-optimal joint solution: gates
   may group several monomials whose combined support stays within L, and
-  disjoint gates may share a circuit layer.  Branch and bound, exact.
+  disjoint gates may share a circuit layer.  Branch and bound, exact.  Its
+  lower bound is the per-qubit gate cover: a layer puts all its edges at a
+  qubit into the one gate on that qubit, so the layers are at least the
+  fewest groups of L-qubit span that one qubit's edges split into.
 
 :func:`search_layers` is the one branch-and-bound search: ``merge_exact``
 runs it with the width limit, the exact edge coloring with merging off.
@@ -42,6 +45,10 @@ from .poly import Scalar, Support
 
 #: Default node budget for the exact searches, :func:`merge_exact` and ``color_exact``.
 DEFAULT_EXACT_BUDGET = 2_000_000
+
+#: Nodes the cover search of :func:`_fewest_groups` explores at one qubit
+#: before :func:`_merge_lower_bound` falls back to weaker bounds there.
+_COVER_SEARCH_CAP = 2_000
 
 
 @dataclass(frozen=True)
@@ -447,23 +454,123 @@ def search_layers(
 
 
 def _merge_lower_bound(h: DerivedHypergraph, limit: int) -> int:
-    """Most edges at one vertex that no two of can share a layer.
+    """Fewest groups the edges at one qubit split into, the most over the qubits.
 
-    Edges meeting at a vertex share a layer only inside one gate, so two
-    whose union is wider than ``limit`` need layers of their own.  Picked
-    greedily at each vertex, widest first; with ``limit=0`` this is the
-    maximum degree.
+    In one layer gates act on disjoint qubits, so every edge at qubit x in
+    that layer sits in the one gate holding x, of at most ``limit`` qubits.
+    The layers therefore split x's edges into groups each acting on at most
+    ``limit`` qubits, and no layering has fewer layers than groups.  Without
+    x, an edge is the set of its other qubits, and a group's sets cover at
+    most ``room = limit - 1`` of them.  A set inside another rides in its
+    group, so only the maximal sets count.  With ``room`` 1 each takes a
+    group (the degree, on distinct supports).  With ``room`` 2 each pair
+    does, and the single qubits in no pair go two to a group: T + ceil(S'/2).
+    Wider limits run :func:`_fewest_groups`.  Where that search reaches its
+    cap, the qubit counts the larger of two weaker bounds: a greedy set of
+    pairwise unmergeable edges, widest first, and ceil(neighbours / room).
+    The bound is never below that greedy set, the bound this one replaced.
     """
+    room = limit - 1
     masks = h._support_masks
     best = 0
-    for edges in h.incident:
-        apart: list[int] = []
-        for edge in sorted(edges, key=lambda i: -len(h.edges[i].support)):
-            mask = masks[edge]
-            if all((mask | other).bit_count() > limit for other in apart):
-                apart.append(mask)
-        best = max(best, len(apart))
+    for x in sorted(range(len(h.incident)), key=lambda x: -len(h.incident[x])):
+        edges = h.incident[x]
+        if len(edges) <= best:
+            break  # a group per edge always works, and the rest have fewer edges
+        bit = 1 << x
+        sets = [masks[e] ^ bit for e in edges]
+        if room == 1:
+            count = len(set(sets))
+        elif room == 2:
+            pairs = {s for s in sets if s & (s - 1)}
+            covered = 0
+            for s in pairs:
+                covered |= s
+            singles = {s for s in sets if s & ~covered}  # the qubits in no pair
+            count = len(pairs) + (len(singles) + 1) // 2
+        else:
+            count = _cover_count(sets, room, best)
+        best = max(best, count)
     return best
+
+
+def _cover_count(sets: list[int], room: int, stop: int) -> int:
+    """Fewest groups of ``sets`` with at most ``room`` qubits each, or a lower bound on it.
+
+    The count is exact when :func:`_fewest_groups` finishes, and otherwise
+    the larger of the greedy set of pairwise unmergeable ``sets``, widest
+    first, and the neighbours over ``room``, rounded up.  At ``stop`` or
+    below, the count is only known to be at most ``stop``.
+    """
+    widest = sorted(sets, key=lambda s: -s.bit_count())
+    apart: list[int] = []
+    neighbours = 0
+    for s in widest:
+        neighbours |= s
+        if all((s | other).bit_count() > room for other in apart):
+            apart.append(s)
+    floor = max(len(apart), -(-neighbours.bit_count() // room))
+    maximal: list[int] = []
+    for s in sorted(set(widest), key=lambda s: (-s.bit_count(), s)):
+        if all(s & ~other for other in maximal):
+            maximal.append(s)
+    fewest = _fewest_groups(maximal, room, max(stop, floor))
+    return floor if fewest is None else fewest
+
+
+def _fewest_groups(sets: list[int], room: int, stop: int) -> int | None:
+    """Fewest groups of ``sets`` whose unions have at most ``room`` bits, by branch and bound.
+
+    ``sets`` are masks, widest first, none inside another.  Each set goes
+    into an open group or one new one.  A set inside a group's union goes
+    there without branching, and of groups with equal unions only the first
+    is tried.  The search prunes at its best count so far, one group per set
+    to begin with, and stops at a count of ``stop`` or fewer.  None when it
+    would explore more than :data:`_COVER_SEARCH_CAP` nodes; the best it
+    found so far is an upper bound, not a lower one.
+    """
+    unions: list[int] = []
+    best = len(sets)
+    nodes = 0
+
+    def dfs(index: int) -> bool:
+        """Place ``sets[index:]``; True to stop, at ``stop`` groups or at the cap."""
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > _COVER_SEARCH_CAP:
+            return True
+        if len(unions) >= best:
+            return False
+        if index == len(sets):
+            best = len(unions)
+            return best <= stop
+        s = sets[index]
+        if any(not s & ~union for union in unions):
+            return dfs(index + 1)
+        tried = set()
+        for position, union in enumerate(unions):
+            if (union | s).bit_count() > room or union in tried:
+                continue
+            tried.add(union)
+            unions[position] = union | s
+            done = dfs(index + 1)
+            unions[position] = union
+            if done:
+                return True
+        if len(unions) + 1 >= best:
+            return False
+        unions.append(s)
+        done = dfs(index + 1)
+        unions.pop()
+        return done
+
+    if best <= stop:
+        return best
+    try:
+        dfs(0)
+    except RecursionError:
+        return None
+    return None if nodes > _COVER_SEARCH_CAP else best
 
 
 def merge_exact(
@@ -476,9 +583,12 @@ def merge_exact(
     within one layer act on disjoint qubits.  Minimizes the number of layers
     over all gate groupings simultaneously with the coloring, through
     :func:`search_layers`, from the incumbent of subset absorption plus
-    first-fit coloring.  A finished search certifies its layer count as the
-    lower bound.  A stopped one reports its best layering, or the incumbent,
-    with :func:`_merge_lower_bound` as the lower bound, which it fell short of.
+    first-fit coloring, and stops at :func:`_merge_lower_bound`.  A finished
+    search certifies its layer count as the lower bound.  A stopped one
+    reports its best layering, or the incumbent, with that bound, which it
+    fell short of.  Only the documented upper bounds of the merged gates are
+    annotated: the combinatorial lower bound of :mod:`~qaoadepth.coloring`
+    would be no use next to the search's own.
     """
     from . import coloring as coloring_mod
 
@@ -501,8 +611,7 @@ def merge_exact(
                 layer_gates.append(Hyperedge(tuple(sorted(support)), tuple(sorted(monomials))))
             gates.extend(sorted(layer_gates, key=lambda gate: gate.support))
         merged = replace(h, edges=tuple(gates))
-    uppers = coloring_mod.bounds(merged)[1]
-    known = (len(classes) if finished else lower, uppers)
+    known = (len(classes) if finished else lower, coloring_mod.upper_bounds(merged))
     return MergeResult(
         hypergraph=merged,
         coloring=coloring_mod.make_coloring(merged, classes, method="exact", known_bounds=known),

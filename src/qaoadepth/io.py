@@ -481,7 +481,17 @@ def coloring_to_json(coloring: EdgeColoring) -> dict:
         "num_colors": coloring.num_colors,
         "classes": coloring.classes,
         "lower_bound": coloring.lower_bound,
-        "upper_bounds": [asdict(r) for r in coloring.upper_bound_refs],
+        "upper_bounds": [
+            {  # field by field, as asdict deep-copies every value
+                "name": r.name,
+                "kind": r.kind,
+                "status": r.status,
+                "applies": r.applies,
+                "value": r.value,
+                "note": r.note,
+            }
+            for r in coloring.upper_bound_refs
+        ],
     }
 
 

@@ -334,6 +334,40 @@ def merge_layers_bruteforce(supports, limit: int) -> int:
     return best
 
 
+def merge_cover_reference(h: DerivedHypergraph, limit: int) -> int:
+    """The most groups the edges at one vertex split into, each group's union on at most ``limit`` vertices.
+
+    The bound ``hypergraph._merge_lower_bound`` computes, by enumerating the
+    set partitions of each vertex's edges in restricted-growth order, like
+    :func:`chromatic_index_bruteforce`, with no reduction to maximal sets.
+    """
+    supports = [frozenset(e.support) for e in h.edges]
+    most = 0
+    for edges in h.incident:
+        at = [supports[i] for i in edges]
+        best = len(at)  # one group per edge always works
+
+        def extend(index: int, groups: list[frozenset]) -> None:
+            nonlocal best
+            if len(groups) >= best:
+                return
+            if index == len(at):
+                best = len(groups)
+                return
+            for position, group in enumerate(groups):
+                if len(group | at[index]) <= limit:
+                    groups[position] = group | at[index]
+                    extend(index + 1, groups)
+                    groups[position] = group
+            groups.append(at[index])
+            extend(index + 1, groups)
+            groups.pop()
+
+        extend(0, [])
+        most = max(most, best)
+    return most
+
+
 def misra_gries_reference(h: DerivedHypergraph) -> list[list[int]]:
     """Misra-Gries Delta+1 classes on vertex names, kept as the identity reference.
 
@@ -813,7 +847,11 @@ class _OutOfBudget(Exception):
 
 
 def merge_lower_bound_reference(h: DerivedHypergraph, limit: int) -> int:
-    """``hypergraph._merge_lower_bound`` on frozensets, as it was before masks."""
+    """The greedy bound ``hypergraph._merge_lower_bound`` gave before the cover count, on frozensets.
+
+    At each vertex, the most edges of which no two fit one gate of
+    ``limit`` qubits, picked widest first.  The cover count is never below it.
+    """
     supports = [frozenset(e.support) for e in h.edges]
     best = 0
     for edges in h.incident:

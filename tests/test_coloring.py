@@ -103,12 +103,15 @@ def test_exact_searches_compute_the_bounds_once(w6, fixture_dir, monkeypatch):
     # The exact coloring's search seeds itself with the clique, and runs only
     # when the constructive step leaves a gap: not on the wheel (Delta
     # colors), but on Petersen (Delta + 1).  The lower bound of a simple graph of max degree
-    # >= 3 does without the clique, and the merge search takes no seed.
+    # >= 3 does without the clique.  The merge search takes no seed, has a
+    # lower bound of its own and annotates only the upper bounds.
     for graph, exact_cliques in ((w6, 0), (petersen, 1)):
-        for search, cliques in ((color_exact, exact_cliques), (lambda h: merge_exact(h, 2), 0)):
-            calls.update(dict.fromkeys(calls, 0))
-            search(graph_hypergraph(graph))
-            assert calls == {"bounds": 1, "combinatorial_lower_bound": 1, "conflict_clique": cliques}
+        calls.update(dict.fromkeys(calls, 0))
+        color_exact(graph_hypergraph(graph))
+        assert calls == {"bounds": 1, "combinatorial_lower_bound": 1, "conflict_clique": exact_cliques}
+        calls.update(dict.fromkeys(calls, 0))
+        merge_exact(graph_hypergraph(graph), 2)
+        assert calls == {"bounds": 0, "combinatorial_lower_bound": 0, "conflict_clique": 0}
 
 
 def test_color_exact_node_counts_are_pinned(monkeypatch):

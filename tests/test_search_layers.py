@@ -4,17 +4,26 @@
 its budget stop.  On the same input both must visit the same number of
 nodes, return the same layers made of the same gates, and run out of budget
 in exactly the same cases, each then returning the best layers it found.
+
+The merge search's lower bound, the per-qubit cover count, is checked
+against a set-partition enumeration, the greedy bound it replaced and the
+fewest layers by brute force, and on stars whose uncapped search takes
+seconds.
 """
 
 import random
+import time
 
 import pytest
 
-from qaoadepth import InvalidInputError, Polynomial, absorb_subsets, build
+from qaoadepth import InvalidInputError, Polynomial, absorb_subsets, build, merge_exact
+from qaoadepth import hypergraph as hypergraph_mod
 from qaoadepth.coloring import combinatorial_lower_bound, first_fit_classes
-from qaoadepth.hypergraph import _merge_lower_bound, search_layers
+from qaoadepth.hypergraph import _cover_count, _merge_lower_bound, search_layers
 
 from bruteforce import (
+    merge_cover_reference,
+    merge_layers_bruteforce,
     merge_lower_bound_reference,
     pubo_from_polynomial,
     random_graph,
@@ -65,21 +74,99 @@ def test_merge_searches_of_the_benchmark_shape_match_the_reference():
     assert "budget" in results and any(r != "budget" for r in results)
 
 
-def test_merge_lower_bound_matches_the_frozenset_reference():
-    # The shapes of the search-exact merge searches: widths 2..4 over 16-20
-    # variables, at the limits they run with and without merging.
-    rng = random.Random(1303)
-    bounds = []
-    for _ in range(40):
-        supports = random_hypergraph_supports(
-            rng, rng.randint(16, 20), rng.randint(30, 60), max_width=4
-        )
+def cover_draws():
+    """Seeded small hypergraphs, 4-8 qubits and 3-12 edges, with width limits 2-5."""
+    rng = random.Random(1409)
+    for _ in range(600):
+        limit = rng.randint(2, 5)
+        supports = random_hypergraph_supports(rng, rng.randint(4, 8), rng.randint(3, 12), limit)
+        yield supports, limit
+
+
+def capped_searches(monkeypatch) -> list[bool]:
+    """Records, per call of the per-qubit cover search, whether it reached its cap."""
+    capped = []
+    search = hypergraph_mod._fewest_groups
+
+    def watched(*args):
+        fewest = search(*args)
+        capped.append(fewest is None)
+        return fewest
+
+    monkeypatch.setattr(hypergraph_mod, "_fewest_groups", watched)
+    return capped
+
+
+def test_merge_lower_bound_is_the_cover_count(monkeypatch):
+    # Never below the greedy bound it replaced, never above the fewest
+    # layers, and where no search reached its cap, the fewest groups of one
+    # qubit's edges by enumerating their set partitions.
+    capped = capped_searches(monkeypatch)
+    stronger = 0
+    for supports, limit in cover_draws():
         h = hypergraph(supports)
-        for limit in (0, 3, 4):
-            bound = _merge_lower_bound(h, limit)
-            assert bound == merge_lower_bound_reference(h, limit)
-            bounds.append(bound)
-    assert len(set(bounds)) > 3
+        capped.clear()
+        bound = _merge_lower_bound(h, limit)
+        greedy = merge_lower_bound_reference(h, limit)
+        assert greedy <= bound <= merge_layers_bruteforce(supports, limit)
+        if not any(capped):
+            assert bound == merge_cover_reference(h, limit)
+        stronger += bound > greedy
+    assert stronger >= 5
+
+
+def test_a_capped_cover_search_falls_back_to_a_sound_bound(monkeypatch):
+    # A cap of one node stops every search at once: each qubit then counts
+    # the greedy set or its neighbours over the room, never the search's
+    # best so far, which bounds the count from above.
+    monkeypatch.setattr(hypergraph_mod, "_COVER_SEARCH_CAP", 1)
+    capped = capped_searches(monkeypatch)
+    for supports, limit in cover_draws():
+        h = hypergraph(supports)
+        bound = _merge_lower_bound(h, limit)
+        assert merge_lower_bound_reference(h, limit) <= bound
+        assert bound <= merge_layers_bruteforce(supports, limit)
+    assert sum(capped) > 50
+
+
+def test_the_closed_form_at_width_3_equals_the_search():
+    # Per qubit: the star of its edges has the qubit's own count as its
+    # bound, as every other qubit's edges are a subset of the star's.
+    stars = 0
+    for supports, limit in cover_draws():
+        if limit > 3:
+            continue
+        h = hypergraph(supports)
+        for x, edges in enumerate(h.incident):
+            star = hypergraph([h.edges[i].support for i in edges])
+            bit = 1 << star.qubits.index(h.qubits[x])
+            sets = [mask ^ bit for mask in star._support_masks]
+            assert _merge_lower_bound(star, 3) == _cover_count(sets, 2, 0)
+            stars += 1
+    assert stars > 1000
+
+
+@pytest.mark.parametrize("edges, limit, seed", [(45, 5, 7), (60, 4, 8)])
+def test_a_wide_star_gets_a_sound_bound_within_its_cap(edges, limit, seed, monkeypatch):
+    # Edges of width 3..limit around one hub over 40 other qubits: an
+    # uncapped search at the hub runs for seconds.  The capped one stops,
+    # and the bound stays between the greedy set and a layering.
+    rng = random.Random(seed)
+    leaves = [f"y{i}" for i in range(40)]
+    supports = set()
+    while len(supports) < edges:
+        supports.add(tuple(sorted(["c", *rng.sample(leaves, rng.randint(2, limit - 1))])))
+    h = hypergraph(sorted(supports))
+    capped = capped_searches(monkeypatch)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        bound = _merge_lower_bound(h, limit)
+        seconds.append(time.perf_counter() - start)
+    assert capped == [True] * 3  # the hub's search, once per run
+    assert min(seconds) < 0.05
+    layers = merge_exact(h, limit, budget=0).coloring.num_colors
+    assert merge_lower_bound_reference(h, limit) <= bound <= layers
 
 
 def test_coloring_searches_match_the_reference():
