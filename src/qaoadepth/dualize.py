@@ -155,9 +155,12 @@ def dualize(problem: Problem) -> Pubo:
     :class:`InfeasibleConstraintError` when a constraint provably has no
     satisfying assignment.  The penalties are summed into one coefficient
     dict, so the objective is canonicalised once, not once per constraint.
+    When no constraint adds a penalty (there are none, or all are dropped),
+    the penalty form is the min-sense objective itself: for a min problem,
+    ``problem.objective`` with no copy.
     """
     objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
-    coefficients: dict[Support, Scalar] = dict(objective.terms())
+    coefficients: dict[Support, Scalar] | None = None  # objective plus penalties, once one is kept
     taken = set(problem.variables)
     default_weight: Scalar | None = None
     records: list[ConstraintDualization] = []
@@ -221,6 +224,8 @@ def dualize(problem: Problem) -> Pubo:
 
         square = Polynomial._from_canonical(residual).square()
         penalty = square * weight
+        if coefficients is None:
+            coefficients = dict(objective.terms())
         for support, coeff in penalty.terms():
             coefficients[support] = coefficients.get(support, 0) + coeff
 
@@ -245,7 +250,7 @@ def dualize(problem: Problem) -> Pubo:
         )
 
     return Pubo(
-        objective=Polynomial._from_canonical(coefficients),
+        objective=objective if coefficients is None else Polynomial._from_canonical(coefficients),
         variables=problem.variables + tuple(name for r in records for name in r.slack_vars),
         dualizations=tuple(records),
         original_sense=problem.sense,

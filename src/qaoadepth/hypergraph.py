@@ -238,12 +238,14 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     absorb nothing and will be rejected by the width check downstream).
     When nothing is absorbed and the edges of ``h`` are already in support
     order (as :func:`build` and this function leave them), ``h`` itself is
-    returned, with the properties it has cached.
+    returned, with the properties it has cached.  A narrow edge is absorbed
+    exactly when an edge of width in (its width, limit] contains it, so a
+    scan for one decides that case before any sort.
     """
     if limit < 2:
         raise InvalidInputError(f"gate width limit must be >= 2, got {limit}")
-    if all(len(e.support) >= limit for e in h.edges) and _in_support_order(h.edges):
-        return h  # no edge is narrow enough to be absorbed
+    if _absorbs_nothing(h, limit) and _in_support_order(h.edges):
+        return h
 
     def rank(i: int) -> tuple[int, Support]:
         """Widest first, ties by support: the order edges are visited and hosts preferred."""
@@ -281,6 +283,18 @@ def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     ]
     new_edges.sort(key=lambda e: e.support)
     return replace(h, edges=tuple(new_edges))
+
+
+def _absorbs_nothing(h: DerivedHypergraph, limit: int) -> bool:
+    """True when no edge narrower than ``limit`` lies in another edge of width <= ``limit``."""
+    for index, edge in enumerate(h.edges):
+        if len(edge.support) < limit:
+            # A containing edge acts on every qubit of the narrow one, its first among them.
+            support = set(edge.support)
+            for c in h.incident[h.ends[index][0]]:
+                if len(support) < len(h.ends[c]) <= limit and support.issubset(h.edges[c].support):
+                    return False
+    return True
 
 
 def _in_support_order(edges: Sequence[Hyperedge]) -> bool:

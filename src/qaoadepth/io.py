@@ -26,8 +26,9 @@ Problem JSON schema::
 
 ``family`` picks which of the paper's closed-form figures the depth report
 quotes; the figure itself is computed from the problem's own structure.
-``family_info`` is float-free metadata: it is copied into every artifact
-and never read.
+``family_info`` is float-free metadata, nested at most
+:data:`FAMILY_INFO_MAX_DEPTH` lists and objects deep: it is copied into
+every artifact and never read.
 
 The ``*_to_json`` builders return what :func:`dumps` writes, not plain
 ``json`` values: lists of like records (terms, edges, gates) are ``_Table``
@@ -38,6 +39,10 @@ set, and all the terms of a run's polynomials make one table.  Only the
 encoder knows the ``{"num", "den"}`` format (with
 :func:`rational_from_json`, which reads it back).  Every artifact is
 written through :func:`dumps`.
+
+Sections share model objects (an unconstrained objective is its penalty
+form; one names tuple is four sections' variables), and :func:`dumps`
+writes each once.
 """
 
 from __future__ import annotations
@@ -59,6 +64,11 @@ from .problems import Constraint, InstanceGraph, Problem
 from .schedule import CircuitSchedule, DepthReport
 
 TOOL_NAME = "qaoadepth"
+
+#: The deepest nesting of lists and objects ``family_info`` may hold, itself
+#: included.  :func:`dumps` takes at most about six Python frames per level,
+#: so whatever is accepted is written well within the default recursion limit.
+FAMILY_INFO_MAX_DEPTH = 100
 
 
 # -- exact numbers -----------------------------------------------------------
@@ -94,18 +104,23 @@ def rational_from_json(value, path: str) -> Scalar:
     raise InvalidInputError(f"{path}: expected a number, got {type(value).__name__}")
 
 
-def _reject_floats(value, path: str) -> None:
-    """Raise InvalidInputError at the first float inside a parsed JSON value."""
+def _check_family_info(value, path: str, depth: int = 1) -> None:
+    """Raise InvalidInputError at the first float inside a parsed JSON value, or at the
+    first list or object nested deeper than :data:`FAMILY_INFO_MAX_DEPTH`."""
     if isinstance(value, float):
         raise InvalidInputError(
             f"{path}: floats are not accepted; use an integer or {{'num', 'den'}}"
         )
+    if isinstance(value, (dict, list)) and depth > FAMILY_INFO_MAX_DEPTH:
+        raise InvalidInputError(
+            f"{path}: nested deeper than {FAMILY_INFO_MAX_DEPTH} lists and objects"
+        )
     if isinstance(value, dict):
         for key, item in value.items():
-            _reject_floats(item, f"{path}.{key}")
+            _check_family_info(item, f"{path}.{key}", depth + 1)
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _reject_floats(item, f"{path}[{i}]")
+            _check_family_info(item, f"{path}[{i}]", depth + 1)
 
 
 # -- record tables -----------------------------------------------------------
@@ -114,11 +129,13 @@ def _reject_floats(value, path: str) -> None:
 class _Table:
     """Records of one key set, as one column per sorted key.  A column is a list of values,
     a ``_Table``, or a ``(lengths, flat)`` pair: list i holds the next ``lengths[i]``
-    items of ``flat``, a list or a table."""
+    items of ``flat``, a list or a table.  ``source`` is the model object the table is
+    read from, if it is read from one alone; :func:`dumps` writes a source's table once."""
 
-    def __init__(self, columns: dict):
+    def __init__(self, columns: dict, source=None):
         self.keys = tuple(sorted(columns))
         self.columns = list(map(columns.__getitem__, self.keys))
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.columns[0][0] if type(self.columns[0]) is tuple else self.columns[0])
@@ -156,7 +173,8 @@ def _with_terms(records: list[dict], key: str) -> _Runs:
 
 
 def polynomial_to_json(p: Polynomial) -> _Table:
-    return _Table({"vars": list(p.supports()), "coeff": list(map(itemgetter(1), p.terms()))})
+    """The terms of ``p`` as a table whose source is ``p``."""
+    return _Table({"vars": list(p.supports()), "coeff": list(map(itemgetter(1), p.terms()))}, p)
 
 
 def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
@@ -274,7 +292,7 @@ def problem_from_json(data, path: str = "problem") -> Problem:
     if not isinstance(family_info, dict):
         raise InvalidInputError(f"{path}.family_info: expected an object")
     # family_info is carried through to every artifact, which holds no floats.
-    _reject_floats(family_info, f"{path}.family_info")
+    _check_family_info(family_info, f"{path}.family_info")
 
     return Problem(
         sense=sense,
@@ -294,6 +312,10 @@ def read_problem(path: str) -> Problem:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise InvalidInputError(f"{path}: JSON nested too deeply to read") from exc
     return problem_from_json(data, path="problem")
 
 
@@ -314,6 +336,8 @@ def read_dimacs_graph(path: str) -> InstanceGraph:
             lines = handle.readlines()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
     n = None
     declared_edges = None
@@ -553,12 +577,21 @@ def dumps(data) -> str:
     nesting depth, not with the number of terms and gates.  Texts stay lazy
     iterators until a list joins its items, once, with its brackets folded
     into the first and last item, so the peak memory stays about twice the text.
+
+    For the one call, a memo keeps the text of each tuple a dict holds and
+    of each table with a source (:func:`polynomial_to_json`'s polynomial),
+    keyed by the object's identity and the indentation; a second occurrence
+    reuses it.  The memo holds the object, so no identity is reused, and
+    the ``str`` the dict's parts hold, so it copies no text; it is emptied
+    before the outermost dict's join, the call's peak.  Lists and dicts,
+    which may be the encoder's own temporaries, are never keyed.
     """
-    return _encode(data, "\n") + "\n"
+    return _encode(data, "\n", {}) + "\n"
 
 
-def _encode(value, newline: str) -> str:
-    """JSON text of ``value`` whose lines after the first start with ``newline``."""
+def _encode(value, newline: str, memo: dict) -> str:
+    """JSON text of ``value`` whose lines after the first start with ``newline``;
+    ``memo`` maps (identity, indentation) to (object, text), as :func:`dumps` says."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -568,28 +601,45 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        parts = []
+        parts = []  # key prefixes and value texts, joined once
+        prefix = "{" + inner
         # Sorted by the raw key, as json does: escaping changes the order.
         # _quote raises TypeError on a key that is not a str.
         for key in sorted(value):
             item = value[key]
             kind = type(item)
-            item = (_quote(item) if kind is str else int.__repr__(item) if kind is int
-                    else "null" if item is None else _encode(item, inner))
-            parts.append(f"{_quote(key)}: {item}")
-        parts[0] = "{" + inner + parts[0]
-        parts[-1] += newline + "}"
-        return ("," + inner).join(parts)
+            if kind is str:
+                item = _quote(item)
+            elif kind is int:
+                item = int.__repr__(item)
+            elif item is None:
+                item = "null"
+            else:
+                # A names tuple, or a polynomial's table, may recur in another section.
+                source = item if kind is tuple else item.source if kind is _Table else None
+                if source is None:
+                    item = _encode(item, inner, memo)
+                else:
+                    entry = memo.get((id(source), inner))
+                    if entry is None:
+                        entry = memo[id(source), inner] = (source, _encode(item, inner, memo))
+                    item = entry[1]
+            parts += (prefix, _quote(key), ": ", item)
+            prefix = "," + inner
+        parts.append(newline + "}")
+        if newline == "\n":  # the outermost dict: nothing recurs, so its join runs without the memo
+            memo.clear()
+        return "".join(parts)
     if kind is list or kind is tuple or kind is _Table or kind is _Runs:
         inner = newline + "  "
-        parts = list(_texts(value, inner))
+        parts = list(_texts(value, inner, memo))
         if not parts:
             return "[]"
         parts[0] = "[" + inner + parts[0]
         parts[-1] += newline + "]"
         return ("," + inner).join(parts)
     if kind is Fraction:
-        return _encode(rational_to_json(value), newline)
+        return _encode(rational_to_json(value), newline, memo)
     if value is None:
         return "null"
     if kind is bool:
@@ -597,18 +647,18 @@ def _encode(value, newline: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _texts(items, newline: str):
-    """An iterator over ``_encode(item, newline)`` for each of ``items``, in order."""
+def _texts(items, newline: str, memo: dict):
+    """An iterator over ``_encode(item, newline, memo)`` for each of ``items``, in order."""
     if type(items) is _Table:
-        return _rows(items, newline)
+        return _rows(items, newline, memo)
     if type(items) is _Runs:
-        return chain.from_iterable(map(_rows, items, repeat(newline)))
+        return chain.from_iterable(map(_rows, items, repeat(newline), repeat(memo)))
     if len(items) == 1:  # a single value, as in a run of one key set, keeps the direct path
-        return iter((_encode(items[0], newline),))
+        return iter((_encode(items[0], newline, memo),))
     kinds = set(map(type, items))
     if len(kinds) != 1:  # one column per type, read back in the items' order
         order = list(map(type, items))
-        columns = {kind: _texts(list(compress(items, map(is_, order, repeat(kind)))), newline)
+        columns = {kind: _texts(list(compress(items, map(is_, order, repeat(kind)))), newline, memo)
                    for kind in kinds}
         return map(next, map(columns.__getitem__, order))
     kind = kinds.pop()
@@ -617,7 +667,7 @@ def _texts(items, newline: str):
     if kind is int:
         return map(int.__repr__, items)
     if kind is Fraction:  # ints and {"num", "den"} dicts, which take their own columns
-        return _texts(list(map(rational_to_json, items)), newline)
+        return _texts(list(map(rational_to_json, items)), newline, memo)
     inner = newline + "  "
     if kind is dict:
         try:  # one key set: each dict has every key of the first, and no more
@@ -626,26 +676,27 @@ def _texts(items, newline: str):
             table = None
         if table is None or len(set(map(len, items))) != 1:  # runs of one key set
             return chain.from_iterable(
-                _texts(list(run), newline) for _, run in groupby(items, dict.keys))
-        return _rows(table, newline) if table.keys else repeat("{}", len(items))
+                _texts(list(run), newline, memo) for _, run in groupby(items, dict.keys))
+        return _rows(table, newline, memo) if table.keys else repeat("{}", len(items))
     if kind is list or kind is tuple or kind is _Table:  # every item's items in one column
         if kind is _Table:  # each run of one key set joined into one table first
             runs = (_joined(list(run)) for _, run in groupby(items, attrgetter("keys")))
-            flat = chain.from_iterable(map(_texts, chain.from_iterable(runs), repeat(inner)))
+            flat = chain.from_iterable(
+                map(_texts, chain.from_iterable(runs), repeat(inner), repeat(memo)))
         else:
-            flat = _texts(list(chain.from_iterable(items)), inner)
+            flat = _texts(list(chain.from_iterable(items)), inner, memo)
         return _grouped(list(map(len, items)), flat, newline)
-    return map(_encode, items, repeat(newline))  # None, bool, or TypeError
+    return map(_encode, items, repeat(newline), repeat(memo))  # None, bool, or TypeError
 
 
-def _rows(table: _Table, newline: str):
+def _rows(table: _Table, newline: str, memo: dict):
     """An iterator over the texts of ``table``'s records: its columns zipped between key prefixes."""
     inner = newline + "  "
     texts = []
     for i, (key, column) in enumerate(zip(table.keys, table.columns)):
         texts.append(repeat(("," if i else "{") + inner + _quote(key) + ": "))
-        texts.append(_grouped(column[0], _texts(column[1], inner + "  "), inner)
-                     if type(column) is tuple else _texts(column, inner))
+        texts.append(_grouped(column[0], _texts(column[1], inner + "  ", memo), inner)
+                     if type(column) is tuple else _texts(column, inner, memo))
     texts.append(repeat(newline + "}"))
     return map("".join, zip(*texts))
 

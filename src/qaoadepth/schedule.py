@@ -16,9 +16,12 @@ and 1 + 1 for phases without any interaction.
 Every gate is a :class:`~qaoadepth.hypergraph.Hyperedge`: a cost gate is
 the hypergraph's own edge, a phase gate carries its one linear term and
 a mixer gate carries none.  The layer's ``kind`` tells them apart, and every
-depth figure is a count of layers by kind.  Properness is checked once, when
-:func:`~qaoadepth.coloring.make_coloring` builds the coloring; a layer still
-rejects gates that overlap.
+depth figure is a count of layers by kind.  Properness is checked when
+:func:`~qaoadepth.coloring.make_coloring` builds the coloring, and a layer
+checks its gates again, in one pass over their qubit names: an
+:class:`~qaoadepth.coloring.EdgeColoring` built by hand skips
+``make_coloring``, and the phase and mixer gates a schedule adds are in no
+coloring.
 
 Cost and phase gates share the iteration's gamma angle; the mixer layer
 uses beta.  Angles stay symbolic here: tuning them is out of scope.
@@ -44,14 +47,10 @@ class CircuitLayer:
     gates: tuple[Hyperedge, ...]
 
     def __post_init__(self):
-        used: set[str] = set()
-        for gate in self.gates:
-            overlap = used.intersection(gate.support)
-            if overlap:
-                raise InvalidInputError(
-                    f"gates within one layer overlap on qubits {sorted(overlap)}"
-                )
-            used.update(gate.support)
+        names = [name for gate in self.gates for name in gate.support]
+        if len(set(names)) < len(names):  # one pass; the message is built only on failure
+            shared = sorted(name for name, uses in Counter(names).items() if uses > 1)
+            raise InvalidInputError(f"gates within one layer overlap on qubits {shared}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qaoadepth import absorb_subsets, build, cli, color_greedy, color_misra_gries, dualize
+from qaoadepth import io as io_mod
 from qaoadepth.cli import main
 from qaoadepth.io import dumps, problem_to_json, write_problem
 from qaoadepth.problems import (
@@ -345,6 +346,52 @@ def test_float_in_family_info_is_invalid_input(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("error: problem.family_info.p: floats are not accepted")
         assert "Traceback" not in err
+
+
+_SMALL_PROBLEM = {"sense": "min", "variables": ["a", "b"], "objective": [{"vars": ["a", "b"], "coeff": 1}]}
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("bad.json", b'{"sense": "min", "variables": ["a\xff"]}', "{path}: not UTF-8 text"),
+        ("bad.dimacs", b"p edge 2 1\ne 1 2\nc \xff\n", "{path}: not UTF-8 text"),
+        ("deep.json", b"[" * 100_000, "{path}: JSON nested too deeply to read"),
+        ("info.json", json.dumps({**_SMALL_PROBLEM, "family_info": {"x": "@"}}).replace(
+            '"@"', "[" * 700 + "]" * 700).encode(),
+         "problem.family_info.x" + "[0]" * (io_mod.FAMILY_INFO_MAX_DEPTH - 1) + ": nested deeper than"),
+    ],
+    ids=["undecodable-problem", "undecodable-dimacs", "over-deep-json", "over-deep-family-info"],
+)
+def test_undecodable_or_over_deep_input_is_invalid_input(capsys, tmp_path, name, content, message):
+    path, artifact = tmp_path / name, tmp_path / "artifact.json"
+    path.write_bytes(content)
+    source = ["--family", "maxcut", "--graph"] if name.endswith(".dimacs") else ["--problem"]
+    code, out, err = run_cli(capsys, "analyze", *source, str(path), "--out", str(artifact))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message.format(path=path))
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not artifact.exists()
+
+
+def test_family_info_at_the_nesting_limit_is_written(capsys, tmp_path):
+    # A list that mixes a list with three other kinds takes the encoder's
+    # longest path per level; at the limit it is still written canonically.
+    info = {}  # at depth FAMILY_INFO_MAX_DEPTH, below family_info and its key "x"
+    for _ in range(io_mod.FAMILY_INFO_MAX_DEPTH - 2):
+        info = [info, "s", None, True]
+    problem = {**_SMALL_PROBLEM, "family_info": {"x": info}}
+    path, artifact = tmp_path / "info.json", tmp_path / "artifact.json"
+    path.write_text(json.dumps(problem))
+    code, _, err = run_cli(capsys, "analyze", "--problem", str(path), "--out", str(artifact))
+    assert (code, err) == (0, "")
+    text = artifact.read_text()
+    assert json.loads(text)["problem"]["family_info"] == problem["family_info"]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    problem["family_info"] = {"x": [info]}
+    path.write_text(json.dumps(problem))
+    code, _, err = run_cli(capsys, "analyze", "--problem", str(path), "--out", str(artifact))
+    assert code == 1 and f"nested deeper than {io_mod.FAMILY_INFO_MAX_DEPTH}" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "dualize", "graph"])

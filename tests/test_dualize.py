@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -371,6 +372,44 @@ def test_redundant_constraint_dropped():
     assert pubo.dualizations[0].dropped
     assert pubo.objective == Polynomial.variable("x1")
     assert pubo.slack_names() == ()
+
+
+def _no_penalty_problems(w6) -> list[Problem]:
+    """Min problems no constraint adds a penalty to: none at all, or every one dropped."""
+    x1, x2, x3 = (Polynomial.variable(f"x{i}") for i in (1, 2, 3))
+    loose = (Constraint(lhs=x1 + x2, rhs=2), Constraint(lhs=x1 * x3, rhs=Fraction(3, 2)))
+    return [
+        make_maxcut(w6),
+        Problem("min", 2 * x1 * x2 - x3 + 1, (), ("x1", "x2", "x3")),
+        Problem("min", x1 - Fraction(1, 2) * x2 * x3, loose, ("x1", "x2", "x3")),
+    ]
+
+
+def test_a_penalty_free_min_problem_is_its_own_penalty_form(w6):
+    for problem in _no_penalty_problems(w6):
+        pubo = dualize(problem)
+        assert all(record.dropped for record in pubo.dualizations)
+        assert pubo.objective is problem.objective
+        assert pubo.variables is problem.variables
+
+
+def test_a_penalty_free_max_problem_still_gets_the_negation(w6):
+    for problem in _no_penalty_problems(w6):
+        flipped = replace(problem, sense="max", objective=-problem.objective)
+        pubo = dualize(flipped)
+        assert pubo.objective is not flipped.objective
+        assert pubo.objective == problem.objective == -flipped.objective
+
+
+def test_the_shared_penalty_form_gives_the_reports_of_a_copy(w6):
+    for base in _no_penalty_problems(w6):
+        for problem in (base, replace(base, sense="max", objective=-base.objective)):
+            pubo = dualize(problem)
+            copy = replace(pubo, objective=Polynomial._from_canonical(dict(pubo.objective.terms())))
+            assert copy.objective == pubo.objective and copy.objective is not pubo.objective
+            report = verify_penalty(pubo, problem)
+            assert report.passed
+            assert report == verify_penalty(copy, problem) == verify_penalty_reference(copy, problem)
 
 
 def test_non_integral_slack_range_notes_rounding():

@@ -27,6 +27,7 @@ from qaoadepth import (
     schedule,
     with_penalty_weight,
 )
+from qaoadepth import io as io_module
 from qaoadepth.cli import main as cli_main
 from qaoadepth.io import (
     _Runs,
@@ -472,6 +473,62 @@ def _plain(value):
 @example([_Runs([_Table({"a": [1]})]), _Runs(), [_Table({"a": [2]})], _Runs([_Table({"b": [3]})])])
 def test_dumps_matches_json_dumps(value):
     assert dumps(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """The first argument of each call ``dumps`` makes to ``io.<name>`` from now on."""
+    calls = []
+    function = getattr(io_module, name)
+
+    def counting(value, *args):
+        calls.append(value)
+        return function(value, *args)
+
+    monkeypatch.setattr(io_module, name, counting)
+    return calls
+
+
+def test_sections_sharing_a_polynomial_and_names_write_them_once(monkeypatch, w6):
+    problem = make_maxcut(w6)
+    result = run_pipeline(problem)
+    assert result.pubo.objective is problem.objective
+    names = problem.variables
+    assert result.pubo.variables is names and result.hypergraph.vertices is names
+    assert result.schedule.variables is names
+    sections = {
+        "problem": problem_to_json(problem), "pubo": pubo_to_json(result.pubo),
+        "hypergraph": hypergraph_to_json(result.hypergraph),
+        "schedule": schedule_to_json(result.schedule),
+    }
+    tables, values = _count_calls(monkeypatch, "_rows"), _count_calls(monkeypatch, "_encode")
+    text = dumps(sections)
+    assert text == json.dumps(_plain(sections), indent=2, sort_keys=True) + "\n"
+    assert sum(table.source is problem.objective for table in tables) == 1
+    assert sum(value is names for value in values) == 1
+
+
+def test_one_object_at_two_indentations_is_written_at_each(monkeypatch):
+    x = Polynomial({("a", "b"): Fraction(1, 2), ("b",): -3})
+    names = ("a", "b")
+    value = {"p": polynomial_to_json(x), "q": {"p": polynomial_to_json(x), "r": names},
+             "r": names, "s": [names, 1]}
+    tables, values = _count_calls(monkeypatch, "_rows"), _count_calls(monkeypatch, "_encode")
+    assert dumps(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+    assert [t.source is x for t in tables] == [True, True]  # at "p" and at "q.p"
+    assert sum(v is names for v in values) == 3  # at "q.r", "r" and, in a list, "s[0]"
+
+
+def test_equal_but_distinct_polynomials_are_each_written(monkeypatch):
+    x = Polynomial({("a", "b"): Fraction(1, 2), ("b",): -3})
+    y = Polynomial(dict(x.terms()))
+    assert x == y and x is not y
+    value = {"p": polynomial_to_json(x), "q": polynomial_to_json(y),
+             "r": ("a", "b"), "s": tuple(["a", "b"])}
+    tables, values = _count_calls(monkeypatch, "_rows"), _count_calls(monkeypatch, "_encode")
+    assert dumps(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+    assert [t.source is x for t in tables] == [True, False]
+    assert [t.source is y for t in tables] == [False, True]
+    assert sum(v == ("a", "b") for v in values) == 2
 
 
 def test_family_info_with_a_non_str_key_is_rejected_on_write(tmp_path):

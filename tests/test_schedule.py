@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,6 +132,20 @@ def test_layers_reject_overlapping_gates():
                 Hyperedge(("b", "c"), ((("b", "c"), Fraction(1)),)),
             ),
         )
+
+
+def test_a_layer_names_exactly_the_qubits_its_gates_share():
+    def gate(*support):
+        return Hyperedge(support, ((support, 1),))
+
+    # Gates 0 and 2 overlap on "a", gates 1 and 3 on "c" and "d"; no two neighbours do.
+    gates = (gate("a", "b"), gate("c", "d"), gate("a", "e"), gate("c", "d", "f"))
+    with pytest.raises(InvalidInputError, match=re.escape("on qubits ['a', 'c', 'd']")):
+        CircuitLayer(kind="cost", gates=gates)
+    mixers = tuple(Hyperedge((name,), ()) for name in ("x", "y", "z", "y"))
+    with pytest.raises(InvalidInputError, match=re.escape("on qubits ['y']")):
+        CircuitLayer(kind="mixer", gates=mixers)
+    CircuitLayer(kind="mixer", gates=mixers[:3])
 
 
 def test_schedule_rejects_improper_colorings(w6):
