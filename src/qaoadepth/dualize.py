@@ -153,10 +153,12 @@ def dualize(problem: Problem) -> Pubo:
     Redundant constraints (upper bound of lhs already within rhs) are dropped
     and flagged instead of wasting slack qubits.  Raises
     :class:`InfeasibleConstraintError` when a constraint provably has no
-    satisfying assignment.  The penalties are summed into one coefficient
-    dict, so the objective is canonicalised once, not once per constraint.
-    When no constraint adds a penalty (there are none, or all are dropped),
-    the penalty form is the min-sense objective itself: for a min problem,
+    satisfying assignment: the lhs minimum over the cube exceeds ``rhs``,
+    or, for a two-sided constraint, a closed-form bound on its maximum is
+    below ``lower``.  The penalties are summed into one coefficient dict, so
+    the objective is canonicalised once, not once per constraint.  When no
+    constraint adds a penalty (there are none, or all are dropped), the
+    penalty form is the min-sense objective itself: for a min problem,
     ``problem.objective`` with no copy.
     """
     objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
@@ -171,10 +173,22 @@ def dualize(problem: Problem) -> Pubo:
         if not min_exact:
             notes.append("interval bound used for the cube minimum (support too large)")
         if cube_min > con.rhs:
-            raise InfeasibleConstraintError(index, cube_min, con.rhs)
+            raise InfeasibleConstraintError(
+                index, f"min over the cube is {cube_min}, which exceeds the bound {con.rhs}"
+            )
 
-        # Only a one-sided constraint can be dropped, so only it needs the maximum.
-        if con.lower is None and con.lhs.maximum_over_cube()[0] <= con.rhs:
+        if con.lower is not None:
+            # A two-sided constraint is never dropped, so it takes no
+            # enumerated maximum, only the closed-form bound: never below the
+            # maximum, and equal to it for a linear lhs.
+            ceiling = con.lhs._interval_extreme(max)
+            if ceiling < con.lower:
+                raise InfeasibleConstraintError(
+                    index,
+                    f"max over the cube is at most {ceiling}, "
+                    f"which is below the lower bound {con.lower}",
+                )
+        elif con.lhs.maximum_over_cube()[0] <= con.rhs:
             records.append(
                 ConstraintDualization(
                     index=index,
@@ -269,6 +283,13 @@ class PenaltyVerification:
     detail: str = ""
 
 
+def _argmin(layout: CubeLayout, values: int, where: int) -> list[tuple[int, ...]]:
+    """The assignments, as bit tuples, where ``values`` is least over the fields ``where``."""
+    # With an empty set the result is empty, whatever the minimum.
+    optimal = layout.at_most(values, layout.minimum(values, where)) & where
+    return sorted(_bits(z, layout.variables) for z in layout.indices(optimal))
+
+
 def verify_penalty(pubo: Pubo, problem: Problem) -> PenaltyVerification:
     """Exhaustively confirm the penalty form preserves the constrained argmin.
 
@@ -283,13 +304,20 @@ def verify_penalty(pubo: Pubo, problem: Problem) -> PenaltyVerification:
     each step is a whole-table integer operation on it: a feasibility test
     per constraint bound, a minimum by halving, the slack projection by
     halving over the slack bits, and an equality set whose indices are the
-    argmins.  The cost is the transforms plus O(n) such operations for n
-    PUBO variables; no int is made per assignment except for the argmins.
-    Each distinct polynomial is transformed once: the objective and the
-    constraint left-hand sides share one layout, so their sets combine with
-    ``&``, and the penalty form has its own.  A penalty form without slack
-    bits that equals the objective (an unconstrained problem) reads the
-    objective's table, and both argmin sets are still computed and compared.
+    argmins.  No int is made per assignment except for the argmins.
+
+    The objective and the distinct constraint left-hand sides share one
+    layout, so their sets combine with ``&``, and the penalty form has its
+    own.  :func:`~qaoadepth.poly.pack_cube` builds each of those tables
+    once, and a left-hand side of few terms, such as an edge's ``x_u*x_v``,
+    directly from bit fields rather than by a transform; each constraint's
+    table is folded into the feasible set and dropped before the next is
+    built.  So the cost is one transform each for the objective and the
+    penalty form, a few whole-table operations per constraint term, and
+    O(n) more for n PUBO variables.  A penalty form without slack bits that
+    equals the objective reads the objective's table; when there is no
+    constraint either, every point is feasible, so the one argmin set is
+    computed once and serves both sides.
     """
     order = list(pubo.variables)
     if len(order) > EXACT_ENUMERATION_LIMIT:
@@ -307,30 +335,34 @@ def verify_penalty(pubo: Pubo, problem: Problem) -> PenaltyVerification:
     # v <= floor(rhs*d), and v/d >= lower exactly when not
     # v <= ceil(lower*d) - 1.
     objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
-    polys = list(dict.fromkeys([objective, *(con.lhs for con in problem.constraints)]))
-    layout, packed = pack_cube(polys, original)
-    tables = dict(zip(polys, packed))
-    feasible = layout.guards
+    readers: dict[Polynomial, list] = {objective: []}  # the constraints that read each table
     for con in problem.constraints:
-        values, scale = tables[con.lhs]
-        feasible &= layout.at_most(values, math.floor(con.rhs * scale))
-        if con.lower is not None:
-            feasible &= ~layout.at_most(values, math.ceil(con.lower * scale) - 1)
-    values, _ = tables[objective]
-    # With no feasible point the set below is empty, whatever the minimum.
-    optimal = layout.at_most(values, layout.minimum(values, feasible)) & feasible
-    constrained_argmin = sorted(_bits(z, n_orig) for z in layout.indices(optimal))
+        readers.setdefault(con.lhs, []).append(con)
+    layout, tables = pack_cube(list(readers), original)
+    feasible = layout.guards
+    values = None
+    # ``tables`` leads the zip, so the zip exhausts it, which frees its bit fields.
+    for (table, scale), constraints in zip(tables, readers.values()):
+        if values is None:  # the first table is the objective's
+            values = table
+        for con in constraints:
+            feasible &= layout.at_most(table, math.floor(con.rhs * scale))
+            if con.lower is not None:
+                feasible &= ~layout.at_most(table, math.ceil(con.lower * scale) - 1)
+    constrained_argmin = _argmin(layout, values, feasible)
 
     # PUBO side: minimize over slack bits for every original assignment.
     # Original variables occupy the low bit positions, so the projection
-    # folds the table over its top len(slack) bits.  With no slack and the
-    # objective as the penalty form, ``layout`` and ``values`` hold its table.
+    # folds the table over its top len(slack) bits.
     if slack or pubo.objective != objective:
         pubo_layout, [(values, _)] = pack_cube([pubo.objective], original + slack)
         values = pubo_layout.fold(values, len(slack))
         layout = CubeLayout(n_orig, pubo_layout.width)
-    optimal = layout.at_most(values, layout.minimum(values, layout.guards))
-    pubo_argmin = sorted(_bits(z, n_orig) for z in layout.indices(optimal))
+        pubo_argmin = _argmin(layout, values, layout.guards)
+    elif problem.constraints:
+        pubo_argmin = _argmin(layout, values, layout.guards)
+    else:  # the same table over the same set, every point
+        pubo_argmin = constrained_argmin
 
     passed = bool(constrained_argmin) and pubo_argmin == constrained_argmin
     witness, detail = None, ""

@@ -30,14 +30,9 @@ class InfeasibleConstraintError(QaoaDepthError):
 
     exit_code = 2
 
-    def __init__(self, index: int, minimum, rhs):
+    def __init__(self, index: int, reason: str):
         self.index = index
-        self.minimum = minimum
-        self.rhs = rhs
-        super().__init__(
-            f"constraint {index} is infeasible: min over the cube is "
-            f"{minimum}, which exceeds the bound {rhs}"
-        )
+        super().__init__(f"constraint {index} is infeasible: {reason}")
 
 
 class GateWidthError(QaoaDepthError):

@@ -585,8 +585,15 @@ def dumps(data) -> str:
     the ``str`` the dict's parts hold, so it copies no text; it is emptied
     before the outermost dict's join, the call's peak.  Lists and dicts,
     which may be the encoder's own temporaries, are never keyed.
+
+    A value nested too deeply for the recursion limit, such as a
+    ``family_info`` built in code, raises ``InvalidInputError``; nothing is
+    walked ahead of the encoding to find that out.
     """
-    return _encode(data, "\n", {}) + "\n"
+    try:
+        return _encode(data, "\n", {}) + "\n"
+    except RecursionError:
+        raise InvalidInputError("value nested too deeply to write as JSON") from None
 
 
 def _encode(value, newline: str, memo: dict) -> str:

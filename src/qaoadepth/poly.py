@@ -278,16 +278,24 @@ class Polynomial:
         return self._cube_extreme(max)
 
     def _cube_extreme(self, pick) -> tuple[Scalar, bool]:
-        # Both branches work on ints, the coefficients times their common
-        # denominator, and divide back once.
-        scale = self.common_denominator()
         size = len(self.variables())
         disjoint = sum(map(len, self._terms)) == size
         if disjoint or size > EXACT_ENUMERATION_LIMIT:
-            scaled = self._scaled_terms(scale)
-            value = scaled.get((), 0) + sum([pick(0, c) for s, c in scaled.items() if s])
-            return ratio(value, scale), disjoint
+            return self._interval_extreme(pick), disjoint
+        scale = self.common_denominator()
         return ratio(pick((self * scale).values_over_cube()), scale), True
+
+    def _interval_extreme(self, pick) -> Scalar:
+        """The constant plus ``pick(0, c)`` over every other coefficient c.
+
+        A bound on ``pick`` over the cube in O(terms), never past it, and
+        exact when no two terms share a variable.  It works on ints, the
+        coefficients times their common denominator, and divides back once.
+        """
+        scale = self.common_denominator()
+        scaled = self._scaled_terms(scale)
+        value = scaled.get((), 0) + sum([pick(0, c) for s, c in scaled.items() if s])
+        return ratio(value, scale)
 
     def _scaled_terms(self, scale: int) -> dict[Support, int]:
         """The terms times ``scale``, a multiple of every denominator, as ints."""
@@ -349,8 +357,10 @@ class CubeLayout:
     one int of 2**n fields of w bits, field z at bits z*w to z*w + w - 1, and
     a field holds its value v as v + 2**(w-2).  Every value of every table in
     a layout has |v| < 2**(w-2), so each field lies in [0, 2**(w-1)) and its
-    top bit, the guard bit, is clear.  ``offsets`` is the table of zeros,
-    ``ones`` holds 1 in every field and ``guards`` every guard bit.
+    top bit, the guard bit, is clear; :func:`pack_cube` picks w from the
+    range its polynomials' values can span, not from their sizes.
+    ``offsets`` is the table of zeros, ``ones`` holds 1 in every field and
+    ``guards`` every guard bit.
 
     A set of fields is a mask of their guard bits.  ``((a | guards) - b) &
     guards`` is the set where a >= b: each field subtracts on its own, from
@@ -444,62 +454,125 @@ class CubeLayout:
 
 def pack_cube(
     polys: Sequence[Polynomial], order: Sequence[str]
-) -> tuple[CubeLayout, list[tuple[int, int]]]:
+) -> tuple[CubeLayout, Iterator[tuple[int, int]]]:
     """Each polynomial times its common denominator d over the cube, as (table, d).
 
     The tables share one :class:`CubeLayout` over the variables ``order``,
-    whose width w is the smallest of 8, 16, 32, 64, 128, ... with sum(|c|) <
-    2**(w-2) over the scaled coefficients c of every polynomial.  Every
-    value is a sum of some of a polynomial's coefficients, so every value is
-    in range.  Raises ValueError when ``order`` misses a variable.
+    whose width w is the smallest of 8, 16, 32, 64, 128, ... with both the
+    sum of the positive scaled coefficients and the sum of the negative
+    ones' magnitudes below 2**(w-2), over every polynomial, its constant
+    included.  Every value, and every field of every partial sum below, is
+    a sum of some of a polynomial's coefficients, so it lies between minus
+    the one sum and the other, in range.  Raises ValueError when ``order``
+    misses a variable; both are settled before any table is built.
 
-    A table is built by the subset-sum (zeta) transform: O(2**n * n)
-    additions rather than one full evaluation per point.  Each coefficient is
-    written into the field of its support's bitmask, and the pass for bit i
-    adds each field z with bit i clear, less its offset, to field z + 2**i.
-    With ``low`` the all-ones fields at those z, that is
-    ``packed += ((packed & low) - (offsets & low)) << (2**i * w)``, a few
-    whole-table integer operations.  This is exact integer arithmetic,
-    whatever borrows cross the field boundaries on the way; every field of
-    the result is in range, so the result has one field decomposition, and
-    it is the transformed table.  Fields of at most 64 bits are filled
-    through an ``array``, wider ones byte by byte.
+    The tables come from an iterator that builds each one when it is
+    reached, so a caller that drops each table before taking the next holds
+    one at a time.  Each table is built one of two ways, whichever the
+    operation count :func:`_direct_is_cheaper` estimates from the number of
+    terms, their support sizes and the number of variables n is lower:
+
+    * The subset-sum (zeta) transform: O(2**n * n) additions rather than
+      one full evaluation per point.  Each coefficient is written into the
+      field of its support's bitmask, and the pass for bit i adds each
+      field z with bit i clear, less its offset, to field z + 2**i.  With
+      ``low`` the all-ones fields at those z, that is ``packed += ((packed &
+      low) - (offsets & low)) << (2**i * w)``, a few whole-table integer
+      operations.  Fields of at most 64 bits are filled through an
+      ``array``, wider ones byte by byte.
+    * Directly, for a polynomial with few terms: ``offsets + sum(c_S *
+      (ones & bits[i] & bits[j] ...))`` over its terms c_S, where
+      ``bits[i]`` holds 1 in every field whose assignment has bit i set.
+      The iterator builds each bit field the first time a term needs it and
+      keeps it until it is exhausted, so a layout builds each at most once.
+
+    Either way this is exact integer arithmetic, whatever borrows cross the
+    field boundaries on the way; every field of the result is in range, so
+    the result has one field decomposition, and it is the table.
     """
-    position = {name: i for i, name in enumerate(order)}
+    bit = {name: 1 << i for i, name in enumerate(order)}
     scaled = []
     bound = 0
     for poly in polys:
         scale = poly.common_denominator()
-        terms = poly._scaled_terms(scale)
-        bound = max(bound, sum(map(abs, terms.values())))
+        try:
+            terms = {
+                sum(map(bit.__getitem__, support)): coeff
+                for support, coeff in poly._scaled_terms(scale).items()
+            }
+        except KeyError:
+            missing = set().union(*(poly.variables() for poly in polys)) - set(order)
+            raise ValueError(f"order does not cover variables: {sorted(missing)}") from None
+        positive = sum([c for c in terms.values() if c > 0])
+        bound = max(bound, positive, positive - sum(terms.values()))
         scaled.append((terms, scale))
     width = 8
     while bound >> (width - 2):
         width *= 2
     layout = CubeLayout(len(order), width)
-    try:
-        return layout, [(_zeta(layout, terms, position), scale) for terms, scale in scaled]
-    except KeyError:
-        missing = set().union(*(poly.variables() for poly in polys)) - set(order)
-        raise ValueError(f"order does not cover variables: {sorted(missing)}") from None
+    return layout, _tables(layout, scaled)
 
 
-def _zeta(layout: CubeLayout, terms: Mapping[Support, int], position: Mapping[str, int]) -> int:
-    """The packed table of the integer ``terms``; see :func:`pack_cube`."""
+def _tables(
+    layout: CubeLayout, scaled: list[tuple[dict[int, int], int]]
+) -> Iterator[tuple[int, int]]:
+    """The (table, scale) of each of ``scaled``'s bitmask-keyed terms; see :func:`pack_cube`."""
+    bits: dict[int, int] = {}  # bit i's field of ones, by i, once a term has needed it
+
+    def bit_field(i: int) -> int:
+        field = bits.get(i)
+        if field is None:
+            # Runs of 2**i fields, alternately 0 and 1.
+            field_bytes = layout.width >> 3
+            run = (1).to_bytes(field_bytes, _ORDER) * (1 << i)
+            period = bytes(len(run)) + run
+            field = bits[i] = int.from_bytes(period * (layout.size >> (i + 1)), _ORDER)
+        return field
+
+    for terms, scale in scaled:
+        if _direct_is_cheaper(terms, layout.variables):
+            table = layout.offsets
+            for mask, coeff in terms.items():
+                field = layout.ones
+                while mask:
+                    low = mask & -mask
+                    field &= bit_field(low.bit_length() - 1)
+                    mask ^= low
+                table += coeff * field
+        else:
+            table = _zeta(layout, terms)
+        yield table, scale
+
+
+def _direct_is_cheaper(terms: Mapping[int, int], variables: int) -> bool:
+    """Whether the bitmask-keyed ``terms`` take fewer operations directly than by the transform.
+
+    The counts are in whole-table ANDs, from timings on 2**12 and 2**20
+    fields of 8 bits: a zeta pass costs about 11, a term about 4 plus one
+    per variable in its support, and a bit field about 10.  Every bit field
+    the terms use is counted, built or not, so a term is never taken
+    directly on the strength of another's fields.
+    """
+    used = 0
+    operations = 0
+    for mask in terms:
+        used |= mask
+        operations += 4 + mask.bit_count()
+    return operations + 10 * used.bit_count() < 11 * variables
+
+
+def _zeta(layout: CubeLayout, terms: Mapping[int, int]) -> int:
+    """The packed table of the integer ``terms``, keyed by bitmask; see :func:`pack_cube`."""
     width, size, quarter = layout.width, layout.size, layout.quarter
     field_bytes = width >> 3
     blank = _BLANK_FIELDS.get(width)
     if blank:
         cells = blank * size
+        for mask, coeff in terms.items():
+            cells[mask] = coeff + quarter
     else:
         cells = bytearray(quarter.to_bytes(field_bytes, _ORDER) * size)
-    for support, coeff in terms.items():
-        mask = 0
-        for name in support:
-            mask |= 1 << position[name]
-        if blank:
-            cells[mask] = coeff + quarter
-        else:
+        for mask, coeff in terms.items():
             start = mask * field_bytes
             cells[start:start + field_bytes] = (coeff + quarter).to_bytes(field_bytes, _ORDER)
     packed = int.from_bytes(cells, _ORDER)

@@ -96,13 +96,15 @@ def rational_problems(draw):
     constraints = []
     for _ in range(draw(st.integers(1, 2))):
         lhs = polynomial()
-        cube_min, _ = fraction_extremes(fraction_terms(lhs.terms()))
+        cube_min, cube_max = fraction_extremes(fraction_terms(lhs.terms()))
+        # Feasible on both sides: rhs reaches the minimum, and lower stays
+        # at or below the maximum, or dualize rejects the constraint.
         rhs = cube_min + draw(st.one_of(st.just(0), positive))
         constraints.append(
             Constraint(
                 lhs=lhs,
                 rhs=rhs,
-                lower=rhs - draw(positive) if draw(st.booleans()) else None,
+                lower=min(rhs - draw(positive), cube_max) if draw(st.booleans()) else None,
                 weight=draw(st.one_of(st.none(), positive)),
                 slack_bound=draw(st.one_of(st.none(), positive)),
             )

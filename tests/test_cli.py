@@ -494,6 +494,42 @@ def test_exit_code_infeasible(capsys, tmp_path):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_an_infeasible_two_sided_constraint_exits_2(capsys, tmp_path, command):
+    # -x2 lies in [-1, 0], so 1 <= -x2 <= 2 holds nowhere; its one-sided
+    # mirror, x2 <= -1, has always exited 2.
+    problem = Problem(
+        sense="min",
+        objective=Polynomial.variable("x1"),
+        constraints=(Constraint(lhs=-Polynomial.variable("x2"), rhs=2, lower=1),),
+        variables=("x1", "x2"),
+    )
+    path, artifact = tmp_path / "two-sided.json", tmp_path / "artifact.json"
+    write_problem(problem, str(path))
+    code, out, err = run_cli(capsys, command, "--problem", str(path), "--out", str(artifact))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: constraint 1 is infeasible: max over the cube is at most 0, "
+        "which is below the lower bound 1\n"
+    )
+    assert not artifact.exists()
+
+
+def test_family_info_too_deep_to_write_exits_1(capsys, tmp_path, monkeypatch):
+    # Files cap family_info's nesting when read; a Problem built in code
+    # does not, and its artifact is refused rather than ending in a traceback.
+    info = []
+    for _ in range(2000):
+        info = [info]
+    problem = Problem("min", Polynomial.variable("a"), (), ("a",), family_info={"x": info})
+    monkeypatch.setattr(cli, "_load_problem", lambda args: problem)
+    artifact = tmp_path / "artifact.json"
+    code, out, err = run_cli(capsys, "analyze", "--problem", "unread.json", "--out", str(artifact))
+    assert (code, out) == (1, "")
+    assert err == "error: value nested too deeply to write as JSON\n"
+    assert not artifact.exists()
+
+
 def test_exit_code_gate_width(capsys, fixture_dir):
     code, _, err = run_cli(
         capsys,

@@ -361,6 +361,21 @@ def test_infeasible_constraint_raises():
         dualize(problem)
 
 
+def test_a_two_sided_constraint_whose_interval_maximum_reaches_lower_is_accepted():
+    # 21 variables: too many to enumerate, so the maximum is the interval
+    # bound, here the sum of the 20 positive coefficients.
+    names = tuple(f"x{i}" for i in range(1, 22))
+    chain = Polynomial.from_terms(((a, b), 1) for a, b in zip(names, names[1:]))
+    assert chain.maximum_over_cube() == (20, False)
+    problem = Problem("min", Polynomial.variable("x1"), (Constraint(lhs=chain, rhs=21, lower=20),), names)
+    (record,) = dualize(problem).dualizations
+    assert not record.dropped and record.slack_range == 1
+    beyond = replace(problem, constraints=(Constraint(lhs=chain, rhs=22, lower=21),))
+    message = "max over the cube is at most 20, which is below the lower bound 21"
+    with pytest.raises(InfeasibleConstraintError, match=message):
+        dualize(beyond)
+
+
 def test_redundant_constraint_dropped():
     problem = Problem(
         sense="min",
@@ -520,6 +535,29 @@ def test_verify_penalty_builds_one_packed_table_per_polynomial_and_no_list(monke
         report = verify_penalty(pubo, problem)
         assert report.passed
         assert len(transformed) == tables
+
+
+def test_verify_penalty_transforms_the_objective_and_the_penalty_form_only(monkeypatch, w6):
+    # A MaxIndSet has one x_u*x_v constraint per edge; each of those tables
+    # is built from bit fields, not by a transform over the cube.
+    problem = make_maxindset(w6)
+    pubo = dualize(problem)
+    assert len(problem.constraints) == len(W6_EDGES) and not pubo.slack_names()
+    poly_module = importlib.import_module("qaoadepth.poly")
+    real = poly_module._zeta
+    transformed = []
+
+    def counting(layout, terms):
+        transformed.append(dict(terms))
+        return real(layout, terms)
+
+    monkeypatch.setattr(poly_module, "_zeta", counting)
+    report = verify_penalty(pubo, problem)
+    objective_terms = {1 << i: -1 for i in range(6)}
+    assert len(transformed) == 2 and transformed[0] == objective_terms
+    assert len(transformed[1]) == pubo.objective.num_terms()
+    assert report.passed
+    assert report == verify_penalty_reference(pubo, problem)
 
 
 def test_a_penalty_form_one_coefficient_off_the_objective_fails(w6):
@@ -685,9 +723,9 @@ def draw_magnitude(rng, kind):
 def draw_polynomial(rng, names, kind):
     """One to four distinct supports of width 0-3, each with a coefficient of either sign.
 
-    A boundary polynomial's |coefficients| sum to 2**(w-2) - 1, 2**(w-2) or
-    2**(w-2) + 1: the largest sum that fields of w bits hold, and the two
-    sums past it.
+    A boundary polynomial's positive coefficients, or its negative ones, or
+    all of their magnitudes, sum to 2**(w-2) - 1, 2**(w-2) or 2**(w-2) + 1:
+    the largest sum that fields of w bits hold, and the two sums past it.
     """
     supports = list(
         dict.fromkeys(
@@ -697,10 +735,22 @@ def draw_polynomial(rng, names, kind):
     )
     if kind == "boundary":
         total = draw_magnitude(rng, kind) + rng.choice((-1, 0, 1))
-        parts = [total // len(supports)] * len(supports)
-        parts[-1] += total - sum(parts)
-    else:
-        parts = [draw_magnitude(rng, kind) for _ in supports]
+        side = rng.choice((0, 1, -1))
+        if side and len(supports) > 1:
+            # One sign's coefficients sum to the boundary, and the last
+            # support takes a small coefficient of the other sign.
+            parts = [total // (len(supports) - 1)] * (len(supports) - 1)
+            parts[-1] += total - sum(parts)
+            signs = [side] * len(parts) + [-side]
+            parts.append(rng.randint(1, 5))
+        else:
+            parts = [total // len(supports)] * len(supports)
+            parts[-1] += total - sum(parts)
+            signs = [side or rng.choice((-1, 1)) for _ in supports]
+        return Polynomial.from_terms(
+            (support, sign * part) for support, sign, part in zip(supports, signs, parts)
+        )
+    parts = [draw_magnitude(rng, kind) for _ in supports]
     return Polynomial.from_terms(
         (support, part if rng.random() < 0.5 else -part) for support, part in zip(supports, parts)
     )

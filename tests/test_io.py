@@ -575,6 +575,17 @@ def _graph_1000(tmp_path) -> Path:
     return graph
 
 
+def test_write_problem_refuses_a_family_info_too_deep_to_write(tmp_path):
+    info = []
+    for _ in range(2000):
+        info = [info]
+    problem = Problem("min", Polynomial.variable("a"), (), ("a",), family_info={"x": info})
+    path = tmp_path / "problem.json"
+    with pytest.raises(InvalidInputError, match="nested too deeply to write"):
+        write_problem(problem, str(path))
+    assert not path.exists()
+
+
 def test_dumps_peak_memory_stays_near_the_text_length(tmp_path):
     # A list's items stay lazy iterators until the list joins them once, with
     # its brackets folded into the first and last item, so the peak is about

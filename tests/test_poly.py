@@ -305,20 +305,34 @@ def split_total(total, signs):
     return [sign * part for sign, part in zip(signs, parts)]
 
 
+FIELD_WIDTHS = (8, 16, 32, 64, 128)
+
+
+def expected_width(positive, negative):
+    """The narrowest of 8, 16, 32, ... bits whose guard-bit range holds every value in [-negative, positive]."""
+    width = 8
+    while max(positive, negative) >= 2**(width - 2):
+        width *= 2
+    return width
+
+
 @pytest.mark.parametrize(
     "total",
     [
-        *(2**(w - 2) + step for w in (8, 16, 32, 64, 128) for step in (-1, 0)),
+        *(2**(w - 2) + step for w in FIELD_WIDTHS for step in (-1, 0)),
         *(2**(w - 1) + step for w in (8, 16, 32, 64) for step in (-1, 0)),
         10**30,
     ],
 )
 def test_values_over_cube_is_exact_at_every_field_width_boundary(total):
-    # sum(|coefficient|) < 2**(w-2) fits fields of w bits with a clear guard
-    # bit, and a sum of exactly 2**(w-2) needs the next width: with every
-    # sign positive the all-ones point reaches +total, with every sign
-    # negative -total.  The sums at 2**(w-1) were the boundaries before the
-    # guard bit.
+    # Every value is a sum of some of the coefficients, so it lies between
+    # minus the sum of the negative ones' magnitudes and the sum of the
+    # positive ones.  Fields of w bits hold that range with a clear guard
+    # bit while each sum is below 2**(w-2), and a sum of exactly 2**(w-2)
+    # needs the next width: with every sign positive the all-ones point
+    # reaches +total, with every sign negative -total.  The mixed signs
+    # split the total about in half between the two sums.  The totals at
+    # 2**(w-1) were the boundaries before the guard bit.
     order = ["a", "b", "c", "d"]
     supports = [(), ("a",), ("b", "c"), ("a", "c", "d"), ("a", "b", "c", "d")]
     sign_sets = {
@@ -327,8 +341,13 @@ def test_values_over_cube_is_exact_at_every_field_width_boundary(total):
         "mixed": [1, -1, 1, -1, 1],
     }
     for kind, signs in sign_sets.items():
-        p = Polynomial(dict(zip(supports, split_total(total, signs))))
+        coefficients = split_total(total, signs)
+        p = Polynomial(dict(zip(supports, coefficients)))
+        layout, [(table, scale)] = poly_mod.pack_cube([p], order)
+        positive = sum(c for c in coefficients if c > 0)
+        assert layout.width == expected_width(positive, positive - sum(coefficients)), kind
         values = p.values_over_cube(order)
+        assert layout.values(table) == values and scale == 1
         assert values == values_over_cube_reference(p, order), kind
         assert all(type(v) is int for v in values)
         if kind != "mixed":
@@ -336,6 +355,78 @@ def test_values_over_cube_is_exact_at_every_field_width_boundary(total):
         # A rational version of the same table, scaled back by 3.
         q = p * Fraction(1, 3)
         assert q.values_over_cube(order) == [Fraction(v, 3) for v in values]
+
+
+@pytest.mark.parametrize("width", FIELD_WIDTHS)
+def test_the_larger_signed_sum_sets_the_field_width(width):
+    # The positive part sits on the constant and a*b, the negative part on
+    # c and a*c*d, and either one at 2**(w-2) - 1 or 2**(w-2).  The sum of
+    # all magnitudes, the rule before, reaches 2**(w-2) in every case but
+    # the last, and the width follows the larger part alone.
+    limit = 2 ** (width - 2)
+    order = ["a", "b", "c", "d"]
+    cases = [
+        (limit - 1, limit - 1),
+        (limit, limit - 1),
+        (limit - 1, limit),
+        (limit, 1),
+        (1, limit),
+        (limit - 1, 1),
+    ]
+    for positive, negative in cases:
+        p = Polynomial({
+            (): positive - positive // 2,
+            ("a", "b"): positive // 2,
+            ("c",): -(negative - negative // 2),
+            ("a", "c", "d"): -(negative // 2),
+        })
+        layout, [(table, scale)] = poly_mod.pack_cube([p], order)
+        assert layout.width == (width if max(positive, negative) < limit else 2 * width)
+        assert layout.width == expected_width(positive, negative)
+        values = layout.values(table)
+        assert values == values_over_cube_reference(p, order) and scale == 1
+        # a = b = 1, c = 0 reaches the positive part; the constant always counts.
+        assert max(values) == positive
+        assert min(values) == positive - positive // 2 - negative
+
+
+def draw_cube_polynomial(rng, names):
+    """A polynomial of 0-12 distinct supports, with a constant, either sign and rational or wide coefficients."""
+    width = rng.choice(FIELD_WIDTHS)
+    rational = rng.random() < 0.3
+    terms = []
+    for _ in range(rng.randint(0, 12)):
+        support = rng.sample(names, rng.randint(0, min(4, len(names))))
+        magnitude = rng.randint(1, 2 ** (width - 4))
+        coefficient = Fraction(magnitude, rng.randint(1, 6)) if rational else magnitude
+        terms.append((support, coefficient * rng.choice((-1, 1))))
+    return Polynomial.from_terms(terms)
+
+
+def test_bit_fields_and_the_transform_tabulate_alike(monkeypatch):
+    real = poly_mod._direct_is_cheaper
+    chosen = {True: 0, False: 0}
+
+    def recording(terms, variables):
+        choice = real(terms, variables)
+        chosen[choice] += 1
+        return choice
+
+    rng = random.Random(53)
+    widths = set()
+    for _ in range(300):
+        order = [f"v{i}" for i in range(rng.randint(0, 10))]
+        rng.shuffle(order)
+        p = draw_cube_polynomial(rng, order)
+        monkeypatch.setattr(poly_mod, "_direct_is_cheaper", recording)
+        layout, [(table, scale)] = poly_mod.pack_cube([p], order)
+        for forced in (True, False):
+            monkeypatch.setattr(poly_mod, "_direct_is_cheaper", lambda terms, variables: forced)
+            assert next(poly_mod.pack_cube([p], order)[1]) == (table, scale)
+        assert [Fraction(v, scale) for v in layout.values(table)] == values_over_cube_reference(p, order)
+        widths.add(layout.width)
+    assert widths >= set(FIELD_WIDTHS)
+    assert min(chosen.values()) >= 50, chosen
 
 
 def test_nonlinear_cube_extremes_enumerate_integer_tables(monkeypatch):
