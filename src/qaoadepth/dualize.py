@@ -154,12 +154,22 @@ def dualize(problem: Problem) -> Pubo:
     and flagged instead of wasting slack qubits.  Raises
     :class:`InfeasibleConstraintError` when a constraint provably has no
     satisfying assignment: the lhs minimum over the cube exceeds ``rhs``,
-    or, for a two-sided constraint, a closed-form bound on its maximum is
-    below ``lower``.  The penalties are summed into one coefficient dict, so
-    the objective is canonicalised once, not once per constraint.  When no
-    constraint adds a penalty (there are none, or all are dropped), the
-    penalty form is the min-sense objective itself: for a min problem,
-    ``problem.objective`` with no copy.
+    or, for a two-sided constraint, its maximum is below ``lower``.  Both
+    extremes come from one pass over the lhs
+    (:meth:`~qaoadepth.poly.Polynomial.minimum_over_cube`): exact in closed
+    form when no two terms share a variable, else enumerated from one table
+    within ``EXACT_ENUMERATION_LIMIT`` variables, else the interval bounds,
+    which never cut off a feasible point.
+
+    A kept constraint costs one pass through the penalty path: its residual
+    ``lhs + slack - rhs`` is one dict sorted once, or the lhs itself when
+    there is no slack bit and ``rhs`` is 0; its square and the weighted
+    penalty come out of :meth:`~qaoadepth.poly.Polynomial.square` and the
+    scalar product already in order.  The penalties are summed into one
+    coefficient dict, so the objective is canonicalised once, not once per
+    constraint.  When no constraint adds a penalty (there are none, or all
+    are dropped), the penalty form is the min-sense objective itself: for a
+    min problem, ``problem.objective`` with no copy.
     """
     objective = problem.objective if problem.sense == MINIMIZE else -problem.objective
     coefficients: dict[Support, Scalar] | None = None  # objective plus penalties, once one is kept
@@ -168,27 +178,23 @@ def dualize(problem: Problem) -> Pubo:
     records: list[ConstraintDualization] = []
 
     for index, con in enumerate(problem.constraints, start=1):
-        notes: list[str] = []
-        cube_min, min_exact = con.lhs.minimum_over_cube()
-        if not min_exact:
-            notes.append("interval bound used for the cube minimum (support too large)")
-        if cube_min > con.rhs:
+        lhs, rhs, lower = con.lhs, con.rhs, con.lower
+        cube_min, min_exact = lhs.minimum_over_cube()
+        if cube_min > rhs:
             raise InfeasibleConstraintError(
-                index, f"min over the cube is {cube_min}, which exceeds the bound {con.rhs}"
+                index, f"min over the cube is {cube_min}, which exceeds the bound {rhs}"
             )
-
-        if con.lower is not None:
-            # A two-sided constraint is never dropped, so it takes no
-            # enumerated maximum, only the closed-form bound: never below the
-            # maximum, and equal to it for a linear lhs.
-            ceiling = con.lhs._interval_extreme(max)
-            if ceiling < con.lower:
+        # From the same scan or table as the minimum: exact whenever it is.
+        cube_max = lhs.maximum_over_cube()[0]
+        if lower is not None:
+            # A two-sided constraint is never dropped, only checked.
+            if cube_max < lower:
                 raise InfeasibleConstraintError(
                     index,
-                    f"max over the cube is at most {ceiling}, "
-                    f"which is below the lower bound {con.lower}",
+                    f"max over the cube is at most {cube_max}, "
+                    f"which is below the lower bound {lower}",
                 )
-        elif con.lhs.maximum_over_cube()[0] <= con.rhs:
+        elif cube_max <= rhs:
             records.append(
                 ConstraintDualization(
                     index=index,
@@ -201,9 +207,12 @@ def dualize(problem: Problem) -> Pubo:
             )
             continue
 
-        slack_range = canonical(con.rhs - cube_min)
-        if con.lower is not None:
-            declared = canonical(con.rhs - con.lower)
+        notes: list[str] = []
+        if not min_exact:
+            notes.append("interval bound used for the cube minimum (support too large)")
+        slack_range = canonical(rhs - cube_min)
+        if lower is not None:
+            declared = canonical(rhs - lower)
             if declared < slack_range:
                 notes.append(
                     f"slack range capped at {declared} by the two-sided bound "
@@ -219,16 +228,20 @@ def dualize(problem: Problem) -> Pubo:
         slack_coefficients, range_notes = _slack_coefficients(slack_range)
         notes.extend(range_notes)
 
-        # lhs + slack - rhs in one dict: the slack names are fresh, so each
-        # owns its linear term.
-        residual = dict(con.lhs.terms())
-        residual[()] = residual.get((), 0) - con.rhs
-        slack_names: list[str] = []
-        for j, c in enumerate(slack_coefficients, start=1):
-            name = _fresh_slack_name(f"s{index}_{j}", taken)
-            taken.add(name)
-            slack_names.append(name)
-            residual[(name,)] = c
+        if slack_coefficients or rhs:
+            # lhs + slack - rhs in one dict, wrapped once: the slack names
+            # are fresh, so each owns its linear term.
+            residual = dict(lhs.terms())
+            residual[()] = residual.get((), 0) - rhs
+            slack_names: list[str] = []
+            for j, c in enumerate(slack_coefficients, start=1):
+                name = _fresh_slack_name(f"s{index}_{j}", taken)
+                taken.add(name)
+                slack_names.append(name)
+                residual[(name,)] = c
+            residual = Polynomial._from_canonical(residual)
+        else:  # lhs <= 0 with no slack, as for an independent set's edge
+            residual, slack_names = lhs, []
 
         weight = con.weight
         if weight is None:
@@ -236,7 +249,7 @@ def dualize(problem: Problem) -> Pubo:
                 default_weight = problem.default_penalty_weight()
             weight = default_weight
 
-        square = Polynomial._from_canonical(residual).square()
+        square = residual.square()
         penalty = square * weight
         if coefficients is None:
             coefficients = dict(objective.terms())

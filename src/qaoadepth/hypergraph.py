@@ -174,6 +174,11 @@ class DerivedHypergraph:
         return len(set(pairs)) == len(pairs)  # no pair of qubits in two edges
 
     def uniform_size(self) -> int | None:
+        """The one support size of every hyperedge, or None when sizes differ or there is no edge."""
+        return self._uniform_size
+
+    @cached_property
+    def _uniform_size(self) -> int | None:
         sizes = {len(e.support) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
 

@@ -34,8 +34,9 @@ The ``*_to_json`` builders return what :func:`dumps` writes, not plain
 ``json`` values: lists of like records (terms, edges, gates) are ``_Table``
 columns read straight from the model, with no dict per record, and ints,
 Fractions and tuples pass through as they are.  Constraint and dualization
-records, whose optional keys differ, are ``_Runs`` of tables of one key
-set, and all the terms of a run's polynomials make one table.  Only the
+records, whose optional keys differ, are read column by column too, as
+``_Runs`` of tables of one key set, and all the terms of a run's
+polynomials make one table.  Only the
 encoder knows the ``{"num", "den"}`` format (with
 :func:`rational_from_json`, which reads it back).  Every artifact is
 written through :func:`dumps`.
@@ -52,11 +53,11 @@ from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain, compress, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, is_, itemgetter
+from operator import attrgetter, is_, is_not, itemgetter, not_
 from typing import Any
 
 from .coloring import EdgeColoring
-from .dualize import ConstraintDualization, ExpansionDiff, Pubo
+from .dualize import ExpansionDiff, Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
 from .poly import Polynomial, Scalar, ratio
@@ -150,22 +151,33 @@ def _records(rows, *keys) -> _Table:
     return _Table({key: list(map(itemgetter(i), rows)) for i, key in enumerate(keys)})
 
 
-def _with_terms(records: list[dict], key: str) -> _Runs:
-    """``records``, whose values under ``key`` are polynomials, as runs of one key set.
+def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], terms_key: str) -> _Runs:
+    """Records given column by column, as runs of one key set.
 
-    Each run is a table whose ``key`` column is one table of all its
-    polynomials' terms with each record's count of them, so a record's
-    polynomial costs no table of its own.
+    Each group is a column of flags, one per record, and the columns of the
+    keys that the flagged records have; a group whose flags are ``None`` is
+    in every record.  A run is a longest stretch of records whose flags
+    agree, so every run has one key set.  Each run's ``terms_key`` column,
+    of polynomials, becomes one table of all their terms with each record's
+    count of them, so a record's polynomial costs no table of its own.
     """
     runs = _Runs()
-    for _, run in groupby(records, dict.keys):
-        run = list(run)
-        columns = {name: list(map(itemgetter(name), run)) for name in run[0]}
-        polys = columns.get(key)
+    start = 0
+    for shape, run in groupby(zip(*[flags for flags, _ in groups if flags is not None])):
+        stop = start + len(list(run))
+        present = iter(shape)
+        columns = {
+            key: column[start:stop]
+            for flags, group in groups
+            if flags is None or next(present)
+            for key, column in group.items()
+        }
+        polys = columns.get(terms_key)
         if polys is not None:
             terms = list(chain.from_iterable(map(Polynomial.terms, polys)))
-            columns[key] = (list(map(Polynomial.num_terms, polys)), _records(terms, "vars", "coeff"))
+            columns[terms_key] = (list(map(Polynomial.num_terms, polys)), _records(terms, "vars", "coeff"))
         runs.append(_Table(columns))
+        start = stop
     return runs
 
 
@@ -206,31 +218,40 @@ def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
 
 
 def problem_to_json(problem: Problem) -> dict:
-    constraints = []
-    for con in problem.constraints:
-        entry: dict[str, Any] = {"terms": con.lhs, "rhs": con.rhs}
-        if con.weight is not None:
-            entry["lambda"] = con.weight
-        if con.lower is not None:
-            entry["lower"] = con.lower
-        if con.slack_bound is not None:
-            entry["slack_bound"] = con.slack_bound
-        if con.label:
-            entry["label"] = con.label
-        if con.reference_expansion is not None:
-            entry["reference_expansion"] = polynomial_to_json(con.reference_expansion)
-        constraints.append(entry)
+    constraints = problem.constraints
+    weights, lowers, slack_bounds, labels, references = (
+        _column(constraints, name)
+        for name in ("weight", "lower", "slack_bound", "label", "reference_expansion")
+    )
     out: dict[str, Any] = {
         "sense": problem.sense,
         "variables": problem.variables,
         "objective": polynomial_to_json(problem.objective),
-        "constraints": _with_terms(constraints, "terms"),
+        "constraints": _runs([
+            (None, {"terms": _column(constraints, "lhs"), "rhs": _column(constraints, "rhs")}),
+            (_given(weights), {"lambda": weights}),
+            (_given(lowers), {"lower": lowers}),
+            (_given(slack_bounds), {"slack_bound": slack_bounds}),
+            (list(map(bool, labels)), {"label": labels}),
+            (_given(references), {"reference_expansion": [
+                None if p is None else polynomial_to_json(p) for p in references]}),
+        ], "terms"),
     }
     if problem.family is not None:
         out["family"] = problem.family
     if problem.family_info:
         out["family_info"] = problem.family_info
     return out
+
+
+def _column(records, name: str) -> list:
+    """The attribute ``name`` of each of ``records``."""
+    return list(map(attrgetter(name), records))
+
+
+def _given(column: list) -> list[bool]:
+    """Which values of ``column`` are not None."""
+    return list(map(is_not, column, repeat(None)))
 
 
 def problem_from_json(data, path: str = "problem") -> Problem:
@@ -450,39 +471,35 @@ def expansion_diff_to_json(diff: ExpansionDiff) -> dict:
     }
 
 
-def _dualization_record(record: ConstraintDualization) -> dict:
-    """The record of one constraint's dualization, with its penalty as the polynomial."""
-    out: dict[str, Any] = {
-        "index": record.index,
-        "label": record.label,
-        "dropped": record.dropped,
-    }
-    if record.dropped:
-        out["reason"] = record.reason
-    if record.cube_min is not None:
-        out["cube_min"] = record.cube_min
-        out["cube_min_exact"] = record.cube_min_exact
-    if not record.dropped:
-        out["slack_range"] = record.slack_range
-        out["slack_bits"] = record.bit_count
-        out["slack_vars"] = record.slack_vars
-        out["penalty_weight"] = record.weight
-        out["penalty"] = record.penalty
-    if record.notes:
-        out["notes"] = record.notes
-    if record.expansion_diff is not None:
-        out["expansion_diff"] = expansion_diff_to_json(record.expansion_diff)
-    return out
-
-
 def pubo_to_json(pubo: Pubo) -> dict:
+    records = pubo.dualizations
+    dropped, cube_mins, slack_vars, notes, diffs = (
+        _column(records, name)
+        for name in ("dropped", "cube_min", "slack_vars", "notes", "expansion_diff")
+    )
     return {
         "objective": polynomial_to_json(pubo.objective),
         "constant_offset": pubo.constant_offset,
         "original_sense": pubo.original_sense,
         "variables": pubo.variables,
         "slack_variables": pubo.slack_names(),
-        "dualization": _with_terms(list(map(_dualization_record, pubo.dualizations)), "penalty"),
+        "dualization": _runs([
+            (None, {"index": _column(records, "index"), "label": _column(records, "label"),
+                    "dropped": dropped}),
+            (dropped, {"reason": _column(records, "reason")}),
+            (_given(cube_mins), {"cube_min": cube_mins,
+                                 "cube_min_exact": _column(records, "cube_min_exact")}),
+            (list(map(not_, dropped)), {
+                "slack_range": _column(records, "slack_range"),
+                "slack_bits": list(map(len, slack_vars)),
+                "slack_vars": slack_vars,
+                "penalty_weight": _column(records, "weight"),
+                "penalty": _column(records, "penalty"),
+            }),
+            (list(map(bool, notes)), {"notes": notes}),
+            (_given(diffs), {"expansion_diff": [
+                None if d is None else expansion_diff_to_json(d) for d in diffs]}),
+        ], "penalty"),
     }
 
 

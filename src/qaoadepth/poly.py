@@ -86,11 +86,12 @@ def _canonical_support(variables: Iterable[str]) -> Support:
 class Polynomial:
     """Immutable multilinear polynomial over binary variables."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_range")
 
     def __init__(self, terms: Mapping[Iterable[str], object] | None = None):
         self._terms = Polynomial.from_terms(terms.items() if terms else ())._terms
         self._hash: int | None = None
+        self._range: tuple[Scalar, Scalar, bool] | None = None
 
     @classmethod
     def _from_canonical(cls, terms: dict[Support, Scalar]) -> "Polynomial":
@@ -99,13 +100,19 @@ class Polynomial:
         Sorts the keys, drops zero terms and turns a whole Fraction into its
         int; the terms are not re-validated.
         """
-        poly = cls.__new__(cls)
-        poly._terms = {
+        return cls._from_sorted({
             k: c if type(c) is int or c.denominator != 1 else c.numerator
             for k in sorted(terms)
             if (c := terms[k])
-        }
+        })
+
+    @classmethod
+    def _from_sorted(cls, terms: dict[Support, Scalar]) -> "Polynomial":
+        """Wrap, as it is, a dict of stored terms (see the module docstring) in lex order."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
         poly._hash = None
+        poly._range = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -176,7 +183,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_canonical({s: -c for s, c in self._terms.items()})
+        return Polynomial._from_sorted({s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = _as_polynomial(other)
@@ -194,7 +201,12 @@ class Polynomial:
             scalar = _coerce(other)
             if scalar == 0:
                 return Polynomial()
-            return Polynomial._from_canonical({s: c * scalar for s, c in self._terms.items()})
+            # Same supports, so the same order; a product of nonzero
+            # coefficients is nonzero, but two Fractions' may be whole.
+            return Polynomial._from_sorted({
+                s: p if type(p := c * scalar) is int or p.denominator != 1 else p.numerator
+                for s, c in self._terms.items()
+            })
         if not isinstance(other, Polynomial):
             return NotImplemented
         acc: dict[Support, Scalar] = {}
@@ -209,8 +221,30 @@ class Polynomial:
     __rmul__ = __mul__
 
     def square(self) -> "Polynomial":
-        """``self * self``, with each cross term computed once and doubled."""
-        items = list(self._terms.items())
+        """``self * self``, with each cross term computed once and doubled.
+
+        Two shapes skip the general product, whose every key is a sorted
+        union and whose result is sorted once more:
+
+        * One term c*x_S squares to c**2 * x_S, as x_S * x_S = x_S on the
+          cube; with c = 1 that is ``self``.
+        * A polynomial of degree at most 1, c0 + sum c_i * x_i, squares to
+          c0**2 + sum c_i * (c_i + 2*c0) * x_i + sum 2*c_i*c_j * x_i*x_j over
+          i < j.  Its terms are in lex order, so x_i's name sorts before
+          x_j's, and the pair key is (x_i, x_j) as it stands.  Written x_i,
+          then each x_i*x_j, in turn, the keys come out in lex order, so
+          nothing is sorted or summed twice.
+        """
+        terms = self._terms
+        if len(terms) == 1:
+            ((support, coeff),) = terms.items()
+            if coeff == 1:
+                return self
+            # The square of a Fraction that is not whole is not whole either.
+            return Polynomial._from_sorted({support: coeff * coeff})
+        if max(map(len, terms), default=0) <= 1:
+            return self._linear_square()
+        items = list(terms.items())
         acc: dict[Support, Scalar] = {}
         for i, (sa, ca) in enumerate(items):
             acc[sa] = acc.get(sa, 0) + ca * ca
@@ -220,6 +254,29 @@ class Polynomial:
                 key = tuple(sorted(set_a.union(sb)))
                 acc[key] = acc.get(key, 0) + twice * cb
         return Polynomial._from_canonical(acc)
+
+    def _linear_square(self) -> "Polynomial":
+        """:meth:`square` of a polynomial of degree at most 1."""
+        items = list(self._terms.items())
+        constant = self._terms.get((), 0)
+        acc: dict[Support, Scalar] = {}
+        if constant:
+            acc[()] = constant * constant
+            del items[0]  # () sorts first
+        twice_constant = 2 * constant
+        for i, (sa, ca) in enumerate(items, start=1):
+            if own := ca * (ca + twice_constant):
+                acc[sa] = own
+            twice = 2 * ca
+            name = sa[0]
+            for sb, cb in items[i:]:
+                acc[name, sb[0]] = twice * cb
+        if type(sum(self._terms.values())) is not int:  # a Fraction among them
+            acc = {
+                s: c if type(c) is int or c.denominator != 1 else c.numerator
+                for s, c in acc.items()
+            }
+        return Polynomial._from_sorted(acc)
 
     # -- evaluation and bounds ----------------------------------------------
 
@@ -270,32 +327,54 @@ class Polynomial:
         is enumerated when at most ``EXACT_ENUMERATION_LIMIT`` variables
         occur; above that the same closed form is returned, flagged inexact:
         an interval lower bound that never exceeds the true minimum.
+
+        The minimum and the maximum come from one pass, which is kept: the
+        first of this method and :meth:`maximum_over_cube` computes both,
+        and the other reads the one it asks for.
         """
-        return self._cube_extreme(min)
+        low, _, exact = self._cube_range()
+        return low, exact
 
     def maximum_over_cube(self) -> tuple[Scalar, bool]:
         """Maximum over all binary assignments; mirrors :meth:`minimum_over_cube`."""
-        return self._cube_extreme(max)
+        _, high, exact = self._cube_range()
+        return high, exact
 
-    def _cube_extreme(self, pick) -> tuple[Scalar, bool]:
-        size = len(self.variables())
-        disjoint = sum(map(len, self._terms)) == size
-        if disjoint or size > EXACT_ENUMERATION_LIMIT:
-            return self._interval_extreme(pick), disjoint
-        scale = self.common_denominator()
-        return ratio(pick((self * scale).values_over_cube()), scale), True
+    def _cube_range(self) -> tuple[Scalar, Scalar, bool]:
+        """(minimum, maximum, exact) over the cube, as the methods above describe them.
 
-    def _interval_extreme(self, pick) -> Scalar:
-        """The constant plus ``pick(0, c)`` over every other coefficient c.
-
-        A bound on ``pick`` over the cube in O(terms), never past it, and
-        exact when no two terms share a variable.  It works on ints, the
-        coefficients times their common denominator, and divides back once.
+        The closed form is one scan of the coefficients: the constant plus
+        the negative ones, and the constant plus the positive ones.  It works
+        on the coefficients as they are when all are ints, else on them times
+        their common denominator, dividing back once.  The enumeration reads
+        both extremes off one integer table.
         """
-        scale = self.common_denominator()
-        scaled = self._scaled_terms(scale)
-        value = scaled.get((), 0) + sum([pick(0, c) for s, c in scaled.items() if s])
-        return ratio(value, scale)
+        found = self._range
+        if found is not None:
+            return found
+        terms = self._terms
+        width = sum(map(len, terms))
+        disjoint = width == len(variables := set().union(*terms))
+        if not disjoint and len(variables) <= EXACT_ENUMERATION_LIMIT:
+            scale = self.common_denominator()
+            values = (self * scale).values_over_cube()
+            found = ratio(min(values), scale), ratio(max(values), scale), True
+        else:
+            scale, scaled, total = 1, terms, sum(terms.values())
+            if type(total) is not int:  # a Fraction among them
+                scale = self.common_denominator()
+                scaled = self._scaled_terms(scale)
+                total = sum(scaled.values())
+            positive = sum([c for c in scaled.values() if c > 0])
+            constant = scaled.get((), 0)
+            # The constant, when positive, is in ``positive`` and is kept in
+            # both extremes; the non-constant coefficients split by sign.
+            low, high = total - positive + max(constant, 0), positive + min(constant, 0)
+            if scale != 1:
+                low, high = ratio(low, scale), ratio(high, scale)
+            found = low, high, disjoint
+        self._range = found
+        return found
 
     def _scaled_terms(self, scale: int) -> dict[Support, int]:
         """The terms times ``scale``, a multiple of every denominator, as ints."""

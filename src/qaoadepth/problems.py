@@ -79,9 +79,9 @@ class Problem:
         if len(declared) != len(self.variables):
             repeated = sorted({name for name in self.variables if self.variables.count(name) > 1})
             raise InvalidInputError(f"variable names must be unique, repeated: {repeated}")
-        used = set(self.objective.variables())
+        used = set().union(*self.objective.supports())
         for con in self.constraints:
-            used.update(con.lhs.variables())
+            used.update(*con.lhs.supports())
         missing = used - declared
         if missing:
             raise InvalidInputError(f"unregistered variables: {sorted(missing)}")
@@ -143,13 +143,23 @@ def _vertex_var(i: int) -> str:
     return f"x{i}"
 
 
+def _vertex_names(g: InstanceGraph) -> list[str]:
+    """Each vertex's variable name, by vertex number; item 0 is unused."""
+    return list(map(_vertex_var, range(g.n + 1)))
+
+
+def _count_vertices(names: list[str]) -> Polynomial:
+    """The sum of the variables ``names[1:]``."""
+    return Polynomial._from_canonical({(name,): 1 for name in names[1:]})
+
+
 def make_maxcut(g: InstanceGraph) -> Problem:
     """MaxCut as an unconstrained minimization.
 
     Each edge {i,j} contributes w*(2*xi*xj - xi - xj), which is -w exactly
     when the edge is cut, so the minimum equals minus the maximum cut weight.
     """
-    names = [_vertex_var(i) for i in range(g.n + 1)]
+    names = _vertex_names(g)
     weights = g.weights if g.weights is not None else (1,) * len(g.edges)
     # The coefficient dict is built in canonical form directly: supports are
     # sorted by name ("x10" < "x9") and edges are distinct, so each edge owns
@@ -183,20 +193,20 @@ def with_penalty_weight(problem: Problem, weight) -> Problem:
 
 def make_maxindset(g: InstanceGraph) -> Problem:
     """Maximum independent set: max sum(xi) with xi*xj <= 0 per edge."""
-    objective = Polynomial.from_terms(((_vertex_var(i),), 1) for i in range(1, g.n + 1))
-    constraints = tuple(
-        Constraint(
-            lhs=Polynomial._from_canonical({tuple(sorted((_vertex_var(u), _vertex_var(v)))): 1}),
+    names = _vertex_names(g)
+    constraints = []
+    for u, v in g.edges:
+        xu, xv = names[u], names[v]
+        constraints.append(Constraint(
+            lhs=Polynomial._from_sorted({(xu, xv) if xu < xv else (xv, xu): 1}),
             rhs=0,
             label=f"edge({u},{v})",
-        )
-        for u, v in g.edges
-    )
+        ))
     return Problem(
         sense=MAXIMIZE,
-        objective=objective,
-        constraints=constraints,
-        variables=tuple(_vertex_var(i) for i in range(1, g.n + 1)),
+        objective=_count_vertices(names),
+        constraints=tuple(constraints),
+        variables=tuple(names[1:]),
         family="maxindset",
         family_info={"n": g.n, "edges": g.edges},
     )
@@ -204,20 +214,22 @@ def make_maxindset(g: InstanceGraph) -> Problem:
 
 def make_vertex_cover(g: InstanceGraph) -> Problem:
     """Minimum vertex cover: min sum(xi) with (1-xi)+(1-xj) <= 1 per edge."""
-    objective = Polynomial.from_terms(((_vertex_var(i),), 1) for i in range(1, g.n + 1))
-    constraints = tuple(
-        Constraint(
-            lhs=Polynomial._from_canonical({(): 2, (_vertex_var(u),): -1, (_vertex_var(v),): -1}),
+    names = _vertex_names(g)
+    constraints = []
+    for u, v in g.edges:
+        xu, xv = names[u], names[v]
+        if xv < xu:
+            xu, xv = xv, xu
+        constraints.append(Constraint(
+            lhs=Polynomial._from_sorted({(): 2, (xu,): -1, (xv,): -1}),
             rhs=1,
             label=f"edge({u},{v})",
-        )
-        for u, v in g.edges
-    )
+        ))
     return Problem(
         sense=MINIMIZE,
-        objective=objective,
-        constraints=constraints,
-        variables=tuple(_vertex_var(i) for i in range(1, g.n + 1)),
+        objective=_count_vertices(names),
+        constraints=tuple(constraints),
+        variables=tuple(names[1:]),
         family="vertex_cover",
         family_info={"n": g.n, "edges": g.edges},
     )

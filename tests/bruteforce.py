@@ -26,6 +26,7 @@ from qaoadepth import (
     Problem,
     Pubo,
 )
+from qaoadepth.io import _records, _Runs, _Table, expansion_diff_to_json, polynomial_to_json
 from qaoadepth.poly import EXACT_ENUMERATION_LIMIT
 
 
@@ -907,3 +908,86 @@ def render_schedule_text_reference(sched: CircuitSchedule, color: bool = False) 
     if sched.iterations > 1:
         lines.append(f"(repeated {sched.iterations} times; angles gamma_k, beta_k per iteration)")
     return "\n".join(lines) + "\n"
+
+
+def _with_terms_reference(records: list[dict], key: str):
+    """``records``, whose values under ``key`` are polynomials, as runs of one key set.
+
+    The dict-per-record path ``io`` used before it read records column by
+    column: each run of dicts with equal keys is a table whose ``key``
+    column is one table of all its polynomials' terms with each record's
+    count of them.
+    """
+    runs = _Runs()
+    for _, run in itertools.groupby(records, dict.keys):
+        run = list(run)
+        columns = {name: [record[name] for record in run] for name in run[0]}
+        polys = columns.get(key)
+        if polys is not None:
+            terms = [term for poly in polys for term in poly.terms()]
+            columns[key] = ([poly.num_terms() for poly in polys], _records(terms, "vars", "coeff"))
+        runs.append(_Table(columns))
+    return runs
+
+
+def problem_to_json_reference(problem: Problem) -> dict:
+    """``io.problem_to_json`` with one dict per constraint, regrouped by its keys."""
+    constraints = []
+    for con in problem.constraints:
+        entry = {"terms": con.lhs, "rhs": con.rhs}
+        if con.weight is not None:
+            entry["lambda"] = con.weight
+        if con.lower is not None:
+            entry["lower"] = con.lower
+        if con.slack_bound is not None:
+            entry["slack_bound"] = con.slack_bound
+        if con.label:
+            entry["label"] = con.label
+        if con.reference_expansion is not None:
+            entry["reference_expansion"] = polynomial_to_json(con.reference_expansion)
+        constraints.append(entry)
+    out = {
+        "sense": problem.sense,
+        "variables": problem.variables,
+        "objective": polynomial_to_json(problem.objective),
+        "constraints": _with_terms_reference(constraints, "terms"),
+    }
+    if problem.family is not None:
+        out["family"] = problem.family
+    if problem.family_info:
+        out["family_info"] = problem.family_info
+    return out
+
+
+def dualization_record_reference(record) -> dict:
+    """The record of one constraint's dualization, with its penalty as the polynomial."""
+    out = {"index": record.index, "label": record.label, "dropped": record.dropped}
+    if record.dropped:
+        out["reason"] = record.reason
+    if record.cube_min is not None:
+        out["cube_min"] = record.cube_min
+        out["cube_min_exact"] = record.cube_min_exact
+    if not record.dropped:
+        out["slack_range"] = record.slack_range
+        out["slack_bits"] = record.bit_count
+        out["slack_vars"] = record.slack_vars
+        out["penalty_weight"] = record.weight
+        out["penalty"] = record.penalty
+    if record.notes:
+        out["notes"] = record.notes
+    if record.expansion_diff is not None:
+        out["expansion_diff"] = expansion_diff_to_json(record.expansion_diff)
+    return out
+
+
+def pubo_to_json_reference(pubo: Pubo) -> dict:
+    """``io.pubo_to_json`` with one dict per dualization record, regrouped by its keys."""
+    return {
+        "objective": polynomial_to_json(pubo.objective),
+        "constant_offset": pubo.constant_offset,
+        "original_sense": pubo.original_sense,
+        "variables": pubo.variables,
+        "slack_variables": pubo.slack_names(),
+        "dualization": _with_terms_reference(
+            [dualization_record_reference(r) for r in pubo.dualizations], "penalty"),
+    }

@@ -515,6 +515,32 @@ def test_an_infeasible_two_sided_constraint_exits_2(capsys, tmp_path, command):
     assert not artifact.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_an_infeasible_two_sided_constraint_on_overlapping_supports_exits_2(capsys, tmp_path, command):
+    # x1*x2 - 2*x1 takes 0, -2 and -1, so 1 <= x1*x2 - 2*x1 <= 2 holds
+    # nowhere, though the closed-form bound on its maximum, 1, reaches
+    # lower.  Within the enumeration limit the maximum is enumerated.
+    x1, x2 = Polynomial.variable("x1"), Polynomial.variable("x2")
+    problem = Problem(
+        sense="min",
+        objective=x1,
+        constraints=(Constraint(lhs=x1 * x2 - 2 * x1, rhs=2, lower=1),),
+        variables=("x1", "x2"),
+    )
+    path, artifact = tmp_path / "two-sided.json", tmp_path / "artifact.json"
+    write_problem(problem, str(path))
+    code, out, err = run_cli(
+        capsys, command, "--problem", str(path), "--gate-width", "3", "--format", "text",
+        "--out", str(artifact),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: constraint 1 is infeasible: max over the cube is at most 0, "
+        "which is below the lower bound 1\n"
+    )
+    assert not artifact.exists()
+
+
 def test_family_info_too_deep_to_write_exits_1(capsys, tmp_path, monkeypatch):
     # Files cap family_info's nesting when read; a Problem built in code
     # does not, and its artifact is refused rather than ending in a traceback.

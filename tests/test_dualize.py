@@ -302,27 +302,57 @@ def test_max_problems_are_flipped_without_building_a_problem(monkeypatch, w6):
 
 
 def test_two_sided_constraints_skip_the_cube_maximum(monkeypatch):
+    # A constraint pays for at most one enumeration: its maximum, which
+    # decides whether a one-sided constraint is dropped and whether a
+    # two-sided one is infeasible, is read off the minimum's table.
     x1, x2, x3 = (Polynomial.variable(f"x{i}") for i in (1, 2, 3))
-    lhs = 2 * x1 * x2 + x2 * x3 + x1 + x3
     variables = ("x1", "x2", "x3")
+    tables = []
+    values_over_cube = Polynomial.values_over_cube
+
+    def recording(self, order=None):
+        tables.append(self)
+        return values_over_cube(self, order)
+
+    monkeypatch.setattr(Polynomial, "values_over_cube", recording)
 
     def problem(lower, rhs):
+        lhs = 2 * x1 * x2 + x2 * x3 + x1 + x3  # overlapping supports, so enumerated
         constraint = Constraint(lhs=lhs, rhs=rhs, lower=lower, weight=8)
         return Problem(sense="min", objective=x1 - x2 - x3, constraints=(constraint,), variables=variables)
 
     # A one-sided constraint still reads the maximum: lhs <= 5 always holds.
     assert dualize(problem(None, 5)).dualizations[0].dropped
-
-    def no_maximum(self):
-        raise AssertionError("maximum_over_cube called for a two-sided constraint")
-
-    monkeypatch.setattr(Polynomial, "maximum_over_cube", no_maximum)
+    assert len(tables) == 1
     for lower, rhs in ((1, 3), (0, 5), (2, 4)):
+        tables.clear()
         pubo = dualize(problem(lower, rhs))
+        assert len(tables) == 1
         record = pubo.dualizations[0]
         assert not record.dropped
         assert record.slack_range == rhs - lower
         assert verify_penalty(pubo, problem(lower, rhs)).passed
+
+
+@pytest.mark.parametrize("make, wraps", [(make_maxindset, 0), (make_vertex_cover, 1)])
+def test_each_kept_constraint_sorts_at_most_its_residual(monkeypatch, make, wraps):
+    # A kept constraint's residual, lhs + slack - rhs, is sorted once when it
+    # is not lhs itself; its square and penalty come out in order.  The one
+    # other sort is the penalty form's.
+    calls = []
+    from_canonical = Polynomial._from_canonical.__func__
+
+    def recording(cls, terms):
+        calls.append(terms)
+        return from_canonical(cls, terms)
+
+    monkeypatch.setattr(Polynomial, "_from_canonical", classmethod(recording))
+    problem = make(random_graph(random.Random(67), 12, 0.4))
+    calls.clear()
+    pubo = dualize(problem)
+    kept = sum(not record.dropped for record in pubo.dualizations)
+    assert kept == len(problem.constraints) > 10
+    assert len(calls) == kept * wraps + 1
 
 
 def test_dualize_is_deterministic(general_problem):

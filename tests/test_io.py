@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaoadepth import (
+    Constraint,
     InstanceGraph,
     InvalidInputError,
     Polynomial,
@@ -52,7 +54,13 @@ from qaoadepth.io import (
 )
 from qaoadepth.pipeline import run_pipeline
 
-from bruteforce import pubo_from_polynomial, random_polynomial, render_schedule_text_reference
+from bruteforce import (
+    problem_to_json_reference,
+    pubo_from_polynomial,
+    pubo_to_json_reference,
+    random_polynomial,
+    render_schedule_text_reference,
+)
 
 
 def roundtrip_canonical(problem) -> None:
@@ -692,3 +700,65 @@ def test_every_json_subcommand_writes_canonical_text(tmp_path):
     analyze = json.loads((tmp_path / "general-analyze-0.json").read_text(encoding="utf-8"))
     coeffs = [term["coeff"] for term in analyze["problem"]["objective"]]
     assert {type(c) for c in coeffs} == {int, dict}
+
+
+def _random_record_problem(rng) -> Problem:
+    """A problem whose constraints take every optional key, some dropped, some rational."""
+    names = ("x1", "x2", "x3", "x4")
+    constraints = []
+    for _ in range(rng.randint(0, 7)):
+        lhs = random_polynomial(rng, names, max_terms=4, max_width=2)
+        if rng.random() < 0.4:
+            lhs = lhs * Fraction(rng.randint(1, 5), rng.randint(2, 4))
+        low, high = lhs.minimum_over_cube()[0], lhs.maximum_over_cube()[0]
+        gap = Fraction(rng.randint(0, 4), rng.choice((1, 2)))
+        options = {}
+        if rng.random() < 0.3:  # two-sided: lower within reach of the maximum
+            options["lower"] = high - gap
+            rhs = options["lower"] + Fraction(rng.randint(1, 4), rng.choice((1, 3)))
+            rhs = max(rhs, low)
+        elif rng.random() < 0.3:  # dropped: lhs never exceeds rhs
+            rhs = high + gap
+        else:
+            rhs = low + gap
+        if rng.random() < 0.4:
+            options["weight"] = rng.choice((1, 3, Fraction(7, 2)))
+        if rng.random() < 0.3:
+            options["slack_bound"] = Fraction(rng.randint(0, 3), rng.choice((1, 2)))
+        if rng.random() < 0.5:
+            options["label"] = rng.choice(("cap", "edge(1,2)", 'q"'))
+        if rng.random() < 0.3:
+            options["reference_expansion"] = random_polynomial(rng, names, max_terms=3)
+        constraints.append(Constraint(lhs=lhs, rhs=rhs, **options))
+    return Problem(rng.choice(("min", "max")), random_polynomial(rng, names), tuple(constraints), names)
+
+
+def test_records_read_by_column_match_one_dict_per_record():
+    rng = random.Random(61)
+    shapes, alternating = set(), 0
+    for draw in range(300):
+        problem = _random_record_problem(rng)
+        assert dumps(problem_to_json(problem)) == dumps(problem_to_json_reference(problem))
+        pubo = dualize(problem)
+        records = list(pubo.dualizations)
+        if draw % 3 == 0:  # shapes dualize never makes: a dropped record with notes, no cube_min
+            records = [
+                replace(r, notes=("by hand",)) if r.dropped and rng.random() < 0.5
+                else replace(r, cube_min=None) if rng.random() < 0.2 else r
+                for r in records
+            ]
+            pubo = replace(pubo, dualizations=tuple(records))
+        reference = pubo_to_json_reference(pubo)
+        assert dumps(pubo_to_json(pubo)) == dumps(reference)
+        record_shapes = [table.keys for table in reference["dualization"]]
+        shapes.update(record_shapes)
+        alternating += len(record_shapes) > len(set(record_shapes))
+        for table in problem_to_json_reference(problem)["constraints"]:
+            shapes.add(table.keys)
+    keys = set().union(*shapes)
+    assert keys >= {"lambda", "lower", "slack_bound", "label", "reference_expansion",
+                    "reason", "notes", "expansion_diff", "cube_min", "penalty"}
+    assert any("reason" in keys and "notes" in keys for keys in shapes)
+    assert any("penalty" in keys and "notes" not in keys for keys in shapes)
+    assert any("penalty" in keys and "cube_min" not in keys for keys in shapes)
+    assert alternating >= 20

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaoadepth import MissingAssignmentError, Polynomial
 from qaoadepth import poly as poly_mod
@@ -449,7 +451,8 @@ def test_nonlinear_cube_extremes_enumerate_integer_tables(monkeypatch):
         assert low == (exhaustive_minimum(p), True)
         assert high == (-exhaustive_minimum(-p), True)
         assert is_canonical(low[0]) and is_canonical(high[0])
-    assert len(enumerated) == 80 and set(enumerated) == {1}
+    # One integer table per polynomial serves both extremes.
+    assert len(enumerated) == 40 and set(enumerated) == {1}
 
 
 def test_values_over_cube_requires_covering_order():
@@ -487,3 +490,112 @@ def test_hash_and_equality():
     b = var("x2") + var("x1")
     assert a == b and hash(a) == hash(b)
     assert Polynomial.constant(3) == 3
+
+
+# -- the fast paths of square, scalar multiplication and the cube bounds -----
+
+FAST_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+FAST_NAMES = ("a", "b", "c", "x1", "x10", "x2")  # "x10" sorts before "x2"
+fast_coefficients = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 5)),
+)
+
+
+def _term_polynomial(pairs) -> Polynomial:
+    return Polynomial.from_terms(pairs)
+
+
+linear_polynomials = st.builds(
+    _term_polynomial,
+    st.lists(st.tuples(st.sets(st.sampled_from(FAST_NAMES), max_size=1), fast_coefficients), max_size=7),
+)
+one_term_polynomials = st.builds(
+    lambda support, coeff: Polynomial.from_terms([(support, coeff)]),
+    st.sets(st.sampled_from(FAST_NAMES), max_size=3),
+    st.one_of(st.sampled_from((1, -1, 2, -3)), fast_coefficients),
+)
+general_polynomials = st.builds(
+    _term_polynomial,
+    st.lists(st.tuples(st.sets(st.sampled_from(FAST_NAMES), max_size=3), fast_coefficients), max_size=6),
+)
+any_polynomial = st.one_of(linear_polynomials, one_term_polynomials, general_polynomials)
+
+
+def _is_stored_form(p: Polynomial) -> bool:
+    """Sorted supports in lex order, each a sorted tuple, with nonzero canonical coefficients."""
+    supports = p.supports()
+    return (
+        list(supports) == sorted(supports)
+        and all(list(s) == sorted(set(s)) for s in supports)
+        and all(c and is_canonical(c) for _, c in p.terms())
+    )
+
+
+@FAST_SETTINGS
+@given(any_polynomial)
+def test_square_equals_the_product_and_the_squared_values(p):
+    square = p.square()
+    assert _is_stored_form(square)
+    assert square == p * p
+    for assignment in assignments(p.variables()):
+        assert square.evaluate(assignment) == p.evaluate(assignment) ** 2
+
+
+@FAST_SETTINGS
+@given(one_term_polynomials)
+def test_a_one_term_square_keeps_its_support(p):
+    ((support, coeff),) = p.terms()
+    square = p.square()
+    assert list(square.terms()) == [(support, coeff * coeff)]
+    assert (square is p) == (coeff == 1)
+
+
+@FAST_SETTINGS
+@given(any_polynomial, st.one_of(fast_coefficients, st.sampled_from((2, 3, 4, 5, 6))))
+def test_scalar_products_keep_the_order_and_whole_fractions_become_ints(p, scalar):
+    product = p * scalar
+    assert _is_stored_form(product)
+    assert product.supports() == p.supports()
+    assert dict(product.terms()) == {s: c * scalar for s, c in p.terms()}
+    assert product * Fraction(1, 1) is product
+
+
+def test_scalar_products_turn_whole_fractions_into_ints():
+    p = Polynomial({("a",): Fraction(1, 2), ("a", "b"): Fraction(-3, 4), (): Fraction(5, 6)})
+    product = p * 12
+    assert list(product.terms()) == [((), 10), (("a",), 6), (("a", "b"), -9)]
+    assert all(type(c) is int for _, c in product.terms())
+    assert [type(c) for _, c in (p * Fraction(6, 5)).terms()] == [int, Fraction, Fraction]
+
+
+@FAST_SETTINGS
+@given(any_polynomial)
+def test_cube_extremes_equal_enumeration(p):
+    low, high = exhaustive_minimum(p), -exhaustive_minimum(-p)
+    assert p.minimum_over_cube() == (low, True)
+    assert p.maximum_over_cube() == (high, True)
+    assert is_canonical(p.minimum_over_cube()[0]) and is_canonical(p.maximum_over_cube()[0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23), fast_coefficients), min_size=1, max_size=8),
+    fast_coefficients,
+    st.lists(st.lists(st.integers(0, 1), min_size=24, max_size=24), min_size=1, max_size=4),
+)
+def test_cube_bounds_above_the_limit_are_sound_and_flagged_inexact(pairs, constant, points):
+    # A path over all 24 names, so more than EXACT_ENUMERATION_LIMIT variables
+    # occur and x1 is shared, plus drawn pairs and a constant.
+    names = [f"v{i:02d}" for i in range(24)]
+    terms = [((u, v), 1) for u, v in zip(names, names[1:])]
+    terms += [((names[i], names[j]), c) for i, j, c in pairs] + [((), constant)]
+    p = Polynomial.from_terms(terms)
+    assert len(p.variables()) > poly_mod.EXACT_ENUMERATION_LIMIT
+    (low, low_exact), (high, high_exact) = p.minimum_over_cube(), p.maximum_over_cube()
+    assert not low_exact and not high_exact
+    coeffs = [c for s, c in p.terms() if s]
+    assert low == p.constant_term + sum(c for c in coeffs if c < 0)
+    assert high == p.constant_term + sum(c for c in coeffs if c > 0)
+    for bits in points:
+        assert low <= p.evaluate(dict(zip(names, bits))) <= high
