@@ -151,6 +151,16 @@ def _records(rows, *keys) -> _Table:
     return _Table({key: list(map(itemgetter(i), rows)) for i, key in enumerate(keys)})
 
 
+def _column(records, name: str) -> list:
+    """The attribute ``name`` of each of ``records``."""
+    return list(map(attrgetter(name), records))
+
+
+def _given(column: list) -> list[bool]:
+    """Which values of ``column`` are not None."""
+    return list(map(is_not, column, repeat(None)))
+
+
 def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], terms_key: str) -> _Runs:
     """Records given column by column, as runs of one key set.
 
@@ -242,16 +252,6 @@ def problem_to_json(problem: Problem) -> dict:
     if problem.family_info:
         out["family_info"] = problem.family_info
     return out
-
-
-def _column(records, name: str) -> list:
-    """The attribute ``name`` of each of ``records``."""
-    return list(map(attrgetter(name), records))
-
-
-def _given(column: list) -> list[bool]:
-    """Which values of ``column`` are not None."""
-    return list(map(is_not, column, repeat(None)))
 
 
 def problem_from_json(data, path: str = "problem") -> Problem:
