@@ -165,12 +165,16 @@ def make_coloring(
 
 
 def first_fit_classes(h: DerivedHypergraph) -> list[list[int]]:
-    """First-fit color classes, most conflicting edges first; deterministic."""
-    m = len(h.edges)
-    colors = [-1] * m
+    """First-fit color classes, most conflicting edges first, from per-qubit color masks."""
+    ends, used = h.ends, [0] * len(h.qubits)
+    colors = [0] * len(ends)
     for index in h.by_conflict_degree:
-        taken = {colors[j] for j in h.conflicts[index]}
-        colors[index] = next(c for c in range(m) if c not in taken)
+        taken = 0
+        for x in ends[index]:
+            taken |= used[x]
+        colors[index] = _lowest(~taken)
+        for x in ends[index]:
+            used[x] |= 1 << colors[index]
     classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for index, color in enumerate(colors):
         classes[color].append(index)

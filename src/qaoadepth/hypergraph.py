@@ -12,8 +12,8 @@ as an offset.
 Two reductions shrink the gate count under a hardware width limit L:
 
 * :func:`absorb_subsets` merges any monomial whose support is contained in
-  another gate of width <= L into that gate; the wider gate already acts on
-  all the qubits the narrower one needs.
+  another gate of width <= L into that gate, which already acts on all the
+  qubits the narrower one needs; each gate claims its sub-supports in a dict.
 * :func:`merge_exact` searches for the depth-optimal joint solution: gates
   may group several monomials whose combined support stays within L, and
   disjoint gates may share a circuit layer.  Branch and bound, exact.  Its
@@ -29,7 +29,9 @@ edges are masks over edges, with the bits in branching-preference order.
 Each layer keeps the mask of edges it touches (saturation) and of edges it
 bars (no gate of width L could take them in it); the saturation counts are
 bit-sliced over a few digit masks, so a node picks its edge and rejects a
-layer with a handful of whole-mask operations.
+layer with a handful of whole-mask operations.  Those per-edge masks are
+the only structure over pairs of edges: first-fit, the conflict clique and
+the search's set-up read the qubit incidence and the conflict degrees.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from math import comb
 
 from .dualize import Pubo
 from .errors import GateWidthError, InvalidInputError
@@ -110,42 +112,39 @@ class DerivedHypergraph:
         return max(map(len, self.incident), default=0)
 
     @cached_property
-    def conflicts(self) -> tuple[tuple[int, ...], ...]:
-        """For each edge, the sorted indices of the other edges sharing a vertex with it.
+    def conflict_degrees(self) -> tuple[int, ...]:
+        """For each edge, how many other edges share a qubit with it.
 
-        Built from :attr:`incident` in O(sum of degree^2).
+        The size of the union of its qubits' :attr:`incident` edges, less
+        itself; no edge's list of conflicts is kept.
         """
-        return tuple(
-            tuple(sorted({j for x in ends for j in self.incident[x]} - {index}))
-            for index, ends in enumerate(self.ends)
-        )
+        incident = self.incident
+        return tuple(len({j for x in ends for j in incident[x]}) - 1 for ends in self.ends)
 
     @cached_property
     def by_conflict_degree(self) -> tuple[int, ...]:
         """Edge indices, most conflicts first, ties by support."""
-        return tuple(
-            sorted(
-                range(len(self.edges)),
-                key=lambda i: (-len(self.conflicts[i]), self.edges[i].support),
-            )
-        )
+        degrees, edges = self.conflict_degrees, self.edges
+        return tuple(sorted(range(len(edges)), key=lambda i: (-degrees[i], edges[i].support)))
 
     @cached_property
     def conflict_clique(self) -> tuple[int, ...]:
         """A maximal set of pairwise intersecting edges, picked greedily.
 
         Edges are tried in :attr:`by_conflict_degree` order.  The clique
-        bounds the chromatic index below and opens the exact coloring's layers.
+        bounds the chromatic index below and opens the exact coloring's
+        layers.  Only the edges that join it have their conflicts unioned.
         """
         order = self.by_conflict_degree
         if not order:
             return ()
+        incident, ends = self.incident, self.ends
         clique = [order[0]]
-        common = set(self.conflicts[order[0]])  # edges conflicting with every clique member
+        common = {j for x in ends[order[0]] for j in incident[x]}  # edges meeting every member
         for i in order[1:]:
             if i in common:
                 clique.append(i)
-                common.intersection_update(self.conflicts[i])
+                common.intersection_update([j for x in ends[i] for j in incident[x]])
         return tuple(clique)
 
     @cached_property
@@ -238,73 +237,53 @@ def check_gate_width(h: DerivedHypergraph, limit: int) -> None:
 def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     """Fold each hyperedge into a containing hyperedge of width <= limit.
 
-    Chains collapse into their maximal element, and a folded phase moves
-    with its edge.  Edges wider than the limit are kept as-is (they can
-    absorb nothing and will be rejected by the width check downstream).
-    When nothing is absorbed and the edges of ``h`` are already in support
-    order (as :func:`build` and this function leave them), ``h`` itself is
-    returned, with the properties it has cached.  A narrow edge is absorbed
-    exactly when an edge of width in (its width, limit] contains it, so a
-    scan for one decides that case before any sort.
+    Edges are visited widest first, ties by support.  Each kept edge of
+    width <= limit claims its proper sub-supports as wide as a narrower
+    edge: it lists them, or tests those edges when they are fewer.  An edge
+    whose support is claimed folds into the first claimer, so chains
+    collapse into their maximal element, and a folded phase moves with its
+    edge.  Edges wider than the limit are kept (the width check downstream
+    rejects them).  When nothing is absorbed and the edges of ``h`` are in
+    support order (as :func:`build` and this function leave them), ``h``
+    itself is returned with its cached properties; when no edge is
+    narrower than the limit, before any sort.
     """
     if limit < 2:
         raise InvalidInputError(f"gate width limit must be >= 2, got {limit}")
-    if _absorbs_nothing(h, limit) and _in_support_order(h.edges):
+    supports = [edge.support for edge in h.edges]
+    narrow: dict[int, list[Support]] = {}  # width below the limit -> the supports of that width
+    for support in supports:
+        if len(support) < limit:
+            narrow.setdefault(len(support), []).append(support)
+    ordered = supports == sorted(supports)  # as the rebuild below leaves them
+    if not narrow and ordered:
         return h
 
-    def rank(i: int) -> tuple[int, Support]:
-        """Widest first, ties by support: the order edges are visited and hosts preferred."""
-        return (-len(h.edges[i].support), h.edges[i].support)
-
+    claims: dict[Support, int] = {}  # sub-support -> the first kept edge containing it
     kept: dict[int, list[tuple[Support, Scalar]]] = {}  # kept edge -> monomials it covers
-    for index in sorted(range(len(h.edges)), key=rank):
-        edge = h.edges[index]
-        width = len(edge.support)
-        host = None
-        if width < limit:
-            # A host contains the whole support, so it is incident to its rarest vertex.
-            support = set(edge.support)
-            rarest = min(h.ends[index], key=lambda x: len(h.incident[x]))
-            host = min(
-                (
-                    c for c in h.incident[rarest]
-                    if c in kept
-                    and width < len(h.edges[c].support) <= limit
-                    and support.issubset(h.edges[c].support)
-                ),
-                key=rank,
-                default=None,
-            )
-        if host is None:
-            kept[index] = list(edge.monomials)
-        else:
-            kept[host].extend(edge.monomials)
+    for index in sorted(range(len(supports)), key=lambda i: (-len(supports[i]), supports[i])):
+        support, monomials = supports[index], h.edges[index].monomials
+        if support in claims:
+            kept[claims[support]].extend(monomials)
+            continue
+        kept[index] = list(monomials)
+        for width, narrower in narrow.items():
+            if width < len(support) <= limit:
+                if comb(len(support), width) <= len(narrower):
+                    subs = combinations(support, width)
+                else:
+                    subs = filter(set(support).issuperset, narrower)
+                for sub in subs:
+                    claims.setdefault(sub, index)
 
-    if len(kept) == len(h.edges) and _in_support_order(h.edges):
+    if len(kept) == len(supports) and ordered:
         return h
     new_edges = [
-        Hyperedge(support=h.edges[index].support, monomials=tuple(sorted(monomials)))
+        Hyperedge(support=supports[index], monomials=tuple(sorted(monomials)))
         for index, monomials in kept.items()
     ]
     new_edges.sort(key=lambda e: e.support)
     return replace(h, edges=tuple(new_edges))
-
-
-def _absorbs_nothing(h: DerivedHypergraph, limit: int) -> bool:
-    """True when no edge narrower than ``limit`` lies in another edge of width <= ``limit``."""
-    for index, edge in enumerate(h.edges):
-        if len(edge.support) < limit:
-            # A containing edge acts on every qubit of the narrow one, its first among them.
-            support = set(edge.support)
-            for c in h.incident[h.ends[index][0]]:
-                if len(support) < len(h.ends[c]) <= limit and support.issubset(h.edges[c].support):
-                    return False
-    return True
-
-
-def _in_support_order(edges: Sequence[Hyperedge]) -> bool:
-    """True when ``edges`` are sorted by support, the order the rebuild leaves them in."""
-    return all(a.support <= b.support for a, b in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -339,12 +318,14 @@ def search_layers(
     Supports are bit masks over the qubit numbers.  Sets of edges are bit
     masks too, each edge's bit at its rank in the tie-break order (conflict
     degree, then -index), so the highest bit of a set is the edge preferred.
-    Per edge, ``near`` holds its conflicts and ``clash`` those of them that
-    no gate of width ``limit`` can hold together with it (with ``limit=0``,
-    all of them).  Per layer, next to its ``[mask, members]`` gates and
-    their union mask, ``touching`` holds the edges conflicting with a member
-    and ``barred`` the edges clashing with one: a barred edge is rejected
-    without a look at the gates, any other still gets the full width check.
+    Per edge, ``near`` holds its conflicts, the union of its qubits' masks
+    of edges, and ``clash`` those of them that no gate of width ``limit``
+    can hold together with it (with ``limit=0``, all of them), by a width
+    test on each edge at its qubits.  Per layer, next to its ``[mask,
+    members]`` gates and their union mask, ``touching`` holds the edges
+    conflicting with a member and ``barred`` the edges clashing with one: a
+    barred edge is rejected without a look at the gates, any other still
+    gets the full width check.
     Saturations are bit-sliced: bit b of ``digits[d]`` is digit d of edge
     b's count, and a placement adds one, by ripple carry, to the edges it
     newly touches.  ``max(incumbent, len(seed)).bit_length()`` digits, with
@@ -363,16 +344,29 @@ def search_layers(
     if incumbent <= lower:
         return None, 0, True
     seed = () if limit else h.conflict_clique
-    conflicts = h.conflicts
-    m = len(conflicts)
-    edge_at = sorted(range(m), key=lambda i: (len(conflicts[i]), -i))  # rank -> edge
-    rank = {edge: position for position, edge in enumerate(edge_at)}
-    masks = [h._support_masks[edge] for edge in edge_at]
-    near = [sum(1 << rank[j] for j in conflicts[edge]) for edge in edge_at]
-    clash = [
-        sum(1 << rank[j] for j in conflicts[edge] if (mask | masks[rank[j]]).bit_count() > limit)
-        for mask, edge in zip(masks, edge_at)
-    ]
+    degrees, m = h.conflict_degrees, len(h.edges)
+    ends, incident, support_masks = h.ends, h.incident, h._support_masks
+    edge_at = sorted(range(m), key=lambda i: (degrees[i], -i))  # rank -> edge
+    rank = [0] * m
+    at_qubit = [0] * len(incident)  # per qubit, the bits of its edges
+    for position, edge in enumerate(edge_at):
+        rank[edge] = position
+        for x in ends[edge]:
+            at_qubit[x] |= 1 << position
+    masks = [support_masks[edge] for edge in edge_at]
+    near, clash = [], []
+    for position, edge in enumerate(edge_at):
+        mask, bits = masks[position], 0
+        for x in ends[edge]:
+            bits |= at_qubit[x]
+        near.append(bits & ~(1 << position))
+        if limit:
+            bits = 0
+            for x in ends[edge]:
+                for j in incident[x]:
+                    if (mask | support_masks[j]).bit_count() > limit:
+                        bits |= 1 << rank[j]
+        clash.append(bits & ~(1 << position))
     layers: list[list[list]] = []  # per layer, its [mask, members] gates
     unions: list[int] = []  # per layer, the mask of all qubits it acts on
     touching: list[int] = []

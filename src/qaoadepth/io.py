@@ -60,7 +60,7 @@ from .coloring import EdgeColoring
 from .dualize import ExpansionDiff, Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
-from .poly import Polynomial, Scalar, ratio
+from .poly import Polynomial, Scalar, Support, ratio
 from .problems import Constraint, InstanceGraph, Problem
 from .schedule import CircuitSchedule, DepthReport
 
@@ -200,28 +200,29 @@ def polynomial_to_json(p: Polynomial) -> _Table:
 
 
 def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
+    """The sum of the JSON terms, each checked once here and not again by :class:`Polynomial`."""
     if not isinstance(data, list):
         raise InvalidInputError(f"{path}: expected a list of terms")
-    pairs = []
-    for i, term in enumerate(data):
-        term_path = f"{path}[{i}]"
+    terms: dict[Support, Scalar] = {}
+    for i, term in enumerate(data):  # the paths are formatted only for an error
         if not isinstance(term, dict):
-            raise InvalidInputError(f"{term_path}: expected an object")
-        extra = set(term) - {"vars", "coeff"}
-        if extra:
-            raise InvalidInputError(f"{term_path}: unknown fields {sorted(extra)}")
+            raise InvalidInputError(f"{path}[{i}]: expected an object")
+        if not term.keys() <= {"vars", "coeff"}:
+            extra = sorted(term.keys() - {"vars", "coeff"})
+            raise InvalidInputError(f"{path}[{i}]: unknown fields {extra}")
         variables = term.get("vars", [])
         if not isinstance(variables, list) or not all(isinstance(v, str) and v for v in variables):
-            raise InvalidInputError(f"{term_path}.vars: expected a list of non-empty variable names")
-        if known is not None:
-            for j, name in enumerate(variables):
-                if name not in known:
-                    raise InvalidInputError(
-                        f"{term_path}.vars[{j}]: unknown variable {name!r}"
-                    )
-        coeff = rational_from_json(term.get("coeff", 1), f"{term_path}.coeff")
-        pairs.append((tuple(variables), coeff))
-    return Polynomial.from_terms(pairs)
+            expected = "expected a list of non-empty variable names"
+            raise InvalidInputError(f"{path}[{i}].vars: {expected}")
+        if known is not None and not known.issuperset(variables):
+            j, name = next((j, name) for j, name in enumerate(variables) if name not in known)
+            raise InvalidInputError(f"{path}[{i}].vars[{j}]: unknown variable {name!r}")
+        coeff = term.get("coeff", 1)
+        if type(coeff) is not int:
+            coeff = rational_from_json(coeff, f"{path}[{i}].coeff")
+        key = tuple(sorted(set(variables)))
+        terms[key] = terms.get(key, 0) + coeff
+    return Polynomial._from_canonical(terms)
 
 
 # -- problems ----------------------------------------------------------------

@@ -325,10 +325,13 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
         ((_edge_var(u, v),), g.weight(idx)) for idx, (u, v) in enumerate(g.edges)
     )
 
+    incident: list[list[str]] = [[] for _ in range(g.n + 1)]  # per vertex, its edges' names
+    for name, (u, v) in zip(names, g.edges):
+        incident[u].append(name)
+        incident[v].append(name)
     constraints: list[Constraint] = []
     for vertex in range(1, g.n + 1):
-        incident = [_edge_var(u, v) for u, v in g.edges if vertex in (u, v)]
-        degree = Polynomial.from_terms(((name,), 1) for name in incident)
+        degree = Polynomial.from_terms(((name,), 1) for name in incident[vertex])
         # degree == 2, written as the <= pair (<= 2 and -degree <= -2)
         constraints.append(Constraint(lhs=degree, rhs=2, label=f"degree({vertex})<="))
         constraints.append(Constraint(lhs=-degree, rhs=-2, label=f"degree({vertex})>="))
@@ -343,9 +346,7 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
         if any(v < 1 or v > g.n for v in q):
             raise InvalidInputError(f"subtour set {q} outside vertex range")
         inside = set(q)
-        members = [
-            _edge_var(u, v) for u, v in g.edges if u in inside and v in inside
-        ]
+        members = [name for name, (u, v) in zip(names, g.edges) if u in inside and v in inside]
         lhs = Polynomial.from_terms(((name,), 1) for name in members)
         rhs = len(q) - 1
         if lhs.maximum_over_cube()[0] <= rhs:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from qaoadepth import (
     CircuitSchedule,
+    Constraint,
     DerivedHypergraph,
     EquivalenceReport,
     Hyperedge,
@@ -25,8 +26,16 @@ from qaoadepth import (
     Polynomial,
     Problem,
     Pubo,
+    make_tsp,
 )
-from qaoadepth.io import _records, _Runs, _Table, expansion_diff_to_json, polynomial_to_json
+from qaoadepth.io import (
+    _records,
+    _Runs,
+    _Table,
+    expansion_diff_to_json,
+    polynomial_to_json,
+    rational_from_json,
+)
 from qaoadepth.poly import EXACT_ENUMERATION_LIMIT
 
 
@@ -539,6 +548,118 @@ def absorb_subsets_scan(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     return replace(h, edges=tuple(sorted(edges, key=lambda e: e.support)))
 
 
+def absorb_subsets_incidence(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
+    """Subset absorption through the qubit incidence, as the library did it before claims.
+
+    A narrow edge's host is the first kept edge, widest first and ties by
+    support, of width in (its width, limit] among the edges on its rarest
+    qubit that contains it.  ``h`` itself is returned when a scan of each
+    narrow edge's first qubit finds no host and the edges are in support
+    order, or when nothing was absorbed and they are.
+    """
+    if limit < 2:
+        raise InvalidInputError(f"gate width limit must be >= 2, got {limit}")
+
+    def in_support_order(edges) -> bool:
+        return all(a.support <= b.support for a, b in zip(edges, edges[1:]))
+
+    def absorbs_nothing() -> bool:
+        for index, edge in enumerate(h.edges):
+            if len(edge.support) < limit:
+                support = set(edge.support)
+                for c in h.incident[h.ends[index][0]]:
+                    if len(support) < len(h.ends[c]) <= limit and support.issubset(h.edges[c].support):
+                        return False
+        return True
+
+    if absorbs_nothing() and in_support_order(h.edges):
+        return h
+
+    def rank(i: int):
+        return (-len(h.edges[i].support), h.edges[i].support)
+
+    kept: dict[int, list] = {}
+    for index in sorted(range(len(h.edges)), key=rank):
+        edge = h.edges[index]
+        width = len(edge.support)
+        host = None
+        if width < limit:
+            support = set(edge.support)
+            rarest = min(h.ends[index], key=lambda x: len(h.incident[x]))
+            host = min(
+                (
+                    c for c in h.incident[rarest]
+                    if c in kept
+                    and width < len(h.edges[c].support) <= limit
+                    and support.issubset(h.edges[c].support)
+                ),
+                key=rank,
+                default=None,
+            )
+        if host is None:
+            kept[index] = list(edge.monomials)
+        else:
+            kept[host].extend(edge.monomials)
+    if len(kept) == len(h.edges) and in_support_order(h.edges):
+        return h
+    edges = [
+        Hyperedge(support=h.edges[index].support, monomials=tuple(sorted(monomials)))
+        for index, monomials in kept.items()
+    ]
+    return replace(h, edges=tuple(sorted(edges, key=lambda e: e.support)))
+
+
+def first_fit_by_conflicts(h: DerivedHypergraph) -> list[list[int]]:
+    """First-fit color classes from a list of conflicts per edge, found pair by pair.
+
+    Edges are colored most conflicts first, ties by support, each with the
+    lowest color no conflicting edge has.
+    """
+    conflicts = conflicts_pairwise([e.support for e in h.edges])
+    m = len(conflicts)
+    colors = [-1] * m
+    for index in sorted(range(m), key=lambda i: (-len(conflicts[i]), h.edges[i].support)):
+        taken = {colors[j] for j in conflicts[index]}
+        colors[index] = next(c for c in range(m) if c not in taken)
+    return [[i for i in range(m) if colors[i] == c] for c in range(max(colors, default=-1) + 1)]
+
+
+def polynomial_from_json_twice_checked(data, known, path: str) -> Polynomial:
+    """The JSON terms checked one by one, then summed by ``Polynomial.from_terms``,
+    which checks every name and coefficient again."""
+    if not isinstance(data, list):
+        raise InvalidInputError(f"{path}: expected a list of terms")
+    pairs = []
+    for i, term in enumerate(data):
+        term_path = f"{path}[{i}]"
+        if not isinstance(term, dict):
+            raise InvalidInputError(f"{term_path}: expected an object")
+        extra = set(term) - {"vars", "coeff"}
+        if extra:
+            raise InvalidInputError(f"{term_path}: unknown fields {sorted(extra)}")
+        variables = term.get("vars", [])
+        if not isinstance(variables, list) or not all(isinstance(v, str) and v for v in variables):
+            raise InvalidInputError(f"{term_path}.vars: expected a list of non-empty variable names")
+        if known is not None:
+            for j, name in enumerate(variables):
+                if name not in known:
+                    raise InvalidInputError(f"{term_path}.vars[{j}]: unknown variable {name!r}")
+        coeff = rational_from_json(term.get("coeff", 1), f"{term_path}.coeff")
+        pairs.append((tuple(variables), coeff))
+    return Polynomial.from_terms(pairs)
+
+
+def make_tsp_scan(g: InstanceGraph, subtour_subsets=()) -> Problem:
+    """``make_tsp`` with each vertex's degree constraints built by scanning every edge for it."""
+    problem = make_tsp(g, subtour_subsets)
+    degree = []
+    for vertex in range(1, g.n + 1):
+        lhs = Polynomial.from_terms(((f"e{u}_{v}",), 1) for u, v in g.edges if vertex in (u, v))
+        degree.append(Constraint(lhs=lhs, rhs=2, label=f"degree({vertex})<="))
+        degree.append(Constraint(lhs=-lhs, rhs=-2, label=f"degree({vertex})>="))
+    return replace(problem, constraints=tuple(degree) + problem.constraints[2 * g.n:])
+
+
 # -- all-Fraction reference algebra -------------------------------------------
 #
 # A polynomial here is a dict from sorted supports to nonzero Fractions.  The
@@ -775,7 +896,7 @@ def search_layers_reference(
     if incumbent <= lower:
         return None, 0, True
     supports = [frozenset(e.support) for e in h.edges]
-    conflicts = h.conflicts
+    conflicts = conflicts_pairwise(supports)
     m = len(supports)
     # score[i] = saturation * m + rank of (conflict degree, -i), kept up to
     # date as edges come and go; a placed edge's score is m * (m + 1) lower,

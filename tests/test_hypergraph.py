@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -20,13 +22,16 @@ from qaoadepth import (
     merge_exact,
     with_penalty_weight,
 )
+from qaoadepth.coloring import first_fit_classes
 from qaoadepth.hypergraph import _merge_lower_bound
 from qaoadepth.io import read_dimacs_graph
 
 from bruteforce import (
+    absorb_subsets_incidence,
     absorb_subsets_scan,
     chromatic_index_bruteforce,
     conflicts_pairwise,
+    first_fit_by_conflicts,
     is_linear_pairwise,
     is_simple_graph_by_names,
     merge_layers_bruteforce,
@@ -87,7 +92,12 @@ def test_conflicts_and_linearity_match_the_pairwise_definition(max_width):
         repeated = tuple(e for e in h.edges if len(e.support) == 2)[:1]
         for g in (h, replace(h, edges=h.edges[::-1]), replace(h, edges=h.edges + repeated)):
             supports = [e.support for e in g.edges]
-            assert [list(c) for c in g.conflicts] == conflicts_pairwise(supports)
+            pairwise = conflicts_pairwise(supports)
+            assert list(g.conflict_degrees) == list(map(len, pairwise))
+            clique = g.conflict_clique
+            assert all(j in pairwise[i] for i in clique for j in clique if i != j)
+            outside = set(range(len(supports))) - set(clique)
+            assert not [j for j in outside if all(i in pairwise[j] for i in clique)]  # maximal
             assert g.is_linear() == is_linear_pairwise(supports)
             assert g.is_simple_graph() == is_simple_graph_by_names(supports)
             simple.add(g.is_simple_graph())
@@ -189,6 +199,69 @@ def test_absorption_through_the_vertex_index_matches_the_scan():
     assert absorbed > 300
 
 
+def test_claims_and_mask_first_fit_match_the_incidence_scan_and_the_conflict_lists():
+    # absorb_subsets finds hosts through claimed sub-supports, and first-fit
+    # through per-qubit color masks; the references scan the incidence and
+    # keep a list of conflicts per edge.  build() folds a phase into the
+    # widest edge on its qubit, which nothing absorbs, so here each phase
+    # joins a random edge on its qubit and may move with it.
+    rng = random.Random(89)
+    wide = chains = folded = 0
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        supports = random_hypergraph_supports(rng, n, rng.randint(1, 16), max_width=5)
+        poly = Polynomial.from_terms((s, rng.choice((-1, 1, 2))) for s in supports)
+        h = build(pubo_from_polynomial(poly))
+        monomials = [list(e.monomials) for e in h.edges]
+        for name in {name for s in supports for name in s}:
+            on = [i for i, s in enumerate(supports) if name in s]
+            monomials[rng.choice(on)].append(((name,), rng.choice((-1, 3))))
+        h = replace(h, edges=tuple(
+            Hyperedge(e.support, tuple(sorted(terms))) for e, terms in zip(h.edges, monomials)
+        ))
+        for g in (h, replace(h, edges=h.edges[::-1])):
+            assert first_fit_classes(g) == first_fit_by_conflicts(g)
+        for limit in (2, 3, 4):
+            result, reference = absorb_subsets(h, limit), absorb_subsets_incidence(h, limit)
+            assert result.edges == reference.edges  # supports and monomials
+            assert (result is h) == (reference is h)
+            assert first_fit_classes(result) == first_fit_by_conflicts(result)
+            assert total_polynomial(result) == total_polynomial(h)
+            sets = [set(s) for s in supports]
+            hosts = [s for s in sets if len(s) <= limit]
+            wide += len(hosts) < len(sets)
+            chains += any(a < b < c for a in sets for b in hosts for c in hosts)
+            gone = {e.support for e in h.edges} - {e.support for e in result.edges}
+            folded += any(len(t) == 1 for e in h.edges if e.support in gone for t, _ in e.monomials)
+    assert wide > 300 and chains > 50 and folded > 200
+
+
+def test_first_fit_and_absorption_keep_no_conflict_lists():
+    # Lists of each edge's conflicts hold the sum of the conflict degrees in
+    # pointers alone.  Every pair and triple on 16 qubits has 203,280 of
+    # them, 1.6 MB; the claims and the color masks need memory in the edges
+    # and qubits, a small part of that.  At limit 3 the triples absorb the pairs.
+    names = [f"x{i:02d}" for i in range(16)]
+    supports = [s for width in (2, 3) for s in combinations(names, width)]
+    h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+    pointers = 8 * sum(map(len, conflicts_pairwise(supports)))
+
+    def peak(call, *args) -> int:
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(absorb_subsets, replace(h), 3) < pointers // 4  # a copy with nothing cached
+    absorbed = absorb_subsets(h, 3)
+    assert len(absorbed.edges) == len(supports) - 120
+    absorbed.incident  # the qubit numbering is cached before the measurement
+    assert peak(first_fit_classes, absorbed) < pointers // 4
+    assert "conflict_degrees" in vars(absorbed)
+
+
 def test_absorption_returns_its_argument_when_it_absorbs_nothing(w6, general_problem):
     maxcut = build(dualize(make_maxcut(w6)))
     assert absorb_subsets(maxcut, 2) is maxcut  # no edge narrower than the limit
@@ -243,15 +316,18 @@ def test_every_gate_producer_keeps_the_monomials_sorted(general_problem):
 def test_merge_exact_on_an_absorbed_hypergraph_computes_its_conflicts_once(
     general_problem, monkeypatch
 ):
+    # The conflict degrees are the one cached conflict structure: first-fit
+    # and the search read them, and nothing keeps a list of conflicts per edge.
+    assert not hasattr(DerivedHypergraph, "conflicts")
     computed = []
-    conflicts = DerivedHypergraph.conflicts
-    original = conflicts.func
+    degrees = DerivedHypergraph.conflict_degrees
+    original = degrees.func
 
     def counted(h):
         computed.append(h)
         return original(h)
 
-    monkeypatch.setattr(conflicts, "func", counted)
+    monkeypatch.setattr(degrees, "func", counted)
     rng = random.Random(53)
     instances = [absorb_subsets(build(dualize(general_problem)), 3)]
     for width in (2, 3, 2, 3, 2, 3):

@@ -55,6 +55,7 @@ from qaoadepth.io import (
 from qaoadepth.pipeline import run_pipeline
 
 from bruteforce import (
+    polynomial_from_json_twice_checked,
     problem_to_json_reference,
     pubo_from_polynomial,
     pubo_to_json_reference,
@@ -247,6 +248,43 @@ def test_dot_box_names_avoid_vertex_names():
 def test_polynomial_from_json_rejects_an_empty_name(known):
     with pytest.raises(InvalidInputError, match=r"p\[1\]\.vars: expected a list of non-empty"):
         polynomial_from_json([{"vars": ["a"]}, {"vars": ["a", ""], "coeff": 2}], known, "p")
+
+
+def test_polynomial_from_json_checks_each_term_once_with_the_same_verdicts():
+    # The terms are checked once and summed straight into the canonical
+    # dict; the reference checks them and then Polynomial.from_terms checks
+    # every name and coefficient again.  Both must give the same polynomial,
+    # or the same message about the same first bad term.
+    good = [
+        {"vars": ["a", "b"], "coeff": 2}, {"vars": ["b", "a"], "coeff": -2}, {"vars": ["c"]},
+        {"vars": ["a", "a", "c"], "coeff": {"num": 3, "den": 4}}, {"coeff": 5}, {"vars": []},
+        {"vars": ["b", "c"], "coeff": {"num": 4, "den": 2}},
+        {"vars": ["c", "b"], "coeff": {"num": 1, "den": -4}},
+    ]
+    bad = [
+        7, {"vars": ["a"], "coef": 1}, {"vars": "ab"}, {"vars": ["a", ""]}, {"vars": ["a", 3]},
+        {"vars": ["a", "z"]}, {"vars": ["z"], "coeff": 0.5}, {"vars": ["a"], "coeff": True},
+        {"vars": ["a"], "coeff": {"num": 1}}, {"vars": ["a"], "coeff": {"num": 1, "den": 0}},
+        {"vars": ["a"], "coeff": "1"}, {"vars": ["b"], "coeff": 1.0},
+    ]
+    rng = random.Random(97)
+    verdicts = set()
+    for trial in range(600):
+        data = [rng.choice(good) for _ in range(rng.randint(0, 6))]
+        for _ in range(trial % 3):
+            data.insert(rng.randint(0, len(data)), rng.choice(bad))
+        outcomes = []
+        for parse in (polynomial_from_json, polynomial_from_json_twice_checked):
+            try:
+                poly = parse(data, None if trial % 5 == 0 else {"a", "b", "c"}, "p")
+                outcomes.append([(s, c, type(c)) for s, c in poly.terms()])
+            except InvalidInputError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        verdicts.add(outcomes[0] if isinstance(outcomes[0], str) else "ok")
+    assert "ok" in verdicts and len(verdicts) > 40
+    with pytest.raises(InvalidInputError, match=r"^p: expected a list of terms$"):
+        polynomial_from_json({"vars": []}, None, "p")
 
 
 def test_schedule_json_shape(w6):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from bruteforce import (
     cut_size,
     independent_sets,
     is_canonical,
+    make_tsp_scan,
     maxcut_objective_reference,
     min_objective,
     pubo_argmin_reference,
@@ -251,6 +253,26 @@ def test_tsp_rejects_bad_subtour_sets():
         make_tsp(_triangle(), subtour_subsets=[(1, 2, 3)])
     with pytest.raises(InvalidInputError):
         make_tsp(InstanceGraph(3, ((1, 2), (2, 3), (1, 3))))  # unweighted
+
+
+def test_tsp_degree_constraints_match_the_per_vertex_edge_scan():
+    # make_tsp lists each vertex's edges in one pass over the edges; the
+    # reference scans every edge for every vertex.  Isolated vertices and
+    # kept and dropped subtour sets are among the draws.
+    rng = random.Random(101)
+    isolated = kept = dropped = 0
+    for trial in range(40):
+        g = random_graph(rng, rng.randint(3, 12), rng.choice((0.2, 0.5, 0.9)))
+        g = InstanceGraph(g.n, g.edges, weights=tuple(rng.randint(1, 9) for _ in g.edges))
+        subsets = [rng.sample(range(1, g.n + 1), rng.randint(2, g.n - 1)) for _ in range(trial % 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            problem, reference = make_tsp(g, subsets), make_tsp_scan(g, subsets)
+        assert problem == reference
+        isolated += len({v for e in g.edges for v in e}) < g.n
+        kept += problem.family_info["n_subtour"]
+        dropped += len(subsets) - problem.family_info["n_subtour"]
+    assert isolated and kept and dropped
 
 
 def test_tsp_k4_subtour_constraint_kept_when_binding():
