@@ -13,7 +13,8 @@ Two reductions shrink the gate count under a hardware width limit L:
 
 * :func:`absorb_subsets` merges any monomial whose support is contained in
   another gate of width <= L into that gate, which already acts on all the
-  qubits the narrower one needs; each gate claims its sub-supports in a dict.
+  qubits the narrower one needs; each gate collects the narrower edges
+  listed at its qubits.
 * :func:`merge_exact` searches for the depth-optimal joint solution: gates
   may group several monomials whose combined support stays within L, and
   disjoint gates may share a circuit layer.  Branch and bound, exact.  Its
@@ -39,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from math import comb
 
 from .dualize import Pubo
 from .errors import GateWidthError, InvalidInputError
@@ -237,53 +237,50 @@ def check_gate_width(h: DerivedHypergraph, limit: int) -> None:
 def absorb_subsets(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
     """Fold each hyperedge into a containing hyperedge of width <= limit.
 
-    Edges are visited widest first, ties by support.  Each kept edge of
-    width <= limit claims its proper sub-supports as wide as a narrower
-    edge: it lists them, or tests those edges when they are fewer.  An edge
-    whose support is claimed folds into the first claimer, so chains
-    collapse into their maximal element, and a folded phase moves with its
-    edge.  Edges wider than the limit are kept (the width check downstream
-    rejects them).  When nothing is absorbed and the edges of ``h`` are in
-    support order (as :func:`build` and this function leave them), ``h``
-    itself is returned with its cached properties; when no edge is
-    narrower than the limit, before any sort.
+    Each edge narrower than the limit is listed at its first qubit, and each
+    edge of width <= limit collects the narrower listed edges at its own
+    qubits that it contains, so the work is bounded by the qubit degrees, as
+    for :attr:`~DerivedHypergraph.conflict_degrees`.  An edge with a
+    container is absorbed, as its widest container has none and is kept.
+    It folds into its first kept container, widest first and ties by
+    support, so chains collapse into their maximal element, and a folded
+    phase moves with its edge; an edge that absorbs nothing is reused.
+    Edges wider than the limit are kept (the width check downstream rejects
+    them).  When nothing is absorbed and the edges of ``h`` are in support
+    order (as :func:`build` and this function leave them), ``h`` itself is
+    returned with its cached properties.
     """
     if limit < 2:
         raise InvalidInputError(f"gate width limit must be >= 2, got {limit}")
     supports = [edge.support for edge in h.edges]
-    narrow: dict[int, list[Support]] = {}  # width below the limit -> the supports of that width
-    for support in supports:
+    narrow: dict[str, list[int]] = {}  # qubit -> the edges below the limit it comes first in
+    narrowest = limit
+    for index, support in enumerate(supports):
         if len(support) < limit:
-            narrow.setdefault(len(support), []).append(support)
-    ordered = supports == sorted(supports)  # as the rebuild below leaves them
-    if not narrow and ordered:
+            narrow.setdefault(support[0], []).append(index)
+            narrowest = min(narrowest, len(support))
+    containers: dict[int, list[int]] = {}  # narrow edge -> the edges <= limit containing it
+    for index, support in enumerate(supports):
+        if narrowest < len(support) <= limit:
+            contains = set(support).issuperset
+            for name in support:
+                for other in narrow.get(name, ()):
+                    if len(supports[other]) < len(support) and contains(supports[other]):
+                        containers.setdefault(other, []).append(index)
+    if not containers and supports == sorted(supports):
         return h
 
-    claims: dict[Support, int] = {}  # sub-support -> the first kept edge containing it
-    kept: dict[int, list[tuple[Support, Scalar]]] = {}  # kept edge -> monomials it covers
-    for index in sorted(range(len(supports)), key=lambda i: (-len(supports[i]), supports[i])):
-        support, monomials = supports[index], h.edges[index].monomials
-        if support in claims:
-            kept[claims[support]].extend(monomials)
-            continue
-        kept[index] = list(monomials)
-        for width, narrower in narrow.items():
-            if width < len(support) <= limit:
-                if comb(len(support), width) <= len(narrower):
-                    subs = combinations(support, width)
-                else:
-                    subs = filter(set(support).issuperset, narrower)
-                for sub in subs:
-                    claims.setdefault(sub, index)
-
-    if len(kept) == len(supports) and ordered:
-        return h
-    new_edges = [
-        Hyperedge(support=supports[index], monomials=tuple(sorted(monomials)))
-        for index, monomials in kept.items()
-    ]
-    new_edges.sort(key=lambda e: e.support)
-    return replace(h, edges=tuple(new_edges))
+    kept: dict[int, list[tuple[Support, Scalar]]] = {  # kept edge -> the monomials it absorbs
+        index: [] for index in range(len(supports)) if index not in containers
+    }
+    for index, hosts in containers.items():
+        host = min((i for i in hosts if i in kept), key=lambda i: (-len(supports[i]), supports[i]))
+        kept[host].extend(h.edges[index].monomials)
+    return replace(h, edges=tuple(
+        Hyperedge(supports[index], tuple(sorted((*h.edges[index].monomials, *absorbed))))
+        if absorbed else h.edges[index]
+        for index, absorbed in sorted(kept.items(), key=lambda item: supports[item[0]])
+    ))
 
 
 @dataclass(frozen=True)

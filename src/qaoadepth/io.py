@@ -217,9 +217,7 @@ def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
         if known is not None and not known.issuperset(variables):
             j, name = next((j, name) for j, name in enumerate(variables) if name not in known)
             raise InvalidInputError(f"{path}[{i}].vars[{j}]: unknown variable {name!r}")
-        coeff = term.get("coeff", 1)
-        if type(coeff) is not int:
-            coeff = rational_from_json(coeff, f"{path}[{i}].coeff")
+        coeff = rational_from_json(term.get("coeff", 1), f"{path}[{i}].coeff")
         key = tuple(sorted(set(variables)))
         terms[key] = terms.get(key, 0) + coeff
     return Polynomial._from_canonical(terms)

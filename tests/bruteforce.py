@@ -549,7 +549,7 @@ def absorb_subsets_scan(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
 
 
 def absorb_subsets_incidence(h: DerivedHypergraph, limit: int) -> DerivedHypergraph:
-    """Subset absorption through the qubit incidence, as the library did it before claims.
+    """Subset absorption through the qubit numbering, with each narrow edge scanning for a host.
 
     A narrow edge's host is the first kept edge, widest first and ties by
     support, of width in (its width, limit] among the edges on its rarest
@@ -650,14 +650,29 @@ def polynomial_from_json_twice_checked(data, known, path: str) -> Polynomial:
 
 
 def make_tsp_scan(g: InstanceGraph, subtour_subsets=()) -> Problem:
-    """``make_tsp`` with each vertex's degree constraints built by scanning every edge for it."""
+    """``make_tsp`` with its constraints rebuilt by scanning every edge for each vertex and set.
+
+    Only the objective and the variables come from ``make_tsp``.  A subtour
+    set's left side sums distinct variables, so its maximum over the cube is
+    its number of edges, and it is kept when that exceeds |Q| - 1.
+    """
     problem = make_tsp(g, subtour_subsets)
-    degree = []
+    constraints = []
     for vertex in range(1, g.n + 1):
         lhs = Polynomial.from_terms(((f"e{u}_{v}",), 1) for u, v in g.edges if vertex in (u, v))
-        degree.append(Constraint(lhs=lhs, rhs=2, label=f"degree({vertex})<="))
-        degree.append(Constraint(lhs=-lhs, rhs=-2, label=f"degree({vertex})>="))
-    return replace(problem, constraints=tuple(degree) + problem.constraints[2 * g.n:])
+        constraints.append(Constraint(lhs=lhs, rhs=2, label=f"degree({vertex})<="))
+        constraints.append(Constraint(lhs=-lhs, rhs=-2, label=f"degree({vertex})>="))
+    n_subtour = 0
+    for subset in subtour_subsets:
+        q = sorted(set(subset))
+        members = [f"e{u}_{v}" for u, v in g.edges if u in q and v in q]
+        if len(members) > len(q) - 1:
+            lhs = Polynomial.from_terms(((name,), 1) for name in members)
+            label = f"subtour({','.join(map(str, q))})"
+            constraints.append(Constraint(lhs=lhs, rhs=len(q) - 1, label=label))
+            n_subtour += 1
+    info = {**problem.family_info, "n_subtour": n_subtour}
+    return replace(problem, constraints=tuple(constraints), family_info=info)
 
 
 # -- all-Fraction reference algebra -------------------------------------------

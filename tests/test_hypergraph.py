@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -199,12 +200,12 @@ def test_absorption_through_the_vertex_index_matches_the_scan():
     assert absorbed > 300
 
 
-def test_claims_and_mask_first_fit_match_the_incidence_scan_and_the_conflict_lists():
-    # absorb_subsets finds hosts through claimed sub-supports, and first-fit
-    # through per-qubit color masks; the references scan the incidence and
-    # keep a list of conflicts per edge.  build() folds a phase into the
-    # widest edge on its qubit, which nothing absorbs, so here each phase
-    # joins a random edge on its qubit and may move with it.
+def test_containers_and_mask_first_fit_match_the_incidence_scan_and_the_conflict_lists():
+    # absorb_subsets has each edge collect the narrower edges inside it, and
+    # first-fit keeps per-qubit color masks; the references scan the
+    # incidence and keep a list of conflicts per edge.  build() folds a
+    # phase into the widest edge on its qubit, which nothing absorbs, so here
+    # each phase joins a random edge on its qubit and may move with it.
     rng = random.Random(89)
     wide = chains = folded = 0
     for _ in range(300):
@@ -239,8 +240,9 @@ def test_claims_and_mask_first_fit_match_the_incidence_scan_and_the_conflict_lis
 def test_first_fit_and_absorption_keep_no_conflict_lists():
     # Lists of each edge's conflicts hold the sum of the conflict degrees in
     # pointers alone.  Every pair and triple on 16 qubits has 203,280 of
-    # them, 1.6 MB; the claims and the color masks need memory in the edges
-    # and qubits, a small part of that.  At limit 3 the triples absorb the pairs.
+    # them, 1.6 MB; the containers and the color masks need memory in the
+    # edges and qubits, a small part of that.  At limit 3 the triples absorb
+    # the pairs.
     names = [f"x{i:02d}" for i in range(16)]
     supports = [s for width in (2, 3) for s in combinations(names, width)]
     h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
@@ -260,6 +262,48 @@ def test_first_fit_and_absorption_keep_no_conflict_lists():
     absorbed.incident  # the qubit numbering is cached before the measurement
     assert peak(first_fit_classes, absorbed) < pointers // 4
     assert "conflict_degrees" in vars(absorbed)
+
+
+def test_absorption_at_a_wide_limit_looks_only_at_the_qubits_of_each_edge():
+    # 200 gates of width 8 at limit 8 with 50 triples inside them, and 600
+    # edges of widths 2-7 on qubits of their own.  Listing the sub-supports
+    # of those widths for every gate would make 200 * 246 tuples, and testing
+    # every narrow edge for every gate 120,000 pairs.  Only the triples sit
+    # at a gate's qubits: no pair's support is read (a subset test iterates
+    # it, and a pair contains no edge), and the peak stays below two
+    # pointers per sub-support the listing would hold.
+    class Watched(tuple):
+        """A support that counts how often it is iterated."""
+
+        reads = 0
+
+        def __iter__(self):
+            Watched.reads += 1
+            return super().__iter__()
+
+    limit = 8
+    wide = [tuple(f"w{i:03d}_{j}" for j in range(limit)) for i in range(200)]
+    narrow = [
+        tuple(f"n{k}_{i:02d}_{j}" for j in range(k)) for k in range(2, limit) for i in range(100)
+    ]
+    supports = [*wide, *narrow, *(w[:3] for w in wide[:50])]
+    h = build(pubo_from_polynomial(Polynomial.from_terms((s, 1) for s in supports)))
+    h = replace(h, edges=tuple(
+        Hyperedge(Watched(e.support) if e.support[0].startswith("n2_") else e.support, e.monomials)
+        for e in h.edges
+    ))
+    listed = len(wide) * sum(comb(limit, k) for k in range(2, limit))
+
+    tracemalloc.start()
+    try:
+        absorbed = absorb_subsets(h, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Watched.reads == 0
+    assert peak < 16 * listed
+    assert len(absorbed.edges) == len(supports) - 50
+    assert absorbed == absorb_subsets_incidence(h, limit)
 
 
 def test_absorption_returns_its_argument_when_it_absorbs_nothing(w6, general_problem):

@@ -255,10 +255,10 @@ def test_tsp_rejects_bad_subtour_sets():
         make_tsp(InstanceGraph(3, ((1, 2), (2, 3), (1, 3))))  # unweighted
 
 
-def test_tsp_degree_constraints_match_the_per_vertex_edge_scan():
+def test_tsp_constraints_match_the_per_vertex_and_per_set_edge_scans():
     # make_tsp lists each vertex's edges in one pass over the edges; the
-    # reference scans every edge for every vertex.  Isolated vertices and
-    # kept and dropped subtour sets are among the draws.
+    # reference scans every edge for every vertex and every subtour set.
+    # Isolated vertices and kept and dropped subtour sets are among the draws.
     rng = random.Random(101)
     isolated = kept = dropped = 0
     for trial in range(40):
