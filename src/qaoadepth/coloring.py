@@ -57,16 +57,18 @@ class EdgeColoring:
 def check_proper(h: DerivedHypergraph, classes: Sequence[Sequence[int]]) -> None:
     """Raise unless the classes form a proper coloring covering every edge."""
     seen: set[int] = set()
-    last = [-1] * len(h.qubits)  # per qubit, the last class with an edge on it
+    qubits, ends = h.qubits, h.ends
+    last = [-1] * len(qubits)  # per qubit, the last class with an edge on it
     for color, cls in enumerate(classes):
         for index in cls:
             if index in seen:
                 raise InvalidInputError(f"edge {index} colored twice")
             seen.add(index)
-            shared = [h.qubits[x] for x in h.ends[index] if last[x] == color]
-            if shared:
-                raise InvalidInputError(f"edges in one class share vertices {sorted(shared)}")
-            for x in h.ends[index]:
+            for x in ends[index]:
+                if last[x] == color:
+                    shared = sorted(qubits[y] for y in ends[index] if last[y] == color)
+                    raise InvalidInputError(f"edges in one class share vertices {shared}")
+            for x in ends[index]:
                 last[x] = color
     if seen != set(range(len(h.edges))):
         raise InvalidInputError("coloring does not cover every edge exactly once")
@@ -195,12 +197,13 @@ def color_misra_gries(h: DerivedHypergraph) -> EdgeColoring:
     1.  Where both get stuck, the same recoloring with one more color is
     Misra-Gries's Delta+1.
     """
-    for edge in h.edges:
-        if len(edge.support) != 2:
-            raise InvalidInputError(
-                "misra-gries needs a 2-uniform hypergraph; "
-                f"edge {edge.support} has width {len(edge.support)}"
-            )
+    if h.uniform_size() != 2:
+        for edge in h.edges:
+            if len(edge.support) != 2:
+                raise InvalidInputError(
+                    "misra-gries needs a 2-uniform hypergraph; "
+                    f"edge {edge.support} has width {len(edge.support)}"
+                )
     return make_coloring(h, _vizing_classes(h), method="misra_gries")
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .dualize import Pubo
 from .errors import GateWidthError, InvalidInputError
@@ -53,15 +54,16 @@ DEFAULT_EXACT_BUDGET = 2_000_000
 _COVER_SEARCH_CAP = 2_000
 
 
-@dataclass(frozen=True)
-class Hyperedge:
+class Hyperedge(NamedTuple):
     """A gate: its qubit support and the monomials it covers.
 
     Interaction edges act on two or more qubits; a schedule also uses this
     type for its one-qubit phase gates and, with no monomials, its mixers.
     The monomials are sorted: :func:`build`, :func:`absorb_subsets` and
     :func:`merge_exact` sort them, so :func:`absorb_subsets` can return its
-    argument without checking them.
+    argument without checking them.  A gate is a named tuple: it is built
+    at tuple cost, and it compares equal to the plain ``(support,
+    monomials)`` pair.
     """
 
     support: tuple[str, ...]
@@ -217,7 +219,7 @@ def build(pubo: Pubo) -> DerivedHypergraph:
     return DerivedHypergraph(
         vertices=pubo.variables,
         edges=tuple(
-            Hyperedge(support=support, monomials=tuple(sorted(terms)))
+            Hyperedge(support, tuple(terms) if len(terms) == 1 else tuple(sorted(terms)))
             for support, terms in zip(supports, monomials)
         ),
         singletons=tuple(singletons),

@@ -362,14 +362,33 @@ def read_dimacs_graph(path: str) -> InstanceGraph:
     n = None
     declared_edges = None
     edges: list[tuple[int, int]] = []
-    weights: list[Scalar] = []
-    any_weight = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    weights: list[Scalar] | None = None  # from the first weight on, one per edge
+    for lineno, fields in enumerate(map(str.split, lines), start=1):
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        if fields[0] == "e":
+            if n is None:
+                raise InvalidInputError(f"{path}:{lineno}: edge before the problem line")
+            if len(fields) not in (3, 4):
+                raise InvalidInputError(f"{path}:{lineno}: expected 'e <u> <v> [weight]'")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise InvalidInputError(f"{path}:{lineno}: endpoints must be integers")
+            if len(fields) == 4:
+                try:
+                    weight = Fraction(fields[3])
+                except (ValueError, ZeroDivisionError):
+                    raise InvalidInputError(f"{path}:{lineno}: bad weight {fields[3]!r}")
+                if weights is None:
+                    weights = [1] * len(edges)
+                weights.append(weight)
+            elif weights is not None:
+                weights.append(1)
+            edges.append((u, v))
+        elif fields[0][0] == "c":
+            continue
+        elif fields[0] == "p":
             if n is not None:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate problem line")
             if len(fields) != 4 or fields[1] != "edge":
@@ -380,24 +399,6 @@ def read_dimacs_graph(path: str) -> InstanceGraph:
                 n, declared_edges = int(fields[2]), int(fields[3])
             except ValueError:
                 raise InvalidInputError(f"{path}:{lineno}: vertex/edge counts must be integers")
-        elif fields[0] == "e":
-            if n is None:
-                raise InvalidInputError(f"{path}:{lineno}: edge before the problem line")
-            if len(fields) not in (3, 4):
-                raise InvalidInputError(f"{path}:{lineno}: expected 'e <u> <v> [weight]'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise InvalidInputError(f"{path}:{lineno}: endpoints must be integers")
-            weight = 1
-            if len(fields) == 4:
-                any_weight = True
-                try:
-                    weight = Fraction(fields[3])
-                except (ValueError, ZeroDivisionError):
-                    raise InvalidInputError(f"{path}:{lineno}: bad weight {fields[3]!r}")
-            edges.append((u, v))
-            weights.append(weight)
         else:
             raise InvalidInputError(f"{path}:{lineno}: unknown record {fields[0]!r}")
 
@@ -409,7 +410,7 @@ def read_dimacs_graph(path: str) -> InstanceGraph:
         )
     try:
         return InstanceGraph(
-            n=n, edges=tuple(edges), weights=tuple(weights) if any_weight else None
+            n=n, edges=tuple(edges), weights=None if weights is None else tuple(weights)
         )
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc

@@ -112,16 +112,20 @@ class InstanceGraph:
     weights: tuple[Scalar, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
         normalized = []
         for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise InvalidInputError(f"edge ({u},{v}) outside vertex range 1..{self.n}")
-            if u == v:
+            if 1 <= u < v <= n:
+                key = (u, v)
+            elif 1 <= v < u <= n:
+                key = (v, u)
+            elif 1 <= u <= n and 1 <= v <= n:
                 raise InvalidInputError(f"loop edge ({u},{v}) not allowed")
-            key = (min(u, v), max(u, v))
+            else:
+                raise InvalidInputError(f"edge ({u},{v}) outside vertex range 1..{n}")
             if key in seen:
                 raise InvalidInputError(f"duplicate edge ({u},{v}); multigraphs are rejected")
             seen.add(key)

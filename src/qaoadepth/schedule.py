@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 from .coloring import EdgeColoring
@@ -40,6 +42,8 @@ from .hypergraph import DerivedHypergraph, Hyperedge
 from .poly import Polynomial
 from .problems import Problem
 
+_support = attrgetter("support")
+
 
 @dataclass(frozen=True)
 class CircuitLayer:
@@ -47,7 +51,7 @@ class CircuitLayer:
     gates: tuple[Hyperedge, ...]
 
     def __post_init__(self):
-        names = [name for gate in self.gates for name in gate.support]
+        names = list(chain.from_iterable(map(_support, self.gates)))
         if len(set(names)) < len(names):  # one pass; the message is built only on failure
             shared = sorted(name for name, uses in Counter(names).items() if uses > 1)
             raise InvalidInputError(f"gates within one layer overlap on qubits {shared}")
@@ -88,8 +92,9 @@ class CircuitSchedule:
 def schedule(h: DerivedHypergraph, coloring: EdgeColoring, p: int = 1) -> CircuitSchedule:
     """Turn a proper coloring into a layered schedule.
 
-    Layers are emitted largest class first.  The phases of gate-free qubits
-    (``h.singletons``) join the first cost layer, or form the one
+    Layers are emitted largest class first, ties by their gates' sorted
+    supports, and each layer's gates by support.  The phases of gate-free
+    qubits (``h.singletons``) join the first cost layer, or form the one
     ``singleton`` layer when ``h`` has no edge.
 
     The coloring is not checked for properness again: every
@@ -100,14 +105,9 @@ def schedule(h: DerivedHypergraph, coloring: EdgeColoring, p: int = 1) -> Circui
     if p < 1:
         raise InvalidInputError(f"iteration count must be >= 1, got {p}")
 
-    ordered_classes = sorted(
-        coloring.classes,
-        key=lambda cls: (-len(cls), tuple(sorted(h.edges[i].support for i in cls))),
-    )
-    layer_gates = [
-        sorted((h.edges[i] for i in cls), key=lambda edge: edge.support)
-        for cls in ordered_classes
-    ]
+    edges = h.edges
+    layer_gates = [sorted([edges[i] for i in cls], key=_support) for cls in coloring.classes]
+    layer_gates.sort(key=lambda gates: (-len(gates), list(map(_support, gates))))
     phases = [Hyperedge((name,), (((name,), coeff),)) for name, coeff in h.singletons]
     if layer_gates:
         layer_gates[0].extend(phases)

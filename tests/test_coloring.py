@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -172,7 +173,9 @@ def test_complete_graph_on_four_vertices_is_class_one():
 
 def test_misra_gries_rejects_wider_edges(general_problem):
     h = build(dualize(general_problem))
-    with pytest.raises(InvalidInputError):
+    first_wider = "edge ('s1_1', 'x1', 'x2') has width 3"
+    message = re.escape(f"misra-gries needs a 2-uniform hypergraph; {first_wider}")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
         color_misra_gries(h)
 
 
@@ -377,6 +380,9 @@ def test_properness_is_machine_checked(w6):
     # x1x2 and x3x4, then x1x3 meets both
     with pytest.raises(InvalidInputError, match=r"share vertices \['x1', 'x3'\]$"):
         check_proper(h, [[0, 7, 1]])
+    # x3x4, then x1x3, which shares only its second qubit: x1 is not named
+    with pytest.raises(InvalidInputError, match=r"share vertices \['x3'\]$"):
+        check_proper(h, [[7, 1]])
     with pytest.raises(InvalidInputError, match="does not cover"):
         make_coloring(h, [[0]], method="greedy")  # misses edges
     with pytest.raises(InvalidInputError, match="edge 0 colored twice"):

@@ -184,19 +184,57 @@ def test_dimacs_wheel_roundtrip(fixture_dir):
 
 
 def test_dimacs_error_reporting(tmp_path):
-    cases = {
-        "no_header.dimacs": ("e 1 2\n", "edge before the problem line"),
-        "bad_header.dimacs": ("p vertex 3 1\ne 1 2\n", "expected 'p edge"),
-        "dup.dimacs": ("p edge 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
-        "bad_weight.dimacs": ("p edge 2 1\ne 1 2 heavy\n", "bad weight"),
-        "count.dimacs": ("p edge 2 5\ne 1 2\n", "declares 5 edges"),
-        "junk.dimacs": ("p edge 2 1\nq 1 2\n", "unknown record"),
+    # Comment, blank and CRLF lines come first, so every message's line
+    # number is checked: the problem line is line 6, the first edge line 8.
+    lead = "c made by hand\r\n\r\n   \n  comment after spaces\nc\n"
+    head = lead + "p edge 3 2\r\nc between\n"
+    header = "expected 'p edge <vertices> <edges>'"
+    counts = "vertex/edge counts must be integers"
+    duplicate = "duplicate edge (2,1); multigraphs are rejected"
+    cases = {  # name: (content, message after the path)
+        "no_header.dimacs": (lead + "e 1 2\n", ":6: edge before the problem line"),
+        "bad_header.dimacs": (lead + "p vertex 3 1\ne 1 2\n", f":6: {header}"),
+        "short_header.dimacs": (lead + "p edge 3\n", f":6: {header}"),
+        "second_header.dimacs": (head + "p edge 3 2\n", ":8: duplicate problem line"),
+        "float_count.dimacs": (lead + "p edge 3 2.0\n", f":6: {counts}"),
+        "word_count.dimacs": (lead + "p edge three 2\n", f":6: {counts}"),
+        "negative_n.dimacs": (lead + "p edge -1 0\n", ": vertex count must be nonnegative"),
+        "missing_header.dimacs": (lead, ": missing 'p edge' problem line"),
+        "two_fields.dimacs": (head + "e 1 2\r\ne 1\n", ":9: expected 'e <u> <v> [weight]'"),
+        "five_fields.dimacs": (head + "e 1 2 3 4\n", ":8: expected 'e <u> <v> [weight]'"),
+        "word_end.dimacs": (head + "e 1 2\r\ne 1 b\n", ":9: endpoints must be integers"),
+        "float_end.dimacs": (head + "e 1.0 2\n", ":8: endpoints must be integers"),
+        "bad_weight.dimacs": (head + "e 1 2\ne 2 3 heavy\n", ":9: bad weight 'heavy'"),
+        "zero_den.dimacs": (head + "e 1 2 1/0\n", ":8: bad weight '1/0'"),
+        "junk.dimacs": (head + "e 1 2\r\nq 1 2\n", ":9: unknown record 'q'"),
+        "edge_word.dimacs": (head + "edge 1 2\n", ":8: unknown record 'edge'"),
+        "count.dimacs": (head + "e 1 2\n", ": header declares 2 edges but 1 found"),
+        "loop.dimacs": (head + "e 1 2\ne 2 2\n", ": loop edge (2,2) not allowed"),
+        "low_u.dimacs": (head + "e 1 2\ne 0 2\n", ": edge (0,2) outside vertex range 1..3"),
+        "high_v.dimacs": (head + "e 1 2\ne 1 4\n", ": edge (1,4) outside vertex range 1..3"),
+        "low_v.dimacs": (head + "e 1 2\ne 3 -1\n", ": edge (3,-1) outside vertex range 1..3"),
+        "high_u.dimacs": (head + "e 1 2\ne 4 1\n", ": edge (4,1) outside vertex range 1..3"),
+        "range_first.dimacs": (head + "e 4 4\ne 1 1\n", ": edge (4,4) outside vertex range 1..3"),
+        "dup.dimacs": (head + "e 1 2\ne 2 1\n", f": {duplicate}"),
+        "first_offender.dimacs": (lead + "p edge 3 3\ne 1 2\ne 2 1\ne 3 3\n", f": {duplicate}"),
+        "not_utf8.dimacs": (b"p edge 2 1\ne 1 2\nc \xff\n", ": not UTF-8 text (invalid start byte)"),
     }
     for name, (content, message) in cases.items():
         path = tmp_path / name
-        path.write_text(content)
-        with pytest.raises(InvalidInputError, match=message):
+        # as bytes, so the CRLF line ends stay as written
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with pytest.raises(InvalidInputError) as caught:
             read_dimacs_graph(str(path))
+        assert str(caught.value) == f"{path}{message}", name
+    missing = tmp_path / "missing.dimacs"
+    with pytest.raises(InvalidInputError) as caught:
+        read_dimacs_graph(str(missing))
+    assert str(caught.value) == (
+        f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
+    )
+    with pytest.raises(InvalidInputError) as caught:
+        InstanceGraph(n=3, edges=((1, 2), (2, 3)), weights=(1,))
+    assert str(caught.value) == "weights must match edges one-to-one"
 
 
 def test_dimacs_weighted_edges(tmp_path):
@@ -204,6 +242,17 @@ def test_dimacs_weighted_edges(tmp_path):
     path.write_text("p edge 3 2\ne 1 2 3\ne 2 3 1/2\n")
     g = read_dimacs_graph(str(path))
     assert g.weights == (Fraction(3), Fraction(1, 2))
+
+
+def test_dimacs_weights_on_some_lines_only(tmp_path):
+    # Unweighted edges read as 1, before the first weight and after it.
+    path = tmp_path / "some.dimacs"
+    path.write_text("p edge 5 5\ne 1 2\ne 3 2\ne 2 4 -3/2\nc\ne 4 5\ne 1 5 7\n")
+    g = read_dimacs_graph(str(path))
+    assert g.edges == ((1, 2), (2, 3), (2, 4), (4, 5), (1, 5))
+    assert g.weights == (1, 1, Fraction(-3, 2), 1, 7)
+    path.write_text("p edge 3 2\ne 1 2\ne 3 2\n")
+    assert read_dimacs_graph(str(path)).weights is None
 
 
 def test_dot_export_plain_and_hyper(w6, general_problem):

@@ -167,7 +167,7 @@ def _corruptions(rng, sched):
     gate = layer.gates[g]
     (support, coeff), *rest = gate.monomials
     nudge = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(2, 7))
-    perturbed_gate = replace(gate, monomials=((support, coeff + nudge), *rest))
+    perturbed_gate = gate._replace(monomials=((support, coeff + nudge), *rest))
     perturbed = with_layer(layer.gates[:g] + (perturbed_gate,) + layer.gates[g + 1:])
     return dropped, duplicated, perturbed
 

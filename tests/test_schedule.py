@@ -8,6 +8,7 @@ import pytest
 
 from qaoadepth import (
     CircuitLayer,
+    DerivedHypergraph,
     Hyperedge,
     InstanceGraph,
     InvalidInputError,
@@ -24,6 +25,7 @@ from qaoadepth import (
     make_sat,
     make_tsp,
     make_vertex_cover,
+    merge_exact,
     run_pipeline,
     schedule,
     with_penalty_weight,
@@ -163,6 +165,84 @@ def test_schedule_rejects_bad_iteration_count(w6):
     h = build(pubo)
     with pytest.raises(InvalidInputError):
         schedule(h, color_exact(h), p=0)
+
+
+def _random_classes(rng, h):
+    """A seeded proper coloring: edges in random order, each into a random class it fits."""
+    order = list(range(len(h.edges)))
+    rng.shuffle(order)
+    classes, used = [], []
+    for index in order:
+        support = set(h.edges[index].support)
+        fits = [c for c, names in enumerate(used) if not names & support]
+        if fits and rng.random() < 0.8:
+            color = rng.choice(fits)
+        else:
+            color = len(classes)
+            classes.append([])
+            used.append(set())
+        classes[color].append(index)
+        used[color] |= support
+    rng.shuffle(classes)
+    return classes
+
+
+def _assert_support_key_order(h, classes):
+    """The reference order: layers by (-len(cls), tuple(sorted(supports))) and gates by
+    support, both stable, with the phases after the first layer's gates."""
+    ordered = sorted(
+        classes, key=lambda cls: (-len(cls), tuple(sorted(h.edges[i].support for i in cls)))
+    )
+    expected = [sorted((h.edges[i] for i in cls), key=lambda e: e.support) for cls in ordered]
+    coloring = EdgeColoring(classes=tuple(map(tuple, classes)), method="greedy", lower_bound=0)
+    cost = [layer.gates for layer in schedule(h, coloring).layers if layer.kind == "cost"]
+    assert len(cost) == len(expected)
+    for gates, want in zip(cost, expected):
+        assert list(map(id, gates[:len(want)])) == list(map(id, want))  # the same objects
+    phases = tuple(Hyperedge((name,), (((name,), c),)) for name, c in h.singletons)
+    assert cost[0][len(expected[0]):] == phases
+
+
+def test_schedule_orders_layers_and_gates_by_the_support_key():
+    rng = random.Random(36)
+    names = [f"x{i}" for i in range(1, 9)]
+    for case in range(60):
+        width = 2 + case % 3
+        terms = [((), 1)] + [
+            (rng.sample(names, rng.randint(1, width)), rng.randint(-3, 3)) for _ in range(14)
+        ]
+        pubo = pubo_from_polynomial(Polynomial.from_terms(terms))
+        h = absorb_subsets(build(pubo), width)
+        if not h.edges:
+            continue
+        # colorings of build/absorb_subsets output, the package's own and drawn ones
+        for classes in (color_greedy(h).classes, *(_random_classes(rng, h) for _ in range(3))):
+            _assert_support_key_order(h, classes)
+        # merge_exact output: its edges are sorted only within a layer
+        merged = merge_exact(h, width, budget=200)
+        for classes in (merged.coloring.classes, _random_classes(rng, merged.hypergraph)):
+            _assert_support_key_order(merged.hypergraph, classes)
+
+    # Repeated supports: classes of equal size whose first supports tie,
+    # decided by a later support or, when every support ties, by class order.
+    ties = 0
+    for case in range(200):
+        pool = [tuple(sorted(rng.sample(names[:6], rng.randint(2, 3)))) for _ in range(4)]
+        supports = [rng.choice(pool) for _ in range(rng.randint(4, 9))]
+        edges = tuple(
+            Hyperedge(support, ((support, index + 1),)) for index, support in enumerate(supports)
+        )
+        h = DerivedHypergraph(vertices=tuple(names), edges=edges, singletons=(("x8", 5),))
+        classes = _random_classes(rng, h)
+        firsts = [(len(cls), min(supports[i] for i in cls)) for cls in classes]
+        ties += len(firsts) - len(set(firsts))
+        _assert_support_key_order(h, classes)
+    assert ties >= 50
+    pair = ("x1", "x2")
+    edges = tuple(Hyperedge(pair, ((pair, c),)) for c in (1, 2, 3))
+    h = DerivedHypergraph(vertices=pair, edges=edges, singletons=())
+    for classes in itertools.permutations([[0], [1], [2]]):
+        _assert_support_key_order(h, list(classes))
 
 
 def test_fewer_classes_never_deepen_the_circuit():
