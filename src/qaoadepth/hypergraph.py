@@ -20,10 +20,11 @@ Two reductions shrink the gate count under a hardware width limit L:
   disjoint gates may share a circuit layer.  Branch and bound, exact.  Its
   lower bound is the per-qubit gate cover: a layer puts all its edges at a
   qubit into the one gate on that qubit, so the layers are at least the
-  fewest groups of L-qubit span that one qubit's edges split into.
+  fewest layers of one qubit's star, the edges acting on it.
 
 :func:`search_layers` is the one branch-and-bound search: ``merge_exact``
-runs it with the width limit, the exact edge coloring with merging off.
+runs it with the width limit, on the whole hypergraph and for its bound on
+each qubit's star, and the exact edge coloring with merging off.
 Its DSATUR branching order and tie-breaks set the node counts the tests pin.
 Its state is integers: gates and layers are masks over qubits, and sets of
 edges are masks over edges, with the bits in branching-preference order.
@@ -49,9 +50,9 @@ from .poly import Scalar, Support
 #: Default node budget for the exact searches, :func:`merge_exact` and ``color_exact``.
 DEFAULT_EXACT_BUDGET = 2_000_000
 
-#: Nodes the cover search of :func:`_fewest_groups` explores at one qubit
-#: before :func:`_merge_lower_bound` falls back to weaker bounds there.
-_COVER_SEARCH_CAP = 2_000
+#: Nodes :func:`_merge_lower_bound` lets :func:`search_layers` explore on one
+#: qubit's star before it falls back to weaker bounds there.
+_COVER_SEARCH_CAP = 4_000
 
 
 class Hyperedge(NamedTuple):
@@ -477,10 +478,13 @@ def _merge_lower_bound(h: DerivedHypergraph, limit: int) -> int:
     group, so only the maximal sets count.  With ``room`` 1 each takes a
     group (the degree, on distinct supports).  With ``room`` 2 each pair
     does, and the single qubits in no pair go two to a group: T + ceil(S'/2).
-    Wider limits run :func:`_fewest_groups`.  Where that search reaches its
-    cap, the qubit counts the larger of two weaker bounds: a greedy set of
-    pairwise unmergeable edges, widest first, and ceil(neighbours / room).
-    The bound is never below that greedy set, the bound this one replaced.
+    Wider limits run :func:`search_layers` on x's star, its edges widest
+    first: each layer of a star is one gate, so its fewest layers are the
+    fewest groups.  On an absorbed ``h`` no edge of a star lies inside
+    another.  Where the search reaches its cap, the qubit counts the larger
+    of two weaker bounds: a greedy set of pairwise unmergeable edges, widest
+    first, and ceil(neighbours / room).  The bound is never below that
+    greedy set, the bound this one replaced.
     """
     room = limit - 1
     masks = h._support_masks
@@ -501,88 +505,25 @@ def _merge_lower_bound(h: DerivedHypergraph, limit: int) -> int:
             singles = {s for s in sets if s & ~covered}  # the qubits in no pair
             count = len(pairs) + (len(singles) + 1) // 2
         else:
-            count = _cover_count(sets, room, best)
+            star = sorted(edges, key=lambda e: -masks[e].bit_count())  # widest first
+            apart: list[int] = []
+            neighbours = 0
+            for e in star:
+                s = masks[e] ^ bit
+                neighbours |= s
+                if all((s | other).bit_count() > room for other in apart):
+                    apart.append(s)
+            floor = max(len(apart), -(-neighbours.bit_count() // room))
+            layers, _, finished = search_layers(
+                replace(h, edges=tuple(h.edges[e] for e in star)),
+                limit, _COVER_SEARCH_CAP, len(star), max(best, floor),
+            )
+            if not finished:
+                count = floor
+            else:  # None: no layering beats a gate per edge
+                count = len(star) if layers is None else len(layers)
         best = max(best, count)
     return best
-
-
-def _cover_count(sets: list[int], room: int, stop: int) -> int:
-    """Fewest groups of ``sets`` with at most ``room`` qubits each, or a lower bound on it.
-
-    The count is exact when :func:`_fewest_groups` finishes, and otherwise
-    the larger of the greedy set of pairwise unmergeable ``sets``, widest
-    first, and the neighbours over ``room``, rounded up.  At ``stop`` or
-    below, the count is only known to be at most ``stop``.
-    """
-    widest = sorted(sets, key=lambda s: -s.bit_count())
-    apart: list[int] = []
-    neighbours = 0
-    for s in widest:
-        neighbours |= s
-        if all((s | other).bit_count() > room for other in apart):
-            apart.append(s)
-    floor = max(len(apart), -(-neighbours.bit_count() // room))
-    maximal: list[int] = []
-    for s in sorted(set(widest), key=lambda s: (-s.bit_count(), s)):
-        if all(s & ~other for other in maximal):
-            maximal.append(s)
-    fewest = _fewest_groups(maximal, room, max(stop, floor))
-    return floor if fewest is None else fewest
-
-
-def _fewest_groups(sets: list[int], room: int, stop: int) -> int | None:
-    """Fewest groups of ``sets`` whose unions have at most ``room`` bits, by branch and bound.
-
-    ``sets`` are masks, widest first, none inside another.  Each set goes
-    into an open group or one new one.  A set inside a group's union goes
-    there without branching, and of groups with equal unions only the first
-    is tried.  The search prunes at its best count so far, one group per set
-    to begin with, and stops at a count of ``stop`` or fewer.  None when it
-    would explore more than :data:`_COVER_SEARCH_CAP` nodes; the best it
-    found so far is an upper bound, not a lower one.
-    """
-    unions: list[int] = []
-    best = len(sets)
-    nodes = 0
-
-    def dfs(index: int) -> bool:
-        """Place ``sets[index:]``; True to stop, at ``stop`` groups or at the cap."""
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > _COVER_SEARCH_CAP:
-            return True
-        if len(unions) >= best:
-            return False
-        if index == len(sets):
-            best = len(unions)
-            return best <= stop
-        s = sets[index]
-        if any(not s & ~union for union in unions):
-            return dfs(index + 1)
-        tried = set()
-        for position, union in enumerate(unions):
-            if (union | s).bit_count() > room or union in tried:
-                continue
-            tried.add(union)
-            unions[position] = union | s
-            done = dfs(index + 1)
-            unions[position] = union
-            if done:
-                return True
-        if len(unions) + 1 >= best:
-            return False
-        unions.append(s)
-        done = dfs(index + 1)
-        unions.pop()
-        return done
-
-    if best <= stop:
-        return best
-    try:
-        dfs(0)
-    except RecursionError:
-        return None
-    return None if nodes > _COVER_SEARCH_CAP else best
 
 
 def merge_exact(
@@ -595,7 +536,9 @@ def merge_exact(
     within one layer act on disjoint qubits.  Minimizes the number of layers
     over all gate groupings simultaneously with the coloring, through
     :func:`search_layers`, from the incumbent of subset absorption plus
-    first-fit coloring, and stops at :func:`_merge_lower_bound`.  A finished
+    first-fit coloring, and stops at :func:`_merge_lower_bound`.  The bound
+    is taken on the absorbed hypergraph, which has the same fewest layers
+    and no edge of a qubit's star inside another.  A finished
     search certifies its layer count as the lower bound.  A stopped one
     reports its best layering, or the incumbent, with that bound, which it
     fell short of.  Only the documented upper bounds of the merged gates are
@@ -607,7 +550,7 @@ def merge_exact(
     check_gate_width(h, limit)
     absorbed = absorb_subsets(h, limit)
     incumbent = coloring_mod.first_fit_classes(absorbed)
-    lower = _merge_lower_bound(h, limit)
+    lower = _merge_lower_bound(absorbed, limit)
     best, nodes, finished = search_layers(h, limit, budget, len(incumbent), lower)
 
     merged, classes = absorbed, incumbent

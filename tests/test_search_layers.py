@@ -5,10 +5,11 @@ its budget stop.  On the same input both must visit the same number of
 nodes, return the same layers made of the same gates, and run out of budget
 in exactly the same cases, each then returning the best layers it found.
 
-The merge search's lower bound, the per-qubit cover count, is checked
-against a set-partition enumeration, the greedy bound it replaced and the
-fewest layers by brute force, and on stars whose uncapped search takes
-seconds.
+The merge search's lower bound, the per-qubit cover count, runs the same
+search on each qubit's star.  It is checked against a set-partition
+enumeration, the greedy bound it replaced and the fewest layers by brute
+force, on stars whose uncapped search takes seconds, and by its pinned sum
+over 400 wide stars.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 from qaoadepth import InvalidInputError, Polynomial, absorb_subsets, build, merge_exact
 from qaoadepth import hypergraph as hypergraph_mod
 from qaoadepth.coloring import combinatorial_lower_bound, first_fit_classes
-from qaoadepth.hypergraph import _cover_count, _merge_lower_bound, search_layers
+from qaoadepth.hypergraph import _merge_lower_bound, search_layers
 
 from bruteforce import (
     merge_cover_reference,
@@ -84,16 +85,20 @@ def cover_draws():
 
 
 def capped_searches(monkeypatch) -> list[bool]:
-    """Records, per call of the per-qubit cover search, whether it reached its cap."""
+    """Records, per search of one qubit's star, whether it reached its cap.
+
+    A star search is the call of :func:`search_layers` with the cap as its budget.
+    """
     capped = []
-    search = hypergraph_mod._fewest_groups
+    search = hypergraph_mod.search_layers
 
-    def watched(*args):
-        fewest = search(*args)
-        capped.append(fewest is None)
-        return fewest
+    def watched(h, limit, budget, *args):
+        result = search(h, limit, budget, *args)
+        if budget == hypergraph_mod._COVER_SEARCH_CAP:
+            capped.append(not result[2])
+        return result
 
-    monkeypatch.setattr(hypergraph_mod, "_fewest_groups", watched)
+    monkeypatch.setattr(hypergraph_mod, "search_layers", watched)
     return capped
 
 
@@ -131,19 +136,61 @@ def test_a_capped_cover_search_falls_back_to_a_sound_bound(monkeypatch):
 
 def test_the_closed_form_at_width_3_equals_the_search():
     # Per qubit: the star of its edges has the qubit's own count as its
-    # bound, as every other qubit's edges are a subset of the star's.
+    # bound, as every other qubit's edges are a subset of the star's.  Each
+    # layer of a star is one gate, so an uncapped search of the absorbed
+    # star finds the fewest groups.
     stars = 0
     for supports, limit in cover_draws():
         if limit > 3:
             continue
         h = hypergraph(supports)
-        for x, edges in enumerate(h.incident):
+        for edges in h.incident:
             star = hypergraph([h.edges[i].support for i in edges])
-            bit = 1 << star.qubits.index(h.qubits[x])
-            sets = [mask ^ bit for mask in star._support_masks]
-            assert _merge_lower_bound(star, 3) == _cover_count(sets, 2, 0)
+            absorbed = absorb_subsets(star, 3)
+            layers, _, finished = search_layers(absorbed, 3, 10**6, len(absorbed.edges) + 1)
+            assert finished
+            assert _merge_lower_bound(star, 3) == len(layers)
             stars += 1
     assert stars > 1000
+
+
+def test_merge_exact_is_the_same_on_an_absorbed_hypergraph():
+    # merge_exact absorbs its argument itself, and takes its lower bound on
+    # the absorbed hypergraph, so absorbing first changes neither figure.
+    for supports, limit in cover_draws():
+        h = hypergraph(supports)
+        plain = merge_exact(h, limit).coloring
+        absorbed = merge_exact(absorb_subsets(h, limit), limit).coloring
+        assert (absorbed.num_colors, absorbed.lower_bound) == (plain.num_colors, plain.lower_bound)
+
+
+def wide_stars():
+    """400 absorbed stars around the hub c: limits 4-6, 5-40 edges over 8-30 other qubits."""
+    rng = random.Random(3)
+    for _ in range(400):
+        limit = rng.randint(4, 6)
+        leaves = [f"y{i}" for i in range(rng.randint(8, 30))]
+        target = rng.randint(5, 40)
+        supports = set()
+        for _ in range(10_000):
+            if len(supports) == target:
+                break
+            supports.add(tuple(sorted(("c", *rng.sample(leaves, rng.randint(1, limit - 1))))))
+        yield absorb_subsets(hypergraph(sorted(supports)), limit), limit
+
+
+def test_wide_star_bounds_are_pinned():
+    # The hub's star search runs on up to 40 edges a star.  Each bound lies
+    # between the greedy set and a layering, and their sum is pinned: a
+    # weaker star search, capped sooner or branching in another order, sums
+    # lower.
+    total = 0
+    for h, limit in wide_stars():
+        bound = _merge_lower_bound(h, limit)
+        layers = merge_exact(h, limit, budget=0).coloring.num_colors
+        assert merge_lower_bound_reference(h, limit) <= bound <= layers
+        total += bound
+    assert total == 4496
 
 
 @pytest.mark.parametrize("edges, limit, seed", [(45, 5, 7), (60, 4, 8)])
