@@ -60,9 +60,9 @@ class Hyperedge(NamedTuple):
 
     Interaction edges act on two or more qubits; a schedule also uses this
     type for its one-qubit phase gates and, with no monomials, its mixers.
-    The monomials are sorted: :func:`build`, :func:`absorb_subsets` and
-    :func:`merge_exact` sort them, so :func:`absorb_subsets` can return its
-    argument without checking them.  A gate is a named tuple: it is built
+    The monomials are sorted: :func:`build` places them in order, and
+    :func:`absorb_subsets` and :func:`merge_exact` sort them, so
+    :func:`absorb_subsets` can return its argument without checking them.  A gate is a named tuple: it is built
     at tuple cost, and it compares equal to the plain ``(support,
     monomials)`` pair.
     """
@@ -212,17 +212,17 @@ def build(pubo: Pubo) -> DerivedHypergraph:
             if name not in host or len(support) > len(supports[host[name]]):
                 host[name] = index
     singletons = []
-    for name, coeff in phases:
-        if name in host:
-            monomials[host[name]].append(((name,), coeff))
-        else:
+    for name, coeff in phases:  # in name order, so each gate's monomials stay sorted
+        index = host.get(name)
+        if index is None:
             singletons.append((name, coeff))
+        elif supports[index][0] == name:  # only its first qubit's phase sorts before the gate's term
+            monomials[index].insert(0, ((name,), coeff))
+        else:
+            monomials[index].append(((name,), coeff))
     return DerivedHypergraph(
         vertices=pubo.variables,
-        edges=tuple(
-            Hyperedge(support, tuple(terms) if len(terms) == 1 else tuple(sorted(terms)))
-            for support, terms in zip(supports, monomials)
-        ),
+        edges=tuple(map(Hyperedge, supports, map(tuple, monomials))),
         singletons=tuple(singletons),
         constant=constant,
     )
@@ -320,12 +320,13 @@ def search_layers(
     degree, then -index), so the highest bit of a set is the edge preferred.
     Per edge, ``near`` holds its conflicts, the union of its qubits' masks
     of edges, and ``clash`` those of them that no gate of width ``limit``
-    can hold together with it (with ``limit=0``, all of them), by a width
-    test on each edge at its qubits.  Per layer, next to its ``[mask,
-    members]`` gates and their union mask, ``touching`` holds the edges
-    conflicting with a member and ``barred`` the edges clashing with one: a
-    barred edge is rejected without a look at the gates, any other still
-    gets the full width check.
+    can hold together with it (with ``limit=0``, all of them): for an edge
+    of width ``limit``, those not on a sub-mask of its support, looked up
+    per sub-mask, and for any other, by a width test on each edge at its
+    qubits.  Per layer, next to its ``[mask, members]`` gates and their
+    union mask, ``touching`` holds the edges conflicting with a member and
+    ``barred`` the edges clashing with one: a barred edge is rejected
+    without a look at the gates, any other still gets the full width check.
     Saturations are bit-sliced: bit b of ``digits[d]`` is digit d of edge
     b's count, and a placement adds one, by ripple carry, to the edges it
     newly touches.  ``max(incumbent, len(seed)).bit_length()`` digits, with
@@ -354,13 +355,21 @@ def search_layers(
         for x in ends[edge]:
             at_qubit[x] |= 1 << position
     masks = [support_masks[edge] for edge in edge_at]
+    at_mask: dict[int, int] = {}  # per support mask, the bits of the edges on it
+    for position, mask in enumerate(masks):
+        at_mask[mask] = at_mask.get(mask, 0) | 1 << position
     near, clash = [], []
     for position, edge in enumerate(edge_at):
         mask, bits = masks[position], 0
         for x in ends[edge]:
             bits |= at_qubit[x]
         near.append(bits & ~(1 << position))
-        if limit:
+        if limit and mask.bit_count() == limit:  # only the edges inside its support fit with it
+            sub = mask
+            while sub:
+                bits &= ~at_mask.get(sub, 0)
+                sub = (sub - 1) & mask
+        elif limit:
             bits = 0
             for x in ends[edge]:
                 for j in incident[x]:

@@ -43,7 +43,8 @@ written through :func:`dumps`.
 
 Sections share model objects (an unconstrained objective is its penalty
 form; one names tuple is four sections' variables), and :func:`dumps`
-writes each once.
+writes each once.  A schedule's gates list the objectives' terms again, and
+:func:`dumps` writes each such record from the text it kept of the term.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ class _Table:
 
 class _Runs(list):
     """A list of ``_Table``s, written as one list of all their records in turn."""
+
+
+class _Terms(list):
+    """``(support, coefficient)`` pairs, written as ``{"coeff", "vars"}`` records: from the
+    texts :func:`dumps` kept of a polynomial's terms when it kept every pair's, else as a table."""
 
 
 def _records(rows, *keys) -> _Table:
@@ -542,8 +548,7 @@ def schedule_to_json(sched: CircuitSchedule) -> dict:
         gates = {"qubits": [gate.support for gate in layer.gates]}
         if layer.kind != "mixer":  # each gate's terms: their counts, and the layer's terms
             monomials = [gate.monomials for gate in layer.gates]
-            terms = _records(list(chain.from_iterable(monomials)), "vars", "coeff")
-            gates["terms"] = (list(map(len, monomials)), terms)
+            gates["terms"] = (list(map(len, monomials)), _Terms(chain.from_iterable(monomials)))
         angle = "beta" if layer.kind == "mixer" else "gamma"
         layers.append({"kind": layer.kind, "angle": angle, "gates": _Table(gates)})
     return {
@@ -599,9 +604,15 @@ def dumps(data) -> str:
     of each table with a source (:func:`polynomial_to_json`'s polynomial),
     keyed by the object's identity and the indentation; a second occurrence
     reuses it.  The memo holds the object, so no identity is reused, and
-    the ``str`` the dict's parts hold, so it copies no text; it is emptied
-    before the outermost dict's join, the call's peak.  Lists and dicts,
-    which may be the encoder's own temporaries, are never keyed.
+    the ``str`` the dict's parts hold, so it copies no text.  Lists and
+    dicts, which may be the encoder's own temporaries, are never keyed.
+    The memo also keeps, by value, the record text of each term of a
+    source's table, keyed by its ``(support, coefficient)`` pair, for the
+    tables at one indentation, the first's, kept once under ``_Terms``.  A
+    schedule's gate terms (a ``_Terms`` column) whose pairs were all kept
+    are written from those texts, each re-indented by one ``str.replace``
+    of that newline; any others are written column by column.  The memo is
+    emptied before the outermost dict's join, the call's peak.
 
     A value nested too deeply for the recursion limit, such as a
     ``family_info`` built in code, raises ``InvalidInputError``; nothing is
@@ -615,7 +626,8 @@ def dumps(data) -> str:
 
 def _encode(value, newline: str, memo: dict) -> str:
     """JSON text of ``value`` whose lines after the first start with ``newline``;
-    ``memo`` maps (identity, indentation) to (object, text), as :func:`dumps` says."""
+    ``memo`` maps (identity, indentation) to (object, text), a written term to
+    its record text and ``_Terms`` to those texts' indentation, as :func:`dumps` says."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -659,6 +671,8 @@ def _encode(value, newline: str, memo: dict) -> str:
         parts = list(_texts(value, inner, memo))
         if not parts:
             return "[]"
+        if kind is _Table and value.source is not None and memo.setdefault(_Terms, inner) == inner:
+            memo.update(zip(value.source.terms(), parts))  # a polynomial's term records
         parts[0] = "[" + inner + parts[0]
         parts[-1] += newline + "]"
         return ("," + inner).join(parts)
@@ -673,6 +687,11 @@ def _encode(value, newline: str, memo: dict) -> str:
 
 def _texts(items, newline: str, memo: dict):
     """An iterator over ``_encode(item, newline, memo)`` for each of ``items``, in order."""
+    if type(items) is _Terms:  # each kept record re-indented, or all of them written anew
+        texts = list(map(memo.get, items))
+        if all(texts):
+            return map(str.replace, texts, repeat(memo.get(_Terms)), repeat(newline))
+        items = _records(items, "vars", "coeff")
     if type(items) is _Table:
         return _rows(items, newline, memo)
     if type(items) is _Runs:
@@ -743,8 +762,8 @@ def _joined(columns: list) -> list:
     if len(columns) == 1 or len(set(map(type, columns))) > 1 or (
             kind is _Table and len(set(map(attrgetter("keys"), columns))) > 1):
         return columns
-    if kind is list:
-        return [list(chain.from_iterable(columns))]
+    if kind is list or kind is _Terms:
+        return [kind(chain.from_iterable(columns))]
     # The pairs' lengths and flat columns, or the tables' columns, each joined.
     parts = [_joined(list(part)) for part in zip(*(getattr(c, "columns", c) for c in columns))]
     if any(len(part) != 1 for part in parts):

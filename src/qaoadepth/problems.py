@@ -77,7 +77,7 @@ class Problem:
         self.variables = tuple(self.variables)
         declared = set(self.variables)
         if len(declared) != len(self.variables):
-            repeated = sorted({name for name in self.variables if self.variables.count(name) > 1})
+            repeated = sorted(name for name, uses in Counter(self.variables).items() if uses > 1)
             raise InvalidInputError(f"variable names must be unique, repeated: {repeated}")
         used = set().union(*self.objective.supports())
         for con in self.constraints:

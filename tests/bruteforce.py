@@ -1066,6 +1066,28 @@ def _with_terms_reference(records: list[dict], key: str):
     return runs
 
 
+def schedule_to_json_reference(sched: CircuitSchedule) -> dict:
+    """``io.schedule_to_json`` with one dict per gate and one per term, and no table."""
+    layers = []
+    for layer in sched.layers:
+        gates = []
+        for gate in layer.gates:
+            record = {"qubits": list(gate.support)}
+            if layer.kind != "mixer":
+                record["terms"] = [{"vars": list(support), "coeff": coeff}
+                                   for support, coeff in gate.monomials]
+            gates.append(record)
+        angle = "beta" if layer.kind == "mixer" else "gamma"
+        layers.append({"kind": layer.kind, "angle": angle, "gates": gates})
+    return {
+        "variables": list(sched.variables),
+        "iterations": sched.iterations,
+        "structural_depth": sched.structural_depth,
+        "total_depth": sched.total_depth,
+        "layers": layers,
+    }
+
+
 def problem_to_json_reference(problem: Problem) -> dict:
     """``io.problem_to_json`` with one dict per constraint, regrouped by its keys."""
     constraints = []

@@ -357,6 +357,27 @@ def test_every_gate_producer_keeps_the_monomials_sorted(general_problem):
     assert folded > 30 and merges > 30
 
 
+def test_build_places_phases_in_sorted_order_without_sorting():
+    # build puts a gate's first-qubit phase in front of its own term and
+    # appends the others; on PUBOs of widths 2-4 whose linear terms sit on
+    # some qubits only, that is each gate's sorted tuple of monomials.
+    rng = random.Random(59)
+    hosts = 0
+    for draw in range(200):
+        width = 2 + draw % 3
+        n = rng.randint(width, 8)
+        supports = random_hypergraph_supports(rng, n, rng.randint(1, 10), width)
+        phases = [((f"x{i}",), rng.choice([-2, -1, 1, 3])) for i in range(1, n + 1) if rng.random() < 0.6]
+        poly = Polynomial.from_terms([(s, rng.randint(-3, 3) or 1) for s in supports] + phases)
+        h = build(pubo_from_polynomial(poly))
+        for edge in h.edges:
+            assert type(edge.monomials) is tuple
+            assert edge.monomials == tuple(sorted(edge.monomials))
+            hosts += edge.monomials[0][0] == edge.support[:1]
+        assert total_polynomial(h) == poly
+    assert hosts > 100
+
+
 def test_merge_exact_on_an_absorbed_hypergraph_computes_its_conflicts_once(
     general_problem, monkeypatch
 ):

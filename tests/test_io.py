@@ -34,6 +34,7 @@ from qaoadepth.cli import main as cli_main
 from qaoadepth.io import (
     _Runs,
     _Table,
+    _Terms,
     coloring_to_json,
     depth_report_to_json,
     dumps,
@@ -59,8 +60,10 @@ from bruteforce import (
     problem_to_json_reference,
     pubo_from_polynomial,
     pubo_to_json_reference,
+    random_graph,
     random_polynomial,
     render_schedule_text_reference,
+    schedule_to_json_reference,
 )
 
 
@@ -490,7 +493,10 @@ _json_values = st.recursive(
 
 
 def _values(column):
-    """The values a ``_Table`` column stands for: dicts for a table, lists for a pair."""
+    """The values a ``_Table`` column stands for: dicts for a table or for gate terms'
+    ``(support, coefficient)`` pairs, lists for a pair."""
+    if isinstance(column, _Terms):
+        return [{"vars": support, "coeff": coeff} for support, coeff in column]
     if isinstance(column, _Table):
         return [dict(zip(column.keys, row)) for row in zip(*map(_values, column.columns))]
     if isinstance(column, tuple):
@@ -600,6 +606,63 @@ def test_sections_sharing_a_polynomial_and_names_write_them_once(monkeypatch, w6
     assert text == json.dumps(_plain(sections), indent=2, sort_keys=True) + "\n"
     assert sum(table.source is problem.objective for table in tables) == 1
     assert sum(value is names for value in values) == 1
+
+
+def _gate_term_lookups(monkeypatch) -> list[bool]:
+    """For each gate-terms table ``dumps`` writes from now on, whether it kept every term's text."""
+    found = []
+    texts = io_module._texts
+
+    def watched(items, newline, memo):
+        if type(items) is _Terms:
+            found.append(all(map(memo.get, items)))
+        return texts(items, newline, memo)
+
+    monkeypatch.setattr(io_module, "_texts", watched)
+    return found
+
+
+def test_gate_terms_write_the_bytes_of_one_dict_per_term(monkeypatch, w6):
+    # dumps writes a schedule's gate terms from the record texts it kept of
+    # the problem and penalty objectives, re-indented, when it kept every
+    # one, and column by column otherwise; both give the bytes of a dict per
+    # gate and per term.  Rational coefficients make multi-line records.
+    rng = random.Random(39)
+    problems = [make_maxcut(w6), make_maxcut(random_graph(rng, 12, 0.4))]
+    problems += [problem_from_json(_general_problem_json(rng)) for _ in range(3)]
+    runs = [(run_pipeline(problem, gate_width=3, p=1 + i % 2), True) for i, problem in enumerate(problems)]
+    runs += [(run_pipeline(problem, gate_width=4, method="merge-exact", p=2), True) for problem in problems]
+    # A reference expansion's table, written with the constraints before the
+    # objectives and deeper, sets the one indentation the kept texts share:
+    # its terms are kept and the objectives' are not.
+    general = problems[-1]
+    for expansion, hit in ((Polynomial.variable("x1"), False), (dualize(general).objective, True)):
+        constraints = (replace(general.constraints[0], reference_expansion=expansion), *general.constraints[1:])
+        runs.append((run_pipeline(replace(general, constraints=constraints), gate_width=3), hit))
+    found = _gate_term_lookups(monkeypatch)
+    rational = 0
+    for result, hit in runs:
+        sched = result.schedule
+        cost = [i for i, layer in enumerate(sched.layers) if layer.kind == "cost"][0]
+        gate = sched.layers[cost].gates[0]
+        (support, coeff), *rest = gate.monomials
+        perturbed = replace(sched, layers=tuple(
+            replace(layer, gates=(gate._replace(monomials=((support, coeff + Fraction(1, 997)), *rest)),
+                                  *layer.gates[1:])) if i == cost else layer
+            for i, layer in enumerate(sched.layers)))
+        for schedule_, hits in ((sched, [hit]), (perturbed, [False])):
+            sections = {"problem": problem_to_json(result.problem), "pubo": pubo_to_json(result.pubo)}
+            reference = dict(sections, schedule=schedule_to_json_reference(schedule_))
+            sections["schedule"] = schedule_to_json(schedule_)
+            found.clear()
+            assert dumps(sections) == dumps(reference)
+            assert found == hits
+            alone = {"schedule": schedule_to_json(schedule_)}
+            assert dumps(alone) == dumps({"schedule": schedule_to_json_reference(schedule_)})
+            assert found == hits + [False]
+            assert dumps(schedule_to_json(schedule_)) == dumps(schedule_to_json_reference(schedule_))
+        rational += any(type(c) is Fraction for gate in sched.layers[cost].gates for _, c in gate.monomials)
+    assert rational >= 3
 
 
 def test_one_object_at_two_indentations_is_written_at_each(monkeypatch):

@@ -332,6 +332,29 @@ def test_problem_rejects_duplicate_variable_names():
         Problem(sense="min", objective=Polynomial.variable("x1"), variables=("x1", "x1"))
 
 
+def test_repeated_names_are_found_in_one_counting_pass():
+    # 10^5 names with one repeat: counting each name by a scan of all of them
+    # makes about 10^10 comparisons, minutes before the error is raised.
+    comparisons = 0
+
+    class Name(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            assert comparisons <= 1000, "repeated names are found by a quadratic scan"
+            return str.__eq__(self, other)
+
+    n = 10**5
+    names = [Name(f"x{i}") for i in range(n)] + [Name("x7")]
+    with pytest.raises(InvalidInputError, match=r"unique, repeated: \['x7'\]$"):
+        Problem(sense="min", objective=Polynomial.variable("x1"), variables=names)
+    names.insert(0, Name("x99999"))
+    with pytest.raises(InvalidInputError, match=r"repeated: \['x7', 'x99999'\]$"):
+        Problem(sense="min", objective=Polynomial.variable("x1"), variables=names)
+
+
 def test_max_problems_are_minimized_negated():
     problem = make_maxindset(InstanceGraph(2, ()))
     assert problem.sense == "max"

@@ -14,6 +14,7 @@ over 400 wide stars.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -252,6 +253,21 @@ def test_small_searches_match_the_reference():
         for budget in (nodes - 1, nodes, rng.randint(0, nodes)):
             assert_same_search(h, limit, budget, m + 1)
         assert_same_search(h, limit, 10**6, rng.randint(1, m + 1), rng.randint(0, m))
+
+
+def test_repeated_supports_at_the_width_limit_match_the_reference():
+    # An edge as wide as the limit fits in one gate only with the edges
+    # inside its support, every copy of its own support among them; build
+    # never repeats a support, but a hand-built hypergraph may.
+    rng = random.Random(1321)
+    for _ in range(60):
+        width = rng.randint(2, 4)
+        h = hypergraph(random_hypergraph_supports(rng, rng.randint(3, 7), rng.randint(1, 8), width))
+        widest = [edge for edge in h.edges if len(edge.support) == width] or list(h.edges)
+        h = replace(h, edges=h.edges + tuple(rng.choices(widest, k=rng.randint(1, 3))))
+        for limit in (width, width + 1):
+            nodes = assert_same_search(h, limit, 10**6, len(h.edges) + 1)
+            assert_same_search(h, limit, rng.randint(0, nodes), len(h.edges) + 1)
 
 
 def test_a_merge_of_pairwise_narrow_edges_can_still_be_too_wide():
