@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 from .dualize import Pubo
@@ -62,9 +62,11 @@ class Hyperedge(NamedTuple):
     type for its one-qubit phase gates and, with no monomials, its mixers.
     The monomials are sorted: :func:`build` places them in order, and
     :func:`absorb_subsets` and :func:`merge_exact` sort them, so
-    :func:`absorb_subsets` can return its argument without checking them.  A gate is a named tuple: it is built
-    at tuple cost, and it compares equal to the plain ``(support,
-    monomials)`` pair.
+    :func:`absorb_subsets` can return its argument without checking them.
+    A gate is a named tuple, and it compares equal to the plain ``(support,
+    monomials)`` pair.  :func:`build` makes its gates at tuple cost, with
+    ``tuple.__new__`` in a C-level ``map``: the generated ``__new__`` is a
+    Python call per gate.
     """
 
     support: tuple[str, ...]
@@ -222,7 +224,7 @@ def build(pubo: Pubo) -> DerivedHypergraph:
             monomials[index].append(((name,), coeff))
     return DerivedHypergraph(
         vertices=pubo.variables,
-        edges=tuple(map(Hyperedge, supports, map(tuple, monomials))),
+        edges=tuple(map(tuple.__new__, repeat(Hyperedge), zip(supports, map(tuple, monomials)))),
         singletons=tuple(singletons),
         constant=constant,
     )

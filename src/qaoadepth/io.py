@@ -31,15 +31,15 @@ quotes; the figure itself is computed from the problem's own structure.
 every artifact and never read.
 
 The ``*_to_json`` builders return what :func:`dumps` writes, not plain
-``json`` values: lists of like records (terms, edges, gates) are ``_Table``
-columns read straight from the model, with no dict per record, and ints,
-Fractions and tuples pass through as they are.  Constraint and dualization
-records, whose optional keys differ, are read column by column too, as
-``_Runs`` of tables of one key set, and all the terms of a run's
-polynomials make one table.  Only the
-encoder knows the ``{"num", "den"}`` format (with
-:func:`rational_from_json`, which reads it back).  Every artifact is
-written through :func:`dumps`.
+``json`` values, and they alone lay out records: a list of like records
+(terms, edges, layers, gates, bounds) is a ``_Table`` read column by
+column from the model, with no dict per record, and ints, Fractions and
+tuples pass through as they are.  Records whose optional keys differ
+(constraints, dualizations), and gates, which only layers with terms give
+terms, are ``_Runs`` of tables of one key set, and all the terms of a
+run's polynomials make one table.  Only the encoder knows the ``{"num",
+"den"}`` format (with :func:`rational_from_json`, which reads it back).
+Every artifact is written through :func:`dumps`.
 
 Sections share model objects (an unconstrained objective is its penalty
 form; one names tuple is four sections' variables), and :func:`dumps`
@@ -61,7 +61,7 @@ from .coloring import EdgeColoring
 from .dualize import ExpansionDiff, Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
-from .poly import Polynomial, Scalar, Support, ratio
+from .poly import Polynomial, Scalar, Support, canonical, ratio
 from .problems import Constraint, InstanceGraph, Problem
 from .schedule import CircuitSchedule, DepthReport
 
@@ -131,16 +131,13 @@ def _check_family_info(value, path: str, depth: int = 1) -> None:
 class _Table:
     """Records of one key set, as one column per sorted key.  A column is a list of values,
     a ``_Table``, or a ``(lengths, flat)`` pair: list i holds the next ``lengths[i]``
-    items of ``flat``, a list or a table.  ``source`` is the model object the table is
-    read from, if it is read from one alone; :func:`dumps` writes a source's table once."""
+    items of ``flat``, a list, a table or a ``_Runs``.  ``source`` is the model object the
+    table is read from, if it is read from one alone; :func:`dumps` writes a source's table once."""
 
     def __init__(self, columns: dict, source=None):
         self.keys = tuple(sorted(columns))
         self.columns = list(map(columns.__getitem__, self.keys))
         self.source = source
-
-    def __len__(self) -> int:
-        return len(self.columns[0][0] if type(self.columns[0]) is tuple else self.columns[0])
 
 
 class _Runs(list):
@@ -167,15 +164,15 @@ def _given(column: list) -> list[bool]:
     return list(map(is_not, column, repeat(None)))
 
 
-def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], terms_key: str) -> _Runs:
+def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], *terms_keys: str) -> _Runs:
     """Records given column by column, as runs of one key set.
 
     Each group is a column of flags, one per record, and the columns of the
     keys that the flagged records have; a group whose flags are ``None`` is
     in every record.  A run is a longest stretch of records whose flags
-    agree, so every run has one key set.  Each run's ``terms_key`` column,
-    of polynomials, becomes one table of all their terms with each record's
-    count of them, so a record's polynomial costs no table of its own.
+    agree, so every run has one key set.  Each of a run's ``terms_keys``
+    columns, of polynomials, becomes one table of all their terms with each
+    record's count of them, so a record's polynomial costs no table of its own.
     """
     runs = _Runs()
     start = 0
@@ -188,10 +185,11 @@ def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], terms_key: st
             if flags is None or next(present)
             for key, column in group.items()
         }
-        polys = columns.get(terms_key)
-        if polys is not None:
-            terms = list(chain.from_iterable(map(Polynomial.terms, polys)))
-            columns[terms_key] = (list(map(Polynomial.num_terms, polys)), _records(terms, "vars", "coeff"))
+        for key in terms_keys:
+            polys = columns.get(key)
+            if polys is not None:
+                terms = list(chain.from_iterable(map(Polynomial.terms, polys)))
+                columns[key] = (list(map(Polynomial.num_terms, polys)), _records(terms, "vars", "coeff"))
         runs.append(_Table(columns))
         start = stop
     return runs
@@ -248,9 +246,8 @@ def problem_to_json(problem: Problem) -> dict:
             (_given(lowers), {"lower": lowers}),
             (_given(slack_bounds), {"slack_bound": slack_bounds}),
             (list(map(bool, labels)), {"label": labels}),
-            (_given(references), {"reference_expansion": [
-                None if p is None else polynomial_to_json(p) for p in references]}),
-        ], "terms"),
+            (_given(references), {"reference_expansion": references}),
+        ], "terms", "reference_expansion"),
     }
     if problem.family is not None:
         out["family"] = problem.family
@@ -330,16 +327,23 @@ def problem_from_json(data, path: str = "problem") -> Problem:
     )
 
 
-def read_problem(path: str) -> Problem:
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``, with universal newlines."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return handle.read()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_problem(path: str) -> Problem:
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise InvalidInputError(f"{path}: JSON nested too deeply to read") from exc
     return problem_from_json(data, path="problem")
@@ -357,14 +361,7 @@ def write_problem(problem: Problem, path: str) -> None:
 
 def read_dimacs_graph(path: str) -> InstanceGraph:
     """DIMACS edge format: a 'p edge N M' header and 'e u v [weight]' lines."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
+    lines = _read_text(path).split("\n")  # not splitlines, which also splits at \f and \x1c
     n = None
     declared_edges = None
     edges: list[tuple[int, int]] = []
@@ -528,35 +525,34 @@ def coloring_to_json(coloring: EdgeColoring) -> dict:
         "num_colors": coloring.num_colors,
         "classes": coloring.classes,
         "lower_bound": coloring.lower_bound,
-        "upper_bounds": [
-            {  # field by field, as asdict deep-copies every value
-                "name": r.name,
-                "kind": r.kind,
-                "status": r.status,
-                "applies": r.applies,
-                "value": r.value,
-                "note": r.note,
-            }
-            for r in coloring.upper_bound_refs
-        ],
+        "upper_bounds": _Table({
+            name: _column(coloring.upper_bound_refs, name)
+            for name in ("name", "kind", "status", "applies", "value", "note")
+        }),
     }
 
 
 def schedule_to_json(sched: CircuitSchedule) -> dict:
-    layers = []
-    for layer in sched.layers:
-        gates = {"qubits": [gate.support for gate in layer.gates]}
-        if layer.kind != "mixer":  # each gate's terms: their counts, and the layer's terms
-            monomials = [gate.monomials for gate in layer.gates]
-            gates["terms"] = (list(map(len, monomials)), _Terms(chain.from_iterable(monomials)))
-        angle = "beta" if layer.kind == "mixer" else "gamma"
-        layers.append({"kind": layer.kind, "angle": angle, "gates": _Table(gates)})
+    layers = sched.layers
+    kinds = _column(layers, "kind")
+    gates = _Runs()  # one table for each run of layers with terms, and for each run of mixers
+    for mixer, run in groupby(layers, lambda layer: layer.kind == "mixer"):
+        run_gates = list(chain.from_iterable(_column(run, "gates")))
+        columns = {"qubits": _column(run_gates, "support")}
+        if not mixer:  # each gate's terms: their counts, and the run's terms
+            monomials = _column(run_gates, "monomials")
+            columns["terms"] = (list(map(len, monomials)), _Terms(chain.from_iterable(monomials)))
+        gates.append(_Table(columns))
     return {
         "variables": sched.variables,
         "iterations": sched.iterations,
         "structural_depth": sched.structural_depth,
         "total_depth": sched.total_depth,
-        "layers": layers,
+        "layers": _Table({
+            "kind": kinds,
+            "angle": ["beta" if kind == "mixer" else "gamma" for kind in kinds],
+            "gates": ([len(layer.gates) for layer in layers], gates),
+        }),
     }
 
 
@@ -588,17 +584,18 @@ def dumps(data) -> str:
     The envelope, each section dict and a list of one item are encoded one
     value at a time, but the items of a longer list are encoded together, a
     column at a time (``_texts``): all strings or all ints with one ``map``;
-    Fractions as the column of their ints and ``{"num", "den"}`` dicts;
-    records of one key set, dicts or a table's, as one column per key zipped
-    between constant key prefixes (``_rows``); lists and tables as one column
-    of all their items, regrouped by length (``_grouped``), with each run of
-    tables of one key set joined into one table first.  Mixed types become
-    one column per type, read back in the items' order, and dicts of
-    differing key sets become runs of one key set, a run of one taking the
-    direct path.  So the Python work grows with the number of shapes and the
-    nesting depth, not with the number of terms and gates.  Texts stay lazy
-    iterators until a list joins its items, once, with its brackets folded
-    into the first and last item, so the peak memory stays about twice the text.
+    whole Fractions with the ints, and the others as one table of their
+    numerators and denominators; a table's records as one column per key
+    zipped between constant key prefixes (``_rows``); lists as one column of
+    all their items, regrouped by length (``_grouped``).  Mixed types become
+    one column per type, read back in the items' order.  The builders hand
+    over every list of records as a table, so the Python work grows with the
+    number of shapes and the nesting depth, not with the number of terms and
+    gates.  A plain list of dicts or of tables, as ``family_info`` or a run
+    of reference expansions' diffs may hold, is written one item at a time.
+    Texts stay lazy iterators until a list joins its items, once, with its
+    brackets folded into the first and last item, so the peak memory stays
+    about twice the text.
 
     For the one call, a memo keeps the text of each tuple a dict holds and
     of each table with a source (:func:`polynomial_to_json`'s polynomial),
@@ -607,8 +604,9 @@ def dumps(data) -> str:
     the ``str`` the dict's parts hold, so it copies no text.  Lists and
     dicts, which may be the encoder's own temporaries, are never keyed.
     The memo also keeps, by value, the record text of each term of a
-    source's table, keyed by its ``(support, coefficient)`` pair, for the
-    tables at one indentation, the first's, kept once under ``_Terms``.  A
+    source's table, keyed by its ``(support, coefficient)`` pair, and the
+    indentation of those texts under ``_Terms``: only the objectives'
+    tables have a source, and they are written at one indentation.  A
     schedule's gate terms (a ``_Terms`` column) whose pairs were all kept
     are written from those texts, each re-indented by one ``str.replace``
     of that newline; any others are written column by column.  The memo is
@@ -696,7 +694,7 @@ def _texts(items, newline: str, memo: dict):
         return _rows(items, newline, memo)
     if type(items) is _Runs:
         return chain.from_iterable(map(_rows, items, repeat(newline), repeat(memo)))
-    if len(items) == 1:  # a single value, as in a run of one key set, keeps the direct path
+    if len(items) == 1:  # a single value takes the direct path
         return iter((_encode(items[0], newline, memo),))
     kinds = set(map(type, items))
     if len(kinds) != 1:  # one column per type, read back in the items' order
@@ -709,27 +707,15 @@ def _texts(items, newline: str, memo: dict):
         return map(_quote, items)
     if kind is int:
         return map(int.__repr__, items)
-    if kind is Fraction:  # ints and {"num", "den"} dicts, which take their own columns
-        return _texts(list(map(rational_to_json, items)), newline, memo)
-    inner = newline + "  "
-    if kind is dict:
-        try:  # one key set: each dict has every key of the first, and no more
-            table = _Table({key: list(map(itemgetter(key), items)) for key in items[0]})
-        except KeyError:
-            table = None
-        if table is None or len(set(map(len, items))) != 1:  # runs of one key set
-            return chain.from_iterable(
-                _texts(list(run), newline, memo) for _, run in groupby(items, dict.keys))
-        return _rows(table, newline, memo) if table.keys else repeat("{}", len(items))
-    if kind is list or kind is tuple or kind is _Table:  # every item's items in one column
-        if kind is _Table:  # each run of one key set joined into one table first
-            runs = (_joined(list(run)) for _, run in groupby(items, attrgetter("keys")))
-            flat = chain.from_iterable(
-                map(_texts, chain.from_iterable(runs), repeat(inner), repeat(memo)))
-        else:
-            flat = _texts(list(chain.from_iterable(items)), inner, memo)
+    if kind is Fraction:
+        if 1 in map(attrgetter("denominator"), items):  # the whole ones join the ints
+            return _texts(list(map(canonical, items)), newline, memo)
+        table = _Table({"num": _column(items, "numerator"), "den": _column(items, "denominator")})
+        return _rows(table, newline, memo)
+    if kind is list or kind is tuple:  # every item's items in one column
+        flat = _texts(list(chain.from_iterable(items)), newline + "  ", memo)
         return _grouped(list(map(len, items)), flat, newline)
-    return map(_encode, items, repeat(newline), repeat(memo))  # None, bool, or TypeError
+    return map(_encode, items, repeat(newline), repeat(memo))  # None, bool, dicts, tables, or TypeError
 
 
 def _rows(table: _Table, newline: str, memo: dict):
@@ -753,23 +739,6 @@ def _grouped(lengths: list, flat, newline: str):
         return map(str.join, map(("," + inner).join, zip(*[flat] * lengths[0])), repeat(brackets[1]))
     return map(str.join, map(("," + inner).join, map(islice, repeat(flat), lengths)),
                map(brackets.__getitem__, map(bool, lengths)))
-
-
-def _joined(columns: list) -> list:
-    """``[column]``, the values of ``columns`` in order, or ``columns`` if their forms differ."""
-    first = columns[0]
-    kind = type(first)
-    if len(columns) == 1 or len(set(map(type, columns))) > 1 or (
-            kind is _Table and len(set(map(attrgetter("keys"), columns))) > 1):
-        return columns
-    if kind is list or kind is _Terms:
-        return [kind(chain.from_iterable(columns))]
-    # The pairs' lengths and flat columns, or the tables' columns, each joined.
-    parts = [_joined(list(part)) for part in zip(*(getattr(c, "columns", c) for c in columns))]
-    if any(len(part) != 1 for part in parts):
-        return columns
-    parts = [part for part, in parts]
-    return [_Table(dict(zip(first.keys, parts))) if kind is _Table else tuple(parts)]
 
 
 # -- text rendering ----------------------------------------------------------

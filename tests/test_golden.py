@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qaoadepth import io
 from qaoadepth.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +72,24 @@ def test_artifact_matches_golden(name, capsys, monkeypatch):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert out == golden_path(name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dumps_gets_records_as_tables(name, capsys, monkeypatch):
+    # The builders hand dumps their records as tables; a plain list of two or
+    # more dicts or tables is written one item at a time, which is slower.
+    code, argv = CASES[name]
+    monkeypatch.chdir(REPO_ROOT)
+    texts, calls = io._texts, []
+
+    def guarded(items, *args):
+        if type(items) in (list, tuple):
+            records = sum(type(item) in (dict, io._Table) for item in items)
+            assert records < 2, f"dumps got a list of {records} dicts or tables"
+        calls.append(type(items))
+        return texts(items, *args)
+
+    monkeypatch.setattr(io, "_texts", guarded)
+    assert main(list(argv)) == code
+    capsys.readouterr()
+    assert calls or golden_path(name).suffix != ".json"

@@ -378,6 +378,21 @@ def test_build_places_phases_in_sorted_order_without_sorting():
     assert hosts > 100
 
 
+def test_build_makes_each_gate_a_hyperedge_like_its_keyword_built_twin(w6):
+    # build makes its gates with tuple.__new__, past the generated __new__.
+    rng = random.Random(41)
+    pubos = [dualize(make_maxcut(w6))]
+    for draw in range(30):
+        supports = random_hypergraph_supports(rng, 6, rng.randint(1, 8), 2 + draw % 3)
+        phases = [((f"x{i}",), rng.choice([-1, 2])) for i in range(1, 7) if rng.random() < 0.5]
+        pubos.append(pubo_from_polynomial(Polynomial.from_terms([(s, 1) for s in supports] + phases)))
+    for pubo in pubos:
+        for edge in build(pubo).edges:
+            twin = Hyperedge(support=edge[0], monomials=edge[1])
+            assert type(edge) is Hyperedge and len(edge) == 2
+            assert edge == twin and repr(edge) == repr(twin) and edge._asdict() == twin._asdict()
+
+
 def test_merge_exact_on_an_absorbed_hypergraph_computes_its_conflicts_once(
     general_problem, monkeypatch
 ):

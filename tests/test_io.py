@@ -11,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaoadepth import (
+    CircuitLayer,
+    CircuitSchedule,
     Constraint,
+    Hyperedge,
     InstanceGraph,
     InvalidInputError,
     Polynomial,
@@ -211,6 +214,8 @@ def test_dimacs_error_reporting(tmp_path):
         "zero_den.dimacs": (head + "e 1 2 1/0\n", ":8: bad weight '1/0'"),
         "junk.dimacs": (head + "e 1 2\r\nq 1 2\n", ":9: unknown record 'q'"),
         "edge_word.dimacs": (head + "edge 1 2\n", ":8: unknown record 'edge'"),
+        # \f and \x1c end no line: they are whitespace within the comment
+        "form_feed.dimacs": (head + "c page\fbreak\x1c\nq 1 2\n", ":9: unknown record 'q'"),
         "count.dimacs": (head + "e 1 2\n", ": header declares 2 edges but 1 found"),
         "loop.dimacs": (head + "e 1 2\ne 2 2\n", ": loop edge (2,2) not allowed"),
         "low_u.dimacs": (head + "e 1 2\ne 0 2\n", ": edge (0,2) outside vertex range 1..3"),
@@ -407,6 +412,27 @@ def test_schedule_gate_records_match_one_record_per_gate():
     assert {1, 2} <= sizes
 
 
+def test_a_hand_built_schedule_writes_its_layers_in_order(monkeypatch):
+    # schedule() puts the one mixer last; a schedule built by hand may put
+    # mixers anywhere, and its runs of layers with terms still write their
+    # gate terms from the objective's kept texts.
+    ab = Hyperedge(("a", "b"), ((("a", "b"), Fraction(1, 2)), (("b",), -1)))
+    c, bc = Hyperedge(("c",), ((("c",), 3),)), Hyperedge(("b", "c"), ((("b", "c"), 2),))
+    d = Hyperedge(("d",), ((("d",), Fraction(-5, 3)),))
+    mixer = CircuitLayer("mixer", tuple(Hyperedge((name,), ()) for name in "abcd"))
+    layers = (mixer, CircuitLayer("cost", (ab, c)), CircuitLayer("singleton", (d,)), mixer, mixer,
+              CircuitLayer("cost", (bc,)), CircuitLayer("cost", ()))
+    sched = CircuitSchedule(("a", "b", "c", "d"), layers, 2)
+    problem = Problem("min", sched.covered_polynomial(), (), sched.variables)
+    found = _gate_term_lookups(monkeypatch)
+    for built, runs in ((sched, 2), (replace(sched, layers=layers[1:3]), 1), (replace(sched, layers=()), 0)):
+        found.clear()
+        sections = {"problem": problem_to_json(problem), "schedule": schedule_to_json(built)}
+        assert dumps(sections) == dumps(dict(sections, schedule=schedule_to_json_reference(built)))
+        assert found == [True] * runs
+    assert dumps(schedule_to_json(sched)) == dumps(schedule_to_json_reference(sched))
+
+
 def test_dumps_is_deterministic(general_problem):
     assert dumps(problem_to_json(general_problem)) == dumps(problem_to_json(general_problem))
 
@@ -442,9 +468,13 @@ def _nested(inner):
 
 
 def _flat(size, inner, depth):
-    """A list, or while ``depth`` lasts a table, of ``size`` values."""
+    """A list, or while ``depth`` lasts a table or a run of two tables, of ``size`` values."""
     values = st.lists(inner, min_size=size, max_size=size)
-    return values | _table_of(size, inner, depth - 1) if depth else values
+    if not depth:
+        return values
+    runs = st.integers(0, size).flatmap(lambda first: st.tuples(
+        _table_of(first, inner, depth - 1), _table_of(size - first, inner, depth - 1)).map(_Runs))
+    return values | _table_of(size, inner, depth - 1) | runs
 
 
 def _column(size, inner, depth):
@@ -493,10 +523,12 @@ _json_values = st.recursive(
 
 
 def _values(column):
-    """The values a ``_Table`` column stands for: dicts for a table or for gate terms'
-    ``(support, coefficient)`` pairs, lists for a pair."""
+    """The values a ``_Table`` column stands for: dicts for a table, for each table of a
+    run or for gate terms' ``(support, coefficient)`` pairs, lists for a pair."""
     if isinstance(column, _Terms):
         return [{"vars": support, "coeff": coeff} for support, coeff in column]
+    if isinstance(column, _Runs):
+        return [record for table in column for record in _values(table)]
     if isinstance(column, _Table):
         return [dict(zip(column.keys, row)) for row in zip(*map(_values, column.columns))]
     if isinstance(column, tuple):
@@ -530,9 +562,11 @@ def _plain(value):
 @example([1, True, 0])  # a bool is not encoded as an int
 @example({"a": False, "b": 0})
 @example((("a", 'q"'), ("", "caf\u00e9")))
-@example([{"a#": 1, 'a"': [2]}, {'a"': [], "a#": "x"}])  # one key set, in any insertion order
-@example([{"a": 1}, {"b": 2}, {"a": 3}, {}, {"a": 4, "b": 5}])  # key sets differ
-@example([{"a": 1}, {"a": 2, "b": 3}])  # every dict has the first's keys, one has more
+# Lists of dicts, written one dict at a time: one key set in any insertion
+# order, key sets that differ, and every dict with the first's keys, one with more
+@example([{"a#": 1, 'a"': [2]}, {'a"': [], "a#": "x"}])
+@example([{"a": 1}, {"b": 2}, {"a": 3}, {}, {"a": 4, "b": 5}])
+@example([{"a": 1}, {"a": 2, "b": 3}])
 @example([[1, 2], [], [3], [], [[]]])  # some members empty
 @example([[], [], ()])  # all members empty
 @example([{"k": 1}, {"k": True}, {"k": None}, {"k": "s"}, {"k": {"a": 0}}, {"k": [False]},
@@ -540,20 +574,20 @@ def _plain(value):
 @example([[1, "a"], ("b", 2), [], (), [[3]], ([4],)])  # lists and tuples in one list
 @example(Fraction(4, 2))  # a whole Fraction is its int
 @example([Fraction(-1, 3)])  # a list of one item takes the direct path
+@example([Fraction(-1, 3), Fraction(7, 2), Fraction(5, 12)])  # no whole one: one {"num", "den"} table
+@example([Fraction(1, 2), Fraction(4, 2), Fraction(-3), Fraction(-5, 4)])  # whole ones join the ints
 @example([{"vars": ("x1",), "coeff": 2}, {"vars": (), "coeff": Fraction(-5, 2)},
           {"vars": ("x1", "x2"), "coeff": Fraction(1, 3)}])  # an int/Fraction coefficient column
 # Fractions inside dicts of one key set
 @example([{"a": Fraction(1, 2), "b": [Fraction(3)]}, {"b": (), "a": Fraction(-7, 4)}])
 # Tables: empty ones, one record, empty groups, an int/Fraction coefficient column
 @example(_Table({"a": []}))
-@example([_Table({"a": []}), _Table({"a": ([], [])}), _Table({"b": []})])
 @example({"t": _Table({"b": [], "a": ([], _Table({"c": []}))})})
 @example(_Table({"vars": [("x1", "x2")], "coeff": [Fraction(1, 2)]}))
-@example([_Table({"a": [1]}), _Table({"a": [2]}), [_Table({"a": [3]})]])
 @example(_Table({"terms": ([0, 2, 0], _Table({"vars": [("a",), ()], "coeff": [1, Fraction(-1, 3)]}))}))
 @example(_Table({"a": ([0, 0], []), "b": ["x", "y"]}))
 @example(_Table({"vars": [("x1",), (), ("x1", "x2")], "coeff": [2, Fraction(-5, 2), Fraction(4, 2)]}))
-# A column of tables whose key sets differ: cost gates with terms, then mixer gates
+# Layer dicts whose gates are tables of differing key sets, written one dict at a time
 @example([
     {"kind": "cost", "gates": _Table({"qubits": [("a", "b"), ("c",)], "terms": (
         [1, 2], _Table({"vars": [("a", "b"), ("c",), ()], "coeff": [1, Fraction(1, 2), -3]}))})},
@@ -561,7 +595,17 @@ def _plain(value):
         [1], _Table({"vars": [("b", "c")], "coeff": [Fraction(-7, 4)]}))})},
     {"kind": "mixer", "gates": _Table({"qubits": [("a",), ("b",), ("c",)]})},
 ])
-# Tables of one key set whose columns differ in form, or in a nested key set, are not joined
+# A (lengths, runs) column, as a schedule's gates: cost gates with terms, an
+# empty run, then mixer gates
+@example(_Table({"kind": ["cost", "cost", "none", "mixer"], "gates": ([2, 1, 0, 3], _Runs([
+    _Table({"qubits": [("a", "b"), ("c",), ("b", "c")], "terms": ([1, 2, 1], _Table({
+        "vars": [("a", "b"), ("c",), (), ("b", "c")], "coeff": [1, Fraction(1, 2), -3, Fraction(-7, 4)]}))}),
+    _Table({"qubits": []}),
+    _Table({"qubits": [("a",), ("b",), ("c",)]})]))}))
+# Lists of tables, written one table at a time: empty ones, one key set, and
+# one key set whose columns differ in form or in a nested key set
+@example([_Table({"a": []}), _Table({"a": ([], [])}), _Table({"b": []})])
+@example([_Table({"a": [1]}), _Table({"a": [2]}), [_Table({"a": [3]})]])
 @example([_Table({"a": [1]}), _Table({"a": ([1], [2])}), _Table({"a": _Table({"b": [3]})}),
           _Table({"a": ([2], _Table({"b": [5, 6]}))})])
 @example([_Table({"a": _Table({"b": [3]})}), _Table({"a": _Table({"c": [4]})})])
@@ -632,11 +676,11 @@ def test_gate_terms_write_the_bytes_of_one_dict_per_term(monkeypatch, w6):
     problems += [problem_from_json(_general_problem_json(rng)) for _ in range(3)]
     runs = [(run_pipeline(problem, gate_width=3, p=1 + i % 2), True) for i, problem in enumerate(problems)]
     runs += [(run_pipeline(problem, gate_width=4, method="merge-exact", p=2), True) for problem in problems]
-    # A reference expansion's table, written with the constraints before the
-    # objectives and deeper, sets the one indentation the kept texts share:
-    # its terms are kept and the objectives' are not.
+    # A reference expansion is written with the constraints, before the
+    # objectives and deeper, as part of its run's one terms table: it has no
+    # source, so it keeps no texts and the objectives' terms are kept.
     general = problems[-1]
-    for expansion, hit in ((Polynomial.variable("x1"), False), (dualize(general).objective, True)):
+    for expansion, hit in ((Polynomial.variable("x1"), True), (dualize(general).objective, True)):
         constraints = (replace(general.constraints[0], reference_expansion=expansion), *general.constraints[1:])
         runs.append((run_pipeline(replace(general, constraints=constraints), gate_width=3), hit))
     found = _gate_term_lookups(monkeypatch)
