@@ -11,14 +11,16 @@ k = span.bit_length(), the coefficients are 1, 2, ..., 2**(k-2) and a last
 one of span - (2**(k-1) - 1), so the slack sums are exactly the integers in
 [0, span].  Feasible assignments then admit a slack setting with penalty
 exactly 0, while any integral violation, including one of a two-sided
-lower bound, costs at least the penalty weight.
+lower bound, costs at least the penalty weight.  Each constraint's record is
+a :class:`ConstraintDualization`, a named tuple, so ``_replace`` takes the
+place of ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container
+from typing import Container, NamedTuple
 
 from .errors import InfeasibleConstraintError, InvalidInputError
 from .poly import (
@@ -72,8 +74,7 @@ def expansion_diff(computed: Polynomial, reference: Polynomial) -> ExpansionDiff
     return ExpansionDiff(missing, unexpected, mismatched)
 
 
-@dataclass(frozen=True)
-class ConstraintDualization:
+class ConstraintDualization(NamedTuple):
     """Per-constraint record of how (or why not) it was dualized."""
 
     index: int
@@ -123,21 +124,21 @@ def _fresh_slack_name(base: str, taken: Container[str]) -> str:
     return name
 
 
-def _slack_coefficients(slack_range: Scalar) -> tuple[list[int], list[str]]:
+def _slack_coefficients(slack_range: Scalar) -> tuple[list[int], tuple[str, ...]]:
     """Slack bit coefficients whose subset sums are exactly 0..ceil(slack_range), with notes.
 
     Powers of two up to the last bit, which takes what is left of the span,
     so no slack setting overshoots the range (a two-sided constraint's lower
     bound stays enforced).
     """
-    notes = []
+    notes = ()
     if slack_range < 0:
         raise ValueError("slack range must be nonnegative")
     if slack_range.denominator != 1:
-        notes.append(
+        notes = (
             f"non-integral slack range {slack_range} rounded up to "
             f"{math.ceil(slack_range)}; boundary-feasible points may keep a "
-            "small positive penalty"
+            "small positive penalty",
         )
     span = math.ceil(slack_range)
     k = span.bit_length()
@@ -163,9 +164,10 @@ def dualize(problem: Problem) -> Pubo:
 
     A kept constraint costs one pass through the penalty path: its residual
     ``lhs + slack - rhs`` is one dict sorted once, or the lhs itself when
-    there is no slack bit and ``rhs`` is 0; its square and the weighted
-    penalty come out of :meth:`~qaoadepth.poly.Polynomial.square` and the
-    scalar product already in order.  The penalties are summed into one
+    there is no slack bit and ``rhs`` is 0; a slack range of 0 is not sized
+    and makes no notes.  Its square comes out of
+    :meth:`~qaoadepth.poly.Polynomial.square` in order, and the weighted
+    penalty is one comprehension over it.  The penalties are summed into one
     coefficient dict, so the objective is canonicalised once, not once per
     constraint.  When no constraint adds a penalty (there are none, or all
     are dropped), the penalty form is the min-sense objective itself: for a
@@ -195,38 +197,27 @@ def dualize(problem: Problem) -> Pubo:
                     f"which is below the lower bound {lower}",
                 )
         elif cube_max <= rhs:
-            records.append(
-                ConstraintDualization(
-                    index=index,
-                    label=con.label,
-                    dropped=True,
-                    reason="redundant: lhs never exceeds rhs",
-                    cube_min=cube_min,
-                    cube_min_exact=min_exact,
-                )
-            )
+            records.append(ConstraintDualization(
+                index, con.label, True, "redundant: lhs never exceeds rhs", cube_min, min_exact
+            ))
             continue
 
-        notes: list[str] = []
-        if not min_exact:
-            notes.append("interval bound used for the cube minimum (support too large)")
+        notes = () if min_exact else ("interval bound used for the cube minimum (support too large)",)
         slack_range = canonical(rhs - cube_min)
         if lower is not None:
             declared = canonical(rhs - lower)
             if declared < slack_range:
-                notes.append(
+                notes += (
                     f"slack range capped at {declared} by the two-sided bound "
-                    f"(cube range is {slack_range})"
+                    f"(cube range is {slack_range})",
                 )
                 slack_range = declared
         if con.slack_bound is not None and con.slack_bound < slack_range:
-            notes.append(
-                f"slack range capped at {con.slack_bound} by the declared slack bound"
-            )
+            notes += (f"slack range capped at {con.slack_bound} by the declared slack bound",)
             slack_range = con.slack_bound
 
-        slack_coefficients, range_notes = _slack_coefficients(slack_range)
-        notes.extend(range_notes)
+        slack_coefficients, range_notes = _slack_coefficients(slack_range) if slack_range else ((), ())
+        notes += range_notes
 
         if slack_coefficients or rhs:
             # lhs + slack - rhs in one dict, wrapped once: the slack names
@@ -241,7 +232,7 @@ def dualize(problem: Problem) -> Pubo:
                 residual[(name,)] = c
             residual = Polynomial._from_canonical(residual)
         else:  # lhs <= 0 with no slack, as for an independent set's edge
-            residual, slack_names = lhs, []
+            residual, slack_names = lhs, ()
 
         weight = con.weight
         if weight is None:
@@ -250,7 +241,10 @@ def dualize(problem: Problem) -> Pubo:
             weight = default_weight
 
         square = residual.square()
-        penalty = square * weight
+        penalty = Polynomial._from_sorted({  # square * weight; a Fraction's product may be whole
+            s: p if type(p := c * weight) is int or p.denominator != 1 else p.numerator
+            for s, c in square.terms()
+        })
         if coefficients is None:
             coefficients = dict(objective.terms())
         for support, coeff in penalty.terms():
@@ -260,21 +254,10 @@ def dualize(problem: Problem) -> Pubo:
         if con.reference_expansion is not None:
             diff = expansion_diff(square, con.reference_expansion)
 
-        records.append(
-            ConstraintDualization(
-                index=index,
-                label=con.label,
-                cube_min=cube_min,
-                cube_min_exact=min_exact,
-                slack_range=slack_range,
-                slack_vars=tuple(slack_names),
-                weight=weight,
-                square=square,
-                penalty=penalty,
-                notes=tuple(notes),
-                expansion_diff=diff,
-            )
-        )
+        records.append(ConstraintDualization(
+            index, con.label, False, "", cube_min, min_exact, slack_range, tuple(slack_names),
+            weight, square, penalty, notes, diff,
+        ))
 
     return Pubo(
         objective=objective if coefficients is None else Polynomial._from_canonical(coefficients),

@@ -37,9 +37,11 @@ column from the model, with no dict per record, and ints, Fractions and
 tuples pass through as they are.  Records whose optional keys differ
 (constraints, dualizations), and gates, which only layers with terms give
 terms, are ``_Runs`` of tables of one key set, and all the terms of a
-run's polynomials make one table.  Only the encoder knows the ``{"num",
-"den"}`` format (with :func:`rational_from_json`, which reads it back).
-Every artifact is written through :func:`dumps`.
+run's polynomials, or all its expansion diffs, make one table.  Constraint
+and dualization records are named tuples, read in columns by one ``zip``.
+Only the encoder knows the ``{"num", "den"}`` format (with
+:func:`rational_from_json`, which reads it back).  Every artifact is
+written through :func:`dumps`.
 
 Sections share model objects (an unconstrained objective is its penalty
 form; one names tuple is four sections' variables), and :func:`dumps`
@@ -58,7 +60,7 @@ from operator import attrgetter, is_, is_not, itemgetter, not_
 from typing import Any
 
 from .coloring import EdgeColoring
-from .dualize import ExpansionDiff, Pubo
+from .dualize import ConstraintDualization, ExpansionDiff, Pubo
 from .errors import InvalidInputError
 from .hypergraph import DerivedHypergraph
 from .poly import Polynomial, Scalar, Support, canonical, ratio
@@ -159,20 +161,25 @@ def _column(records, name: str) -> list:
     return list(map(attrgetter(name), records))
 
 
+def _columns(records, kind) -> list[list]:
+    """Each field of the ``kind`` named tuples ``records``, as a list: one ``zip`` reads them all."""
+    return list(map(list, zip(*records))) or [[] for _ in kind._fields]
+
+
 def _given(column: list) -> list[bool]:
     """Which values of ``column`` are not None."""
     return list(map(is_not, column, repeat(None)))
 
 
-def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], *terms_keys: str) -> _Runs:
+def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], **tables) -> _Runs:
     """Records given column by column, as runs of one key set.
 
     Each group is a column of flags, one per record, and the columns of the
     keys that the flagged records have; a group whose flags are ``None`` is
     in every record.  A run is a longest stretch of records whose flags
-    agree, so every run has one key set.  Each of a run's ``terms_keys``
-    columns, of polynomials, becomes one table of all their terms with each
-    record's count of them, so a record's polynomial costs no table of its own.
+    agree, so every run has one key set.  A run's column under a key of
+    ``tables`` is written as ``tables[key]`` makes it, such as
+    :func:`_terms_table` for polynomials, so a record's values cost no table of their own.
     """
     runs = _Runs()
     start = 0
@@ -185,14 +192,18 @@ def _runs(groups: list[tuple[list[bool] | None, dict[str, list]]], *terms_keys: 
             if flags is None or next(present)
             for key, column in group.items()
         }
-        for key in terms_keys:
-            polys = columns.get(key)
-            if polys is not None:
-                terms = list(chain.from_iterable(map(Polynomial.terms, polys)))
-                columns[key] = (list(map(Polynomial.num_terms, polys)), _records(terms, "vars", "coeff"))
+        for key, table in tables.items():
+            if key in columns:
+                columns[key] = table(columns[key])
         runs.append(_Table(columns))
         start = stop
     return runs
+
+
+def _terms_table(polys: list[Polynomial]) -> tuple[list[int], _Table]:
+    """The terms of ``polys``: each one's count of them, and one table of them all."""
+    terms = list(chain.from_iterable(map(Polynomial.terms, polys)))
+    return list(map(Polynomial.num_terms, polys)), _records(terms, "vars", "coeff")
 
 
 # -- polynomials -------------------------------------------------------------
@@ -231,23 +242,19 @@ def polynomial_from_json(data, known: set[str] | None, path: str) -> Polynomial:
 
 
 def problem_to_json(problem: Problem) -> dict:
-    constraints = problem.constraints
-    weights, lowers, slack_bounds, labels, references = (
-        _column(constraints, name)
-        for name in ("weight", "lower", "slack_bound", "label", "reference_expansion")
-    )
+    lhs, rhs, weights, lowers, slack_bounds, labels, references = _columns(problem.constraints, Constraint)
     out: dict[str, Any] = {
         "sense": problem.sense,
         "variables": problem.variables,
         "objective": polynomial_to_json(problem.objective),
         "constraints": _runs([
-            (None, {"terms": _column(constraints, "lhs"), "rhs": _column(constraints, "rhs")}),
+            (None, {"terms": lhs, "rhs": rhs}),
             (_given(weights), {"lambda": weights}),
             (_given(lowers), {"lower": lowers}),
             (_given(slack_bounds), {"slack_bound": slack_bounds}),
             (list(map(bool, labels)), {"label": labels}),
             (_given(references), {"reference_expansion": references}),
-        ], "terms", "reference_expansion"),
+        ], terms=_terms_table, reference_expansion=_terms_table),
     }
     if problem.family is not None:
         out["family"] = problem.family
@@ -288,25 +295,17 @@ def problem_from_json(data, path: str = "problem") -> Problem:
         if "rhs" not in raw:
             raise InvalidInputError(f"{c_path}: missing rhs")
         lhs = polynomial_from_json(raw.get("terms", []), known, f"{c_path}.terms")
-        kwargs: dict[str, Any] = {
-            "lhs": lhs,
-            "rhs": rational_from_json(raw["rhs"], f"{c_path}.rhs"),
-        }
-        if "lambda" in raw:
-            kwargs["weight"] = rational_from_json(raw["lambda"], f"{c_path}.lambda")
-        if "lower" in raw:
-            kwargs["lower"] = rational_from_json(raw["lower"], f"{c_path}.lower")
-        if "slack_bound" in raw:
-            kwargs["slack_bound"] = rational_from_json(raw["slack_bound"], f"{c_path}.slack_bound")
-        if "label" in raw:
-            if not isinstance(raw["label"], str):
-                raise InvalidInputError(f"{c_path}.label: expected a string")
-            kwargs["label"] = raw["label"]
+        numbers = [  # rhs, weight, lower and slack_bound, each checked by Constraint
+            rational_from_json(raw[key], f"{c_path}.{key}") if key in raw else None
+            for key in ("rhs", "lambda", "lower", "slack_bound")
+        ]
+        label = raw.get("label", "")
+        if not isinstance(label, str):
+            raise InvalidInputError(f"{c_path}.label: expected a string")
+        reference = raw.get("reference_expansion")
         if "reference_expansion" in raw:
-            kwargs["reference_expansion"] = polynomial_from_json(
-                raw["reference_expansion"], None, f"{c_path}.reference_expansion"
-            )
-        constraints.append(Constraint(**kwargs))
+            reference = polynomial_from_json(reference, None, f"{c_path}.reference_expansion")
+        constraints.append(Constraint(lhs, *numbers, label, reference))
 
     family = data.get("family")
     if family is not None and not isinstance(family, str):
@@ -474,12 +473,19 @@ def expansion_diff_to_json(diff: ExpansionDiff) -> dict:
     }
 
 
+def _diff_table(diffs: list[ExpansionDiff]) -> _Table:
+    """:func:`expansion_diff_to_json` of each of ``diffs``, as one table: a column of
+    record tables is each one's count of records and the ``_Runs`` of them all."""
+    records = list(map(expansion_diff_to_json, diffs))
+    columns = {key: list(map(itemgetter(key), records)) for key in records[0]}
+    for key in ("missing_in_reference", "unexpected_in_reference", "coefficient_mismatches"):
+        columns[key] = (list(map(len, _column(diffs, key))), _Runs(columns[key]))
+    return _Table(columns)
+
+
 def pubo_to_json(pubo: Pubo) -> dict:
-    records = pubo.dualizations
-    dropped, cube_mins, slack_vars, notes, diffs = (
-        _column(records, name)
-        for name in ("dropped", "cube_min", "slack_vars", "notes", "expansion_diff")
-    )
+    (indices, labels, dropped, reasons, cube_mins, cube_min_exact, slack_ranges, slack_vars,
+     weights, _, penalties, notes, diffs) = _columns(pubo.dualizations, ConstraintDualization)
     return {
         "objective": polynomial_to_json(pubo.objective),
         "constant_offset": pubo.constant_offset,
@@ -487,22 +493,19 @@ def pubo_to_json(pubo: Pubo) -> dict:
         "variables": pubo.variables,
         "slack_variables": pubo.slack_names(),
         "dualization": _runs([
-            (None, {"index": _column(records, "index"), "label": _column(records, "label"),
-                    "dropped": dropped}),
-            (dropped, {"reason": _column(records, "reason")}),
-            (_given(cube_mins), {"cube_min": cube_mins,
-                                 "cube_min_exact": _column(records, "cube_min_exact")}),
+            (None, {"index": indices, "label": labels, "dropped": dropped}),
+            (dropped, {"reason": reasons}),
+            (_given(cube_mins), {"cube_min": cube_mins, "cube_min_exact": cube_min_exact}),
             (list(map(not_, dropped)), {
-                "slack_range": _column(records, "slack_range"),
+                "slack_range": slack_ranges,
                 "slack_bits": list(map(len, slack_vars)),
                 "slack_vars": slack_vars,
-                "penalty_weight": _column(records, "weight"),
-                "penalty": _column(records, "penalty"),
+                "penalty_weight": weights,
+                "penalty": penalties,
             }),
             (list(map(bool, notes)), {"notes": notes}),
-            (_given(diffs), {"expansion_diff": [
-                None if d is None else expansion_diff_to_json(d) for d in diffs]}),
-        ], "penalty"),
+            (_given(diffs), {"expansion_diff": diffs}),
+        ], penalty=_terms_table, expansion_diff=_diff_table),
     }
 
 
@@ -583,16 +586,17 @@ def dumps(data) -> str:
 
     The envelope, each section dict and a list of one item are encoded one
     value at a time, but the items of a longer list are encoded together, a
-    column at a time (``_texts``): all strings or all ints with one ``map``;
-    whole Fractions with the ints, and the others as one table of their
-    numerators and denominators; a table's records as one column per key
-    zipped between constant key prefixes (``_rows``); lists as one column of
-    all their items, regrouped by length (``_grouped``).  Mixed types become
-    one column per type, read back in the items' order.  The builders hand
-    over every list of records as a table, so the Python work grows with the
-    number of shapes and the nesting depth, not with the number of terms and
-    gates.  A plain list of dicts or of tables, as ``family_info`` or a run
-    of reference expansions' diffs may hold, is written one item at a time.
+    column at a time (``_texts``): all strings, all ints or all bools with
+    one ``map``; whole Fractions with the ints, and the others as one table
+    of their numerators and denominators; a table's records as one column
+    per key zipped between constant key prefixes (``_rows``); lists as one
+    column of all their items, regrouped by length (``_grouped``), or
+    ``[]`` each when all are empty.  Mixed types become one column per type,
+    read back in the items' order.  The builders hand over every list of
+    records as a table, so the Python work grows with the number of shapes
+    and the nesting depth, not with the number of terms and gates.  A plain
+    list of dicts or of tables, as ``family_info`` may hold, is written one
+    item at a time.
     Texts stay lazy iterators until a list joins its items, once, with its
     brackets folded into the first and last item, so the peak memory stays
     about twice the text.
@@ -712,10 +716,12 @@ def _texts(items, newline: str, memo: dict):
             return _texts(list(map(canonical, items)), newline, memo)
         table = _Table({"num": _column(items, "numerator"), "den": _column(items, "denominator")})
         return _rows(table, newline, memo)
+    if kind is bool:
+        return map(("false", "true").__getitem__, items)
     if kind is list or kind is tuple:  # every item's items in one column
         flat = _texts(list(chain.from_iterable(items)), newline + "  ", memo)
         return _grouped(list(map(len, items)), flat, newline)
-    return map(_encode, items, repeat(newline), repeat(memo))  # None, bool, dicts, tables, or TypeError
+    return map(_encode, items, repeat(newline), repeat(memo))  # None, dicts, tables, or TypeError
 
 
 def _rows(table: _Table, newline: str, memo: dict):
@@ -735,7 +741,9 @@ def _grouped(lengths: list, flat, newline: str):
     # body.join((open, close)) is open + body + close; an empty list is "[]".
     inner = newline + "  "
     brackets = (("[", "]"), ("[" + inner, newline + "]"))
-    if lengths and lengths[0] and lengths.count(lengths[0]) == len(lengths):  # equal: zip, no islice
+    if not any(lengths):  # all empty: no item to read
+        return repeat("[]", len(lengths))
+    if lengths[0] and lengths.count(lengths[0]) == len(lengths):  # equal: zip, no islice
         return map(str.join, map(("," + inner).join, zip(*[flat] * lengths[0])), repeat(brackets[1]))
     return map(str.join, map(("," + inner).join, map(islice, repeat(flat), lengths)),
                map(brackets.__getitem__, map(bool, lengths)))

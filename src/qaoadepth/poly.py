@@ -346,13 +346,18 @@ class Polynomial:
         The closed form is one scan of the coefficients: the constant plus
         the negative ones, and the constant plus the positive ones.  It works
         on the coefficients as they are when all are ints, else on them times
-        their common denominator, dividing back once.  The enumeration reads
-        both extremes off one integer table.
+        their common denominator, dividing back once.  One term c*x_S ranges
+        over 0 and c, or is c when S is empty.  The enumeration reads both
+        extremes off one integer table.
         """
         found = self._range
         if found is not None:
             return found
         terms = self._terms
+        if len(terms) == 1:
+            ((support, coeff),) = terms.items()
+            found = self._range = (min(coeff, 0), max(coeff, 0), True) if support else (coeff, coeff, True)
+            return found
         width = sum(map(len, terms))
         disjoint = width == len(variables := set().union(*terms))
         if not disjoint and len(variables) <= EXACT_ENUMERATION_LIMIT:

@@ -4,13 +4,16 @@ A :class:`Problem` is an objective polynomial plus a list of ``lhs <= rhs``
 constraints over named binary variables.  Generators build the classic
 families (MaxCut, MaxIndSet, Vertex Cover, Knapsack, TSP, SAT) from natural
 inputs and tag the result so depth analyzers can recognize the family later.
+A :class:`Constraint` is a named tuple, so ``_replace`` takes the place of
+``dataclasses.replace``; it checks nothing, as ``tuple.__new__`` does not.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -20,8 +23,7 @@ MINIMIZE = "min"
 MAXIMIZE = "max"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", "lhs rhs weight lower slack_bound label reference_expansion")):
     """lhs <= rhs, optionally two-sided (lower <= lhs <= rhs).
 
     ``weight`` is the penalty multiplier used when the constraint is turned
@@ -31,32 +33,44 @@ class Constraint:
     ``reference_expansion`` may hold an externally supplied expansion of the
     squared penalty; the dualizer diffs its own expansion against it and
     reports every discrepancy.
+
+    The constructor coerces and checks the numbers.  The generators whose
+    data are int literals build theirs at tuple cost, with ``tuple.__new__``.
     """
 
-    lhs: Polynomial
-    rhs: Scalar
-    weight: Scalar | None = None
-    lower: Scalar | None = None
-    slack_bound: Scalar | None = None
-    label: str = ""
-    reference_expansion: Polynomial | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rhs", _coerce(self.rhs))
-        if self.weight is not None:
-            object.__setattr__(self, "weight", _coerce(self.weight))
-            if self.weight <= 0:
-                raise InvalidInputError(f"penalty weight must be positive, got {self.weight}")
-        if self.lower is not None:
-            object.__setattr__(self, "lower", _coerce(self.lower))
-            if self.lower >= self.rhs:
+    def __new__(cls, lhs: Polynomial, rhs: Scalar, weight: Scalar | None = None,
+                lower: Scalar | None = None, slack_bound: Scalar | None = None, label: str = "",
+                reference_expansion: Polynomial | None = None):
+        rhs = _coerce(rhs)
+        if weight is not None:
+            weight = _penalty_weight(weight)
+        if lower is not None:
+            lower = _coerce(lower)
+            if lower >= rhs:
                 raise InvalidInputError(
-                    f"two-sided constraint needs lower < rhs, got {self.lower} >= {self.rhs}"
+                    f"two-sided constraint needs lower < rhs, got {lower} >= {rhs}"
                 )
-        if self.slack_bound is not None:
-            object.__setattr__(self, "slack_bound", _coerce(self.slack_bound))
-            if self.slack_bound < 0:
+        if slack_bound is not None:
+            slack_bound = _coerce(slack_bound)
+            if slack_bound < 0:
                 raise InvalidInputError("slack_bound must be nonnegative")
+        return tuple.__new__(cls, (lhs, rhs, weight, lower, slack_bound, label, reference_expansion))
+
+
+def _penalty_weight(value) -> Scalar:
+    """``value`` as an exact penalty weight; InvalidInputError unless it is positive."""
+    if (weight := _coerce(value)) <= 0:
+        raise InvalidInputError(f"penalty weight must be positive, got {weight}")
+    return weight
+
+
+def _constraints(lhs: Iterable[Polynomial], rhs: Iterable[int], labels: Iterable[str]):
+    """``Constraint(l, r, label=t)`` for each ``(l, r, t)``, built at tuple cost: an int
+    ``r`` needs no coercion, and a generator's data need no check."""
+    return tuple(map(tuple.__new__, repeat(Constraint), zip(
+        lhs, rhs, repeat(None), repeat(None), repeat(None), labels, repeat(None))))
 
 
 @dataclass
@@ -189,27 +203,21 @@ def make_maxcut(g: InstanceGraph) -> Problem:
 
 def with_penalty_weight(problem: Problem, weight) -> Problem:
     """``problem`` with ``weight`` (``--lambda``) as every constraint's penalty weight."""
-    weight = _coerce(weight)
-    return replace(
-        problem, constraints=tuple(replace(c, weight=weight) for c in problem.constraints)
-    )
+    weight = _penalty_weight(weight)
+    return replace(problem, constraints=tuple(c._replace(weight=weight) for c in problem.constraints))
 
 
 def make_maxindset(g: InstanceGraph) -> Problem:
     """Maximum independent set: max sum(xi) with xi*xj <= 0 per edge."""
     names = _vertex_names(g)
-    constraints = []
+    lhs = []
     for u, v in g.edges:
         xu, xv = names[u], names[v]
-        constraints.append(Constraint(
-            lhs=Polynomial._from_sorted({(xu, xv) if xu < xv else (xv, xu): 1}),
-            rhs=0,
-            label=f"edge({u},{v})",
-        ))
+        lhs.append(Polynomial._from_sorted({(xu, xv) if xu < xv else (xv, xu): 1}))
     return Problem(
         sense=MAXIMIZE,
         objective=_count_vertices(names),
-        constraints=tuple(constraints),
+        constraints=_constraints(lhs, repeat(0), [f"edge({u},{v})" for u, v in g.edges]),
         variables=tuple(names[1:]),
         family="maxindset",
         family_info={"n": g.n, "edges": g.edges},
@@ -219,20 +227,16 @@ def make_maxindset(g: InstanceGraph) -> Problem:
 def make_vertex_cover(g: InstanceGraph) -> Problem:
     """Minimum vertex cover: min sum(xi) with (1-xi)+(1-xj) <= 1 per edge."""
     names = _vertex_names(g)
-    constraints = []
+    lhs = []
     for u, v in g.edges:
         xu, xv = names[u], names[v]
         if xv < xu:
             xu, xv = xv, xu
-        constraints.append(Constraint(
-            lhs=Polynomial._from_sorted({(): 2, (xu,): -1, (xv,): -1}),
-            rhs=1,
-            label=f"edge({u},{v})",
-        ))
+        lhs.append(Polynomial._from_sorted({(): 2, (xu,): -1, (xv,): -1}))
     return Problem(
         sense=MINIMIZE,
         objective=_count_vertices(names),
-        constraints=tuple(constraints),
+        constraints=_constraints(lhs, repeat(1), [f"edge({u},{v})" for u, v in g.edges]),
         variables=tuple(names[1:]),
         family="vertex_cover",
         family_info={"n": g.n, "edges": g.edges},
@@ -333,12 +337,13 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
     for name, (u, v) in zip(names, g.edges):
         incident[u].append(name)
         incident[v].append(name)
-    constraints: list[Constraint] = []
+    lhs, rhs, labels = [], [], []  # of each constraint
     for vertex in range(1, g.n + 1):
         degree = Polynomial.from_terms(((name,), 1) for name in incident[vertex])
         # degree == 2, written as the <= pair (<= 2 and -degree <= -2)
-        constraints.append(Constraint(lhs=degree, rhs=2, label=f"degree({vertex})<="))
-        constraints.append(Constraint(lhs=-degree, rhs=-2, label=f"degree({vertex})>="))
+        lhs += (degree, -degree)
+        rhs += (2, -2)
+        labels += (f"degree({vertex})<=", f"degree({vertex})>=")
 
     n_subtour = 0
     for subset in subtour_subsets:
@@ -351,18 +356,19 @@ def make_tsp(g: InstanceGraph, subtour_subsets: Sequence[Iterable[int]] = ()) ->
             raise InvalidInputError(f"subtour set {q} outside vertex range")
         inside = set(q)
         members = [name for name, (u, v) in zip(names, g.edges) if u in inside and v in inside]
-        lhs = Polynomial.from_terms(((name,), 1) for name in members)
-        rhs = len(q) - 1
-        if lhs.maximum_over_cube()[0] <= rhs:
+        inner = Polynomial.from_terms(((name,), 1) for name in members)
+        if inner.maximum_over_cube()[0] <= len(q) - 1:
             warnings.warn(f"subtour constraint on {q} can never bind; dropping it")
             continue
-        constraints.append(Constraint(lhs=lhs, rhs=rhs, label=f"subtour({','.join(map(str, q))})"))
+        lhs.append(inner)
+        rhs.append(len(q) - 1)
+        labels.append(f"subtour({','.join(map(str, q))})")
         n_subtour += 1
 
     return Problem(
         sense=MINIMIZE,
         objective=objective,
-        constraints=constraints,
+        constraints=_constraints(lhs, rhs, labels),
         variables=tuple(names),
         family="tsp",
         family_info={
@@ -394,9 +400,10 @@ def make_sat(clauses: Sequence[Sequence[int]]) -> Problem:
 
     x_names = [_vertex_var(i) for i in range(1, max_var + 1)]
     z_names = [f"z{c}" for c in range(1, len(clauses) + 1)]
+    labels = [f"clause({c})" for c in range(1, len(clauses) + 1)]
     objective = Polynomial.from_terms(((z,), 1) for z in z_names)
 
-    constraints = []
+    lhs = []
     for c, clause in enumerate(clauses, start=1):
         seen_vars = set()
         terms: list[tuple[tuple[str, ...], int]] = []
@@ -412,18 +419,12 @@ def make_sat(clauses: Sequence[Sequence[int]]) -> Problem:
             else:
                 terms.append(((name,), 1))
         terms.append(((f"z{c}",), -1))
-        constraints.append(
-            Constraint(
-                lhs=Polynomial.from_terms(terms),
-                rhs=len(clause) - 1,
-                label=f"clause({c})",
-            )
-        )
+        lhs.append(Polynomial.from_terms(terms))
 
     return Problem(
         sense=MINIMIZE,
         objective=objective,
-        constraints=tuple(constraints),
+        constraints=_constraints(lhs, [len(clause) - 1 for clause in clauses], labels),
         variables=tuple(x_names + z_names),
         family="sat",
         family_info={"n_vars": max_var, "clauses": tuple(map(tuple, clauses))},

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Sequence
 
@@ -108,13 +108,16 @@ def schedule(h: DerivedHypergraph, coloring: EdgeColoring, p: int = 1) -> Circui
     edges = h.edges
     layer_gates = [sorted([edges[i] for i in cls], key=_support) for cls in coloring.classes]
     layer_gates.sort(key=lambda gates: (-len(gates), list(map(_support, gates))))
-    phases = [Hyperedge((name,), (((name,), coeff),)) for name, coeff in h.singletons]
+    # Gates at tuple cost, as build makes them: ``tuple.__new__`` in a C-level map.
+    pairs = [((name,), (((name,), coeff),)) for name, coeff in h.singletons]
+    phases = list(map(tuple.__new__, repeat(Hyperedge), pairs))
     if layer_gates:
         layer_gates[0].extend(phases)
     layers = [CircuitLayer("cost", tuple(gates)) for gates in layer_gates]
     if phases and not layer_gates:
         layers.append(CircuitLayer("singleton", tuple(phases)))
-    layers.append(CircuitLayer("mixer", tuple(Hyperedge((name,), ()) for name in h.vertices)))
+    mixers = tuple(map(tuple.__new__, repeat(Hyperedge), zip(zip(h.vertices), repeat(()))))
+    layers.append(CircuitLayer("mixer", mixers))
     return CircuitSchedule(variables=h.vertices, layers=tuple(layers), iterations=p)
 
 

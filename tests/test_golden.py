@@ -31,6 +31,8 @@ DOT = ("--format", "dot")
 #: name -> (expected exit code, command line)
 CASES = {
     "dualize_knapsack": (0, ("dualize", *KNAPSACK)),
+    # Three constraints, each with a reference expansion: the diffs make one run.
+    "dualize_reference_expansions": (0, ("dualize", "--problem", "fixtures/reference_expansions.json")),
     "dualize_general_example_text": (
         0, ("dualize", "--problem", "fixtures/general_example.json", *TEXT),
     ),

@@ -569,6 +569,10 @@ def _plain(value):
 @example([{"a": 1}, {"a": 2, "b": 3}])
 @example([[1, 2], [], [3], [], [[]]])  # some members empty
 @example([[], [], ()])  # all members empty
+@example([True, False, False, True])  # bools only: one map, as a record's dropped column
+# A table's bool column, and a column of lists that are all empty, as
+# dualization records' dropped, cube_min_exact and slack_vars
+@example(_Table({"dropped": [False, True, False], "exact": [True, True, True], "vars": [(), [], ()]}))
 @example([{"k": 1}, {"k": True}, {"k": None}, {"k": "s"}, {"k": {"a": 0}}, {"k": [False]},
           {"k": 2}, {"k": {}}, {"k": []}, {"k": False}])  # one column of every kind
 @example([[1, "a"], ("b", 2), [], (), [[3]], ([4],)])  # lists and tuples in one list
@@ -681,7 +685,7 @@ def test_gate_terms_write_the_bytes_of_one_dict_per_term(monkeypatch, w6):
     # source, so it keeps no texts and the objectives' terms are kept.
     general = problems[-1]
     for expansion, hit in ((Polynomial.variable("x1"), True), (dualize(general).objective, True)):
-        constraints = (replace(general.constraints[0], reference_expansion=expansion), *general.constraints[1:])
+        constraints = (general.constraints[0]._replace(reference_expansion=expansion), *general.constraints[1:])
         runs.append((run_pipeline(replace(general, constraints=constraints), gate_width=3), hit))
     found = _gate_term_lookups(monkeypatch)
     rational = 0
@@ -937,8 +941,8 @@ def test_records_read_by_column_match_one_dict_per_record():
         records = list(pubo.dualizations)
         if draw % 3 == 0:  # shapes dualize never makes: a dropped record with notes, no cube_min
             records = [
-                replace(r, notes=("by hand",)) if r.dropped and rng.random() < 0.5
-                else replace(r, cube_min=None) if rng.random() < 0.2 else r
+                r._replace(notes=("by hand",)) if r.dropped and rng.random() < 0.5
+                else r._replace(cube_min=None) if rng.random() < 0.2 else r
                 for r in records
             ]
             pubo = replace(pubo, dualizations=tuple(records))

@@ -152,6 +152,16 @@ def test_linear_cube_extremes_are_exact_in_closed_form(monkeypatch):
             assert p.minimum_over_cube() == low
 
 
+def test_one_term_cube_extremes_are_exact_in_closed_form():
+    # c*x_S ranges over 0 and c, and a constant is itself, with canonical values.
+    for coeff in (1, -3, Fraction(5, 2), Fraction(-1, 3)):
+        for support in ((), ("a",), ("a", "b"), ("a", "b", "c")):
+            p = Polynomial({support: coeff})
+            extremes = p.minimum_over_cube(), p.maximum_over_cube()
+            assert extremes == ((exhaustive_minimum(p), True), (-exhaustive_minimum(-p), True))
+            assert all(type(value) is int or value.denominator != 1 for value, _ in extremes)
+
+
 def test_wide_linear_lhs_is_bounded_without_enumeration(monkeypatch):
     def no_enumeration(self, order=None):
         raise AssertionError("values_over_cube called for a linear polynomial")
