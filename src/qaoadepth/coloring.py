@@ -97,51 +97,27 @@ def bounds(h: DerivedHypergraph) -> tuple[int, tuple[BoundRef, ...]]:
 
 
 def upper_bounds(h: DerivedHypergraph) -> tuple[BoundRef, ...]:
-    """The documented upper bounds, each marked with whether it applies to ``h``."""
-    n = len(h.qubits)
-    linear = h.is_linear()
-    two_uniform = h.uniform_size() == 2
-    return (
-        BoundRef(
-            name="edge_count",
-            kind="upper",
-            status="theorem",
-            applies=True,
-            value=len(h.edges),
-            note="one layer per gate always works",
-        ),
-        BoundRef(
-            name="vizing",
-            kind="upper",
-            status="theorem",
-            applies=two_uniform,
-            value=h.max_degree() + 1 if two_uniform else None,
-            note="chromatic index of a simple graph is Delta or Delta+1",
-        ),
-        BoundRef(
-            name="chang_lawler",
-            kind="upper",
-            status="theorem",
-            applies=linear,
-            value=-(-3 * n // 2) - 2 if linear else None,
-            note="ceil(1.5n - 2) for linear hypergraphs on n vertices",
-        ),
-        BoundRef(
-            name="erdos_faber_lovasz",
-            kind="upper",
-            status="conjecture",
-            applies=linear,
-            value=n if linear else None,
-            note="conjectured n for linear hypergraphs; not assumed anywhere",
-        ),
-        BoundRef(
-            name="kahn",
-            kind="upper",
-            status="asymptotic",
-            applies=linear,
-            value=None,
-            note="n + o(n) for linear hypergraphs; no finite value at fixed n",
-        ),
+    """The documented upper bounds, each marked with whether it applies to ``h``.
+
+    One ``(name, status, applies, value, note)`` row per bound; a bound that
+    does not apply has no value.
+    """
+    n, linear, two_uniform = len(h.qubits), h.is_linear(), h.uniform_size() == 2
+    rows = (
+        ("edge_count", "theorem", True, len(h.edges), "one layer per gate always works"),
+        ("vizing", "theorem", two_uniform, h.max_degree() + 1,
+         "chromatic index of a simple graph is Delta or Delta+1"),
+        ("chang_lawler", "theorem", linear, -(-3 * n // 2) - 2,
+         "ceil(1.5n - 2) for linear hypergraphs on n vertices"),
+        ("erdos_faber_lovasz", "conjecture", linear, n,
+         "conjectured n for linear hypergraphs; not assumed anywhere"),
+        ("kahn", "asymptotic", linear, None,
+         "n + o(n) for linear hypergraphs; no finite value at fixed n"),
+    )
+    return tuple(
+        BoundRef(name=name, kind="upper", status=status, applies=applies,
+                 value=value if applies else None, note=note)
+        for name, status, applies, value, note in rows
     )
 
 

@@ -33,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Sequence
 
 from .coloring import EdgeColoring
 from .dualize import Pubo
@@ -142,21 +141,69 @@ class DepthReport:
     notes: tuple[str, ...] = ()
 
 
-def _is_star(n: int, pairs: Sequence[tuple[str, ...]]) -> bool:
-    """True for K(1, n-1): n - 1 distinct pairs that all share one hub."""
-    if n < 2 or len(pairs) != n - 1:
-        return False
-    return n - 1 in Counter(name for pair in pairs for name in pair).values()
+def _graph_figure(problem, pubo, h, sched, notes):
+    """MaxCut and MaxIndSet: the chromatic index plus the mixer, ``n`` for a star."""
+    n, chi = len(problem.variables), sched.coloring_depth
+    if not h.edges:
+        phases = int(any(len(s) == 1 for s in pubo.objective.supports()))
+        return (
+            "phase layer + 1", phases + 1, {"chromatic_index": 0, "phase_layer": phases},
+            "no interaction: one-qubit phases, if any, take one layer before the mixer", True,
+        )
+    pairs = [s for s in pubo.objective.supports() if len(s) == 2]
+    # A star K(1, n-1): n - 1 distinct pairs that all share one hub.
+    if n >= 2 and len(pairs) == n - 1 and n - 1 in Counter(chain.from_iterable(pairs)).values():
+        note = "star instance: every edge needs its own color"
+        return "n", n, {"n": n, "chromatic_index": chi}, note, True
+    return (
+        "chromatic_index + 1", chi + 1, {"chromatic_index": chi},
+        "+1 for the mixer; one-qubit phases ride inside the cost gates", True,
+    )
 
 
-def _sat_formula_degrees(problem: Problem) -> dict[str, int]:
-    """Closed-form degree per variable: |union of touching constraint supports| - 1
-    plus two slack bits per touching clause.
+def _vertex_cover_figure(problem, pubo, h, sched, notes):
+    constraints_on = Counter(name for con in problem.constraints for name in con.lhs.variables())
+    return (
+        "2*chi(G) + 1", None, {"instance_max_degree": max(constraints_on.values(), default=0)},
+        "quoted formula uses chi(G) ambiguously (vertex vs edge chromatic "
+        "number); the structural depth above is the computed figure",
+        False,
+    )
+
+
+def _knapsack_figure(problem, pubo, h, sched, notes):
+    n, slack_bits = len(problem.variables), sum(d.bit_count for d in pubo.dualizations)
+    two_sided = any(con.lower is not None for con in problem.constraints)
+    details = {
+        "n": n,
+        "slack_bits": slack_bits,
+        "note": "computed as n plus ceil(log2(range+1)) slack bits",
+    }
+    return (
+        f"n + ln({'max_weight' if two_sided else 'capacity'})", n + slack_bits, details,
+        "quoted ln is read as the binary slack-bit count", True,
+    )
+
+
+def _tsp_figure(problem, pubo, h, sched, notes):
+    n, n_dualized = len(problem.variables), sum(1 for d in pubo.dualizations if not d.dropped)
+    details = {
+        "n_edge_vars": n,
+        "n_dualized_constraints": n_dualized,
+        "derived_max_degree": h.max_degree(),
+    }
+    return "n - 1 + 2*N_c", n - 1 + 2 * n_dualized, details, "", True
+
+
+def _sat_figure(problem, pubo, h, sched, notes):
+    """Per variable, |union of touching constraint supports| - 1 plus two
+    slack bits per touching clause, beside its degree in the derived graph;
+    not a depth.
 
     A degree is keyed on each constraint variable the objective does not
     count, in the problem's variable order; each clause's violation
     indicator is in the objective, so it stays in the supports and out of
-    the keys.
+    the keys.  The derived graph's degree is the qubit's distinct neighbors.
     """
     touching: dict[str, list[tuple[str, ...]]] = {}
     for con in problem.constraints:
@@ -164,11 +211,40 @@ def _sat_formula_degrees(problem: Problem) -> dict[str, int]:
         for name in support:
             touching.setdefault(name, []).append(support)
     counted = set(problem.objective.variables())
-    return {
-        name: len(set().union(*touching[name])) - 1 + 2 * len(touching[name])
+    neighbors = ({y for e in edges for y in h.ends[e]} for edges in h.incident)
+    actual = {name: len(peers) - 1 for name, peers in zip(h.qubits, neighbors)}
+    comparison = {
+        name: {
+            "formula": len(set().union(*touching[name])) - 1 + 2 * len(touching[name]),
+            "derived_graph": actual.get(name, 0),
+        }
         for name in problem.variables
         if name in touching and name not in counted
     }
+    mismatched = sorted(
+        name for name, pair in comparison.items() if pair["formula"] != pair["derived_graph"]
+    )
+    if mismatched:
+        notes.append(f"degree formula disagrees with the derived graph at {mismatched}")
+    return (
+        "|union(c in C_x)| - 1 + 2*|C_x| per variable",
+        max((pair["formula"] for pair in comparison.values()), default=0),
+        {"degrees": comparison},
+        "per-variable degree figure, not a depth; max shown as value",
+        False,
+    )
+
+
+#: Per family tag, its figure: (formula, value, details, note, whether the
+#: value is a depth to compare with the structural one).
+_FAMILY_FIGURES = {
+    "maxcut": _graph_figure,
+    "maxindset": _graph_figure,
+    "vertex_cover": _vertex_cover_figure,
+    "knapsack": _knapsack_figure,
+    "tsp": _tsp_figure,
+    "sat": _sat_figure,
+}
 
 
 def analyze_family(
@@ -179,128 +255,25 @@ def analyze_family(
 ) -> DepthReport:
     """Depth report with the tagged family's closed-form figure attached.
 
-    ``problem.family`` picks which figure is quoted; every quantity in it is
-    read from the problem's own structure (its variables, constraints and
-    penalty form), never from the metadata that travels with the tag.  The
-    star test runs on the degree-2 supports of the penalty form, not on
-    ``h``, whose gates may be merged.  The structural depth is always the
-    pipeline's own count; the family figure is quoted next to it and a
-    discrepancy is flagged rather than reconciled when the two disagree.
+    ``problem.family`` picks the figure from :data:`_FAMILY_FIGURES`; every
+    quantity in it is read from the problem's own structure (its variables,
+    constraints and penalty form), never from the metadata that travels
+    with the tag.  The star test runs on the degree-2 supports of the
+    penalty form, not on ``h``, whose gates may be merged.  The structural
+    depth is always the pipeline's own count.  A figure that is a depth is
+    compared with it, and a discrepancy is flagged rather than reconciled;
+    the vertex-cover and SAT figures are not compared.
     """
-    structural = sched.structural_depth
     notes: list[str] = []
-    bound: FamilyBound | None = None
-    n = len(problem.variables)
-
-    if problem.family in ("maxcut", "maxindset"):
-        chi = sched.coloring_depth
-        if not h.edges:
-            phases = int(any(len(s) == 1 for s in pubo.objective.supports()))
-            bound = FamilyBound(
-                family=problem.family,
-                formula="phase layer + 1",
-                value=phases + 1,
-                matches_structural=(structural == phases + 1),
-                details={"chromatic_index": 0, "phase_layer": phases},
-                note="no interaction: one-qubit phases, if any, take one layer before the mixer",
-            )
-        elif _is_star(n, [s for s in pubo.objective.supports() if len(s) == 2]):
-            bound = FamilyBound(
-                family=problem.family,
-                formula="n",
-                value=n,
-                matches_structural=(structural == n),
-                details={"n": n, "chromatic_index": chi},
-                note="star instance: every edge needs its own color",
-            )
-        else:
-            bound = FamilyBound(
-                family=problem.family,
-                formula="chromatic_index + 1",
-                value=chi + 1,
-                matches_structural=(structural == chi + 1),
-                details={"chromatic_index": chi},
-                note="+1 for the mixer; one-qubit phases ride inside the cost gates",
-            )
-    elif problem.family == "vertex_cover":
-        constraints_on = Counter(
-            name for con in problem.constraints for name in con.lhs.variables()
-        )
-        bound = FamilyBound(
-            family="vertex_cover",
-            formula="2*chi(G) + 1",
-            value=None,
-            matches_structural=None,
-            details={"instance_max_degree": max(constraints_on.values(), default=0)},
-            note=(
-                "quoted formula uses chi(G) ambiguously (vertex vs edge chromatic "
-                "number); the structural depth above is the computed figure"
-            ),
-        )
-    elif problem.family == "knapsack":
-        slack_bits = sum(d.bit_count for d in pubo.dualizations)
-        two_sided = any(con.lower is not None for con in problem.constraints)
-        argument = "max_weight" if two_sided else "capacity"
-        value = n + slack_bits
-        bound = FamilyBound(
-            family="knapsack",
-            formula=f"n + ln({argument})",
-            value=value,
-            matches_structural=(structural == value),
-            details={
-                "n": n,
-                "slack_bits": slack_bits,
-                "note": "computed as n plus ceil(log2(range+1)) slack bits",
-            },
-            note="quoted ln is read as the binary slack-bit count",
-        )
-    elif problem.family == "tsp":
-        n_dualized = sum(1 for d in pubo.dualizations if not d.dropped)
-        value = n - 1 + 2 * n_dualized
-        bound = FamilyBound(
-            family="tsp",
-            formula="n - 1 + 2*N_c",
-            value=value,
-            matches_structural=(structural == value),
-            details={
-                "n_edge_vars": n,
-                "n_dualized_constraints": n_dualized,
-                "derived_max_degree": h.max_degree(),
-            },
-        )
-    elif problem.family == "sat":
-        formula_degrees = _sat_formula_degrees(problem)
-        actual = _actual_degrees(h)
-        comparison = {
-            name: {"formula": deg, "derived_graph": actual.get(name, 0)}
-            for name, deg in formula_degrees.items()
-        }
-        mismatched = sorted(
-            name for name, pair in comparison.items()
-            if pair["formula"] != pair["derived_graph"]
-        )
-        if mismatched:
-            notes.append(f"degree formula disagrees with the derived graph at {mismatched}")
-        bound = FamilyBound(
-            family="sat",
-            formula="|union(c in C_x)| - 1 + 2*|C_x| per variable",
-            value=max(formula_degrees.values(), default=0),
-            matches_structural=None,
-            details={"degrees": comparison},
-            note="per-variable degree figure, not a depth; max shown as value",
-        )
-    elif problem.family is not None:
-        notes.append(f"unrecognized family {problem.family!r}; structural report only")
-
-    if bound is not None and bound.matches_structural is False:
-        notes.append(
-            f"family figure {bound.value} differs from structural depth {structural}"
-        )
-
+    figure = _FAMILY_FIGURES.get(problem.family)
+    if figure is None:
+        if problem.family is not None:
+            notes.append(f"unrecognized family {problem.family!r}; structural report only")
+        return DepthReport(schedule=sched, notes=tuple(notes))
+    structural = sched.structural_depth
+    formula, value, details, note, compared = figure(problem, pubo, h, sched, notes)
+    matches = structural == value if compared else None
+    if matches is False:
+        notes.append(f"family figure {value} differs from structural depth {structural}")
+    bound = FamilyBound(problem.family, formula, value, matches, details, note)
     return DepthReport(schedule=sched, family_bound=bound, notes=tuple(notes))
-
-
-def _actual_degrees(h: DerivedHypergraph) -> dict[str, int]:
-    """Distinct-neighbor count per touched qubit in the derived structure."""
-    neighbors = ({y for e in edges for y in h.ends[e]} for edges in h.incident)
-    return {name: len(peers) - 1 for name, peers in zip(h.qubits, neighbors)}

@@ -11,6 +11,7 @@ from qaoadepth import (
     InstanceGraph,
     InvalidInputError,
     Polynomial,
+    Problem,
     absorb_subsets,
     bounds,
     build,
@@ -316,6 +317,19 @@ def test_benchmark_shaped_graphs_are_certified(n, degree):
         assert len(result.hypergraph.edges) > 20  # past the exact-search cutoff
         assert result.coloring.method == "misra_gries"
         assert result.coloring.num_colors == result.coloring.lower_bound
+
+
+def test_auto_colors_a_wide_hypergraph_past_the_cutoff_first_fit():
+    # 30 distinct cubic monomials on 12 variables: no gate absorbs another at
+    # width 3, and a hypergraph that is not a graph gets first-fit.
+    names = [f"x{i}" for i in range(1, 13)]
+    triples = random.Random(12).sample(list(itertools.combinations(names, 3)), 30)
+    objective = Polynomial.from_terms((triple, 1) for triple in triples)
+    result = run_pipeline(Problem(sense="min", objective=objective, variables=names), gate_width=3)
+    assert result.coloring.method == "greedy"
+    assert result.notes == (
+        "30 hyperedges exceed the exact-coloring cutoff 20; heuristic greedy coloring used",
+    )
 
 
 def test_petersen_keeps_four_colors_certified_only_by_the_search(fixture_dir):

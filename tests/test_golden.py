@@ -21,10 +21,12 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 W6 = ("--family", "maxcut", "--graph", "fixtures/w6.dimacs")
 INDSET_W6 = ("--problem", "fixtures/indset_w6.json")
 GENERAL_W3 = ("--problem", "fixtures/general_example.json", "--gate-width", "3")
-KNAPSACK = (
-    "--family", "knapsack", "--values", "1,2,3", "--weights", "1,2,3",
-    "--capacity", "4", "--preprocess",
-)
+KNAPSACK_ITEMS = ("--family", "knapsack", "--values", "1,2,3", "--weights", "1,2,3")
+KNAPSACK = (*KNAPSACK_ITEMS, "--capacity", "4", "--preprocess")
+PETERSEN_BUDGET = ("--family", "maxcut", "--graph", "fixtures/petersen.dimacs", "--budget", "5")
+# A dropped constraint, a two-sided one whose slack range is capped, and an
+# unknown family tag.
+DROPPED_TWO_SIDED = ("--problem", "fixtures/dropped_two_sided.json")
 TEXT = ("--format", "text")
 DOT = ("--format", "dot")
 
@@ -36,6 +38,7 @@ CASES = {
     "dualize_general_example_text": (
         0, ("dualize", "--problem", "fixtures/general_example.json", *TEXT),
     ),
+    "dualize_dropped_two_sided_text": (0, ("dualize", *DROPPED_TWO_SIDED, *TEXT)),
     "graph_general_example": (0, ("graph", *GENERAL_W3)),
     "graph_general_example_text": (0, ("graph", *GENERAL_W3, *TEXT)),
     "graph_general_example_dot": (0, ("graph", *GENERAL_W3, *DOT)),
@@ -51,11 +54,14 @@ CASES = {
     "analyze_indset_w6": (0, ("analyze", *INDSET_W6)),
     "analyze_indset_w6_text": (0, ("analyze", *INDSET_W6, *TEXT)),
     "analyze_general_example": (0, ("analyze", *GENERAL_W3)),
-    # The exact search runs out of budget: exit 4 with the best coloring it found.
-    "analyze_maxcut_petersen_budget": (
-        4, ("analyze", "--family", "maxcut", "--graph", "fixtures/petersen.dimacs",
-            "--budget", "5"),
+    # K5 on 3 items and 2 slack bits: the family figure 5 differs from depth 6.
+    "analyze_knapsack_differs_text": (
+        0, ("analyze", *KNAPSACK_ITEMS, "--capacity", "2", *TEXT),
     ),
+    "analyze_unknown_family": (0, ("analyze", *DROPPED_TWO_SIDED)),
+    # The exact search runs out of budget: exit 4 with the best coloring it found.
+    "analyze_maxcut_petersen_budget": (4, ("analyze", *PETERSEN_BUDGET)),
+    "analyze_maxcut_petersen_budget_text": (4, ("analyze", *PETERSEN_BUDGET, *TEXT)),
     "verify_indset_w6": (0, ("verify", *INDSET_W6)),
     "verify_indset_w6_text": (0, ("verify", *INDSET_W6, *TEXT)),
 }

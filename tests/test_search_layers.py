@@ -9,19 +9,30 @@ The merge search's lower bound, the per-qubit cover count, runs the same
 search on each qubit's star.  It is checked against a set-partition
 enumeration, the greedy bound it replaced and the fewest layers by brute
 force, on stars whose uncapped search takes seconds, and by its pinned sum
-over 400 wide stars.
+over 400 wide stars.  A dive deeper than Python's recursion limit stops the
+search as its budget does.
 """
 
 import random
-import time
 from dataclasses import replace
 
 import pytest
 
-from qaoadepth import InvalidInputError, Polynomial, absorb_subsets, build, merge_exact
+from qaoadepth import (
+    InstanceGraph,
+    InvalidInputError,
+    Polynomial,
+    absorb_subsets,
+    build,
+    dualize,
+    make_maxcut,
+    merge_exact,
+    run_pipeline,
+)
 from qaoadepth import hypergraph as hypergraph_mod
 from qaoadepth.coloring import combinatorial_lower_bound, first_fit_classes
-from qaoadepth.hypergraph import _merge_lower_bound, search_layers
+from qaoadepth.hypergraph import DEFAULT_EXACT_BUDGET, _merge_lower_bound, search_layers
+from qaoadepth.io import read_dimacs_graph
 
 from bruteforce import (
     merge_cover_reference,
@@ -85,29 +96,30 @@ def cover_draws():
         yield supports, limit
 
 
-def capped_searches(monkeypatch) -> list[bool]:
-    """Records, per search of one qubit's star, whether it reached its cap.
+def capped_searches(monkeypatch) -> tuple[list[bool], list[int]]:
+    """Records, per search of one qubit's star, whether it reached its cap and its nodes.
 
     A star search is the call of :func:`search_layers` with the cap as its budget.
     """
-    capped = []
+    capped, nodes = [], []
     search = hypergraph_mod.search_layers
 
     def watched(h, limit, budget, *args):
         result = search(h, limit, budget, *args)
         if budget == hypergraph_mod._COVER_SEARCH_CAP:
             capped.append(not result[2])
+            nodes.append(result[1])
         return result
 
     monkeypatch.setattr(hypergraph_mod, "search_layers", watched)
-    return capped
+    return capped, nodes
 
 
 def test_merge_lower_bound_is_the_cover_count(monkeypatch):
     # Never below the greedy bound it replaced, never above the fewest
     # layers, and where no search reached its cap, the fewest groups of one
     # qubit's edges by enumerating their set partitions.
-    capped = capped_searches(monkeypatch)
+    capped, _ = capped_searches(monkeypatch)
     stronger = 0
     for supports, limit in cover_draws():
         h = hypergraph(supports)
@@ -126,7 +138,7 @@ def test_a_capped_cover_search_falls_back_to_a_sound_bound(monkeypatch):
     # the greedy set or its neighbours over the room, never the search's
     # best so far, which bounds the count from above.
     monkeypatch.setattr(hypergraph_mod, "_COVER_SEARCH_CAP", 1)
-    capped = capped_searches(monkeypatch)
+    capped, _ = capped_searches(monkeypatch)
     for supports, limit in cover_draws():
         h = hypergraph(supports)
         bound = _merge_lower_bound(h, limit)
@@ -197,22 +209,20 @@ def test_wide_star_bounds_are_pinned():
 @pytest.mark.parametrize("edges, limit, seed", [(45, 5, 7), (60, 4, 8)])
 def test_a_wide_star_gets_a_sound_bound_within_its_cap(edges, limit, seed, monkeypatch):
     # Edges of width 3..limit around one hub over 40 other qubits: an
-    # uncapped search at the hub runs for seconds.  The capped one stops,
-    # and the bound stays between the greedy set and a layering.
+    # uncapped search at the hub runs for seconds.  The capped one stops at
+    # its node cap, which bounds its time, and the bound stays between the
+    # greedy set and a layering.
     rng = random.Random(seed)
     leaves = [f"y{i}" for i in range(40)]
     supports = set()
     while len(supports) < edges:
         supports.add(tuple(sorted(["c", *rng.sample(leaves, rng.randint(2, limit - 1))])))
     h = hypergraph(sorted(supports))
-    capped = capped_searches(monkeypatch)
-    seconds = []
+    capped, nodes = capped_searches(monkeypatch)
     for _ in range(3):
-        start = time.perf_counter()
         bound = _merge_lower_bound(h, limit)
-        seconds.append(time.perf_counter() - start)
     assert capped == [True] * 3  # the hub's search, once per run
-    assert min(seconds) < 0.05
+    assert nodes == [hypergraph_mod._COVER_SEARCH_CAP] * 3
     layers = merge_exact(h, limit, budget=0).coloring.num_colors
     assert merge_lower_bound_reference(h, limit) <= bound <= layers
 
@@ -306,3 +316,34 @@ def test_negative_budget_is_rejected():
         search_layers(h, 0, -1, 3)
     # A budget of 0 is valid, and spent at the root: a stopped search.
     assert search_layers(h, 0, 0, 3) == (None, 0, False)
+
+
+def ladder_and_petersen(rungs: int, petersen: InstanceGraph) -> InstanceGraph:
+    """A ladder of ``rungs`` rungs, 3 * rungs - 2 edges, and a disjoint Petersen graph."""
+    edges = [(i, i + rungs) for i in range(1, rungs + 1)]
+    edges += [(i, i + 1) for i in range(1, rungs)]
+    edges += [(i + rungs, i + rungs + 1) for i in range(1, rungs)]
+    edges += [(u + 2 * rungs, v + 2 * rungs) for u, v in petersen.edges]
+    return InstanceGraph(n=2 * rungs + petersen.n, edges=tuple(edges))
+
+
+def test_a_dive_past_the_recursion_limit_stops_the_search(fixture_dir):
+    # 1,213 gates: the ladder is 3-edge-colorable and Petersen is not, so
+    # no 3 layers exist, and the search's dive takes a stack frame per
+    # placed gate.  It stops at the recursion limit, long before its node
+    # budget, with nothing better than the incumbent.
+    petersen = read_dimacs_graph(str(fixture_dir / "petersen.dimacs"))
+    problem = make_maxcut(ladder_and_petersen(400, petersen))
+    h = build(dualize(problem))
+    assert len(h.edges) == 1213
+    layers, nodes, finished = search_layers(h, 0, DEFAULT_EXACT_BUDGET, incumbent=4, lower=3)
+    assert (layers, finished) == (None, False)
+    assert 0 < nodes < 1213
+
+    result = run_pipeline(problem, method="exact")
+    assert (result.coloring.num_colors, result.coloring.lower_bound) == (4, 3)
+    assert result.budget_exceeded
+    assert result.notes == (
+        f"exact search stopped at its {DEFAULT_EXACT_BUDGET}-node budget or Python's "
+        "recursion limit; best coloring found reported, uncertified",
+    )
